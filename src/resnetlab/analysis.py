@@ -17,8 +17,6 @@ from .errors import InvalidInputError
 from .network import Weights
 from .training import RunLog
 
-EXHAUSTIVE_POINT_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class ScalingFit:
@@ -97,53 +95,38 @@ def rescaled_path(weights: Weights) -> PathFunction:
     return PathFunction(s, np.sqrt(L) * weights.layers)
 
 
-def _increment_scores(values: np.ndarray) -> np.ndarray:
-    flat = values.reshape(len(values), -1)
-    diff = flat[None, :, :] - flat[:, None, :]
-    return np.sum(diff * diff, axis=-1)
-
-
-def _partition_sum(scores: np.ndarray, idx) -> float:
-    return float(sum(scores[a, b] for a, b in zip(idx[:-1], idx[1:])))
-
-
 def two_variation(path: PathFunction, mode: str = "dyadic") -> float:
     """Supremum over partitions of the summed squared Frobenius increments.
 
-    "exhaustive" enumerates every subpartition of the sample grid (the
-    oracle; refuses paths with more than 20 points). "dyadic" maximizes over
-    the full grid and its dyadic coarsenings only, a lower bound that is
-    cheap at any depth.
+    Partitions are index chains of the sample grid that contain both
+    endpoints. "exhaustive" is the exact supremum by the dynamic programme
+    V[0] = 0, V[j] = max_{i<j} V[i] + |x_j - x_i|_F^2, returning V[P-1]:
+    O(P^2 d^2) time and O(P d^2) memory for P points of width d. "dyadic"
+    maximizes over the full grid and its dyadic coarsenings only, a lower
+    bound in O(P d^2) time and memory.
     """
-    if path.points == 1:
-        return 0.0
-    scores = _increment_scores(path.values)
+    if mode not in ("dyadic", "exhaustive"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    flat = path.values.reshape(path.points, -1)
     last = path.points - 1
 
     if mode == "exhaustive":
-        if path.points > EXHAUSTIVE_POINT_LIMIT:
-            raise InvalidInputError(
-                f"exhaustive enumeration limited to {EXHAUSTIVE_POINT_LIMIT} points")
-        interior = list(range(1, last))
-        best = scores[0, last]
-        for mask in range(1, 1 << len(interior)):
-            idx = [0]
-            idx.extend(p for i, p in enumerate(interior) if mask >> i & 1)
-            idx.append(last)
-            best = max(best, _partition_sum(scores, idx))
-        return float(best)
+        best = np.zeros(path.points)
+        for j in range(1, path.points):
+            step = flat[j] - flat[:j]
+            best[j] = np.max(best[:j] + np.sum(step * step, axis=-1))
+        return float(best[last])
 
-    if mode != "dyadic":
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    best = 0.0
-    stride = 1
+    best, stride = 0.0, 1
     while True:
         idx = list(range(0, last + 1, stride))
         if idx[-1] != last:
             idx.append(last)
-        best = max(best, _partition_sum(scores, idx))
-        if len(idx) == 2:
-            return float(best)
+        step = np.diff(flat[idx], axis=0)
+        # increments added in index order, one at a time, not np.sum's pairwise order
+        best = max(best, float(sum(np.sum(step * step, axis=-1))))
+        if stride >= last:
+            return best
         stride *= 2
 
 

@@ -45,6 +45,20 @@ EXIT_OVERFLOW = 3
 GRADCHECK_RTOL = 1e-6
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# keyed by the field annotations, which are strings under postponed evaluation
+_TYPE_CHECKS = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list[int]": lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Flat key-value experiment description (JSON on disk)."""
@@ -75,6 +89,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _TYPE_CHECKS[f.type](value):
+                raise InvalidInputError(
+                    f"config key {f.name!r} must be {f.type}, got {value!r}")
         if not self.depths or sorted(self.depths) != list(self.depths):
             raise InvalidInputError("depths must be a nonempty ascending list")
         if self.T < 0:
@@ -301,6 +320,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
 
 
 def _load_runs(run_dir: str) -> tuple[list[int], dict[int, RunLog], dict[int, Weights]]:
+    """Completed runs under ``run_dir``; failed ones are named on stderr and skipped."""
     paths = sorted(glob.glob(os.path.join(run_dir, "runlog_L*.csv")))
     if not paths:
         raise InvalidInputError(f"no run logs found under {run_dir}")
@@ -310,12 +330,19 @@ def _load_runs(run_dir: str) -> tuple[list[int], dict[int, RunLog], dict[int, We
         if match is None:
             continue
         depth = int(match.group(1))
+        log = load_runlog(path)
+        if log.failed:
+            print(f"depth {depth}: skipped, run failed after step {log.steps}: "
+                  f"{log.fail_reason}", file=sys.stderr)
+            continue
         depths.append(depth)
-        logs[depth] = load_runlog(path)
+        logs[depth] = log
         wpath = os.path.join(run_dir, f"weights_L{depth}.txt")
         if not os.path.exists(wpath):
             raise InvalidInputError(f"missing final weights {wpath}")
         weights[depth] = load_weights(wpath)
+    if not depths:
+        raise InvalidInputError(f"no completed runs under {run_dir}")
     depths.sort()
     return depths, logs, weights
 

@@ -25,7 +25,8 @@ from .network import TANH, Activation, Weights
 ETA_CAP_COEFF = 1.0 / 160.0
 LARGEST_T_CAP = 10 ** 18
 
-RUNLOG_COLUMNS = ["t", "eta", "loss", "fbar", "gbar", "finf", "neighbour_max", "delta"]
+RUNLOG_COLUMNS = ["t", "eta", "loss", "fbar", "gbar", "finf", "neighbour_max", "delta",
+                  "fail_reason"]
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,8 @@ class RunLog:
 
     @property
     def steps(self) -> int:
-        return int(self.t[-1])
+        """Last logged step; 0 for a run that failed before its first row."""
+        return int(self.t[-1]) if len(self.t) else 0
 
 
 def gd_step(w: Weights, data: Dataset, eta: float,
@@ -298,6 +300,9 @@ def largest_sum_feasible_T(sched: Schedule, budget: float) -> float:
 
 
 def save_runlog(log: RunLog, path) -> None:
+    """One CSV row per logged step. A failed run carries its reason in the
+    ``fail_reason`` column of its last row; every other cell there is empty."""
+    last_reason = (log.fail_reason or "failed") if log.failed else ""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUNLOG_COLUMNS)
@@ -305,7 +310,8 @@ def save_runlog(log: RunLog, path) -> None:
             writer.writerow([int(log.t[i])] + [
                 repr(float(col[i])) for col in
                 (log.eta, log.loss, log.fbar, log.gbar, log.finf,
-                 log.neighbour_max, log.delta)])
+                 log.neighbour_max, log.delta)]
+                + [last_reason if i == len(log.t) - 1 else ""])
 
 
 def load_runlog(path) -> RunLog:
@@ -314,10 +320,15 @@ def load_runlog(path) -> RunLog:
         header = next(reader)
         if header != RUNLOG_COLUMNS:
             raise InvalidInputError(f"unexpected run log header {header!r} in {path}")
-        raw = [[float(v) for v in row] for row in reader]
-    if not raw:
+        rows = list(reader)
+    if not rows:
         raise InvalidInputError(f"empty run log {path}")
-    arr = np.asarray(raw)
+    if any(len(row) != len(RUNLOG_COLUMNS) for row in rows):
+        raise InvalidInputError(f"run log rows need {len(RUNLOG_COLUMNS)} cells in {path}")
+    if any(row[-1] for row in rows[:-1]):
+        raise InvalidInputError(f"fail_reason before the last row of {path}")
+    arr = np.asarray([[float(v) for v in row[:-1]] for row in rows])
+    fail_reason = rows[-1][-1] or None
     t = arr[:, 0].astype(np.int64)
     eta = arr[:, 1]
     # The cumulative rate is recoverable exactly when every step was logged.
@@ -326,7 +337,8 @@ def load_runlog(path) -> RunLog:
         eta_sum = np.concatenate([[0.0], np.cumsum(eta[:-1])])
     return RunLog(t=t, eta=eta, loss=arr[:, 2], fbar=arr[:, 3], gbar=arr[:, 4],
                   finf=arr[:, 5], neighbour_max=arr[:, 6], delta=arr[:, 7],
-                  eta_sum=eta_sum)
+                  eta_sum=eta_sum, failed=fail_reason is not None,
+                  fail_reason=fail_reason)
 
 
 def save_layer_gaps(log: RunLog, path) -> None:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,12 +107,14 @@ class TestTwoVariation:
         assert two_variation(path, "dyadic") == pytest.approx(3.0)
 
     def test_exhaustive_matches_independent_oracle(self):
+        # scalar and matrix-valued paths, up to 2^11 chains for the oracle
         rng = np.random.default_rng(1)
-        for n_points in (2, 3, 5, 8, 11):
-            values = rng.standard_normal(n_points)
-            path = scalar_path(values)
-            assert two_variation(path, "exhaustive") == pytest.approx(
-                exhaustive_oracle(values), rel=1e-12)
+        for width in (1, 2, 3, 5):
+            for n_points in (1, 2, 3, 5, 8, 11, 13):
+                values = rng.standard_normal((n_points, width, width))
+                path = PathFunction(np.linspace(0.0, 1.0, n_points), values)
+                assert two_variation(path, "exhaustive") == pytest.approx(
+                    exhaustive_oracle(values), rel=1e-12)
 
     def test_dyadic_never_exceeds_exhaustive(self):
         # matrix-valued paths (the lab's own kind): increments are nearly
@@ -157,10 +160,22 @@ class TestTwoVariation:
             rhs = c * c * two_variation(base, mode)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_exhaustive_refuses_large_paths(self):
-        path = scalar_path(np.arange(21.0))
+    def test_memory_linear_in_points(self):
+        # a pairwise P x P x d^2 difference tensor would take 512 MB here
+        values = np.random.default_rng(5).standard_normal((1024, 8, 8))
+        path = PathFunction(np.linspace(0.0, 1.0, 1024), values)
+        for mode in ("dyadic", "exhaustive"):
+            tracemalloc.start()
+            try:
+                two_variation(path, mode)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20, (mode, peak)
+
+    def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidInputError):
-            two_variation(path, "exhaustive")
+            two_variation(scalar_path([0.0, 1.0]), "sampled")
 
     def test_single_point(self):
         path = PathFunction(np.array([1.0]), np.zeros((1, 2, 2)))

@@ -57,6 +57,21 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(depths=[8, 4])
 
+    @pytest.mark.parametrize("override", [
+        {"T": "5"}, {"d": 2.5}, {"N": True}, {"depths": [4, 8.0]},
+        {"depths": "48"}, {"eta0": "0.1"}, {"eta0": False},
+        {"log_layers": 1}, {"activation": None}, {"scatter_entry": [0, "1"]},
+    ])
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, **override)
+        assert main(["dataset", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "error: config key" in err and "Traceback" not in err
+
+    def test_int_accepted_for_float(self):
+        assert ExperimentConfig(eta0=1, alpha0=0).eta0 == 1
+
 
 class TestDatasetCommand:
     def test_writes_and_round_trips(self, tmp_path):
@@ -192,6 +207,55 @@ class TestCertifyCommand:
                   and not r["hypothesis"]]
         assert any(r["name"] in ("envelope_loss", "induction_loss_doubling")
                    for r in failed)
+
+
+class TestFailedRuns:
+    # identity activation with eta0=50 overflows at every depth within T=40
+    OVERFLOW = {"d": 6, "N": 4, "depths": [8, 16, 32], "T": 40, "eta0": 50,
+                "activation": "identity"}
+
+    def test_overflowed_run_does_not_certify_as_completed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **self.OVERFLOW)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OVERFLOW
+        for depth in (8, 16, 32):
+            log = load_runlog(run_dir / f"runlog_L{depth}.csv")
+            assert log.failed and log.fail_reason
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", cfg, "--out", str(out),
+                     "--run-dir", str(run_dir)]) == EXIT_OK
+        rows = load_reports_jsonl(out / "bounds.jsonl")
+        completed = [r for r in rows if r["name"] == "hyp_run_completed"]
+        assert [r["context"]["L"] for r in completed] == [8, 16, 32]
+        assert not any(r["pass"] for r in completed)
+        envelope = [r for r in rows if r["name"].startswith(("envelope_", "induction_"))]
+        assert envelope and not any(r["applicable"] for r in envelope)
+        capsys.readouterr()
+        assert main(["analyze", "--config", cfg, "--run-dir", str(run_dir),
+                     "--out", str(tmp_path / "analysis")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert all(f"depth {depth}: skipped" in err for depth in (8, 16, 32))
+
+    def test_analyze_skips_failed_depths(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        good = write_config(tmp_path, "good.json", depths=[4, 8, 16], T=10)
+        bad = write_config(tmp_path, "bad.json", **{**self.OVERFLOW, "depths": [32]})
+        assert main(["train", "--config", good, "--out", str(run_dir)]) == EXIT_OK
+        assert main(["train", "--config", bad, "--out", str(run_dir)]) == EXIT_OVERFLOW
+        capsys.readouterr()
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--config", good, "--run-dir", str(run_dir),
+                     "--out", str(out)]) == EXIT_OK
+        assert "depth 32: skipped" in capsys.readouterr().err
+        lines = (out / "two_variation.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["4", "8", "16"]
+
+    def test_overflow_before_first_step_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, depths=[8], beta0=-100.0,
+                           activation="identity")
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == EXIT_OVERFLOW
+        assert "depth 8: overflow after step 0" in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:

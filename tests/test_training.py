@@ -222,6 +222,17 @@ class TestRunLogPersistence:
                      "neighbour_max", "delta"):
             assert np.array_equal(getattr(loaded, name), getattr(log, name)), name
         assert np.allclose(loaded.eta_sum, log.eta_sum, rtol=0, atol=0)
+        assert not loaded.failed and loaded.fail_reason is None
+
+    def test_failed_status_round_trips(self, tmp_path):
+        data, w = small_instance(11)
+        _, log = train(w, data, Schedule("constant", 1e12), 8, activation=IDENTITY)
+        assert log.failed
+        path = tmp_path / "runlog.csv"
+        save_runlog(log, path)
+        loaded = load_runlog(path)
+        assert loaded.failed and loaded.fail_reason == log.fail_reason
+        assert np.array_equal(loaded.loss, log.loss)
 
     def test_strided_load_has_no_eta_sum(self, tmp_path):
         data, w = small_instance(11)
