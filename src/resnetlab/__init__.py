@@ -10,15 +10,14 @@ rates, weight-norm evolution and the emergence of a rescaled weight limit.
 from .analysis import (PathFunction, ScalingFit, TotalScaling, entry_scatter,
                        fit_power_law, rescaled_path, scaling_limit_distance,
                        steps_to_epsilon, total_scaling, two_variation)
-from .autograd import (BackwardTrace, Grad, HessianEstimate, backward_trace,
-                       finite_diff_grad, grad_objective,
+from .autograd import (Grad, HessianEstimate, finite_diff_grad, grad_objective,
                        grad_objective_with_stats, hessian_spectral_estimate,
                        loss, objective)
 from .bounds import (BoundReport, certify_forward, certify_gradient_lower,
                      certify_gradient_upper, certify_hessian,
-                     certify_loss_bound, certify_run_envelope,
-                     gronwall_envelope, make_report, meaningful_failures,
-                     neighbour_gradient_residual, write_reports_jsonl)
+                     certify_loss_bound, certify_run_envelope, make_report,
+                     meaningful_failures, neighbour_gradient_residual,
+                     write_reports_jsonl)
 from .data import (AssumptionParams, AssumptionReport, Dataset,
                    check_assumptions, init_certified, init_gaussian,
                    initial_loss_cap, initial_row_norm_cap, load_dataset,

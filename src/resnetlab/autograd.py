@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalOverflowError
 from .linalg import as_vector
-from .network import (TANH, Activation, BatchTrace, ForwardTrace, Weights,
-                      forward_batch, outputs_only)
+from .network import TANH, Activation, ForwardTrace, Weights, forward_batch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import Dataset
@@ -40,7 +39,7 @@ def loss(y, yhat) -> float:
 def objective(data: "Dataset", weights: Weights,
               activation: Activation = TANH) -> float:
     """Mean of the per-sample losses over the training set."""
-    outputs = outputs_only(data.xs, weights, activation)
+    outputs = forward_batch(data.xs, weights, activation).output
     return _mean_squared(outputs, data.ys)
 
 
@@ -69,25 +68,6 @@ class Grad:
 
 
 @dataclass(frozen=True)
-class BackwardTrace:
-    """Hidden-state gradients G_k = M_k^T (yhat - y) for k = 0..L, one input."""
-
-    g: np.ndarray
-
-
-def backward_trace(trace: ForwardTrace, weights: Weights, y,
-                   activation: Activation = TANH) -> BackwardTrace:
-    """Run the G_k recursion for a single sample's forward trace."""
-    L, d = trace.depth, weights.width
-    yv = as_vector(y, dim=d)
-    g = np.empty((L + 1, d))
-    g[L] = trace.hidden[L] - yv
-    for k in range(L, 0, -1):
-        g[k - 1] = g[k] + weights.delta * ((trace.sigma_prime[k - 1] * g[k]) @ weights.layers[k - 1])
-    return BackwardTrace(g)
-
-
-@dataclass(frozen=True)
 class LayerStats:
     """Per-layer mean of |h_{k-1}|^2 * |G_k|_inf^2 over the samples (length L).
 
@@ -98,32 +78,18 @@ class LayerStats:
     h_sq_ginf_sq: np.ndarray
 
 
-def _backward_batch(batch: BatchTrace, weights: Weights, ys: np.ndarray,
-                    want_stats: bool,
-                    delta_trainable: bool,
-                    activation: Activation) -> tuple[np.ndarray, float, LayerStats | None]:
-    """Layer gradients of the objective from a batched forward trace."""
-    L, d = weights.depth, weights.width
-    n = ys.shape[0]
-    delta = weights.delta
-    grads = np.empty((L, d, d))
-    g = batch.hidden[L] - ys
-    delta_grad = 0.0
-    stats = np.empty(L) if want_stats else None
+def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray) -> np.ndarray:
+    """Hidden-state gradients G_k = M_k^T (yhat - y) for k = 0..L, stored with
+    the trace's layout: shape (L+1, N, d) for a batch, (L+1, d) for one input."""
+    L = weights.depth
+    g = np.empty_like(trace.hidden)
+    g[L] = trace.hidden[L] - ys
     # Non-finite values are caught downstream; silence the transient warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(L, 0, -1):
-            sg = batch.sigma_prime[k - 1] * g
-            grads[k - 1] = (delta / n) * (sg.T @ batch.hidden[k - 1])
-            if delta_trainable:
-                delta_grad += float(np.sum(g * activation.value(batch.preact[k - 1]))) / n
-            if want_stats:
-                h_sq = np.sum(batch.hidden[k - 1] ** 2, axis=1)
-                g_inf = np.max(np.abs(g), axis=1)
-                stats[k - 1] = float(np.mean(h_sq * g_inf ** 2))
-            g = g + delta * (sg @ weights.layers[k - 1])
-    layer_stats = LayerStats(stats) if want_stats else None
-    return grads, delta_grad, layer_stats
+            g[k - 1] = g[k] + weights.delta * ((trace.sigma_prime[k - 1] * g[k])
+                                               @ weights.layers[k - 1])
+    return g
 
 
 def grad_objective(data: "Dataset", weights: Weights,
@@ -145,10 +111,28 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
     Training uses this to get the step's loss and logging quantities from the
     same forward pass that produced the gradient.
     """
-    batch = forward_batch(data.xs, weights, activation)
-    value = _mean_squared(batch.outputs, data.ys)
-    grads, dgrad, stats = _backward_batch(batch, weights, data.ys, want_stats,
-                                          delta_trainable, activation)
+    trace = forward_batch(data.xs, weights, activation)
+    value = _mean_squared(trace.output, data.ys)
+    g = _backward(trace, weights, data.ys)
+    n = data.ys.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = None
+        if want_stats:
+            h_sq = np.sum(trace.hidden[:-1] ** 2, axis=2)
+            g_inf = np.max(np.abs(g[1:]), axis=2)
+            stats = LayerStats(np.mean(h_sq * g_inf ** 2, axis=1))
+        dgrad = 0.0
+        if delta_trainable:
+            dgrad = float(np.sum(g[1:] * activation.value(trace.preact))) / n
+        # grad_k = delta/n * sum_i (sigma'(a_k) * G_k)_i h_{k-1,i}^T, all k at
+        # once. G is not needed past this point, so it becomes sigma' * G, and
+        # the trace's other arrays go before the (L, d, d) stack is allocated.
+        sg = g[1:]
+        sg *= trace.sigma_prime
+        h_prev = trace.hidden[:-1]
+        del trace
+        grads = np.matmul(sg.transpose(0, 2, 1), h_prev)
+        grads *= weights.delta / n
     return grads, dgrad, value, stats
 
 

@@ -97,7 +97,7 @@ def certify_forward(trace: ForwardTrace, x, weights: Weights, c_alpha: float,
     """
     reports = _hypothesis_forward(weights, c_alpha, rel_tol)
     applicable = all(r.passed for r in reports)
-    L = trace.depth
+    L = weights.depth
     x_norm = float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
     h_norms = np.linalg.norm(trace.hidden[1:], axis=1)
     k_lo = int(np.argmin(h_norms))
@@ -324,25 +324,6 @@ def certify_run_envelope(log: RunLog, params: AssumptionParams,
     reports.append(worst("induction_neighbour_gap", log.neighbour_max,
                          neighbour_gap_cap(params), context=ctx))
     return reports
-
-
-def gronwall_envelope(u, v, e0: float) -> np.ndarray:
-    """Bound sequence for e_{n+1} <= u_n e_n + v_n: the saturating recursion.
-
-    Returns [e0, b_1, ..., b_n] with b_{i+1} = u_i b_i + v_i, which equals
-    (prod u) e0 + sum_i (prod of the tail of u) v_i.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise InvalidInputError("u and v must be 1-D of equal length")
-    if np.any(u <= 0) or np.any(v < 0):
-        raise InvalidInputError("u must be positive and v nonnegative")
-    out = np.empty(len(u) + 1)
-    out[0] = e0
-    for i in range(len(u)):
-        out[i + 1] = u[i] * out[i] + v[i]
-    return out
 
 
 def neighbour_gradient_residual(trace: ForwardTrace, weights: Weights, k: int,

@@ -130,7 +130,7 @@ def near_init_targets(xs: np.ndarray, w0: Weights, epsilon: float, seed: int,
     """
     if epsilon < 0:
         raise InvalidInputError("epsilon must be >= 0")
-    outputs = forward_batch(np.asarray(xs, dtype=np.float64), w0, activation).outputs
+    outputs = forward_batch(np.asarray(xs, dtype=np.float64), w0, activation).output
     rng = np.random.default_rng(seed)
     noise = _unit_rows(rng.standard_normal(outputs.shape))
     return _unit_rows(outputs + epsilon * noise)
@@ -144,7 +144,11 @@ def init_gaussian(config: NetworkConfig, beta0: float, seed: int) -> Weights:
     """Entries i.i.d. normal with standard deviation d**-1 * L**-beta0."""
     d, L = config.width, config.depth
     rng = np.random.default_rng(seed)
-    std = d ** (-1.0) * float(L) ** (-beta0)
+    try:
+        std = d ** (-1.0) * float(L) ** (-beta0)
+    except OverflowError:
+        raise InvalidInputError(
+            f"beta0={beta0!r} overflows the init scale L**(-beta0) at L={L}") from None
     return Weights(std * rng.standard_normal((L, d, d)), config.delta)
 
 

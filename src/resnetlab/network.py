@@ -1,8 +1,10 @@
 """Residual architecture: h_k = h_{k-1} + delta * sigma(a_k h_{k-1}).
 
-The forward pass records every hidden state, preactivation and activation
-derivative; layer-to-output Jacobians M_k are optional because gradients only
-ever need the matching vector recursion (see ``autograd``).
+``forward_batch`` is the one forward pass: it records every hidden state,
+preactivation and activation derivative for a batch of inputs, and
+``forward`` is its single-input view. Layer-to-output Jacobians M_k are
+optional because gradients only ever need the matching vector recursion (see
+``autograd``).
 """
 
 from __future__ import annotations
@@ -167,10 +169,12 @@ def zero_weights(width: int, depth: int, delta: float | None = None,
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Everything the forward pass computes for one input.
+    """Everything the forward pass computes, layer axis first.
 
     hidden[k] is h_k for k = 0..L (hidden[0] is the input), preact[k-1] is
-    a_k = alpha_k h_{k-1}, sigma_prime[k-1] is sigma'(a_k) and, when
+    a_k = alpha_k h_{k-1} and sigma_prime[k-1] is sigma'(a_k). A batch trace
+    has a sample axis after the layer axis, so hidden has shape (L+1, N, d);
+    the single-input trace of ``forward`` has none, and there, when
     requested, jacobians[k] is M_k = dh_L/dh_k (so jacobians[L] is the
     identity).
     """
@@ -184,40 +188,45 @@ class ForwardTrace:
     def output(self) -> np.ndarray:
         return self.hidden[-1]
 
-    @property
-    def depth(self) -> int:
-        return self.preact.shape[0]
+
+def forward_batch(xs: np.ndarray, weights: Weights,
+                  activation: Activation = TANH) -> ForwardTrace:
+    """Run the residual recursion over a batch of inputs, shape (N, d).
+
+    The layer loop does only the matmul, the activation and the residual add
+    (one numpy path, so results are bitwise reproducible). Raises
+    NumericalOverflowError naming the first layer whose hidden state goes
+    non-finite.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != weights.width:
+        raise InvalidInputError(f"inputs must have shape (N, {weights.width})")
+    L = weights.depth
+    delta = weights.delta
+
+    hidden = np.empty((L + 1,) + xs.shape)
+    preact = np.empty((L,) + xs.shape)
+    hidden[0] = xs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, L + 1):
+            a = np.matmul(hidden[k - 1], weights.layers[k - 1].T, out=preact[k - 1])
+            np.add(hidden[k - 1], delta * activation.value(a), out=hidden[k])
+        finite = np.isfinite(hidden[1:]).reshape(L, -1).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite)) + 1
+            raise NumericalOverflowError(f"non-finite hidden state at layer {k}", layer=k)
+        sprime = activation.deriv1(preact)
+    return ForwardTrace(hidden, preact, sprime)
 
 
 def forward(x, weights: Weights, activation: Activation = TANH,
             want_jacobians: bool = False) -> ForwardTrace:
-    """Run the residual recursion for one input, recording the full trace.
-
-    Raises NumericalOverflowError naming the first layer whose hidden state
-    goes non-finite.
-    """
-    d = weights.width
-    L = weights.depth
-    h = as_vector(x, dim=d)
-    delta = weights.delta
-
-    hidden = np.empty((L + 1, d))
-    preact = np.empty((L, d))
-    sprime = np.empty((L, d))
-    hidden[0] = h
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, L + 1):
-            a = weights.layers[k - 1] @ hidden[k - 1]
-            hidden[k] = hidden[k - 1] + delta * activation.value(a)
-            if not np.all(np.isfinite(hidden[k])):
-                raise NumericalOverflowError(f"non-finite hidden state at layer {k}", layer=k)
-            preact[k - 1] = a
-            sprime[k - 1] = activation.deriv1(a)
-
-    jac = None
-    if want_jacobians:
-        jac = jacobian_stack(weights, sprime)
-    return ForwardTrace(hidden, preact, sprime, jac)
+    """The single-input view of ``forward_batch``, optionally with the
+    layer-to-output Jacobians."""
+    batch = forward_batch(as_vector(x, dim=weights.width)[None, :], weights, activation)
+    sprime = batch.sigma_prime[:, 0]
+    jac = jacobian_stack(weights, sprime) if want_jacobians else None
+    return ForwardTrace(batch.hidden[:, 0], batch.preact[:, 0], sprime, jac)
 
 
 def jacobian_stack(weights: Weights, sigma_prime: np.ndarray) -> np.ndarray:
@@ -229,60 +238,6 @@ def jacobian_stack(weights: Weights, sigma_prime: np.ndarray) -> np.ndarray:
         step = np.eye(d) + weights.delta * (sigma_prime[k - 1][:, None] * weights.layers[k - 1])
         jac[k - 1] = jac[k] @ step
     return jac
-
-
-@dataclass(frozen=True)
-class BatchTrace:
-    """Forward trace for a batch of inputs; hidden has shape (L+1, N, d)."""
-
-    hidden: np.ndarray
-    preact: np.ndarray
-    sigma_prime: np.ndarray
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.hidden[-1]
-
-
-def forward_batch(xs: np.ndarray, weights: Weights,
-                  activation: Activation = TANH) -> BatchTrace:
-    """Vectorized forward pass over the sample axis (single numpy path, so
-    results are bitwise reproducible)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != weights.width:
-        raise InvalidInputError(f"inputs must have shape (N, {weights.width})")
-    L = weights.depth
-    delta = weights.delta
-
-    hidden = np.empty((L + 1,) + xs.shape)
-    preact = np.empty((L,) + xs.shape)
-    sprime = np.empty((L,) + xs.shape)
-    hidden[0] = xs
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, L + 1):
-            a = hidden[k - 1] @ weights.layers[k - 1].T
-            hidden[k] = hidden[k - 1] + delta * activation.value(a)
-            if not np.all(np.isfinite(hidden[k])):
-                raise NumericalOverflowError(f"non-finite hidden state at layer {k}", layer=k)
-            preact[k - 1] = a
-            sprime[k - 1] = activation.deriv1(a)
-    return BatchTrace(hidden, preact, sprime)
-
-
-def outputs_only(xs: np.ndarray, weights: Weights,
-                 activation: Activation = TANH) -> np.ndarray:
-    """Batch outputs without storing the per-layer trace (for finite differences)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != weights.width:
-        raise InvalidInputError(f"inputs must have shape (N, {weights.width})")
-    h = xs
-    delta = weights.delta
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, weights.depth + 1):
-            h = h + delta * activation.value(h @ weights.layers[k - 1].T)
-            if not np.all(np.isfinite(h)):
-                raise NumericalOverflowError(f"non-finite hidden state at layer {k}", layer=k)
-    return h
 
 
 def save_weights(weights: Weights, path) -> None:

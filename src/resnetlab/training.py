@@ -122,8 +122,8 @@ class RunLog:
 
     @property
     def steps(self) -> int:
-        """Last logged step; 0 for a run that failed before its first row."""
-        return int(self.t[-1]) if len(self.t) else 0
+        """Last logged step; 0 for a run that failed before its first update."""
+        return int(self.t[-1])
 
 
 def gd_step(w: Weights, data: Dataset, eta: float,
@@ -211,8 +211,12 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
             log_state(T, sched.rate(T), final_value)
         except NumericalOverflowError as exc:
             failed, fail_reason = True, str(exc)
+    if not rows:
+        # failed at t=0, before any update: log w0 with an unknown loss, so
+        # the saved run log still carries the failure
+        log_state(0, sched.rate(0), math.nan)
 
-    cols = list(zip(*rows)) if rows else [[]] * 9
+    cols = list(zip(*rows))
     log = RunLog(
         t=np.asarray(cols[0], dtype=np.int64),
         eta=np.asarray(cols[1], dtype=np.float64),

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from resnetlab.autograd import (backward_trace, finite_diff_grad,
-                                grad_objective, grad_objective_with_stats,
+from resnetlab.autograd import (_backward, finite_diff_grad, grad_objective,
+                                grad_objective_with_stats,
                                 hessian_spectral_estimate, loss, objective)
 from resnetlab.bounds import loss_upper_bound
 from resnetlab.data import Dataset
@@ -43,8 +43,15 @@ class TestObjective:
     def test_interpolating_targets(self):
         rng = np.random.default_rng(2)
         data, w = random_instance(rng, 3, 5, 4)
-        outputs = forward_batch(data.xs, w).outputs
+        outputs = forward_batch(data.xs, w).output
         assert objective(Dataset(data.xs, outputs, 0.0, 0), w) == 0.0
+
+    def test_equals_loss_from_gradient_pass(self):
+        rng = np.random.default_rng(20)
+        for L in (1, 7, 64):
+            data, w = random_instance(rng, 5, L, 3)
+            _, _, value, _ = grad_objective_with_stats(data, w, want_stats=False)
+            assert objective(data, w) == value
 
     def test_depth_free_upper_bound(self):
         # J <= 1 + e^{2.2 c} under the weight-scale hypothesis, for any depth
@@ -72,7 +79,7 @@ class TestGradObjective:
         # targets from the batched forward path, so the residual is exactly 0
         rng = np.random.default_rng(8)
         data, w = random_instance(rng, 3, 6, 2)
-        outputs = forward_batch(data.xs, w).outputs
+        outputs = forward_batch(data.xs, w).output
         grad = grad_objective(Dataset(data.xs, outputs, 0.0, 0), w,
                               delta_trainable=True)
         assert np.all(grad.layers == 0.0)
@@ -128,22 +135,24 @@ class TestFiniteDifferenceOracle:
 
 class TestBackwardTrace:
     def test_matches_explicit_jacobians(self):
+        # column i of the stored G_k is M_k^T (yhat_i - y_i) for sample i
         rng = np.random.default_rng(10)
-        data, w = random_instance(rng, 4, 7, 1)
-        x, y = data.xs[0], data.ys[0]
-        trace = forward(x, w, TANH, want_jacobians=True)
-        bt = backward_trace(trace, w, y)
-        residual = trace.output - y
-        for k in range(8):
-            explicit = trace.jacobians[k].T @ residual
-            np.testing.assert_allclose(bt.g[k], explicit, rtol=1e-12, atol=1e-15)
+        data, w = random_instance(rng, 4, 7, 3)
+        g = _backward(forward_batch(data.xs, w), w, data.ys)
+        assert g.shape == (8, 3, 4)
+        for i, (x, y) in enumerate(zip(data.xs, data.ys)):
+            trace = forward(x, w, TANH, want_jacobians=True)
+            residual = trace.output - y
+            for k in range(8):
+                explicit = trace.jacobians[k].T @ residual
+                np.testing.assert_allclose(g[k, i], explicit, rtol=1e-12, atol=1e-15)
 
     def test_terminal_value(self):
         rng = np.random.default_rng(14)
-        data, w = random_instance(rng, 3, 4, 1)
-        trace = forward(data.xs[0], w)
-        bt = backward_trace(trace, w, data.ys[0])
-        assert np.array_equal(bt.g[-1], trace.output - data.ys[0])
+        data, w = random_instance(rng, 3, 4, 2)
+        trace = forward_batch(data.xs, w)
+        g = _backward(trace, w, data.ys)
+        assert np.array_equal(g[-1], trace.output - data.ys)
 
 
 class TestLayerStats:
@@ -155,10 +164,10 @@ class TestLayerStats:
         for k in range(1, 6):
             acc = 0.0
             for x, y in zip(data.xs, data.ys):
-                trace = forward(x, w)
-                bt = backward_trace(trace, w, y)
+                trace = forward(x, w, TANH, want_jacobians=True)
+                g_k = trace.jacobians[k].T @ (trace.output - y)
                 acc += (float(trace.hidden[k - 1] @ trace.hidden[k - 1])
-                        * float(np.max(np.abs(bt.g[k]))) ** 2)
+                        * float(np.max(np.abs(g_k))) ** 2)
             assert stats.h_sq_ginf_sq[k - 1] == pytest.approx(acc / data.n, rel=1e-12)
 
 

@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               certify_gradient_upper, certify_hessian,
                               certify_loss_bound, certify_run_envelope,
                               envelope_drift, envelope_rate,
-                              full_lower_coefficient, gronwall_envelope,
+                              full_lower_coefficient,
                               hessian_upper_bound, make_report,
                               meaningful_failures,
                               neighbour_gradient_residual,
@@ -138,7 +136,7 @@ class TestCertifyGradientUpper:
         rng = np.random.default_rng(4)
         w = certified_draw(rng, 3, 5)
         xs = unit_rows(rng, 2, 3)
-        data = Dataset(xs, forward_batch(xs, w).outputs, 0.0, 0)
+        data = Dataset(xs, forward_batch(xs, w).output, 0.0, 0)
         report = by_name(certify_gradient_upper(data, w, 1.0), "gradient_upper")
         assert report.observed == 0.0 and report.bound == 0.0 and report.passed
 
@@ -160,7 +158,7 @@ class TestCertifyGradientLower:
         rng = np.random.default_rng(6)
         data, params = self.make_separated(rng)
         w = certified_draw(rng, 16, 32, c_alpha=params.c0, frac=0.2)
-        interp = Dataset(data.xs, forward_batch(data.xs, w).outputs,
+        interp = Dataset(data.xs, forward_batch(data.xs, w).output,
                          data.separation, 0)
         reports = certify_gradient_lower(interp, w, params)
         first = by_name(reports, "gradient_lower_first_layer")
@@ -258,7 +256,7 @@ class TestRunEnvelope:
         params = AssumptionParams(0.25, 2, 16, 64)
         w = init_certified(NetworkConfig(16, 64), params, seed=14)
         xs = unit_rows(rng, 2, 16)
-        data = Dataset(xs, forward_batch(xs, w).outputs, 0.0, 0)
+        data = Dataset(xs, forward_batch(xs, w).output, 0.0, 0)
         _, log = train(w, data, Schedule("constant", 1e-5), 10)
         reports = certify_run_envelope(log, params)
         assert np.all(log.loss == 0.0)
@@ -303,34 +301,6 @@ class TestCertifierPurity:
         assert first == second  # bitwise-identical reports on repeat
         assert np.array_equal(w.layers, baseline)
         assert np.array_equal(data.xs, data.xs)
-
-
-class TestGronwall:
-    def test_constant_when_no_drive(self):
-        out = gronwall_envelope(np.ones(5), np.zeros(5), 2.0)
-        assert np.array_equal(out, np.full(6, 2.0))
-
-    def test_linear_accumulation(self):
-        out = gronwall_envelope(np.ones(4), np.full(4, 0.5), 1.0)
-        assert np.allclose(out, 1.0 + 0.5 * np.arange(5))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 12), st.integers(0, 10 ** 6))
-    def test_recursion_saturates_bound(self, n, seed):
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(0.5, 1.5, n)
-        v = rng.uniform(0.0, 1.0, n)
-        e0 = float(rng.uniform(0.1, 2.0))
-        bound = gronwall_envelope(u, v, e0)
-        # the closed form (prod u) e0 + sum (tail prods) v matches the recursion
-        for idx in range(n + 1):
-            closed = float(np.prod(u[:idx])) * e0
-            closed += sum(float(np.prod(u[j + 1:idx])) * v[j] for j in range(idx))
-            assert bound[idx] == pytest.approx(closed, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            gronwall_envelope([1.0, -1.0], [0.0, 0.0], 1.0)
 
 
 class TestNeighbourResidual:

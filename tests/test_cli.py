@@ -69,6 +69,14 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "error: config key" in err and "Traceback" not in err
 
+    def test_overflowing_init_scale_exits_2(self, tmp_path, capsys):
+        # L**(-beta0) = 8**400 overflows a float
+        cfg = write_config(tmp_path, depths=[8], beta0=-400.0)
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "beta0" in err and "Traceback" not in err
+
     def test_int_accepted_for_float(self):
         assert ExperimentConfig(eta0=1, alpha0=0).eta0 == 1
 
@@ -251,11 +259,24 @@ class TestFailedRuns:
         assert [line.split(",")[0] for line in lines[1:]] == ["4", "8", "16"]
 
     def test_overflow_before_first_step_exits_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, depths=[8], beta0=-100.0,
+        cfg = write_config(tmp_path, d=4, N=2, depths=[8, 16], beta0=-100.0,
                            activation="identity")
-        assert main(["train", "--config", cfg,
-                     "--out", str(tmp_path / "run")]) == EXIT_OVERFLOW
-        assert "depth 8: overflow after step 0" in capsys.readouterr().err
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OVERFLOW
+        err = capsys.readouterr().err
+        assert all(f"depth {depth}: overflow after step 0" in err for depth in (8, 16))
+        for depth in (8, 16):
+            # the saved log carries the failure in one t=0 row with w0's norms
+            log = load_runlog(run_dir / f"runlog_L{depth}.csv")
+            assert log.failed and log.fail_reason
+            assert list(log.t) == [0] and np.isnan(log.loss[0])
+            assert np.isfinite(log.fbar[0]) and log.fbar[0] > 0
+        assert main(["analyze", "--config", cfg, "--run-dir", str(run_dir),
+                     "--out", str(tmp_path / "analysis")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert all(f"depth {depth}: skipped, run failed after step 0" in err
+                   for depth in (8, 16))
+        assert "no completed runs" in err
 
 
 class TestAnalyzeCommand:

@@ -71,7 +71,7 @@ class TestNearInitTargets:
         layers = 0.05 * rng.standard_normal((5, 4, 4))
         w0 = Weights(layers, 5 ** -0.5)
         ys = near_init_targets(data.xs, w0, 0.0, seed=7)
-        outputs = forward_batch(data.xs, w0).outputs
+        outputs = forward_batch(data.xs, w0).output
         norms = np.linalg.norm(outputs, axis=1)
         expected = float(np.sum((norms - 1.0) ** 2)) / (2 * data.n)
         assert objective(replace_targets(data, ys), w0) == pytest.approx(

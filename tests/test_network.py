@@ -95,6 +95,21 @@ class TestForward:
             forward([1.0, 1.0], w, IDENTITY)
         assert err.value.layer == 2  # layer 1 yields ~1e200, squaring overflows at 2
 
+    def test_batch_overflow_names_smallest_layer(self):
+        # sample 0 goes non-finite at layer 3, sample 1 at layer 2
+        layers = np.zeros((4, 2, 2))
+        layers[:, 0, 0] = 1e200
+        layers[:, 1, 1] = [1e200, 1e200, 0.0, 0.0]
+        w = Weights(layers, 1.0)
+        xs = np.array([[1e-200, 0.0], [0.0, 1.0]])
+        with pytest.raises(NumericalOverflowError) as err:
+            forward_batch(xs, w, IDENTITY)
+        assert err.value.layer == 2
+        assert str(err.value) == "non-finite hidden state at layer 2"
+        with pytest.raises(NumericalOverflowError) as err:
+            forward_batch(xs[:1], w, IDENTITY)
+        assert err.value.layer == 3
+
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(11)
         w = random_weights(rng, 5, 9)

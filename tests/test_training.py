@@ -71,7 +71,7 @@ class TestNorms:
 class TestGdStep:
     def test_zero_gradient_leaves_weights(self):
         data, w = small_instance()
-        interp = Dataset(data.xs, forward_batch(data.xs, w).outputs, 0.0, 0)
+        interp = Dataset(data.xs, forward_batch(data.xs, w).output, 0.0, 0)
         stepped = gd_step(w, interp, 0.5)
         assert np.array_equal(stepped.layers, w.layers)
 
@@ -113,7 +113,7 @@ class TestTrain:
 
     def test_interpolating_targets_loss_zero(self):
         data, w = small_instance()
-        interp = Dataset(data.xs, forward_batch(data.xs, w).outputs, 0.0, 0)
+        interp = Dataset(data.xs, forward_batch(data.xs, w).output, 0.0, 0)
         _, log = train(w, interp, Schedule("constant", 0.1), 5)
         assert np.all(log.loss == 0.0)
 
