@@ -188,8 +188,10 @@ def hessian_spectral_estimate(data: "Dataset", weights: Weights,
     """Power iteration on the layer-weight Hessian via finite differences.
 
     Hessian-vector products are central differences of the analytic gradient
-    along the iterate direction; delta is held fixed. Non-convergence within
-    ``probes`` iterations is flagged, not raised.
+    along the iterate direction; delta is held fixed. The product that gives
+    an iterate's Rayleigh quotient is reused as the next iterate, so the
+    estimate costs 1 + ``iterations`` products, two gradient passes each.
+    Non-convergence within ``probes`` iterations is flagged, not raised.
     """
     if probes < 1:
         raise InvalidInputError("probes must be >= 1")
@@ -205,19 +207,20 @@ def hessian_spectral_estimate(data: "Dataset", weights: Weights,
 
     v = np.ones_like(base)
     v /= np.linalg.norm(v)
-    lam = float(np.sum(v * hvp(v)))
+    w = hvp(v)
+    lam = float(np.sum(v * w))
     iterations = 0
     converged = False
     for it in range(1, probes + 1):
         iterations = it
-        w = hvp(v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             lam = 0.0
             converged = True
             break
         v = w / norm_w
-        lam_new = float(np.sum(v * hvp(v)))
+        w = hvp(v)
+        lam_new = float(np.sum(v * w))
         if abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
             lam = lam_new
             converged = True

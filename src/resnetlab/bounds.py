@@ -5,6 +5,12 @@ instance and reports the slack. Hypothesis checks are themselves reports, so
 an inapplicable bound (precondition violated) stays distinguishable from a
 failed one, and lower bounds with a nonpositive coefficient are flagged
 vacuous rather than counted as meaningful passes.
+
+The certifiers of one weight draw take the draw's evaluation from the
+caller, so a draw costs one gradient pass however many bounds read it:
+``value`` is the objective and ``grads`` the (L, d, d) layer gradients, both
+from one ``grad_objective_with_stats`` pass, and ``norms`` is
+``weight_norms(weights)``.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import grad_objective, hessian_spectral_estimate, objective
+from .autograd import hessian_spectral_estimate
 from .data import AssumptionParams, Dataset, separation_threshold
 from .errors import InvalidInputError
 from .network import TANH, Activation, ForwardTrace, Weights, jacobian_stack
-from .training import RunLog, Schedule, weight_norms
+from .training import RunLog, Schedule, WeightNorms, weight_norms
 
 REL_TOL_EXACT = 1e-9
 REL_TOL_HESSIAN = 1e-3
@@ -77,25 +83,24 @@ def meaningful_failures(reports: list[BoundReport]) -> list[BoundReport]:
             if r.applicable and not r.vacuous and not r.hypothesis and not r.passed]
 
 
-def _hypothesis_forward(weights: Weights, c_alpha: float,
+def _hypothesis_forward(weights: Weights, norms: WeightNorms, c_alpha: float,
                         rel_tol: float) -> list[BoundReport]:
     L = weights.depth
-    finf = weight_norms(weights).finf
     return [
         make_report("hyp_depth_vs_c", L, 5.0 * c_alpha, rel_tol, direction="lower",
                     hypothesis=True, context={"c_alpha": c_alpha, "L": L}),
-        make_report("hyp_weight_scale", finf, c_alpha * L ** (-0.5), rel_tol,
+        make_report("hyp_weight_scale", norms.finf, c_alpha * L ** (-0.5), rel_tol,
                     hypothesis=True, context={"c_alpha": c_alpha, "L": L}),
     ]
 
 
-def certify_forward(trace: ForwardTrace, x, weights: Weights, c_alpha: float,
-                    rel_tol: float = REL_TOL_EXACT) -> list[BoundReport]:
+def certify_forward(trace: ForwardTrace, x, weights: Weights, norms: WeightNorms,
+                    c_alpha: float, rel_tol: float = REL_TOL_EXACT) -> list[BoundReport]:
     """Hidden-state sandwich and Jacobian column bounds along one trace:
 
         |x| e^{-2c} <= |h_k| <= |x| e^{1.1c}   and   |M_k e_m| <= e^c.
     """
-    reports = _hypothesis_forward(weights, c_alpha, rel_tol)
+    reports = _hypothesis_forward(weights, norms, c_alpha, rel_tol)
     applicable = all(r.passed for r in reports)
     L = weights.depth
     x_norm = float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
@@ -128,12 +133,12 @@ def loss_upper_bound(c_alpha: float) -> float:
     return 1.0 + math.exp(2.2 * c_alpha)
 
 
-def certify_loss_bound(data: Dataset, weights: Weights, c_alpha: float,
-                       activation: Activation = TANH,
+def certify_loss_bound(weights: Weights, value: float, norms: WeightNorms,
+                       c_alpha: float,
                        rel_tol: float = REL_TOL_EXACT) -> list[BoundReport]:
-    reports = _hypothesis_forward(weights, c_alpha, rel_tol)
+    """Objective ``value`` at ``weights`` against 1 + e^{2.2c}."""
+    reports = _hypothesis_forward(weights, norms, c_alpha, rel_tol)
     applicable = all(r.passed for r in reports)
-    value = objective(data, weights, activation)
     reports.append(make_report("loss_upper", value, loss_upper_bound(c_alpha),
                                rel_tol, applicable=applicable,
                                context={"c_alpha": c_alpha}))
@@ -144,15 +149,13 @@ def gradient_upper_coefficient(d: int, L: int, c_alpha: float) -> float:
     return 2.0 * d * math.exp(4.2 * c_alpha) / L
 
 
-def certify_gradient_upper(data: Dataset, weights: Weights, c_alpha: float,
-                           activation: Activation = TANH,
+def certify_gradient_upper(weights: Weights, value: float, grads: np.ndarray,
+                           norms: WeightNorms, c_alpha: float,
                            rel_tol: float = REL_TOL_EXACT) -> list[BoundReport]:
     """Per-layer gradient bound |grad_k J|_F^2 <= 2 d e^{4.2c} L^-1 J."""
-    reports = _hypothesis_forward(weights, c_alpha, rel_tol)
+    reports = _hypothesis_forward(weights, norms, c_alpha, rel_tol)
     applicable = all(r.passed for r in reports)
-    value = objective(data, weights, activation)
-    grad = grad_objective(data, weights, activation)
-    per_layer_sq = np.sum(grad.layers ** 2, axis=(1, 2))
+    per_layer_sq = np.sum(grads ** 2, axis=(1, 2))
     k_worst = int(np.argmax(per_layer_sq))
     bound = gradient_upper_coefficient(weights.width, weights.depth, c_alpha) * value
     reports.append(make_report(
@@ -180,9 +183,9 @@ def neighbour_gap_cap(params: AssumptionParams) -> float:
     return 2.0 ** (-3.5) * params.N ** (-0.5) * math.exp(-4.2 * params.c0) / params.L
 
 
-def certify_gradient_lower(data: Dataset, weights: Weights,
+def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
+                           grads: np.ndarray, norms: WeightNorms,
                            params: AssumptionParams,
-                           activation: Activation = TANH,
                            rel_tol: float = REL_TOL_EXACT) -> list[BoundReport]:
     """Suboptimality lower bounds on the gradient norm.
 
@@ -192,7 +195,6 @@ def certify_gradient_lower(data: Dataset, weights: Weights,
     small depth, in which case the report is marked vacuous.
     """
     c0, L = params.c0, weights.depth
-    norms = weight_norms(weights)
     norms_x = np.linalg.norm(data.xs, axis=1)
     norms_y = np.linalg.norm(data.ys, axis=1)
     unit_dev = float(max(np.max(np.abs(norms_x - 1.0)), np.max(np.abs(norms_y - 1.0))))
@@ -208,9 +210,7 @@ def certify_gradient_lower(data: Dataset, weights: Weights,
     ]
     base_ok = all(r.passed for r in reports)
 
-    value = objective(data, weights, activation)
-    grad = grad_objective(data, weights, activation)
-    per_layer_sq = np.sum(grad.layers ** 2, axis=(1, 2))
+    per_layer_sq = np.sum(grads ** 2, axis=(1, 2))
 
     reports.append(make_report(
         "gradient_lower_first_layer", per_layer_sq[0],
@@ -240,7 +240,7 @@ def certify_hessian(data: Dataset, weights: Weights, c_alpha: float,
                     probes: int = 40,
                     rel_tol: float = REL_TOL_HESSIAN) -> list[BoundReport]:
     """Spectral norm of the layer-weight Hessian against 5 d e^{4.3c}."""
-    reports = _hypothesis_forward(weights, c_alpha, rel_tol)
+    reports = _hypothesis_forward(weights, weight_norms(weights), c_alpha, rel_tol)
     applicable = all(r.passed for r in reports)
     est = hessian_spectral_estimate(data, weights, activation, probes=probes)
     reports.append(make_report(

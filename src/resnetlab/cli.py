@@ -26,7 +26,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import analysis, bounds
-from .autograd import finite_diff_grad, grad_objective
+from .autograd import (finite_diff_grad, grad_objective,
+                       grad_objective_with_stats)
 from .data import (AssumptionParams, Dataset, check_assumptions,
                    init_certified, init_gaussian, near_init_targets,
                    replace_targets, sample_sphere_dataset, save_dataset)
@@ -35,7 +36,7 @@ from .errors import (InfeasibleDatasetError, InvalidInputError,
 from .network import (NetworkConfig, Weights, activation_by_name, forward,
                       load_weights, save_weights)
 from .training import (RunLog, Schedule, load_runlog, lr_feasibility,
-                       save_layer_gaps, save_runlog, train)
+                       save_layer_gaps, save_runlog, train, weight_norms)
 
 EXIT_OK = 0
 EXIT_BOUND_FAILURE = 1
@@ -252,11 +253,14 @@ def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
         x = rng.standard_normal(cfg.d)
         x /= np.linalg.norm(x)
         trace = forward(x, w, act, want_jacobians=True)
+        grads, _, value, _ = grad_objective_with_stats(data, w, act, want_stats=False)
+        norms = weight_norms(w)
         batch = [
-            *bounds.certify_forward(trace, x, w, cfg.c0),
-            *bounds.certify_loss_bound(data, w, cfg.c0, act),
-            *bounds.certify_gradient_upper(data, w, cfg.c0, act),
-            *bounds.certify_gradient_lower(data, w, _params(cfg, depth), act),
+            *bounds.certify_forward(trace, x, w, norms, cfg.c0),
+            *bounds.certify_loss_bound(w, value, norms, cfg.c0),
+            *bounds.certify_gradient_upper(w, value, grads, norms, cfg.c0),
+            *bounds.certify_gradient_lower(data, w, value, grads, norms,
+                                           _params(cfg, depth)),
         ]
         for r in batch:
             r.context["draw"] = draw
@@ -321,15 +325,15 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
 
 def _load_runs(run_dir: str) -> tuple[list[int], dict[int, RunLog], dict[int, Weights]]:
     """Completed runs under ``run_dir``; failed ones are named on stderr and skipped."""
-    paths = sorted(glob.glob(os.path.join(run_dir, "runlog_L*.csv")))
-    if not paths:
+    runs = []
+    for path in glob.glob(os.path.join(run_dir, "runlog_L*.csv")):
+        match = re.search(r"runlog_L(\d+)\.csv$", path)
+        if match is not None:
+            runs.append((int(match.group(1)), path))
+    if not runs:
         raise InvalidInputError(f"no run logs found under {run_dir}")
     depths, logs, weights = [], {}, {}
-    for path in paths:
-        match = re.search(r"runlog_L(\d+)\.csv$", path)
-        if match is None:
-            continue
-        depth = int(match.group(1))
+    for depth, path in sorted(runs):
         log = load_runlog(path)
         if log.failed:
             print(f"depth {depth}: skipped, run failed after step {log.steps}: "
@@ -343,7 +347,6 @@ def _load_runs(run_dir: str) -> tuple[list[int], dict[int, RunLog], dict[int, We
         weights[depth] = load_weights(wpath)
     if not depths:
         raise InvalidInputError(f"no completed runs under {run_dir}")
-    depths.sort()
     return depths, logs, weights
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import objective
-from .errors import InfeasibleDatasetError, InvalidInputError
+from .errors import (InfeasibleDatasetError, InvalidInputError,
+                     NumericalOverflowError)
 from .network import TANH, Activation, NetworkConfig, Weights, forward_batch
 
 DEFAULT_MAX_RETRIES = 1000
@@ -211,14 +213,15 @@ def check_assumptions(data: Dataset, w0: Weights, params: AssumptionParams,
     """Observed-versus-threshold report for every admissibility clause.
 
     Clauses: (i) activation grid check, (ii) delta = L**-1/2, (iii) unit data
-    and separation, (iv) initial row norms, (v) initial loss.
+    and separation, (iv) initial row norms, (v) initial loss. When the
+    forward pass at w0 overflows, clause (v) fails with observed inf.
     """
 
     def entry(name, observed, threshold):
         observed = float(observed)
         threshold = float(threshold)
         slack = threshold - observed
-        return ClauseCheck(name, observed, threshold,
+        return ClauseCheck(name, observed, threshold, math.isfinite(observed) and
                            slack >= -rel_tol * max(abs(threshold), abs(observed), 1e-300))
 
     act_report = activation.construction_report
@@ -227,6 +230,10 @@ def check_assumptions(data: Dataset, w0: Weights, params: AssumptionParams,
     unit_dev = float(max(np.max(np.abs(norms_x - 1.0)), np.max(np.abs(norms_y - 1.0))))
     row_norms = np.linalg.norm(w0.layers, axis=2)
     delta_dev = abs(w0.delta - params.L ** (-0.5))
+    try:
+        initial_loss = objective(data, w0, activation)
+    except NumericalOverflowError:
+        initial_loss = math.inf
 
     clauses = (
         entry("i_activation", act_report.max_violation, 0.0),
@@ -234,7 +241,7 @@ def check_assumptions(data: Dataset, w0: Weights, params: AssumptionParams,
         entry("iii_unit_norms", unit_dev, UNIT_NORM_TOL),
         entry("iii_separation", data.separation, separation_threshold(params.N, params.c0)),
         entry("iv_row_norms", float(np.max(row_norms)), initial_row_norm_cap(params)),
-        entry("v_initial_loss", objective(data, w0, activation), initial_loss_cap(params)),
+        entry("v_initial_loss", initial_loss, initial_loss_cap(params)),
     )
     return AssumptionReport(clauses)
 

@@ -232,11 +232,16 @@ def forward(x, weights: Weights, activation: Activation = TANH,
 def jacobian_stack(weights: Weights, sigma_prime: np.ndarray) -> np.ndarray:
     """M_k for k = 0..L via M_L = I, M_{k-1} = M_k (I + delta diag(s'_k) alpha_k)."""
     L, d = weights.depth, weights.width
+    eye = np.eye(d)
+    # I + delta * (s' * alpha) for every layer, built in place so the step
+    # stack is the only (L, d, d) temporary
+    steps = sigma_prime[:, :, None] * weights.layers
+    steps *= weights.delta
+    steps += eye
     jac = np.empty((L + 1, d, d))
-    jac[L] = np.eye(d)
+    jac[L] = eye
     for k in range(L, 0, -1):
-        step = np.eye(d) + weights.delta * (sigma_prime[k - 1][:, None] * weights.layers[k - 1])
-        jac[k - 1] = jac[k] @ step
+        np.matmul(jac[k], steps[k - 1], out=jac[k - 1])
     return jac
 
 

@@ -105,10 +105,12 @@ def test_criterion_2_forward_backward_certification():
         w = rl.Weights(layers, depth ** -0.5)
         x = unit_rows(rng, 1, d)[0]
         trace = rl.forward(x, w, rl.TANH, want_jacobians=True)
+        grads, _, value, _ = rl.grad_objective_with_stats(data, w, want_stats=False)
+        norms = weight_norms(w)
         reports = [
-            *certify_forward(trace, x, w, c_alpha),
-            *certify_loss_bound(data, w, c_alpha),
-            *certify_gradient_upper(data, w, c_alpha),
+            *certify_forward(trace, x, w, norms, c_alpha),
+            *certify_loss_bound(w, value, norms, c_alpha),
+            *certify_gradient_upper(w, value, grads, norms, c_alpha),
         ]
         reports_seen += len(reports)
         failures += len(meaningful_failures(reports))

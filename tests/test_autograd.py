@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from resnetlab import autograd
 from resnetlab.autograd import (_backward, finite_diff_grad, grad_objective,
                                 grad_objective_with_stats,
                                 hessian_spectral_estimate, loss, objective)
@@ -172,14 +173,22 @@ class TestLayerStats:
 
 
 class TestHessianEstimate:
-    def test_quadratic_closed_form(self):
+    def test_quadratic_closed_form(self, monkeypatch):
         # identity activation, L=1, delta=1: Hessian top eigenvalue is |x|^2
         x = np.array([0.6, -0.8])
         data = Dataset(x[None, :], np.array([[0.1, 0.2]]), 0.0, 0)
         w = Weights(np.zeros((1, 2, 2)), 1.0)
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return grad_objective(*args, **kwargs)
+        monkeypatch.setattr(autograd, "grad_objective", counted)
         est = hessian_spectral_estimate(data, w, IDENTITY, probes=60)
         assert est.converged
         assert est.value == pytest.approx(1.0, rel=1e-4)
+        # one HVP (two gradient passes) per iterate plus the starting one
+        assert len(passes) == 2 * (1 + est.iterations)
 
     def test_duplicated_sample_invariance(self):
         rng = np.random.default_rng(16)

@@ -21,7 +21,7 @@ from resnetlab.data import (AssumptionParams, Dataset, init_certified,
 from resnetlab.errors import InvalidInputError
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
                                forward, forward_batch, zero_weights)
-from resnetlab.training import Schedule, lr_feasibility, train
+from resnetlab.training import Schedule, lr_feasibility, train, weight_norms
 
 
 def unit_rows(rng, n, d):
@@ -35,6 +35,11 @@ def certified_draw(rng, d, L, c_alpha=1.0, frac=None):
     layers *= scale * c_alpha * L ** -0.5 / np.linalg.norm(
         layers, axis=(1, 2), keepdims=True)
     return Weights(layers, L ** -0.5)
+
+
+def evaluation(data, w):
+    """A draw's (objective, layer gradients, weight norms), each computed on its own."""
+    return objective(data, w), grad_objective(data, w).layers, weight_norms(w)
 
 
 def by_name(reports, name):
@@ -71,7 +76,7 @@ class TestCertifyForward:
         w = zero_weights(4, 8)
         x = np.array([0.5, 0.5, 0.5, 0.5])
         trace = forward(x, w, TANH, want_jacobians=True)
-        reports = certify_forward(trace, x, w, c_alpha=1.0)
+        reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
         assert all(r.passed for r in reports)
         assert by_name(reports, "forward_hidden_lower").slack > 0
 
@@ -79,7 +84,7 @@ class TestCertifyForward:
         w = zero_weights(3, 8)
         x = np.array([1.0, 0.0, 0.0])
         trace = forward(x, w, TANH, want_jacobians=True)
-        reports = certify_forward(trace, x, w, c_alpha=1.0)
+        reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
         assert by_name(reports, "forward_hidden_lower").bound == pytest.approx(
             0.135335, abs=1e-6)
         assert by_name(reports, "forward_hidden_upper").bound == pytest.approx(
@@ -93,7 +98,7 @@ class TestCertifyForward:
         w = Weights(layers, 0.5)
         x = unit_rows(rng, 1, 3)[0]
         trace = forward(x, w, TANH)
-        reports = certify_forward(trace, x, w, c_alpha=1.0)
+        reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
         assert not by_name(reports, "hyp_weight_scale").passed
         assert not by_name(reports, "forward_hidden_upper").applicable
         assert not meaningful_failures(reports)  # inapplicable is not failed
@@ -103,7 +108,7 @@ class TestCertifyForward:
         w = certified_draw(rng, 3, 6)
         x = unit_rows(rng, 1, 3)[0]
         trace = forward(x, w, TANH, want_jacobians=False)
-        reports = certify_forward(trace, x, w, c_alpha=1.0)
+        reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
         assert by_name(reports, "forward_jacobian_columns").passed
 
     def test_random_sweep_no_failures(self):
@@ -112,7 +117,8 @@ class TestCertifyForward:
             w = certified_draw(rng, 8, 16)
             x = unit_rows(rng, 1, 8)[0]
             trace = forward(x, w, TANH, want_jacobians=True)
-            assert not meaningful_failures(certify_forward(trace, x, w, 1.0))
+            reports = certify_forward(trace, x, w, weight_norms(w), 1.0)
+            assert not meaningful_failures(reports)
 
 
 class TestCertifyGradientUpper:
@@ -121,7 +127,7 @@ class TestCertifyGradientUpper:
         d, L, n = 4, 8, 3
         data = Dataset(unit_rows(rng, n, d), unit_rows(rng, n, d), 0.0, 0)
         w = zero_weights(d, L)
-        reports = certify_gradient_upper(data, w, c_alpha=1.0)
+        reports = certify_gradient_upper(w, *evaluation(data, w), c_alpha=1.0)
         report = by_name(reports, "gradient_upper")
         residual = data.xs - data.ys
         expected = (w.delta ** 2) * float(np.sum(
@@ -137,7 +143,8 @@ class TestCertifyGradientUpper:
         w = certified_draw(rng, 3, 5)
         xs = unit_rows(rng, 2, 3)
         data = Dataset(xs, forward_batch(xs, w).output, 0.0, 0)
-        report = by_name(certify_gradient_upper(data, w, 1.0), "gradient_upper")
+        reports = certify_gradient_upper(w, *evaluation(data, w), 1.0)
+        report = by_name(reports, "gradient_upper")
         assert report.observed == 0.0 and report.bound == 0.0 and report.passed
 
     def test_random_sweep_no_failures(self):
@@ -145,7 +152,8 @@ class TestCertifyGradientUpper:
         data = Dataset(unit_rows(rng, 4, 8), unit_rows(rng, 4, 8), 0.0, 0)
         for _ in range(100):
             w = certified_draw(rng, 8, 16)
-            assert not meaningful_failures(certify_gradient_upper(data, w, 1.0))
+            reports = certify_gradient_upper(w, *evaluation(data, w), 1.0)
+            assert not meaningful_failures(reports)
 
 
 class TestCertifyGradientLower:
@@ -160,7 +168,7 @@ class TestCertifyGradientLower:
         w = certified_draw(rng, 16, 32, c_alpha=params.c0, frac=0.2)
         interp = Dataset(data.xs, forward_batch(data.xs, w).output,
                          data.separation, 0)
-        reports = certify_gradient_lower(interp, w, params)
+        reports = certify_gradient_lower(interp, w, *evaluation(interp, w), params)
         first = by_name(reports, "gradient_lower_first_layer")
         assert first.observed == 0.0 and first.bound == 0.0
 
@@ -168,7 +176,7 @@ class TestCertifyGradientLower:
         rng = np.random.default_rng(7)
         data, params = self.make_separated(rng)
         w = zero_weights(16, 32)
-        reports = certify_gradient_lower(data, w, params)
+        reports = certify_gradient_lower(data, w, *evaluation(data, w), params)
         first = by_name(reports, "gradient_lower_first_layer")
         assert first.applicable and first.passed
         value = objective(data, w)
@@ -182,7 +190,8 @@ class TestCertifyGradientLower:
         assert 16 < vacuous_depth_threshold(params)
         rng = np.random.default_rng(8)
         data = Dataset(unit_rows(rng, 4, 8), unit_rows(rng, 4, 8), 0.0, 0)
-        reports = certify_gradient_lower(data, zero_weights(8, 16), params)
+        w = zero_weights(8, 16)
+        reports = certify_gradient_lower(data, w, *evaluation(data, w), params)
         full = by_name(reports, "gradient_lower_full")
         assert full.vacuous
         assert not meaningful_failures([full])
@@ -194,7 +203,8 @@ class TestCertifyGradientLower:
             w = certified_draw(rng, 16, 32, c_alpha=params.c0)
             # keep the neighbouring-layer gaps inside their cap
             w = Weights(np.repeat(w.layers[:1], 32, axis=0), w.delta)
-            assert not meaningful_failures(certify_gradient_lower(data, w, params))
+            reports = certify_gradient_lower(data, w, *evaluation(data, w), params)
+            assert not meaningful_failures(reports)
 
 
 class TestCertifyHessian:
@@ -292,8 +302,8 @@ class TestCertifierPurity:
 
         def snapshot():
             return [(r.name, r.observed, r.bound, r.slack, r.passed)
-                    for r in (certify_forward(trace, x, w, 1.0)
-                              + certify_gradient_upper(data, w, 1.0)
+                    for r in (certify_forward(trace, x, w, weight_norms(w), 1.0)
+                              + certify_gradient_upper(w, *evaluation(data, w), 1.0)
                               + certify_hessian(data, w, 1.0, probes=10))]
 
         first = snapshot()

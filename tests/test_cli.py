@@ -1,4 +1,6 @@
+import collections
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from resnetlab import autograd, bounds, cli, network
 from resnetlab.bounds import load_reports_jsonl
 from resnetlab.cli import (EXIT_BOUND_FAILURE, EXIT_INPUT_ERROR, EXIT_OK,
                            EXIT_OVERFLOW, ExperimentConfig, load_config, main)
@@ -217,10 +220,57 @@ class TestCertifyCommand:
                    for r in failed)
 
 
+class TestDrawPasses:
+    def test_one_gradient_pass_per_draw(self, monkeypatch):
+        # every binding of the three pass functions in the modules on the path
+        cfg = ExperimentConfig(d=4, N=3, depths=[8], certify_draws=3)
+        data = cli._base_dataset(cfg)
+        calls = collections.Counter()
+        in_hessian = False
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                if not in_hessian:
+                    key = name
+                    if name == "forward_batch":
+                        key = f"forward_batch_N{np.shape(args[0])[0]}"
+                    calls[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (cli, bounds, autograd, network):
+            for name in ("grad_objective_with_stats", "objective", "forward_batch"):
+                if hasattr(module, name):
+                    count(module, name)
+        real_hessian = bounds.certify_hessian
+
+        def hessian(*args, **kwargs):
+            # its power iteration is counted by the autograd tests
+            nonlocal in_hessian
+            in_hessian = True
+            try:
+                return real_hessian(*args, **kwargs)
+            finally:
+                in_hessian = False
+        monkeypatch.setattr(bounds, "certify_hessian", hessian)
+
+        reports = cli._random_draw_reports(cfg, data, 8)
+        assert {r.context.get("draw") for r in reports} >= {0, 1, 2}
+        assert calls["grad_objective_with_stats"] == 3
+        assert calls["objective"] == 0
+        assert calls["forward_batch_N1"] == 3
+        assert calls[f"forward_batch_N{cfg.N}"] == 3
+
+
 class TestFailedRuns:
     # identity activation with eta0=50 overflows at every depth within T=40
     OVERFLOW = {"d": 6, "N": 4, "depths": [8, 16, 32], "T": 40, "eta0": 50,
                 "activation": "identity"}
+    # beta0=-100 makes w0 itself overflow: the forward pass at t=0 fails
+    W0_OVERFLOW = {"d": 4, "N": 2, "depths": [8, 16], "T": 5, "beta0": -100.0,
+                   "activation": "identity", "certify_draws": 2}
 
     def test_overflowed_run_does_not_certify_as_completed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **self.OVERFLOW)
@@ -259,8 +309,7 @@ class TestFailedRuns:
         assert [line.split(",")[0] for line in lines[1:]] == ["4", "8", "16"]
 
     def test_overflow_before_first_step_exits_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, d=4, N=2, depths=[8, 16], beta0=-100.0,
-                           activation="identity")
+        cfg = write_config(tmp_path, **self.W0_OVERFLOW)
         run_dir = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OVERFLOW
         err = capsys.readouterr().err
@@ -276,7 +325,23 @@ class TestFailedRuns:
         err = capsys.readouterr().err
         assert all(f"depth {depth}: skipped, run failed after step 0" in err
                    for depth in (8, 16))
+        assert err.index("depth 8: skipped") < err.index("depth 16: skipped")
         assert "no completed runs" in err
+
+    def test_certify_reports_overflow_at_w0(self, tmp_path):
+        cfg = write_config(tmp_path, **self.W0_OVERFLOW)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OVERFLOW
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", cfg, "--out", str(out),
+                     "--run-dir", str(run_dir)]) == EXIT_OK
+        rows = load_reports_jsonl(out / "bounds.jsonl")
+        for name in ("assumption_v_initial_loss", "hyp_run_completed"):
+            failed = [r for r in rows if r["name"] == name]
+            assert [r["context"]["L"] for r in failed] == [8, 16]
+            assert not any(r["pass"] for r in failed)
+        assert all(r["observed"] == math.inf for r in rows
+                   if r["name"] == "assumption_v_initial_loss")
 
 
 class TestAnalyzeCommand:
