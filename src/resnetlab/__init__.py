@@ -15,11 +15,11 @@ from .autograd import (Grad, HessianEstimate, finite_diff_grad, grad_objective,
                        loss, objective)
 from .bounds import (BoundReport, certify_forward, certify_gradient_lower,
                      certify_gradient_upper, certify_hessian,
-                     certify_loss_bound, certify_run_envelope, make_report,
-                     meaningful_failures, neighbour_gradient_residual,
-                     write_reports_jsonl)
-from .data import (AssumptionParams, AssumptionReport, Dataset,
-                   check_assumptions, init_certified, init_gaussian,
+                     certify_loss_bound, certify_run_envelope,
+                     check_activation, check_assumptions, lr_feasibility,
+                     make_report, meaningful_failures,
+                     neighbour_gradient_residual, write_reports_jsonl)
+from .data import (AssumptionParams, Dataset, init_certified, init_gaussian,
                    initial_loss_cap, initial_row_norm_cap, load_dataset,
                    near_init_targets, replace_targets, sample_sphere_dataset,
                    save_dataset, separation_of, separation_threshold)
@@ -27,12 +27,10 @@ from .errors import (InfeasibleDatasetError, InvalidInputError,
                      NumericalOverflowError)
 from .linalg import (SpectralEstimate, euclidean_norm, frobenius_norm,
                      hadamard, matvec, outer, power_iteration, spectral_norm)
-from .network import (IDENTITY, TANH, Activation, ActivationReport,
-                      ForwardTrace, NetworkConfig, Weights, activation_by_name,
-                      check_activation, forward, forward_batch, load_weights,
-                      save_weights, zero_weights)
-from .training import (LrFeasibility, RunLog, Schedule, gd_step, layer_gaps,
-                       load_runlog, lr_feasibility, save_runlog, train,
-                       weight_norms)
+from .network import (IDENTITY, TANH, Activation, ForwardTrace, NetworkConfig,
+                      Weights, activation_by_name, forward, forward_batch,
+                      load_weights, save_weights, zero_weights)
+from .training import (RunLog, Schedule, gd_step, layer_gaps, load_runlog,
+                       save_runlog, train, weight_norms)
 
 __version__ = "0.1.0"

@@ -4,7 +4,10 @@ Every certifier computes both sides of a proved inequality on a concrete
 instance and reports the slack. Hypothesis checks are themselves reports, so
 an inapplicable bound (precondition violated) stays distinguishable from a
 failed one, and lower bounds with a nonpositive coefficient are flagged
-vacuous rather than counted as meaningful passes.
+vacuous rather than counted as meaningful passes. The premises of the
+proofs (activation admissibility, the initial-state clauses and the
+learning-rate caps) are hypothesis rows of the same record, and ``make_report``
+is the one place that decides whether a row passes.
 
 The certifiers of one weight draw take the draw's evaluation from the
 caller, so a draw costs one gradient pass however many bounds read it:
@@ -21,14 +24,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import hessian_spectral_estimate
-from .data import AssumptionParams, Dataset, separation_threshold
-from .errors import InvalidInputError
+from .autograd import hessian_spectral_estimate, objective
+from .data import (UNIT_NORM_TOL, AssumptionParams, Dataset, initial_loss_cap,
+                   initial_row_norm_cap, separation_threshold)
+from .errors import InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, ForwardTrace, Weights, jacobian_stack
-from .training import RunLog, Schedule, WeightNorms, weight_norms
+from .training import (ETA_CAP_COEFF, RunLog, Schedule, WeightNorms,
+                       largest_sum_feasible_T, weight_norms)
 
 REL_TOL_EXACT = 1e-9
 REL_TOL_HESSIAN = 1e-3
+
+ACTIVATION_GRID_POINTS = 20_001
+ACTIVATION_GRID_RANGE = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -39,7 +47,8 @@ class BoundReport:
     for observed >= bound; ``slack`` is always bound-minus-observed oriented
     so that nonnegative slack means the inequality holds. ``vacuous`` marks
     lower bounds whose coefficient is nonpositive at this problem size, and
-    ``applicable`` is False when a hypothesis of the statement failed.
+    ``applicable`` is False when a hypothesis of the statement failed. A row
+    passes when its observed value is finite and ``slack >= -tol``.
     """
 
     name: str
@@ -68,7 +77,8 @@ def make_report(name: str, observed: float, bound: float, rel_tol: float,
     else:
         raise InvalidInputError(f"unknown direction {direction!r}")
     tol = rel_tol * max(abs(observed), abs(bound), 1e-300)
-    return BoundReport(name, observed, bound, slack, slack >= -tol, tol,
+    passed = math.isfinite(observed) and slack >= -tol
+    return BoundReport(name, observed, bound, slack, passed, tol,
                        direction, vacuous, applicable, hypothesis,
                        dict(context or {}))
 
@@ -81,6 +91,87 @@ def meaningful_failures(reports: list[BoundReport]) -> list[BoundReport]:
     """
     return [r for r in reports
             if r.applicable and not r.vacuous and not r.hypothesis and not r.passed]
+
+
+def check_activation(a: Activation) -> list[BoundReport]:
+    """The five admissibility clauses of a scalar activation, on a uniform grid.
+
+    Rows: sigma(0)=0, sigma'(0)=1, |sigma(z)| <= |z|, |sigma'| <= 1 and
+    |sigma''| <= 1, each an exact (zero-tolerance) hypothesis row.
+    """
+    z = np.linspace(*ACTIVATION_GRID_RANGE, ACTIVATION_GRID_POINTS)
+    zero = np.array(0.0)
+    clauses = (
+        ("value_at_zero", abs(float(a.value(zero))), 0.0),
+        ("slope_at_zero", abs(float(a.deriv1(zero)) - 1.0), 0.0),
+        ("bounded_by_identity", float(np.max(np.abs(a.value(z)) - np.abs(z))), 0.0),
+        ("first_derivative", float(np.max(np.abs(a.deriv1(z)))), 1.0),
+        ("second_derivative", float(np.max(np.abs(a.deriv2(z)))), 1.0),
+    )
+    return [make_report(name, observed, bound, 0.0, hypothesis=True)
+            for name, observed, bound in clauses]
+
+
+def _unit_deviation(data: Dataset) -> float:
+    """Largest distance of an input or target norm from 1."""
+    norms_x = np.linalg.norm(data.xs, axis=1)
+    norms_y = np.linalg.norm(data.ys, axis=1)
+    return float(max(np.max(np.abs(norms_x - 1.0)), np.max(np.abs(norms_y - 1.0))))
+
+
+def check_assumptions(data: Dataset, w0: Weights, params: AssumptionParams,
+                      activation: Activation = TANH) -> list[BoundReport]:
+    """One hypothesis row ``assumption_<clause>`` per admissibility clause.
+
+    Clauses: (i) activation grid check, (ii) delta = L**-1/2, (iii) unit data
+    and separation, (iv) initial row norms, (v) initial loss. Clause (i) is
+    one row whose observed value is the largest violation over the rows of
+    ``check_activation``. When the forward pass at w0 overflows, clause (v)
+    fails with observed inf.
+    """
+    act_violation = max(max(r.observed - r.bound, 0.0)
+                        for r in check_activation(activation))
+    try:
+        initial_loss = objective(data, w0, activation)
+    except NumericalOverflowError:
+        initial_loss = math.inf
+    clauses = (
+        ("i_activation", act_violation, 0.0),
+        ("ii_delta_scaling", abs(w0.delta - params.L ** (-0.5)),
+         UNIT_NORM_TOL * max(1.0, w0.delta)),
+        ("iii_unit_norms", _unit_deviation(data), UNIT_NORM_TOL),
+        ("iii_separation", data.separation, separation_threshold(params.N, params.c0)),
+        ("iv_row_norms", float(np.max(np.linalg.norm(w0.layers, axis=2))),
+         initial_row_norm_cap(params)),
+        ("v_initial_loss", initial_loss, initial_loss_cap(params)),
+    )
+    return [make_report(f"assumption_{name}", observed, bound, REL_TOL_EXACT,
+                        hypothesis=True, context={"L": params.L})
+            for name, observed, bound in clauses]
+
+
+def lr_feasibility(params: AssumptionParams, sched: Schedule,
+                   T: int) -> list[BoundReport]:
+    """The two learning-rate clauses over T steps, as hypothesis rows.
+
+    ``lr_per_step``: eta(t) <= (1/160) N^-1 d^-1 exp(-10.5 c0) for every t < T.
+    ``lr_sum``: sum_{t<T} eta(t) <= d^-1 log L. Both carry the largest
+    admissible T as context ``largest_feasible_T``: 0 when eta(0) already
+    breaks the per-step cap, inf for a zero rate.
+    """
+    if T < 0:
+        raise InvalidInputError("T must be >= 0")
+    eta_cap = ETA_CAP_COEFF / params.N / params.d * math.exp(-10.5 * params.c0)
+    sum_cap = math.log(params.L) / params.d
+    largest = (0.0 if sched.rate(0) > eta_cap
+               else largest_sum_feasible_T(sched, sum_cap))
+    ctx = {"L": params.L, "largest_feasible_T": largest}
+    return [
+        make_report("lr_per_step", sched.rate(0) if T > 0 else 0.0, eta_cap,
+                    REL_TOL_EXACT, hypothesis=True, context=ctx),
+        make_report("lr_sum", sched.sum_rates(T), sum_cap, REL_TOL_EXACT,
+                    hypothesis=True, context=ctx),
+    ]
 
 
 def _hypothesis_forward(weights: Weights, norms: WeightNorms, c_alpha: float,
@@ -195,16 +286,13 @@ def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
     small depth, in which case the report is marked vacuous.
     """
     c0, L = params.c0, weights.depth
-    norms_x = np.linalg.norm(data.xs, axis=1)
-    norms_y = np.linalg.norm(data.ys, axis=1)
-    unit_dev = float(max(np.max(np.abs(norms_x - 1.0)), np.max(np.abs(norms_y - 1.0))))
-
     reports = [
         make_report("hyp_depth_vs_c", L, max(5.0 * c0, 4.0 * c0 ** 2), rel_tol,
                     direction="lower", hypothesis=True, context={"c0": c0}),
         make_report("hyp_weight_scale", norms.finf, c0 * L ** (-0.5), rel_tol,
                     hypothesis=True),
-        make_report("hyp_unit_data", unit_dev, 1e-12, 1.0, hypothesis=True),
+        make_report("hyp_unit_data", _unit_deviation(data), UNIT_NORM_TOL,
+                    REL_TOL_EXACT, hypothesis=True),
         make_report("hyp_separation", data.separation,
                     separation_threshold(params.N, c0), rel_tol, hypothesis=True),
     ]
@@ -364,19 +452,32 @@ def neighbour_residual_paper_bound(trace: ForwardTrace, weights: Weights,
     return np.broadcast_to(per_n, (weights.width, weights.width)).copy()
 
 
+def _encode(value):
+    """Non-finite floats as the strings "nan", "inf" and "-inf" (strict JSON)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
+
+
+def _decode(value):
+    if isinstance(value, str) and value in ("nan", "inf", "-inf"):
+        return float(value)
+    return value
+
+
 def report_to_dict(report: BoundReport) -> dict:
     return {
         "name": report.name,
-        "observed": report.observed,
-        "bound": report.bound,
-        "slack": report.slack,
+        "observed": _encode(report.observed),
+        "bound": _encode(report.bound),
+        "slack": _encode(report.slack),
         "pass": bool(report.passed),
-        "tol": report.tol,
+        "tol": _encode(report.tol),
         "direction": report.direction,
         "vacuous": bool(report.vacuous),
         "applicable": bool(report.applicable),
         "hypothesis": bool(report.hypothesis),
-        "context": {k: (bool(v) if isinstance(v, np.bool_) else v)
+        "context": {k: _encode(bool(v) if isinstance(v, np.bool_) else v)
                     for k, v in report.context.items()},
     }
 
@@ -384,9 +485,19 @@ def report_to_dict(report: BoundReport) -> dict:
 def write_reports_jsonl(reports: list[BoundReport], path) -> None:
     with open(path, "w") as fh:
         for report in reports:
-            fh.write(json.dumps(report_to_dict(report), sort_keys=True) + "\n")
+            fh.write(json.dumps(report_to_dict(report), sort_keys=True,
+                                allow_nan=False) + "\n")
 
 
 def load_reports_jsonl(path) -> list[dict]:
+    """Rows as written, with the non-finite strings read back as floats."""
+    rows = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for line in fh:
+            if line.strip():
+                row = json.loads(line)
+                row.update({k: _decode(row[k])
+                            for k in ("observed", "bound", "slack", "tol")})
+                row["context"] = {k: _decode(v) for k, v in row["context"].items()}
+                rows.append(row)
+    return rows

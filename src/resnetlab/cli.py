@@ -28,15 +28,15 @@ import numpy as np
 from . import analysis, bounds
 from .autograd import (finite_diff_grad, grad_objective,
                        grad_objective_with_stats)
-from .data import (AssumptionParams, Dataset, check_assumptions,
-                   init_certified, init_gaussian, near_init_targets,
-                   replace_targets, sample_sphere_dataset, save_dataset)
+from .data import (AssumptionParams, Dataset, init_certified, init_gaussian,
+                   near_init_targets, replace_targets, sample_sphere_dataset,
+                   save_dataset)
 from .errors import (InfeasibleDatasetError, InvalidInputError,
                      NumericalOverflowError)
 from .network import (NetworkConfig, Weights, activation_by_name, forward,
                       load_weights, save_weights)
-from .training import (RunLog, Schedule, load_runlog, lr_feasibility,
-                       save_layer_gaps, save_runlog, train, weight_norms)
+from .training import (RunLog, Schedule, load_runlog, save_layer_gaps,
+                       save_runlog, train, weight_norms)
 
 EXIT_OK = 0
 EXIT_BOUND_FAILURE = 1
@@ -211,32 +211,6 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> int:
     return status
 
 
-def _assumption_reports(cfg: ExperimentConfig, data: Dataset, w0: Weights,
-                        depth: int) -> list[bounds.BoundReport]:
-    report = check_assumptions(data, w0, _params(cfg, depth),
-                               activation_by_name(cfg.activation))
-    out = []
-    for clause in report.clauses:
-        out.append(bounds.BoundReport(
-            name=f"assumption_{clause.name}", observed=clause.observed,
-            bound=clause.threshold, slack=clause.threshold - clause.observed,
-            passed=clause.passed, tol=0.0, direction="upper", hypothesis=True,
-            context={"L": depth}))
-    return out
-
-
-def _feasibility_reports(cfg: ExperimentConfig, depth: int) -> list[bounds.BoundReport]:
-    sched = Schedule(cfg.schedule, cfg.eta0)
-    fr = lr_feasibility(_params(cfg, depth), sched, cfg.T)
-    ctx = {"L": depth, "largest_feasible_T": fr.largest_feasible_T}
-    return [
-        bounds.make_report("lr_per_step", fr.max_eta, fr.eta_cap,
-                           bounds.REL_TOL_EXACT, hypothesis=True, context=ctx),
-        bounds.make_report("lr_sum", fr.sum_eta, fr.sum_cap,
-                           bounds.REL_TOL_EXACT, hypothesis=True, context=ctx),
-    ]
-
-
 def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
                          depth: int) -> list[bounds.BoundReport]:
     """Randomized certification sweep at |A_k|_F <= c_alpha L^-1/2, c_alpha=c0."""
@@ -281,24 +255,24 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
     os.makedirs(out_dir, exist_ok=True)
     act = activation_by_name(cfg.activation)
     base = _base_dataset(cfg)
+    sched = Schedule(cfg.schedule, cfg.eta0)
     all_reports: list[bounds.BoundReport] = []
 
     for depth in cfg.depths:
         w0 = _init_weights(cfg, depth)
         data = _depth_dataset(cfg, base, w0, depth)
-        assumption_rows = _assumption_reports(cfg, data, w0, depth)
-        feasibility_rows = _feasibility_reports(cfg, depth)
-        all_reports.extend(assumption_rows)
-        all_reports.extend(feasibility_rows)
+        params = _params(cfg, depth)
+        premises = [*bounds.check_assumptions(data, w0, params, act),
+                    *bounds.lr_feasibility(params, sched, cfg.T)]
+        all_reports.extend(premises)
         if run_dir is not None:
             log = load_runlog(os.path.join(run_dir, f"runlog_L{depth}.csv"))
         else:
-            _, log = train(w0, data, Schedule(cfg.schedule, cfg.eta0), cfg.T, act,
-                           cfg.delta_trainable, log_stride=cfg.log_stride)
-        env = bounds.certify_run_envelope(log, _params(cfg, depth),
-                                          Schedule(cfg.schedule, cfg.eta0))
+            _, log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable,
+                           log_stride=cfg.log_stride)
+        env = bounds.certify_run_envelope(log, params, sched)
         # the envelope claim presumes the admissibility and rate clauses
-        premises_ok = all(r.passed for r in assumption_rows + feasibility_rows)
+        premises_ok = all(r.passed for r in premises)
         for r in env:
             r.context["L"] = depth
             if not premises_ok and not r.hypothesis:

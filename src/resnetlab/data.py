@@ -1,4 +1,4 @@
-"""Synthetic datasets on the unit sphere and the admissibility checks.
+"""Synthetic datasets on the unit sphere, initializers and the admissible caps.
 
 A dataset is feasible when its inputs are pairwise nearly orthogonal:
 max_{i != j} |<x_i, x_j>| <= exp(-4 c0) / (8 N). Sampling simply retries
@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import objective
-from .errors import (InfeasibleDatasetError, InvalidInputError,
-                     NumericalOverflowError)
+from .errors import InfeasibleDatasetError, InvalidInputError
 from .network import TANH, Activation, NetworkConfig, Weights, forward_batch
 
 DEFAULT_MAX_RETRIES = 1000
@@ -180,70 +177,6 @@ def init_certified(config: NetworkConfig, params: AssumptionParams, seed: int,
     directions = rng.standard_normal((L, d, d))
     directions /= np.linalg.norm(directions, axis=2, keepdims=True)
     return Weights(scale * initial_row_norm_cap(params) * directions, config.delta)
-
-
-@dataclass(frozen=True)
-class ClauseCheck:
-    """One admissibility clause: observed value against its threshold."""
-
-    name: str
-    observed: float
-    threshold: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    clauses: tuple[ClauseCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-    def clause(self, name: str) -> ClauseCheck:
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def check_assumptions(data: Dataset, w0: Weights, params: AssumptionParams,
-                      activation: Activation = TANH,
-                      rel_tol: float = 1e-9) -> AssumptionReport:
-    """Observed-versus-threshold report for every admissibility clause.
-
-    Clauses: (i) activation grid check, (ii) delta = L**-1/2, (iii) unit data
-    and separation, (iv) initial row norms, (v) initial loss. When the
-    forward pass at w0 overflows, clause (v) fails with observed inf.
-    """
-
-    def entry(name, observed, threshold):
-        observed = float(observed)
-        threshold = float(threshold)
-        slack = threshold - observed
-        return ClauseCheck(name, observed, threshold, math.isfinite(observed) and
-                           slack >= -rel_tol * max(abs(threshold), abs(observed), 1e-300))
-
-    act_report = activation.construction_report
-    norms_x = np.linalg.norm(data.xs, axis=1)
-    norms_y = np.linalg.norm(data.ys, axis=1)
-    unit_dev = float(max(np.max(np.abs(norms_x - 1.0)), np.max(np.abs(norms_y - 1.0))))
-    row_norms = np.linalg.norm(w0.layers, axis=2)
-    delta_dev = abs(w0.delta - params.L ** (-0.5))
-    try:
-        initial_loss = objective(data, w0, activation)
-    except NumericalOverflowError:
-        initial_loss = math.inf
-
-    clauses = (
-        entry("i_activation", act_report.max_violation, 0.0),
-        entry("ii_delta_scaling", delta_dev, UNIT_NORM_TOL * max(1.0, w0.delta)),
-        entry("iii_unit_norms", unit_dev, UNIT_NORM_TOL),
-        entry("iii_separation", data.separation, separation_threshold(params.N, params.c0)),
-        entry("iv_row_norms", float(np.max(row_norms)), initial_row_norm_cap(params)),
-        entry("v_initial_loss", initial_loss, initial_loss_cap(params)),
-    )
-    return AssumptionReport(clauses)
 
 
 def save_dataset(data: Dataset, csv_path, c0: float | None = None) -> None:

@@ -9,7 +9,7 @@ optional because gradients only ever need the matching vector recursion (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,77 +17,19 @@ import numpy as np
 from .errors import InvalidInputError, NumericalOverflowError
 from .linalg import as_vector
 
-ACTIVATION_GRID_POINTS = 20_001
-ACTIVATION_GRID_RANGE = (-10.0, 10.0)
-
-
-@dataclass(frozen=True)
-class ActivationClause:
-    name: str
-    observed: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.observed <= self.bound
-
-
-@dataclass(frozen=True)
-class ActivationReport:
-    """Grid check of the admissibility clauses for a scalar activation.
-
-    Clauses: sigma(0)=0, sigma'(0)=1, |sigma(z)| <= |z|, |sigma'| <= 1,
-    |sigma''| <= 1, each evaluated on a dense grid.
-    """
-
-    clauses: tuple[ActivationClause, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-    @property
-    def max_violation(self) -> float:
-        return max(max(c.observed - c.bound, 0.0) for c in self.clauses)
-
-    def clause(self, name: str) -> ActivationClause:
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 @dataclass(frozen=True)
 class Activation:
     """Scalar activation with first and second derivatives, applied entrywise.
 
-    The admissibility clauses are grid-checked once at construction; the
-    resulting report is stored (it is a report, not a gate, so synthetic
-    violating activations can still be built and inspected).
+    Any three callables make an activation; whether they are admissible is
+    reported by ``bounds.check_activation``, not enforced here, so synthetic
+    violating activations can still be built and inspected.
     """
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
     deriv1: Callable[[np.ndarray], np.ndarray]
     deriv2: Callable[[np.ndarray], np.ndarray]
-    construction_report: ActivationReport = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "construction_report", check_activation(self))
-
-
-def check_activation(a: Activation, grid_points: int = ACTIVATION_GRID_POINTS) -> ActivationReport:
-    """Evaluate the five admissibility clauses on a uniform grid."""
-    lo, hi = ACTIVATION_GRID_RANGE
-    z = np.linspace(lo, hi, grid_points)
-    clauses = (
-        ActivationClause("value_at_zero", abs(float(a.value(np.array(0.0)))), 0.0),
-        ActivationClause("slope_at_zero", abs(float(a.deriv1(np.array(0.0))) - 1.0), 0.0),
-        ActivationClause("bounded_by_identity", float(np.max(np.abs(a.value(z)) - np.abs(z))), 0.0),
-        ActivationClause("first_derivative", float(np.max(np.abs(a.deriv1(z)))), 1.0),
-        ActivationClause("second_derivative", float(np.max(np.abs(a.deriv2(z)))), 1.0),
-    )
-    return ActivationReport(clauses)
 
 
 def _tanh_second(z: np.ndarray) -> np.ndarray:

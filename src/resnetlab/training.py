@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import grad_objective_with_stats, objective
-from .data import AssumptionParams, Dataset
+from .data import Dataset
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, Weights
 
@@ -233,47 +233,6 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
         fail_reason=fail_reason,
     )
     return w, log
-
-
-@dataclass(frozen=True)
-class LrFeasibility:
-    """Margins for the two learning-rate clauses and the largest admissible T.
-
-    Clause 1: eta(t) <= (1/160) N^-1 d^-1 exp(-10.5 c0) for every t < T.
-    Clause 2: sum_{t<T} eta(t) <= d^-1 log L.
-    """
-
-    eta_cap: float
-    max_eta: float
-    sum_cap: float
-    sum_eta: float
-    per_step_ok: bool
-    sum_ok: bool
-    largest_feasible_T: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.per_step_ok and self.sum_ok
-
-
-def lr_feasibility(params: AssumptionParams, sched: Schedule, T: int) -> LrFeasibility:
-    if T < 0:
-        raise InvalidInputError("T must be >= 0")
-    eta_cap = ETA_CAP_COEFF / params.N / params.d * math.exp(-10.5 * params.c0)
-    sum_cap = math.log(params.L) / params.d
-    max_eta = sched.rate(0) if T > 0 else 0.0
-    sum_eta = sched.sum_rates(T)
-
-    if sched.eta0 == 0.0:
-        largest: float = math.inf
-    elif sched.rate(0) > eta_cap:
-        largest = 0.0
-    else:
-        largest = largest_sum_feasible_T(sched, sum_cap)
-    return LrFeasibility(eta_cap, max_eta, sum_cap, sum_eta,
-                         per_step_ok=max_eta <= eta_cap,
-                         sum_ok=sum_eta <= sum_cap,
-                         largest_feasible_T=largest)
 
 
 def largest_sum_feasible_T(sched: Schedule, budget: float) -> float:

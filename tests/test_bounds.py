@@ -7,9 +7,9 @@ from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               certify_gradient_upper, certify_hessian,
                               certify_loss_bound, certify_run_envelope,
-                              envelope_drift, envelope_rate,
-                              full_lower_coefficient,
-                              hessian_upper_bound, make_report,
+                              check_assumptions, envelope_drift,
+                              envelope_rate, full_lower_coefficient,
+                              hessian_upper_bound, lr_feasibility, make_report,
                               meaningful_failures,
                               neighbour_gradient_residual,
                               neighbour_residual_paper_bound,
@@ -21,7 +21,7 @@ from resnetlab.data import (AssumptionParams, Dataset, init_certified,
 from resnetlab.errors import InvalidInputError
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
                                forward, forward_batch, zero_weights)
-from resnetlab.training import Schedule, lr_feasibility, train, weight_norms
+from resnetlab.training import Schedule, train, weight_norms
 
 
 def unit_rows(rng, n, d):
@@ -62,13 +62,23 @@ class TestReportSemantics:
         assert make_report("x", 1.0 + 1e-12, 1.0, 1e-9).passed
         assert not make_report("x", 1.0 + 1e-6, 1.0, 1e-9).passed
 
+    def test_non_finite_observed_fails(self):
+        assert not make_report("x", math.inf, 1.0, 1e-9).passed
+        assert not make_report("x", -math.inf, 1.0, 1e-9, direction="lower").passed
+        assert not make_report("x", math.nan, 1.0, 1e-9).passed
+
     def test_jsonl_round_trip(self, tmp_path):
-        reports = [make_report("a", 1.0, 2.0, 1e-9, context={"k": 3})]
+        reports = [make_report("a", 1.0, 2.0, 1e-9, context={"k": 3}),
+                   make_report("b", math.nan, -math.inf, 1e-9, context={"J0": math.inf})]
         path = tmp_path / "r.jsonl"
         write_reports_jsonl(reports, path)
         loaded = load_reports_jsonl(path)
         assert loaded[0]["name"] == "a" and loaded[0]["pass"] is True
         assert loaded[0]["context"] == {"k": 3}
+        # non-finite values are written as strings and read back as floats
+        assert '"observed": "nan"' in path.read_text()
+        assert math.isnan(loaded[1]["observed"]) and loaded[1]["bound"] == -math.inf
+        assert loaded[1]["context"] == {"J0": math.inf}
 
 
 class TestCertifyForward:
@@ -196,6 +206,20 @@ class TestCertifyGradientLower:
         assert full.vacuous
         assert not meaningful_failures([full])
 
+    def test_non_unit_data_makes_bounds_inapplicable(self):
+        # inputs of norm 2 break the unit-data hypothesis, as they break
+        # admissibility clause (iii)
+        rng = np.random.default_rng(10)
+        data, params = self.make_separated(rng)
+        doubled = Dataset(2.0 * data.xs, data.ys, data.separation, 0)
+        w = zero_weights(16, 32)
+        reports = certify_gradient_lower(doubled, w, *evaluation(doubled, w), params)
+        unit = by_name(reports, "hyp_unit_data")
+        assert unit.observed == pytest.approx(1.0) and not unit.passed
+        assert not by_name(reports, "gradient_lower_first_layer").applicable
+        assert not by_name(check_assumptions(doubled, w, params),
+                           "assumption_iii_unit_norms").passed
+
     def test_random_sweep_no_failures(self):
         rng = np.random.default_rng(9)
         data, params = self.make_separated(rng)
@@ -244,7 +268,7 @@ class TestRunEnvelope:
             data0, near_init_targets(data0.xs, w0, 0.0, seed=seed + 2))
         eta0 = 0.9 * (1.0 / 160.0) / params.N / params.d * math.exp(-10.5 * params.c0)
         sched = Schedule("constant", eta0)
-        assert lr_feasibility(params, sched, T).feasible
+        assert all(r.passed for r in lr_feasibility(params, sched, T))
         _, log = train(w0, data, sched, T)
         return log, params, sched
 

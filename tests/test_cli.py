@@ -343,6 +343,22 @@ class TestFailedRuns:
         assert all(r["observed"] == math.inf for r in rows
                    if r["name"] == "assumption_v_initial_loss")
 
+    def test_bounds_jsonl_is_strict_json(self, tmp_path):
+        cfg = write_config(tmp_path, **self.W0_OVERFLOW)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OVERFLOW
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", cfg, "--out", str(out),
+                     "--run-dir", str(run_dir)]) == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        lines = (out / "bounds.jsonl").read_text().splitlines()
+        rows = [json.loads(line, parse_constant=reject) for line in lines]
+        assert any(r["observed"] == "inf" for r in rows)
+        assert any(r["observed"] == "nan" for r in rows)
+
 
 class TestAnalyzeCommand:
     def run_training(self, tmp_path, **overrides):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from resnetlab.autograd import objective
-from resnetlab.data import (AssumptionParams, Dataset, check_assumptions,
-                            init_certified, init_gaussian, initial_loss_cap,
+from resnetlab.bounds import check_assumptions
+from resnetlab.data import (AssumptionParams, Dataset, init_certified,
+                            init_gaussian, initial_loss_cap,
                             initial_row_norm_cap, load_dataset,
                             near_init_targets, replace_targets,
                             sample_sphere_dataset, save_dataset,
@@ -116,44 +117,45 @@ class TestAssumptionChecks:
         params = AssumptionParams(0.1, 2, 4, 8)
         data = sample_sphere_dataset(2, 4, seed=3, params=params)
         ys = near_init_targets(data.xs, zero_weights(4, 8), 0.0, seed=4)
-        report = check_assumptions(replace_targets(data, ys),
-                                   zero_weights(4, 8), params)
-        row = report.clause("iv_row_norms")
+        rows = {r.name: r for r in check_assumptions(replace_targets(data, ys),
+                                                     zero_weights(4, 8), params)}
+        row = rows["assumption_iv_row_norms"]
         assert row.passed and row.observed == 0.0
-        assert report.passed
+        assert all(r.passed for r in rows.values())
 
     def test_gaussian_init_reports_both_numbers(self):
         params = AssumptionParams(0.25, 2, 8, 16)
         data = sample_sphere_dataset(2, 8, seed=5, params=params)
         w0 = init_gaussian(NetworkConfig(8, 16), beta0=1.0, seed=6)
-        report = check_assumptions(data, w0, params)
-        clause = report.clause("iv_row_norms")
+        rows = {r.name: r for r in check_assumptions(data, w0, params)}
+        clause = rows["assumption_iv_row_norms"]
         assert clause.observed == pytest.approx(
             float(np.max(np.linalg.norm(w0.layers, axis=2))), rel=1e-15)
-        assert clause.threshold == pytest.approx(initial_row_norm_cap(params), rel=1e-15)
-        assert clause.passed == (clause.observed <= clause.threshold * (1 + 1e-9))
+        assert clause.bound == pytest.approx(initial_row_norm_cap(params), rel=1e-15)
+        assert clause.passed == (clause.observed <= clause.bound * (1 + 1e-9))
 
     def test_separation_clause_on_orthogonal_pair(self):
         params = params_for(d=8)
         data = sample_sphere_dataset(2, 8, seed=5, params=params)
-        report = check_assumptions(data, zero_weights(8, 4), params)
-        assert report.clause("iii_separation").passed
+        rows = {r.name: r for r in check_assumptions(data, zero_weights(8, 4), params)}
+        assert rows["assumption_iii_separation"].passed
 
     def test_delta_clause_fails_for_other_exponent(self):
         params = AssumptionParams(0.1, 2, 4, 16)
         data = sample_sphere_dataset(2, 4, seed=3, params=params)
         w = zero_weights(4, 16, delta_exponent=0.25)
-        report = check_assumptions(data, w, params)
-        assert not report.clause("ii_delta_scaling").passed
+        rows = {r.name: r for r in check_assumptions(data, w, params)}
+        assert not rows["assumption_ii_delta_scaling"].passed
 
     def test_certified_near_init_setup_passes_everything(self):
         params = AssumptionParams(0.25, 2, 16, 64)
         data0 = sample_sphere_dataset(2, 16, seed=11, params=params)
         w0 = init_certified(NetworkConfig(16, 64), params, seed=12)
         ys = near_init_targets(data0.xs, w0, 0.0, seed=13)
-        report = check_assumptions(replace_targets(data0, ys), w0, params)
-        assert report.passed
-        loss_clause = report.clause("v_initial_loss")
+        rows = {r.name: r for r in check_assumptions(replace_targets(data0, ys),
+                                                     w0, params)}
+        assert all(r.passed for r in rows.values())
+        loss_clause = rows["assumption_v_initial_loss"]
         assert loss_clause.observed <= initial_loss_cap(params)
 
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from resnetlab.bounds import check_activation
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
 from resnetlab.network import (IDENTITY, TANH, Activation, NetworkConfig,
-                               Weights, check_activation, forward,
-                               forward_batch, jacobian_stack, load_weights,
-                               save_weights, zero_weights)
+                               Weights, forward, forward_batch, jacobian_stack,
+                               load_weights, save_weights, zero_weights)
 
 
 def random_weights(rng, d, L, scale=None, delta=None):
@@ -19,27 +19,27 @@ def random_weights(rng, d, L, scale=None, delta=None):
 
 class TestActivations:
     def test_tanh_passes_all_clauses(self):
-        report = check_activation(TANH)
-        assert report.passed
+        rows = {r.name: r for r in check_activation(TANH)}
+        assert all(r.passed for r in rows.values())
         # max |tanh''| = 4/(3 sqrt(3)), attained inside the grid
-        observed = report.clause("second_derivative").observed
+        observed = rows["second_derivative"].observed
         assert observed == pytest.approx(4.0 / (3.0 * math.sqrt(3.0)), abs=1e-6)
         assert observed < 1.0
 
     def test_identity_passes(self):
-        report = check_activation(IDENTITY)
-        assert report.passed
-        assert report.clause("first_derivative").observed == 1.0
-        assert report.clause("second_derivative").observed == 0.0
+        rows = {r.name: r for r in check_activation(IDENTITY)}
+        assert all(r.passed for r in rows.values())
+        assert rows["first_derivative"].observed == 1.0
+        assert rows["second_derivative"].observed == 0.0
 
     def test_synthetic_violation_reported(self):
         doubler = Activation("double", lambda z: 2.0 * np.asarray(z),
                              lambda z: np.full_like(np.asarray(z, float), 2.0),
                              lambda z: np.zeros_like(np.asarray(z, float)))
-        report = doubler.construction_report
-        assert not report.passed
-        assert not report.clause("bounded_by_identity").passed
-        assert report.clause("value_at_zero").passed
+        rows = {r.name: r for r in check_activation(doubler)}
+        assert not all(r.passed for r in rows.values())
+        assert not rows["bounded_by_identity"].passed
+        assert rows["value_at_zero"].passed
 
 
 class TestConfig:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from resnetlab.autograd import grad_objective, objective
+from resnetlab.bounds import lr_feasibility
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, replace_targets,
                             sample_sphere_dataset)
@@ -12,8 +13,8 @@ from resnetlab.network import (IDENTITY, NetworkConfig, Weights,
                                forward_batch, zero_weights)
 from resnetlab.training import (RunLog, Schedule, gd_step, harmonic_number,
                                 largest_sum_feasible_T, layer_gaps,
-                                load_runlog, lr_feasibility, save_layer_gaps,
-                                save_runlog, train, weight_norms)
+                                load_runlog, save_layer_gaps, save_runlog,
+                                train, weight_norms)
 
 
 def small_instance(seed=0, d=3, L=5, n=3):
@@ -166,18 +167,19 @@ class TestTrain:
 class TestLrFeasibility:
     def test_caps(self):
         params = AssumptionParams(0.25, 2, 16, 256)
-        report = lr_feasibility(params, Schedule("constant", 1e-5), 100)
-        assert report.eta_cap == pytest.approx(
+        rows = {r.name: r
+                for r in lr_feasibility(params, Schedule("constant", 1e-5), 100)}
+        assert rows["lr_per_step"].bound == pytest.approx(
             (1 / 160) / 2 / 16 * math.exp(-10.5 * 0.25), rel=1e-12)
-        assert report.sum_cap == pytest.approx(math.log(256) / 16, rel=1e-12)
-        assert report.feasible
+        assert rows["lr_sum"].bound == pytest.approx(math.log(256) / 16, rel=1e-12)
+        assert all(r.passed for r in rows.values())
 
     def test_constant_largest_t_floor(self):
         params = AssumptionParams(0.1, 2, 4, 64)
         sched = Schedule("constant", 1e-4)
-        report = lr_feasibility(params, sched, 10)
-        assert report.largest_feasible_T == math.floor(
-            math.log(64) / 4 / 1e-4)
+        rows = lr_feasibility(params, sched, 10)
+        assert all(r.context["largest_feasible_T"] == math.floor(
+            math.log(64) / 4 / 1e-4) for r in rows)
 
     def test_inverse_decay_matches_bruteforce(self):
         for eta0, budget in ((0.12, 1.04), (0.3, 2.0), (0.07, 0.9)):
@@ -195,20 +197,21 @@ class TestLrFeasibility:
     def test_per_step_cap_gates_largest_t(self):
         # eta(0) above the per-step cap means no admissible horizon at all
         params = AssumptionParams(0.1, 2, 4, 64)
-        report = lr_feasibility(params, Schedule("inverse_decay", 0.12), 10)
-        assert report.largest_feasible_T == 0.0
+        rows = lr_feasibility(params, Schedule("inverse_decay", 0.12), 10)
+        assert all(r.context["largest_feasible_T"] == 0.0 for r in rows)
 
     def test_zero_eta_trivially_feasible(self):
         params = AssumptionParams(0.1, 2, 4, 64)
-        report = lr_feasibility(params, Schedule("constant", 0.0), 1000)
-        assert report.feasible
-        assert math.isinf(report.largest_feasible_T)
+        rows = lr_feasibility(params, Schedule("constant", 0.0), 1000)
+        assert all(r.passed for r in rows)
+        assert all(math.isinf(r.context["largest_feasible_T"]) for r in rows)
 
     def test_oversized_eta_infeasible_from_start(self):
         params = AssumptionParams(0.1, 2, 4, 64)
-        report = lr_feasibility(params, Schedule("constant", 1.0), 5)
-        assert not report.per_step_ok
-        assert report.largest_feasible_T == 0
+        rows = {r.name: r
+                for r in lr_feasibility(params, Schedule("constant", 1.0), 5)}
+        assert not rows["lr_per_step"].passed
+        assert rows["lr_per_step"].context["largest_feasible_T"] == 0
 
 
 class TestRunLogPersistence:
