@@ -440,18 +440,6 @@ def neighbour_gradient_residual(trace: ForwardTrace, weights: Weights, k: int,
     return term1 - term2
 
 
-def neighbour_residual_paper_bound(trace: ForwardTrace, weights: Weights,
-                                   k: int) -> np.ndarray:
-    """Entrywise residual cap 2 h_{k-1,n}^2 |a_{k+1}-a_k|_F^2
-    + 2 |row_n(a_k)|^4 |h_{k-1}|^4, as an (m, n) array."""
-    h_prev = trace.hidden[k - 1]
-    gap_sq = float(np.sum((weights.layers[k] - weights.layers[k - 1]) ** 2))
-    row_norms_sq = np.sum(weights.layers[k - 1] ** 2, axis=1)
-    h_sq = float(h_prev @ h_prev)
-    per_n = 2.0 * h_prev ** 2 * gap_sq + 2.0 * row_norms_sq ** 2 * h_sq ** 2
-    return np.broadcast_to(per_n, (weights.width, weights.width)).copy()
-
-
 def _encode(value):
     """Non-finite floats as the strings "nan", "inf" and "-inf" (strict JSON)."""
     if isinstance(value, float) and not math.isfinite(value):

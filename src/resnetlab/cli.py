@@ -99,6 +99,10 @@ class ExperimentConfig:
             raise InvalidInputError("depths must be a nonempty ascending list")
         if self.T < 0:
             raise InvalidInputError("T must be >= 0")
+        if self.certify_draws < 0:
+            raise InvalidInputError("certify_draws must be >= 0")
+        if self.gradcheck_instances < 1:
+            raise InvalidInputError("gradcheck_instances must be >= 1")
         if self.target_mode not in ("sphere", "near_init"):
             raise InvalidInputError(f"unknown target_mode {self.target_mode!r}")
         if self.init_mode not in ("gaussian", "certified"):

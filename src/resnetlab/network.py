@@ -192,11 +192,12 @@ def save_weights(weights: Weights, path) -> None:
 
     17 significant digits, so float64 values round-trip exactly.
     """
+    row = " ".join(["%.17g"] * weights.width) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{weights.width} {weights.depth} {weights.delta:.17g}\n")
-        for k in range(weights.depth):
-            for row in weights.layers[k]:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        for layer in weights.layers:
+            for values in layer.tolist():
+                fh.write(row % tuple(values))
 
 
 def load_weights(path) -> Weights:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from resnetlab.autograd import (_backward, finite_diff_grad, grad_objective,
                                 hessian_spectral_estimate, loss, objective)
 from resnetlab.bounds import loss_upper_bound
 from resnetlab.data import Dataset
+from resnetlab.errors import NumericalOverflowError
 from resnetlab.network import (IDENTITY, TANH, Weights, forward,
                                forward_batch, zero_weights)
 
@@ -109,6 +111,33 @@ class TestGradObjective:
             assert np.all(per_layer <= cap * (1 + 1e-9))
 
 
+def entrywise_finite_diff(data, weights, activation=TANH,
+                          step=autograd.FD_GRAD_STEP, delta_trainable=False):
+    """Reference oracle: two full ``objective`` calls per weight entry."""
+    layers = weights.layers.copy()
+    probe = Weights(layers, weights.delta)
+    grads = np.empty_like(layers)
+    L, d = weights.depth, weights.width
+    for k in range(L):
+        for m in range(d):
+            for n in range(d):
+                orig = layers[k, m, n]
+                h = step * (1.0 + abs(orig))
+                layers[k, m, n] = orig + h
+                up = objective(data, probe, activation)
+                layers[k, m, n] = orig - h
+                down = objective(data, probe, activation)
+                layers[k, m, n] = orig
+                grads[k, m, n] = (up - down) / (2.0 * h)
+    delta_grad = 0.0
+    if delta_trainable:
+        h = step * (1.0 + abs(weights.delta))
+        up = objective(data, Weights(layers, weights.delta + h), activation)
+        down = objective(data, Weights(layers, weights.delta - h), activation)
+        delta_grad = (up - down) / (2.0 * h)
+    return grads, delta_grad
+
+
 class TestFiniteDifferenceOracle:
     def test_linear_closed_form(self):
         # J(a) = (y - (1+a) x)^2 / 2 has derivative -x (y - (1+a) x)
@@ -132,6 +161,89 @@ class TestFiniteDifferenceOracle:
             errs.append(float(np.max(np.abs(numeric - analytic))))
         ratio = errs[0] / errs[1]
         assert 2.5 < ratio < 6.0
+
+    # (d, L, N, activation, delta_trainable, chunk budget or None for the
+    # module's): no suffix, d=1, N=1, identity, trainable delta, two row
+    # chunks at d=8 N=6, one-layer chunks at d=8 N=4, and a budget that
+    # splits the rows into four chunks or the suffix into three-layer spans
+    @pytest.mark.parametrize("d, L, n, activation, trainable, budget", [
+        (1, 1, 1, TANH, False, None),
+        (3, 1, 2, TANH, True, None),
+        (1, 6, 3, IDENTITY, True, None),
+        (4, 5, 1, TANH, False, None),
+        (5, 4, 2, IDENTITY, False, None),
+        (8, 5, 6, TANH, True, None),
+        (8, 12, 4, TANH, False, None),
+        (3, 6, 4, TANH, True, 3000),
+        (2, 10, 2, IDENTITY, False, 3072),
+    ])
+    def test_matches_entrywise_reference(self, monkeypatch, d, L, n, activation,
+                                         trainable, budget):
+        if budget is not None:
+            monkeypatch.setattr(autograd, "FD_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(100 * d + L + n)
+        data, w = random_instance(rng, d, L, n, weight_scale=rng.uniform(0.2, 2.0))
+        numeric = finite_diff_grad(data, w, activation, delta_trainable=trainable)
+        ref_layers, ref_delta = entrywise_finite_diff(data, w, activation,
+                                                      delta_trainable=trainable)
+        np.testing.assert_allclose(numeric.layers, ref_layers, rtol=0, atol=1e-8)
+        assert numeric.delta_grad == pytest.approx(ref_delta, rel=0, abs=1e-8)
+        assert trainable or numeric.delta_grad == 0.0
+
+    def test_perturbed_passes_are_chunked(self, monkeypatch):
+        # at d=8, N=4 the 512 perturbed rows fit one chunk of one layer, so
+        # layer k's copies take L-1-k suffix calls after the unperturbed pass
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].depth)
+            return forward_batch(*args, **kwargs)
+        monkeypatch.setattr(autograd, "forward_batch", counted)
+        rng = np.random.default_rng(21)
+        data, w = random_instance(rng, 8, 6, 4)
+        finite_diff_grad(data, w)
+        assert calls == [6] + [1] * (5 + 4 + 3 + 2 + 1)
+
+    def test_runs_forward_code_only(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle ran the analytic gradient")
+        for name in ("_backward", "grad_objective", "grad_objective_with_stats"):
+            monkeypatch.setattr(autograd, name, forbidden)
+        rng = np.random.default_rng(22)
+        data, w = random_instance(rng, 3, 4, 2)
+        numeric = finite_diff_grad(data, w, delta_trainable=True)
+        ref_layers, ref_delta = entrywise_finite_diff(data, w, delta_trainable=True)
+        np.testing.assert_allclose(numeric.layers, ref_layers, rtol=0, atol=1e-8)
+        assert numeric.delta_grad == pytest.approx(ref_delta, rel=0, abs=1e-8)
+
+    def test_memory_bounded_in_depth(self):
+        # all 2 d^2 N perturbed hidden states of layer 1 through the whole
+        # suffix would be a 25 MB trace here
+        rng = np.random.default_rng(23)
+        data, w = random_instance(rng, 8, 256, 4)
+        tracemalloc.start()
+        try:
+            finite_diff_grad(data, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("layers, step, layer", [
+        # the perturbed layer itself overflows: (1 + 2e307) * 100 (no suffix)
+        ([[[1.0]]], 1e307, 1),
+        # layer 1 moved by 1.5e300 stays finite; the suffix layer 2 overflows
+        ([[[0.5]], [[1e10]]], 1e300, 2),
+    ])
+    def test_perturbed_overflow_raises(self, layers, step, layer):
+        data = Dataset(np.array([[100.0]]), np.array([[0.0]]), 0.0, 0)
+        w = Weights(np.array(layers), 1.0)
+        objective(data, w, IDENTITY)  # the unperturbed pass is finite
+        with pytest.raises(NumericalOverflowError) as exc:
+            finite_diff_grad(data, w, IDENTITY, step=step)
+        assert exc.value.layer == layer
+        with pytest.raises(NumericalOverflowError):
+            entrywise_finite_diff(data, w, IDENTITY, step=step)
 
 
 class TestBackwardTrace:

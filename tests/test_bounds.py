@@ -12,7 +12,6 @@ from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               hessian_upper_bound, lr_feasibility, make_report,
                               meaningful_failures,
                               neighbour_gradient_residual,
-                              neighbour_residual_paper_bound,
                               vacuous_depth_threshold, write_reports_jsonl,
                               load_reports_jsonl)
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
@@ -335,6 +334,17 @@ class TestCertifierPurity:
         assert first == second  # bitwise-identical reports on repeat
         assert np.array_equal(w.layers, baseline)
         assert np.array_equal(data.xs, data.xs)
+
+
+def neighbour_residual_paper_bound(trace, weights, k):
+    """The paper's entrywise residual cap 2 h_{k-1,n}^2 |a_{k+1}-a_k|_F^2
+    + 2 |row_n(a_k)|^4 |h_{k-1}|^4, as an (m, n) array."""
+    h_prev = trace.hidden[k - 1]
+    gap_sq = float(np.sum((weights.layers[k] - weights.layers[k - 1]) ** 2))
+    row_norms_sq = np.sum(weights.layers[k - 1] ** 2, axis=1)
+    h_sq = float(h_prev @ h_prev)
+    per_n = 2.0 * h_prev ** 2 * gap_sq + 2.0 * row_norms_sq ** 2 * h_sq ** 2
+    return np.broadcast_to(per_n, (weights.width, weights.width)).copy()
 
 
 class TestNeighbourResidual:

@@ -83,6 +83,22 @@ class TestConfig:
     def test_int_accepted_for_float(self):
         assert ExperimentConfig(eta0=1, alpha0=0).eta0 == 1
 
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_gradcheck_without_instances_exits_2(self, tmp_path, capsys, instances):
+        # a gradient certificate over zero instances would pass having checked nothing
+        cfg = write_config(tmp_path, gradcheck_instances=instances)
+        assert main(["gradcheck", "--config", cfg]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "gradcheck_instances" in captured.err
+        assert "worst relative error" not in captured.out
+
+    def test_negative_certify_draws_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, certify_draws=-2)
+        assert main(["certify", "--config", cfg,
+                     "--out", str(tmp_path / "cert")]) == EXIT_INPUT_ERROR
+        assert "certify_draws" in capsys.readouterr().err
+        assert not (tmp_path / "cert").exists()
+
 
 class TestDatasetCommand:
     def test_writes_and_round_trips(self, tmp_path):

@@ -191,6 +191,21 @@ class TestSerialization:
         assert loaded.delta == w.delta
         assert np.array_equal(loaded.layers, w.layers)
 
+    def test_text_matches_per_value_writer(self, tmp_path):
+        # reference: one f-string per value, the writer's original form
+        rng = np.random.default_rng(18)
+        for d, L in ((1, 1), (3, 5), (7, 4)):
+            layers = rng.standard_normal((L, d, d)) * 10.0 ** rng.integers(-300, 300, (L, d, d))
+            special = [-0.0, 5e-324, 1e300, -1.0, 3.0, -12.0, 2.0 ** 53, 1e16]
+            layers.ravel()[:len(special)] = special[:layers.size]
+            w = Weights(layers, L ** -0.5)
+            expected = f"{d} {L} {w.delta:.17g}\n" + "".join(
+                " ".join(f"{v:.17g}" for v in row) + "\n"
+                for k in range(L) for row in w.layers[k])
+            path = tmp_path / f"w_{d}_{L}.txt"
+            save_weights(w, path)
+            assert path.read_text() == expected
+
     def test_header_shape(self, tmp_path):
         w = zero_weights(2, 3)
         path = tmp_path / "w.txt"
