@@ -89,15 +89,26 @@ class LayerStats:
 
 def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray) -> np.ndarray:
     """Hidden-state gradients G_k = M_k^T (yhat - y) for k = 0..L, stored with
-    the trace's layout: shape (L+1, N, d) for a batch, (L+1, d) for one input."""
+    the trace's layout: shape (L+1, N, d) for a batch, (L+1, d) for one input.
+
+    Consumes the trace's sigma': on return trace.sigma_prime[k-1] holds
+    sigma'(a_k) * G_k, the factor that the layer-k gradient contracts with
+    h_{k-1}.
+    """
     L = weights.depth
     g = np.empty_like(trace.hidden)
-    g[L] = trace.hidden[L] - ys
+    np.subtract(trace.hidden[L], ys, out=g[L])
+    delta = weights.delta
+    step = np.empty_like(g[L])
     # Non-finite values are caught downstream; silence the transient warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(L, 0, -1):
-            g[k - 1] = g[k] + weights.delta * ((trace.sigma_prime[k - 1] * g[k])
-                                               @ weights.layers[k - 1])
+        # layer k = L..1: s holds sigma'(a_k), then sigma'(a_k) * G_k
+        for s, g_next, g_prev, alpha in zip(trace.sigma_prime[::-1], g[:0:-1], g[-2::-1],
+                                            weights.layers[::-1]):
+            np.multiply(s, g_next, out=s)
+            np.dot(s, alpha, out=step)
+            step *= delta
+            np.add(g_next, step, out=g_prev)
     return g
 
 
@@ -125,21 +136,22 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
     g = _backward(trace, weights, data.ys)
     n = data.ys.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = None
-        if want_stats:
-            h_sq = np.sum(trace.hidden[:-1] ** 2, axis=2)
-            g_inf = np.max(np.abs(g[1:]), axis=2)
-            stats = LayerStats(np.mean(h_sq * g_inf ** 2, axis=1))
         dgrad = 0.0
         if delta_trainable:
             dgrad = float(np.sum(g[1:] * activation.value(trace.preact))) / n
+        stats = None
+        if want_stats:
+            # sigma' was taken from preact in _backward and dgrad is done, so
+            # preact is free to hold the squares and the absolute values
+            h_sq = np.sum(np.square(trace.hidden[:-1], out=trace.preact), axis=2)
+            g_inf = np.max(np.abs(g[1:], out=trace.preact), axis=2)
+            stats = LayerStats(np.mean(h_sq * g_inf ** 2, axis=1))
         # grad_k = delta/n * sum_i (sigma'(a_k) * G_k)_i h_{k-1,i}^T, all k at
-        # once. G is not needed past this point, so it becomes sigma' * G, and
-        # the trace's other arrays go before the (L, d, d) stack is allocated.
-        sg = g[1:]
-        sg *= trace.sigma_prime
+        # once, from the product _backward left in sigma_prime. G and preact
+        # go before the (L, d, d) stack is allocated.
+        sg = trace.sigma_prime
         h_prev = trace.hidden[:-1]
-        del trace
+        del trace, g
         grads = np.matmul(sg.transpose(0, 2, 1), h_prev)
         grads *= weights.delta / n
     return grads, dgrad, value, stats

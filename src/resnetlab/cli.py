@@ -95,8 +95,8 @@ class ExperimentConfig:
             if not _TYPE_CHECKS[f.type](value):
                 raise InvalidInputError(
                     f"config key {f.name!r} must be {f.type}, got {value!r}")
-        if not self.depths or sorted(self.depths) != list(self.depths):
-            raise InvalidInputError("depths must be a nonempty ascending list")
+        if not self.depths or any(a >= b for a, b in zip(self.depths, self.depths[1:])):
+            raise InvalidInputError("depths must be a nonempty strictly ascending list")
         if self.T < 0:
             raise InvalidInputError("T must be >= 0")
         if self.certify_draws < 0:

@@ -1,15 +1,17 @@
 """Residual architecture: h_k = h_{k-1} + delta * sigma(a_k h_{k-1}).
 
-``forward_batch`` is the one forward pass: it records every hidden state,
-preactivation and activation derivative for a batch of inputs, and
-``forward`` is its single-input view. Layer-to-output Jacobians M_k are
-optional because gradients only ever need the matching vector recursion (see
-``autograd``).
+``forward_batch`` is the one forward pass: it records every hidden state and
+preactivation for a batch of inputs, and ``forward`` is its single-input
+view. The activation derivative is computed from the preactivations on first
+use, because the objective and the finite-difference oracle never need it.
+Layer-to-output Jacobians M_k are optional because gradients only ever need
+the matching vector recursion (see ``autograd``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -23,7 +25,9 @@ class Activation:
 
     Any three callables make an activation; whether they are admissible is
     reported by ``bounds.check_activation``, not enforced here, so synthetic
-    violating activations can still be built and inspected.
+    violating activations can still be built and inspected. ``deriv1`` must
+    return a new writable array for an array input: the backward pass
+    overwrites it.
     """
 
     name: str
@@ -32,12 +36,19 @@ class Activation:
     deriv2: Callable[[np.ndarray], np.ndarray]
 
 
+def _tanh_first(z: np.ndarray) -> np.ndarray:
+    """1 / cosh(z)^2 with one allocation; a scalar input gives a scalar."""
+    c = np.cosh(z)
+    c *= c
+    return np.divide(1.0, c, out=c if isinstance(c, np.ndarray) else None)
+
+
 def _tanh_second(z: np.ndarray) -> np.ndarray:
     t = np.tanh(z)
     return -2.0 * t * (1.0 - t * t)
 
 
-TANH = Activation("tanh", np.tanh, lambda z: 1.0 / np.cosh(z) ** 2, _tanh_second)
+TANH = Activation("tanh", np.tanh, _tanh_first, _tanh_second)
 IDENTITY = Activation("identity", lambda z: np.asarray(z, dtype=np.float64),
                       lambda z: np.ones_like(np.asarray(z, dtype=np.float64)),
                       lambda z: np.zeros_like(np.asarray(z, dtype=np.float64)))
@@ -114,31 +125,35 @@ class ForwardTrace:
     """Everything the forward pass computes, layer axis first.
 
     hidden[k] is h_k for k = 0..L (hidden[0] is the input), preact[k-1] is
-    a_k = alpha_k h_{k-1} and sigma_prime[k-1] is sigma'(a_k). A batch trace
-    has a sample axis after the layer axis, so hidden has shape (L+1, N, d);
-    the single-input trace of ``forward`` has none, and there, when
-    requested, jacobians[k] is M_k = dh_L/dh_k (so jacobians[L] is the
-    identity).
+    a_k = alpha_k h_{k-1} and sigma_prime[k-1] is sigma'(a_k), computed from
+    preact on first access and then kept. A batch trace has a sample axis
+    after the layer axis, so hidden has shape (L+1, N, d); the single-input
+    trace of ``forward`` has none, and there, when requested, jacobians[k]
+    is M_k = dh_L/dh_k (so jacobians[L] is the identity).
     """
 
     hidden: np.ndarray
     preact: np.ndarray
-    sigma_prime: np.ndarray
+    activation: Activation
     jacobians: np.ndarray | None = None
 
     @property
     def output(self) -> np.ndarray:
         return self.hidden[-1]
 
+    @cached_property
+    def sigma_prime(self) -> np.ndarray:
+        return self.activation.deriv1(self.preact)
+
 
 def forward_batch(xs: np.ndarray, weights: Weights,
                   activation: Activation = TANH) -> ForwardTrace:
     """Run the residual recursion over a batch of inputs, shape (N, d).
 
-    The layer loop does only the matmul, the activation and the residual add
-    (one numpy path, so results are bitwise reproducible). Raises
-    NumericalOverflowError naming the first layer whose hidden state goes
-    non-finite.
+    The layer loop does only the matmul, the activation and the residual add,
+    writing into the trace and one reused (N, d) buffer (one numpy path, so
+    results are bitwise reproducible). Raises NumericalOverflowError naming
+    the first layer whose hidden state goes non-finite.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != weights.width:
@@ -148,17 +163,21 @@ def forward_batch(xs: np.ndarray, weights: Weights,
 
     hidden = np.empty((L + 1,) + xs.shape)
     preact = np.empty((L,) + xs.shape)
+    step = np.empty(xs.shape)
     hidden[0] = xs
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, L + 1):
-            a = np.matmul(hidden[k - 1], weights.layers[k - 1].T, out=preact[k - 1])
-            np.add(hidden[k - 1], delta * activation.value(a), out=hidden[k])
+        for h_prev, h_next, a, alpha_t in zip(hidden[:-1], hidden[1:], preact,
+                                              weights.layers.transpose(0, 2, 1)):
+            # np.dot makes the same BLAS call as np.matmul with less per-call
+            # overhead, which dominates on (N, d) blocks this small
+            np.dot(h_prev, alpha_t, out=a)
+            np.multiply(activation.value(a), delta, out=step)
+            np.add(h_prev, step, out=h_next)
         finite = np.isfinite(hidden[1:]).reshape(L, -1).all(axis=1)
-        if not finite.all():
-            k = int(np.argmin(finite)) + 1
-            raise NumericalOverflowError(f"non-finite hidden state at layer {k}", layer=k)
-        sprime = activation.deriv1(preact)
-    return ForwardTrace(hidden, preact, sprime)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise NumericalOverflowError(f"non-finite hidden state at layer {k}", layer=k)
+    return ForwardTrace(hidden, preact, activation)
 
 
 def forward(x, weights: Weights, activation: Activation = TANH,
@@ -166,9 +185,11 @@ def forward(x, weights: Weights, activation: Activation = TANH,
     """The single-input view of ``forward_batch``, optionally with the
     layer-to-output Jacobians."""
     batch = forward_batch(as_vector(x, dim=weights.width)[None, :], weights, activation)
-    sprime = batch.sigma_prime[:, 0]
-    jac = jacobian_stack(weights, sprime) if want_jacobians else None
-    return ForwardTrace(batch.hidden[:, 0], batch.preact[:, 0], sprime, jac)
+    trace = ForwardTrace(batch.hidden[:, 0], batch.preact[:, 0], activation)
+    if not want_jacobians:
+        return trace
+    return ForwardTrace(trace.hidden, trace.preact, activation,
+                        jacobian_stack(weights, trace.sigma_prime))
 
 
 def jacobian_stack(weights: Weights, sigma_prime: np.ndarray) -> np.ndarray:
@@ -205,12 +226,21 @@ def load_weights(path) -> Weights:
         header = fh.readline().split()
         if len(header) != 3:
             raise InvalidInputError(f"malformed weights header in {path}")
-        d, L, delta = int(header[0]), int(header[1]), float(header[2])
+        try:
+            d, L, delta = int(header[0]), int(header[1]), float(header[2])
+        except ValueError:
+            raise InvalidInputError(f"malformed weights header in {path}") from None
+        if d < 1 or L < 1:
+            raise InvalidInputError(f"malformed weights header in {path}")
         layers = np.empty((L, d, d))
         for k in range(L):
             for m in range(d):
                 parts = fh.readline().split()
                 if len(parts) != d:
                     raise InvalidInputError(f"malformed weights row in {path}")
-                layers[k, m] = [float(p) for p in parts]
+                try:
+                    layers[k, m] = [float(p) for p in parts]
+                except ValueError:
+                    raise InvalidInputError(
+                        f"unparseable number in weights row of {path}") from None
     return Weights(layers, delta)

@@ -75,11 +75,14 @@ class WeightNorms:
 
 
 def weight_norms(w: Weights) -> WeightNorms:
-    layer_sq = np.sum(w.layers ** 2, axis=(1, 2))
+    squares = np.square(w.layers)
+    layer_sq = np.sum(squares, axis=(1, 2))
     fbar = 0.5 * float(np.sum(layer_sq))
     finf = float(np.sqrt(np.max(layer_sq)))
     if w.depth > 1:
-        diff_sq = np.sum((w.layers[1:] - w.layers[:-1]) ** 2, axis=(1, 2))
+        # the squared neighbour differences reuse the squares' buffer
+        diffs = np.subtract(w.layers[1:], w.layers[:-1], out=squares[1:])
+        diff_sq = np.sum(np.square(diffs, out=diffs), axis=(1, 2))
         gbar = 0.5 * w.depth * float(np.sum(diff_sq))
         neighbour_max = float(np.sqrt(np.max(diff_sq)))
     else:
@@ -139,7 +142,9 @@ def gd_step(w: Weights, data: Dataset, eta: float,
 
 def _apply_update(w: Weights, grads: np.ndarray, dgrad: float, eta: float,
                   delta_trainable: bool) -> Weights:
-    new_layers = w.layers - eta * grads
+    """A_k - eta * grad_k for every layer, written over ``grads``."""
+    grads *= eta
+    new_layers = np.subtract(w.layers, grads, out=grads)
     if not np.all(np.isfinite(new_layers)):
         raise NumericalOverflowError("non-finite weights after update")
     new_delta = w.delta
@@ -290,7 +295,10 @@ def load_runlog(path) -> RunLog:
         raise InvalidInputError(f"run log rows need {len(RUNLOG_COLUMNS)} cells in {path}")
     if any(row[-1] for row in rows[:-1]):
         raise InvalidInputError(f"fail_reason before the last row of {path}")
-    arr = np.asarray([[float(v) for v in row[:-1]] for row in rows])
+    try:
+        arr = np.asarray([[float(v) for v in row[:-1]] for row in rows])
+    except ValueError:
+        raise InvalidInputError(f"unparseable number in run log {path}") from None
     fail_reason = rows[-1][-1] or None
     t = arr[:, 0].astype(np.int64)
     eta = arr[:, 1]

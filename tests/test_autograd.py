@@ -11,7 +11,7 @@ from resnetlab.autograd import (_backward, finite_diff_grad, grad_objective,
 from resnetlab.bounds import loss_upper_bound
 from resnetlab.data import Dataset
 from resnetlab.errors import NumericalOverflowError
-from resnetlab.network import (IDENTITY, TANH, Weights, forward,
+from resnetlab.network import (IDENTITY, TANH, Activation, Weights, forward,
                                forward_batch, zero_weights)
 
 
@@ -109,6 +109,105 @@ class TestGradObjective:
             cap = 2.0 * d * math.exp(4.2 * c_alpha) / L * value
             per_layer = np.sum(grad.layers ** 2, axis=(1, 2))
             assert np.all(per_layer <= cap * (1 + 1e-9))
+
+
+def reference_grad_objective(data, weights, activation=TANH, delta_trainable=False):
+    """Reference: the allocating formulas, one new array per operation.
+
+    Returns the forward trace, the loss, the layer gradients, the delta
+    gradient and the per-layer drive stats of ``grad_objective_with_stats``.
+    """
+    L, delta, n = weights.depth, weights.delta, data.ys.shape[0]
+    hidden, preact = [data.xs], []
+    for k in range(L):
+        a = hidden[-1] @ weights.layers[k].T
+        preact.append(a)
+        hidden.append(hidden[-1] + delta * activation.value(a))
+    hidden, preact = np.array(hidden), np.array(preact)
+    sprime = activation.deriv1(preact)
+    diff = hidden[L] - data.ys
+    value = 0.5 * float(np.sum(diff * diff)) / n
+    g = [None] * L + [hidden[L] - data.ys]
+    for k in range(L, 0, -1):
+        g[k - 1] = g[k] + delta * ((sprime[k - 1] * g[k]) @ weights.layers[k - 1])
+    g = np.array(g)
+    h_sq = np.sum(hidden[:-1] ** 2, axis=2)
+    g_inf = np.max(np.abs(g[1:]), axis=2)
+    stats = np.mean(h_sq * g_inf ** 2, axis=1)
+    dgrad = float(np.sum(g[1:] * activation.value(preact))) / n if delta_trainable else 0.0
+    grads = np.matmul((g[1:] * sprime).transpose(0, 2, 1), hidden[:-1])
+    grads *= delta / n
+    return {"hidden": hidden, "preact": preact, "sigma_g": sprime * g[1:], "g": g,
+            "value": value, "grads": grads, "dgrad": dgrad, "stats": stats}
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("d, L, n, activation, trainable", [
+        (3, 1, 2, TANH, False), (4, 1, 1, IDENTITY, True), (1, 6, 1, TANH, True),
+        (4, 7, 3, IDENTITY, False), (5, 64, 4, TANH, True), (20, 33, 10, TANH, False),
+        (6, 12, 1, IDENTITY, True),
+    ])
+    def test_bitwise_equal_to_reference(self, d, L, n, activation, trainable):
+        rng = np.random.default_rng(40 + d + L + n)
+        for scale in (0.3, 3.0):
+            data, w = random_instance(rng, d, L, n, weight_scale=scale)
+            ref = reference_grad_objective(data, w, activation, trainable)
+            trace = forward_batch(data.xs, w, activation)
+            assert np.array_equal(trace.hidden, ref["hidden"])
+            assert np.array_equal(trace.preact, ref["preact"])
+            grads, dgrad, value, stats = grad_objective_with_stats(
+                data, w, activation, trainable, want_stats=True)
+            assert np.array_equal(grads, ref["grads"])
+            assert dgrad == ref["dgrad"] and value == ref["value"]
+            assert np.array_equal(stats.h_sq_ginf_sq, ref["stats"])
+            plain = grad_objective(data, w, activation, trainable)
+            assert np.array_equal(plain.layers, ref["grads"])
+            assert plain.delta_grad == ref["dgrad"]
+
+    def test_backward_consumes_sigma_prime(self):
+        rng = np.random.default_rng(41)
+        data, w = random_instance(rng, 5, 9, 3)
+        ref = reference_grad_objective(data, w)
+        trace = forward_batch(data.xs, w)
+        g = _backward(trace, w, data.ys)
+        assert np.array_equal(g, ref["g"])
+        assert np.array_equal(trace.sigma_prime, ref["sigma_g"])
+
+    def test_sigma_prime_computed_on_demand(self):
+        calls = []
+
+        def counted_deriv1(z):
+            calls.append(np.shape(z))
+            return TANH.deriv1(z)
+
+        act = Activation("counted", TANH.value, counted_deriv1, TANH.deriv2)
+        rng = np.random.default_rng(42)
+        data, w = random_instance(rng, 3, 4, 2)
+        objective(data, w, act)
+        finite_diff_grad(data, w, act)
+        assert calls == []
+        trace = forward_batch(data.xs, w, act)
+        assert trace.sigma_prime is trace.sigma_prime
+        assert calls == [(4, 2, 3)]
+        grad_objective(data, w, act)
+        assert calls == [(4, 2, 3)] * 2
+
+    def test_memory_is_trace_g_and_gradient_stack(self):
+        # hidden, preact, sigma' and G are the most whole-trace arrays alive at
+        # once; the (L, d, d) gradient stack (two trace-sized arrays at N = d/2)
+        # comes after preact and G are dropped, and the drive stats reuse preact
+        d, n, L = 20, 10, 1024
+        rng = np.random.default_rng(43)
+        data, w = random_instance(rng, d, L, n)
+        trace_bytes = (L + 1) * n * d * 8
+        grad_objective_with_stats(data, w)
+        tracemalloc.start()
+        try:
+            grad_objective_with_stats(data, w, want_stats=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * trace_bytes, peak / trace_bytes
 
 
 def entrywise_finite_diff(data, weights, activation=TANH,

@@ -60,6 +60,16 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(depths=[8, 4])
 
+    def test_duplicate_depths_exit_2(self, tmp_path, capsys):
+        # [8, 8] would train depth 8 twice and overwrite runlog_L8.csv
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(depths=[4, 8, 8])
+        cfg = write_config(tmp_path, depths=[8, 8])
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == EXIT_INPUT_ERROR
+        assert "depths" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("override", [
         {"T": "5"}, {"d": 2.5}, {"N": True}, {"depths": [4, 8.0]},
         {"depths": "48"}, {"eta0": "0.1"}, {"eta0": False},
@@ -410,6 +420,22 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", cfg, "--run-dir",
                      str(tmp_path / "nope"), "--out",
                      str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("name, line, sep, token", [
+        ("weights_L8.txt", 1, " ", "abc"),   # an entry of the first layer row
+        ("weights_L8.txt", 0, " ", "6.5"),   # a non-integer width in the header
+        ("runlog_L4.csv", 2, ",", "zz"),     # the t cell of the t=1 row
+    ])
+    def test_unparseable_number_exits_2(self, tmp_path, capsys, name, line, sep, token):
+        cfg, run_dir = self.run_training(tmp_path)
+        path = run_dir / name
+        lines = path.read_text().split("\n")
+        lines[line] = sep.join([token] + lines[line].split(sep)[1:])
+        path.write_text("\n".join(lines))
+        assert main(["analyze", "--config", cfg, "--run-dir", str(run_dir),
+                     "--out", str(tmp_path / "analysis")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
     def test_steps_csv_round_trips(self, tmp_path):
         cfg, run_dir = self.run_training(tmp_path, depths=[4, 8], T=30)

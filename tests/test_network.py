@@ -32,6 +32,19 @@ class TestActivations:
         assert rows["first_derivative"].observed == 1.0
         assert rows["second_derivative"].observed == 0.0
 
+    @pytest.mark.parametrize("z", [
+        0.7, -3.25, np.array(0.7), np.array(-0.0),
+        np.linspace(-30.0, 30.0, 5 * 3 * 8).reshape(5, 3, 8),
+        np.array([[[0.0, 1e-300, 710.0, -711.0, np.inf]]]),
+    ])
+    def test_tanh_deriv1_is_inverse_cosh_squared(self, z):
+        with np.errstate(over="ignore"):
+            observed = TANH.deriv1(z)
+            expected = 1.0 / np.cosh(z) ** 2
+        assert type(observed) is type(expected)
+        assert np.shape(observed) == np.shape(expected)
+        assert np.asarray(observed).tobytes() == np.asarray(expected).tobytes()
+
     def test_synthetic_violation_reported(self):
         doubler = Activation("double", lambda z: 2.0 * np.asarray(z),
                              lambda z: np.full_like(np.asarray(z, float), 2.0),

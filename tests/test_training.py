@@ -9,7 +9,7 @@ from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, replace_targets,
                             sample_sphere_dataset)
 from resnetlab.errors import InvalidInputError
-from resnetlab.network import (IDENTITY, NetworkConfig, Weights,
+from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
                                forward_batch, zero_weights)
 from resnetlab.training import (RunLog, Schedule, gd_step, harmonic_number,
                                 largest_sum_feasible_T, layer_gaps,
@@ -162,6 +162,61 @@ class TestTrain:
                            delta_trainable=True)
         assert final.delta != w.delta
         assert log.delta[0] == w.delta and log.delta[-1] == final.delta
+
+
+def reference_train(w0, data, sched, T, activation=TANH, delta_trainable=False):
+    """Reference: T allocating updates A - eta * grad, with the norm formulas
+    written out. Returns the final weights and the logged columns."""
+    layers, delta = w0.layers, w0.delta
+    rows = []
+
+    def log_row(t, value):
+        layer_sq = np.sum(layers ** 2, axis=(1, 2))
+        diff_sq = np.sum((layers[1:] - layers[:-1]) ** 2, axis=(1, 2))
+        depth_one = len(layers) == 1
+        rows.append((t, sched.rate(t), value, 0.5 * float(np.sum(layer_sq)),
+                     0.0 if depth_one else 0.5 * len(layers) * float(np.sum(diff_sq)),
+                     float(np.sqrt(np.max(layer_sq))),
+                     0.0 if depth_one else float(np.sqrt(np.max(diff_sq))), delta))
+
+    for t in range(T):
+        w = Weights(layers, delta)
+        log_row(t, objective(data, w, activation))
+        grad = grad_objective(data, w, activation, delta_trainable)
+        layers = layers - sched.rate(t) * grad.layers
+        if delta_trainable:
+            delta = delta - sched.rate(t) * grad.delta_grad
+    log_row(T, objective(data, Weights(layers, delta), activation))
+    return Weights(layers, delta), [np.asarray(col) for col in zip(*rows)]
+
+
+class TestInPlaceUpdate:
+    @pytest.mark.parametrize("L, activation, trainable, sched", [
+        (1, TANH, False, Schedule("constant", 0.1)),
+        (9, TANH, True, Schedule("inverse_decay", 0.05)),
+        (16, IDENTITY, False, Schedule("constant", 0.02)),
+        (40, TANH, False, Schedule("constant", 0.1)),
+    ])
+    def test_train_bitwise_equal_to_reference_steps(self, L, activation, trainable, sched):
+        data, w0 = small_instance(11, d=4, L=L, n=3)
+        final, log = train(w0, data, sched, 6, activation, trainable)
+        ref_final, ref_cols = reference_train(w0, data, sched, 6, activation, trainable)
+        assert np.array_equal(final.layers, ref_final.layers)
+        assert final.delta == ref_final.delta
+        logged = (log.t, log.eta, log.loss, log.fbar, log.gbar, log.finf,
+                  log.neighbour_max, log.delta)
+        for observed, expected in zip(logged, ref_cols):
+            assert np.array_equal(observed, expected)
+
+    def test_inputs_unmodified(self):
+        data, w0 = small_instance(12, d=4, L=8, n=3)
+        copies = [w0.layers.copy(), data.xs.copy(), data.ys.copy()]
+        train(w0, data, Schedule("constant", 0.1), 4, delta_trainable=True,
+              log_layers=True)
+        gd_step(w0, data, 0.1, delta_trainable=True)
+        for now, before in zip([w0.layers, data.xs, data.ys], copies):
+            assert np.array_equal(now, before)
+        assert w0.delta == 8 ** -0.5
 
 
 class TestLrFeasibility:
