@@ -186,7 +186,14 @@ def finite_diff_grad(data: "Dataset", weights: Weights,
     row_bytes = 3 * d * out.itemsize
     rows = min(len(out_rows), max(1, FD_CHUNK_BYTES // (2 * row_bytes)))
     span = max(1, FD_CHUNK_BYTES // (rows * row_bytes) - 1)
+    # suffix spans start on multiples of span, so each is built once; layer k
+    # first runs the partial span from k + 1 up to the next multiple
+    grid = {j: Weights(weights.layers[j:j + span], delta) for j in range(span, L, span)}
     for k in range(L):
+        head = min(span * (k // span + 1), L)
+        suffix = [(j, grid[j]) for j in range(head, L, span)]
+        if k + 1 < head:
+            suffix.insert(0, (k + 1, Weights(weights.layers[k + 1:head], delta)))
         base = weights.layers[k]
         h = step * (1.0 + np.abs(base))
         moves = np.diag(h.ravel()).reshape(d * d, d, d)
@@ -199,11 +206,9 @@ def finite_diff_grad(data: "Dataset", weights: Weights,
                                          layer=k + 1)
         for start in range(0, len(out_rows), rows):
             chunk = out_rows[start:start + rows]
-            for j in range(k + 1, L, span):
+            for j, suffix_weights in suffix:
                 try:
-                    chunk[:] = forward_batch(
-                        chunk, Weights(weights.layers[j:j + span], delta),
-                        activation).output
+                    chunk[:] = forward_batch(chunk, suffix_weights, activation).output
                 except NumericalOverflowError as exc:
                     layer = j + exc.layer
                     raise NumericalOverflowError(

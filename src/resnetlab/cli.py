@@ -184,7 +184,7 @@ def _train_one_depth(cfg: ExperimentConfig, base: Dataset, depth: int,
     w_final, log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable,
                          log_layers=cfg.log_layers, log_stride=cfg.log_stride)
     save_runlog(log, os.path.join(out_dir, f"runlog_L{depth}.csv"))
-    save_weights(w_final, os.path.join(out_dir, f"weights_L{depth}.txt"))
+    save_weights(w_final, os.path.join(out_dir, f"weights_L{depth}.bin"))
     if cfg.log_layers and log.g_layers is not None:
         save_layer_gaps(log, os.path.join(out_dir, f"gaps_L{depth}.csv"))
     return log
@@ -319,7 +319,7 @@ def _load_runs(run_dir: str) -> tuple[list[int], dict[int, RunLog], dict[int, We
             continue
         depths.append(depth)
         logs[depth] = log
-        wpath = os.path.join(run_dir, f"weights_L{depth}.txt")
+        wpath = os.path.join(run_dir, f"weights_L{depth}.bin")
         if not os.path.exists(wpath):
             raise InvalidInputError(f"missing final weights {wpath}")
         weights[depth] = load_weights(wpath)
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="certify an existing run instead of training fresh")
         if name == "analyze":
             p.add_argument("--run-dir", required=True,
-                           help="directory with runlog_L*.csv and weights_L*.txt")
+                           help="directory with runlog_L*.csv and weights_L*.bin")
     return parser
 
 

@@ -10,6 +10,7 @@ the matching vector recursion (see ``autograd``).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -208,23 +209,25 @@ def jacobian_stack(weights: Weights, sigma_prime: np.ndarray) -> np.ndarray:
     return jac
 
 
-def save_weights(weights: Weights, path) -> None:
-    """Text format: header "d L delta", then L blocks of d rows of d entries.
+# "d L delta\n" is at most about 60 bytes; a longer first line is no header
+_HEADER_MAX_BYTES = 128
 
-    17 significant digits, so float64 values round-trip exactly.
+
+def save_weights(weights: Weights, path) -> None:
+    """Binary format: the ASCII header "d L delta\\n" (delta at 17
+    significant digits), then the L*d*d entries as little-endian float64 in
+    (layer, row, column) order. The float64 round trip is exact.
     """
-    row = " ".join(["%.17g"] * weights.width) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"{weights.width} {weights.depth} {weights.delta:.17g}\n")
-        for layer in weights.layers:
-            for values in layer.tolist():
-                fh.write(row % tuple(values))
+    with open(path, "wb") as fh:
+        fh.write(f"{weights.width} {weights.depth} {weights.delta:.17g}\n".encode("ascii"))
+        np.ascontiguousarray(weights.layers, dtype="<f8").tofile(fh)
 
 
 def load_weights(path) -> Weights:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
+    with open(path, "rb") as fh:
+        line = fh.readline(_HEADER_MAX_BYTES)
+        header = line.split()
+        if not line.endswith(b"\n") or len(header) != 3:
             raise InvalidInputError(f"malformed weights header in {path}")
         try:
             d, L, delta = int(header[0]), int(header[1]), float(header[2])
@@ -232,15 +235,15 @@ def load_weights(path) -> Weights:
             raise InvalidInputError(f"malformed weights header in {path}") from None
         if d < 1 or L < 1:
             raise InvalidInputError(f"malformed weights header in {path}")
-        layers = np.empty((L, d, d))
-        for k in range(L):
-            for m in range(d):
-                parts = fh.readline().split()
-                if len(parts) != d:
-                    raise InvalidInputError(f"malformed weights row in {path}")
-                try:
-                    layers[k, m] = [float(p) for p in parts]
-                except ValueError:
-                    raise InvalidInputError(
-                        f"unparseable number in weights row of {path}") from None
-    return Weights(layers, delta)
+        expected = 8 * L * d * d
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:
+            raise InvalidInputError(f"weights payload of {path} has {found} bytes, "
+                                    f"expected {expected} for d={d}, L={L}")
+        # read straight into the stack: one copy, no intermediate bytes
+        layers = np.empty((L, d, d), dtype="<f8")
+        fh.readinto(layers)
+    try:
+        return Weights(layers, delta)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{exc} in {path}") from None

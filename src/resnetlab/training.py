@@ -145,14 +145,15 @@ def _apply_update(w: Weights, grads: np.ndarray, dgrad: float, eta: float,
     """A_k - eta * grad_k for every layer, written over ``grads``."""
     grads *= eta
     new_layers = np.subtract(w.layers, grads, out=grads)
-    if not np.all(np.isfinite(new_layers)):
-        raise NumericalOverflowError("non-finite weights after update")
-    new_delta = w.delta
-    if delta_trainable:
-        new_delta = w.delta - eta * dgrad
-        if not (math.isfinite(new_delta) and new_delta > 0):
-            raise NumericalOverflowError("scale factor left (0, inf) during update")
-    return Weights(new_layers, new_delta)
+    new_delta = w.delta - eta * dgrad if delta_trainable else w.delta
+    # Weights checks the layers and delta once; only a failure looks again,
+    # to say which went wrong (the layers first)
+    try:
+        return Weights(new_layers, new_delta)
+    except InvalidInputError:
+        if not np.all(np.isfinite(new_layers)):
+            raise NumericalOverflowError("non-finite weights after update") from None
+        raise NumericalOverflowError("scale factor left (0, inf) during update") from None
 
 
 def train(w0: Weights, data: Dataset, sched: Schedule, T: int,

@@ -237,6 +237,44 @@ def entrywise_finite_diff(data, weights, activation=TANH,
     return grads, delta_grad
 
 
+def reference_finite_diff_grad(data, weights, activation=TANH, delta_trainable=False):
+    """Reference: the oracle with suffix spans starting at k + 1 for every
+    perturbed layer k, and a new ``Weights`` for each span and row chunk."""
+    step = autograd.FD_GRAD_STEP
+    L, d = weights.depth, weights.width
+    n = data.ys.shape[0]
+    delta = weights.delta
+    hidden = forward_batch(data.xs, weights, activation).hidden
+    grads = np.empty_like(weights.layers)
+    out = np.empty((2 * d * d, n, d))
+    out_rows = out.reshape(-1, d)
+    row_bytes = 3 * d * out.itemsize
+    rows = min(len(out_rows), max(1, autograd.FD_CHUNK_BYTES // (2 * row_bytes)))
+    span = max(1, autograd.FD_CHUNK_BYTES // (rows * row_bytes) - 1)
+    for k in range(L):
+        base = weights.layers[k]
+        h = step * (1.0 + np.abs(base))
+        moves = np.diag(h.ravel()).reshape(d * d, d, d)
+        copies = np.concatenate([base + moves, base - moves])
+        a = np.matmul(hidden[k], copies.transpose(0, 2, 1))
+        np.add(hidden[k], delta * activation.value(a), out=out)
+        for start in range(0, len(out_rows), rows):
+            chunk = out_rows[start:start + rows]
+            for j in range(k + 1, L, span):
+                chunk[:] = forward_batch(chunk, Weights(weights.layers[j:j + span], delta),
+                                         activation).output
+        diff = out - data.ys
+        values = 0.5 * np.sum(diff * diff, axis=(1, 2)) / n
+        grads[k] = ((values[:d * d] - values[d * d:]) / (2.0 * h.ravel())).reshape(d, d)
+    delta_grad = 0.0
+    if delta_trainable:
+        h = step * (1.0 + abs(weights.delta))
+        up = objective(data, Weights(weights.layers, weights.delta + h), activation)
+        down = objective(data, Weights(weights.layers, weights.delta - h), activation)
+        delta_grad = (up - down) / (2.0 * h)
+    return grads, delta_grad
+
+
 class TestFiniteDifferenceOracle:
     def test_linear_closed_form(self):
         # J(a) = (y - (1+a) x)^2 / 2 has derivative -x (y - (1+a) x)
@@ -288,6 +326,47 @@ class TestFiniteDifferenceOracle:
         np.testing.assert_allclose(numeric.layers, ref_layers, rtol=0, atol=1e-8)
         assert numeric.delta_grad == pytest.approx(ref_delta, rel=0, abs=1e-8)
         assert trainable or numeric.delta_grad == 0.0
+
+    # (d, L, N, activation, delta_trainable, chunk budget or None for the
+    # module's): one-layer spans in one row chunk (the gradcheck benchmark's
+    # shape), three-layer spans that do not divide L, one-layer spans over
+    # four row chunks, and L=1
+    @pytest.mark.parametrize("d, L, n, activation, trainable, budget", [
+        (8, 32, 4, TANH, False, None),
+        (2, 10, 2, IDENTITY, True, 3072),
+        (3, 6, 4, TANH, True, 3000),
+        (4, 1, 3, TANH, False, None),
+    ])
+    def test_bitwise_equal_to_per_layer_spans(self, monkeypatch, d, L, n, activation,
+                                              trainable, budget):
+        if budget is not None:
+            monkeypatch.setattr(autograd, "FD_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(1000 + 10 * d + L)
+        data, w = random_instance(rng, d, L, n)
+        numeric = finite_diff_grad(data, w, activation, delta_trainable=trainable)
+        ref_layers, ref_delta = reference_finite_diff_grad(data, w, activation, trainable)
+        assert np.array_equal(numeric.layers, ref_layers)
+        assert numeric.delta_grad == ref_delta
+
+    @pytest.mark.parametrize("d, L, n, trainable, budget", [
+        (8, 32, 4, False, None),
+        (2, 10, 2, True, 3072),
+        (8, 128, 4, False, None),
+    ])
+    def test_weights_built_at_most_twice_per_layer(self, monkeypatch, d, L, n,
+                                                   trainable, budget):
+        if budget is not None:
+            monkeypatch.setattr(autograd, "FD_CHUNK_BYTES", budget)
+        data, w = random_instance(np.random.default_rng(24), d, L, n)
+        built = []
+        post_init = Weights.__post_init__
+
+        def counted(self):
+            built.append(self.layers.shape[0])
+            post_init(self)
+        monkeypatch.setattr(Weights, "__post_init__", counted)
+        finite_diff_grad(data, w, delta_trainable=trainable)
+        assert len(built) <= 2 * L, len(built)
 
     def test_perturbed_passes_are_chunked(self, monkeypatch):
         # at d=8, N=4 the 512 perturbed rows fit one chunk of one layer, so

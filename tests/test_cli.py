@@ -133,7 +133,7 @@ class TestTrainCommand:
         for depth in (4, 8):
             log = load_runlog(out / f"runlog_L{depth}.csv")
             assert list(log.t) == [0]
-            weights = load_weights(out / f"weights_L{depth}.txt")
+            weights = load_weights(out / f"weights_L{depth}.bin")
             assert weights.depth == depth
 
     def test_interpolating_targets_zero_loss(self, tmp_path):
@@ -422,20 +422,46 @@ class TestAnalyzeCommand:
                      str(tmp_path / "o")]) == EXIT_INPUT_ERROR
 
     @pytest.mark.parametrize("name, line, sep, token", [
-        ("weights_L8.txt", 1, " ", "abc"),   # an entry of the first layer row
-        ("weights_L8.txt", 0, " ", "6.5"),   # a non-integer width in the header
+        ("weights_L8.bin", 0, " ", "6.5"),   # a non-integer width in the header
         ("runlog_L4.csv", 2, ",", "zz"),     # the t cell of the t=1 row
     ])
     def test_unparseable_number_exits_2(self, tmp_path, capsys, name, line, sep, token):
         cfg, run_dir = self.run_training(tmp_path)
         path = run_dir / name
-        lines = path.read_text().split("\n")
-        lines[line] = sep.join([token] + lines[line].split(sep)[1:])
-        path.write_text("\n".join(lines))
+        lines = path.read_bytes().split(b"\n")
+        sep = sep.encode()
+        lines[line] = sep.join([token.encode()] + lines[line].split(sep)[1:])
+        path.write_bytes(b"\n".join(lines))
         assert main(["analyze", "--config", cfg, "--run-dir", str(run_dir),
                      "--out", str(tmp_path / "analysis")]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw[:-8],                # the last entry missing
+        lambda raw: raw + b"\0" * 8,         # one entry too many
+        # the first entry of the first layer set to NaN
+        lambda raw: (raw[:raw.index(b"\n") + 1] + np.float64(np.nan).tobytes()
+                     + raw[raw.index(b"\n") + 9:]),
+    ], ids=["truncated", "over-long", "nan-entry"])
+    def test_corrupt_weights_payload_exits_2(self, tmp_path, capsys, corrupt):
+        cfg, run_dir = self.run_training(tmp_path)
+        path = run_dir / "weights_L8.bin"
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert main(["analyze", "--config", cfg, "--run-dir", str(run_dir),
+                     "--out", str(tmp_path / "analysis")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    def test_text_weights_run_dir_exits_2(self, tmp_path, capsys):
+        # a run directory written before weights became binary
+        cfg, run_dir = self.run_training(tmp_path, depths=[8])
+        os.rename(run_dir / "weights_L8.bin", run_dir / "weights_L8.txt")
+        assert main(["analyze", "--config", cfg, "--run-dir", str(run_dir),
+                     "--out", str(tmp_path / "analysis")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"missing final weights {run_dir / 'weights_L8.bin'}" in err
+        assert "Traceback" not in err
 
     def test_steps_csv_round_trips(self, tmp_path):
         cfg, run_dir = self.run_training(tmp_path, depths=[4, 8], T=30)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,26 +199,32 @@ class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(17)
         w = random_weights(rng, 4, 3, delta=1.0 / 3.0)
-        path = tmp_path / "weights.txt"
+        path = tmp_path / "weights.bin"
         save_weights(w, path)
         loaded = load_weights(path)
         assert loaded.delta == w.delta
         assert np.array_equal(loaded.layers, w.layers)
+        assert loaded.layers.flags.writeable
 
-    def test_text_matches_per_value_writer(self, tmp_path):
-        # reference: one f-string per value, the writer's original form
+    def test_binary_layout(self, tmp_path):
+        # the header line, then the raw little-endian stack in (layer, row,
+        # column) order, whatever the memory order of the saved array
         rng = np.random.default_rng(18)
         for d, L in ((1, 1), (3, 5), (7, 4)):
             layers = rng.standard_normal((L, d, d)) * 10.0 ** rng.integers(-300, 300, (L, d, d))
-            special = [-0.0, 5e-324, 1e300, -1.0, 3.0, -12.0, 2.0 ** 53, 1e16]
+            special = [-0.0, 5e-324, 1e300, -1e300, -1.0, 3.0, 2.0 ** 53, 1e16]
             layers.ravel()[:len(special)] = special[:layers.size]
-            w = Weights(layers, L ** -0.5)
-            expected = f"{d} {L} {w.delta:.17g}\n" + "".join(
-                " ".join(f"{v:.17g}" for v in row) + "\n"
-                for k in range(L) for row in w.layers[k])
-            path = tmp_path / f"w_{d}_{L}.txt"
-            save_weights(w, path)
-            assert path.read_text() == expected
+            for stored in (layers, layers.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+                w = Weights(stored, L ** -0.5)
+                path = tmp_path / f"w_{d}_{L}.bin"
+                save_weights(w, path)
+                assert path.read_bytes() == (f"{d} {L} {w.delta:.17g}\n".encode()
+                                             + layers.astype("<f8").tobytes())
+                loaded = load_weights(path)
+                assert loaded.delta == w.delta
+                assert np.array_equal(loaded.layers, layers)
+                assert loaded.layers.tobytes() == layers.tobytes()  # -0.0 too
+                assert loaded.layers.flags.writeable
 
     def test_header_shape(self, tmp_path):
         w = zero_weights(2, 3)
@@ -231,3 +238,55 @@ class TestSerialization:
         path.write_text("2 1 0.5\n1.0\n")
         with pytest.raises(InvalidInputError):
             load_weights(path)
+
+    @pytest.mark.parametrize("payload, found", [
+        (np.zeros(7).tobytes(), 56),                # one entry short
+        (np.zeros(8).tobytes() + b"\0", 65),        # one byte over
+        (b"", 0),
+    ], ids=["short", "long", "empty"])
+    def test_payload_length_checked(self, tmp_path, payload, found):
+        path = tmp_path / "w.bin"
+        path.write_bytes(b"2 2 0.5\n" + payload)
+        with pytest.raises(InvalidInputError) as exc:
+            load_weights(path)
+        assert str(path) in str(exc.value)
+        assert f"{found} bytes" in str(exc.value) and "expected 64" in str(exc.value)
+
+    @pytest.mark.parametrize("raw", [
+        b"2 1 0.5",                      # no newline
+        b"2 1 0.5" + b" " * 200_000,     # no newline within the header bound
+        b"2 1\n" + bytes(32),            # two fields
+        b"2 0 0.5\n",                    # zero depth
+        b"\xff\xfe 1 0.5\n" + bytes(32),  # not a number
+    ], ids=["no-newline", "over-bound", "two-fields", "zero-depth", "not-a-number"])
+    def test_malformed_header_rejected(self, tmp_path, raw):
+        path = tmp_path / "w.bin"
+        path.write_bytes(raw)
+        with pytest.raises(InvalidInputError, match="malformed weights header"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_names_file(self, tmp_path, value):
+        layers = np.zeros((2, 2, 2))
+        layers[1, 0, 1] = value
+        path = tmp_path / "w.bin"
+        path.write_bytes(b"2 2 0.5\n" + layers.astype("<f8").tobytes())
+        with pytest.raises(InvalidInputError, match="non-finite") as exc:
+            load_weights(path)
+        assert str(path) in str(exc.value)
+
+    def test_load_allocates_the_stack_once(self, tmp_path):
+        # L=1024, d=20: a 3.28 MB stack. Reading the payload into bytes and
+        # converting would hold two copies at once.
+        rng = np.random.default_rng(19)
+        w = Weights(rng.standard_normal((1024, 20, 20)), 1024 ** -0.5)
+        path = tmp_path / "w.bin"
+        save_weights(w, path)
+        tracemalloc.start()
+        try:
+            loaded = load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.layers, w.layers)
+        assert peak < 1.5 * w.layers.nbytes, peak / w.layers.nbytes

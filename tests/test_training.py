@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from resnetlab import training
 from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import lr_feasibility
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
@@ -162,6 +163,32 @@ class TestTrain:
                            delta_trainable=True)
         assert final.delta != w.delta
         assert log.delta[0] == w.delta and log.delta[-1] == final.delta
+
+
+class TestUpdateFailure:
+    # (layer gradient entry, delta gradient, delta trainable, fail_reason):
+    # a layer overflow, delta pushed below 0 or to nan, and both at once
+    # (the layers are named first)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("g, dgrad, trainable, reason", [
+        (1e308, 0.0, False, "non-finite weights after update"),
+        (0.0, 1e3, True, "scale factor left (0, inf) during update"),
+        (0.0, math.nan, True, "scale factor left (0, inf) during update"),
+        (1e308, 1e3, True, "non-finite weights after update"),
+    ])
+    def test_fail_reason(self, monkeypatch, g, dgrad, trainable, reason):
+        data, w0 = small_instance(13, d=3, L=4, n=2)
+
+        def fixed_gradient(data, w, activation, delta_trainable, want_stats):
+            grads = np.zeros_like(w.layers)
+            grads[2, 1, 0] = g
+            return grads, dgrad, 0.5, None
+        monkeypatch.setattr(training, "grad_objective_with_stats", fixed_gradient)
+        final, log = train(w0, data, Schedule("constant", 10.0), 3,
+                           delta_trainable=trainable)
+        assert log.failed and log.fail_reason == reason
+        assert list(log.t) == [0]
+        assert final is w0
 
 
 def reference_train(w0, data, sched, T, activation=TANH, delta_trainable=False):
