@@ -30,7 +30,7 @@ from .linalg import (SpectralEstimate, euclidean_norm, frobenius_norm,
 from .network import (IDENTITY, TANH, Activation, ForwardTrace, NetworkConfig,
                       Weights, activation_by_name, forward, forward_batch,
                       load_weights, save_weights, zero_weights)
-from .training import (RunLog, Schedule, gd_step, layer_gaps, load_runlog,
-                       save_runlog, train, weight_norms)
+from .training import (RunLog, Schedule, layer_gaps, load_runlog, save_runlog,
+                       train, weight_norms)
 
 __version__ = "0.1.0"

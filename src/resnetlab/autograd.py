@@ -46,10 +46,19 @@ def loss(y, yhat) -> float:
 
 
 def objective(data: "Dataset", weights: Weights,
-              activation: Activation = TANH) -> float:
-    """Mean of the per-sample losses over the training set."""
-    outputs = forward_batch(data.xs, weights, activation).output
-    return _mean_squared(outputs, data.ys)
+              activation: Activation = TANH,
+              blocks: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """Mean of the per-sample losses over the training set.
+
+    With ``blocks`` (see ``grad_objective_with_stats``) the forward trace is
+    written into them instead of new arrays.
+    """
+    if blocks is None:
+        trace = forward_batch(data.xs, weights, activation)
+    else:
+        hidden, preact, _, _, _ = _step_views(blocks, weights, data)
+        trace = forward_batch(data.xs, weights, activation, hidden, preact)
+    return _mean_squared(trace.output, data.ys)
 
 
 def _mean_squared(outputs: np.ndarray, ys: np.ndarray) -> float:
@@ -87,16 +96,40 @@ class LayerStats:
     h_sq_ginf_sq: np.ndarray
 
 
-def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray) -> np.ndarray:
+def step_block_size(depth: int, n: int, width: int) -> int:
+    """Entries of one block of ``grad_objective_with_stats``: a pair of
+    trace-sized arrays, (2L+1) N d, or the (L, d, d) stack if that is larger."""
+    return max((2 * depth + 1) * n * width, depth * width * width)
+
+
+def _step_views(blocks: tuple[np.ndarray, np.ndarray], weights: Weights,
+                data: "Dataset"):
+    """hidden (L+1, N, d) and preact (L, N, d) at the start of the two blocks,
+    sigma' after hidden and G after preact; the (L, d, d) gradient stack
+    overlays preact and G."""
+    L, n, d = weights.depth, len(data.xs), weights.width
+    unit = L * n * d
+    trace_block, adjoint_block = blocks
+    hidden = trace_block[:unit + n * d].reshape(L + 1, n, d)
+    sigma_prime = trace_block[unit + n * d:2 * unit + n * d].reshape(L, n, d)
+    preact = adjoint_block[:unit].reshape(L, n, d)
+    g = adjoint_block[unit:2 * unit + n * d].reshape(L + 1, n, d)
+    grads = adjoint_block[:L * d * d].reshape(L, d, d)
+    return hidden, preact, sigma_prime, g, grads
+
+
+def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Hidden-state gradients G_k = M_k^T (yhat - y) for k = 0..L, stored with
-    the trace's layout: shape (L+1, N, d) for a batch, (L+1, d) for one input.
+    the trace's layout: shape (L+1, N, d) for a batch, (L+1, d) for one input,
+    in ``out`` when given.
 
     Consumes the trace's sigma': on return trace.sigma_prime[k-1] holds
     sigma'(a_k) * G_k, the factor that the layer-k gradient contracts with
     h_{k-1}.
     """
     L = weights.depth
-    g = np.empty_like(trace.hidden)
+    g = np.empty_like(trace.hidden) if out is None else out
     np.subtract(trace.hidden[L], ys, out=g[L])
     delta = weights.delta
     step = np.empty_like(g[L])
@@ -124,35 +157,49 @@ def grad_objective(data: "Dataset", weights: Weights,
 def grad_objective_with_stats(data: "Dataset", weights: Weights,
                               activation: Activation = TANH,
                               delta_trainable: bool = False,
-                              want_stats: bool = True):
+                              want_stats: bool = True,
+                              blocks: tuple[np.ndarray, np.ndarray] | None = None):
     """Gradient plus the current loss and optional per-layer drive stats.
 
     Returns (layer_grads, delta_grad, current_objective, LayerStats or None).
     Training uses this to get the step's loss and logging quantities from the
     same forward pass that produced the gradient.
+
+    ``blocks`` is an optional pair of flat float64 arrays of
+    ``step_block_size(L, N, d)`` entries each. The first holds the hidden
+    states and sigma', the second the preactivations and G, and then the
+    returned layer gradients, which are a view of its start. Without it every
+    array is allocated.
     """
-    trace = forward_batch(data.xs, weights, activation)
+    if blocks is None:
+        trace = forward_batch(data.xs, weights, activation)
+        g_out = grads_out = None
+    else:
+        hidden, preact, sigma_prime, g_out, grads_out = _step_views(blocks, weights, data)
+        trace = forward_batch(data.xs, weights, activation, hidden, preact, sigma_prime)
     value = _mean_squared(trace.output, data.ys)
-    g = _backward(trace, weights, data.ys)
+    g = _backward(trace, weights, data.ys, g_out)
     n = data.ys.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         dgrad = 0.0
         if delta_trainable:
-            dgrad = float(np.sum(g[1:] * activation.value(trace.preact))) / n
+            # sigma' was taken from preact in _backward, so preact is free to
+            # hold sigma(a_k), then G_k * sigma(a_k)
+            s_val = activation.value(trace.preact, out=trace.preact)
+            dgrad = float(np.sum(np.multiply(g[1:], s_val, out=s_val))) / n
         stats = None
         if want_stats:
-            # sigma' was taken from preact in _backward and dgrad is done, so
-            # preact is free to hold the squares and the absolute values
+            # preact is free here too: it holds the squares and the absolute values
             h_sq = np.sum(np.square(trace.hidden[:-1], out=trace.preact), axis=2)
             g_inf = np.max(np.abs(g[1:], out=trace.preact), axis=2)
             stats = LayerStats(np.mean(h_sq * g_inf ** 2, axis=1))
         # grad_k = delta/n * sum_i (sigma'(a_k) * G_k)_i h_{k-1,i}^T, all k at
         # once, from the product _backward left in sigma_prime. G and preact
-        # go before the (L, d, d) stack is allocated.
+        # go before the (L, d, d) stack is allocated or written over them.
         sg = trace.sigma_prime
         h_prev = trace.hidden[:-1]
         del trace, g
-        grads = np.matmul(sg.transpose(0, 2, 1), h_prev)
+        grads = np.matmul(sg.transpose(0, 2, 1), h_prev, out=grads_out)
         grads *= weights.delta / n
     return grads, dgrad, value, stats
 

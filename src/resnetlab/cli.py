@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise InvalidInputError("T must be >= 0")
         if self.certify_draws < 0:
             raise InvalidInputError("certify_draws must be >= 0")
+        if self.threads < 1:
+            raise InvalidInputError("threads must be >= 1")
         if self.gradcheck_instances < 1:
             raise InvalidInputError("gradcheck_instances must be >= 1")
         if self.target_mode not in ("sphere", "near_init"):

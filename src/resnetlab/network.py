@@ -26,9 +26,14 @@ class Activation:
 
     Any three callables make an activation; whether they are admissible is
     reported by ``bounds.check_activation``, not enforced here, so synthetic
-    violating activations can still be built and inspected. ``deriv1`` must
-    return a new writable array for an array input: the backward pass
-    overwrites it.
+    violating activations can still be built and inspected.
+
+    ``value`` and ``deriv1`` take an optional ``out`` array of the input's
+    shape: when it is given they write the result there and return it, and
+    ``out`` may be the input itself. ``forward_batch`` always passes one to
+    ``value``; ``deriv1`` gets one only when the trace has a sigma' buffer.
+    Without ``out``, ``deriv1`` must return a new writable array for an array
+    input: the backward pass overwrites it.
     """
 
     name: str
@@ -37,9 +42,9 @@ class Activation:
     deriv2: Callable[[np.ndarray], np.ndarray]
 
 
-def _tanh_first(z: np.ndarray) -> np.ndarray:
-    """1 / cosh(z)^2 with one allocation; a scalar input gives a scalar."""
-    c = np.cosh(z)
+def _tanh_first(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / cosh(z)^2 in ``out`` or one new array; a scalar input gives a scalar."""
+    c = np.cosh(z, out=out)
     c *= c
     return np.divide(1.0, c, out=c if isinstance(c, np.ndarray) else None)
 
@@ -49,9 +54,22 @@ def _tanh_second(z: np.ndarray) -> np.ndarray:
     return -2.0 * t * (1.0 - t * t)
 
 
+def _identity_value(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        return np.asarray(z, dtype=np.float64)
+    np.copyto(out, z)
+    return out
+
+
+def _identity_first(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        return np.ones_like(np.asarray(z, dtype=np.float64))
+    out.fill(1.0)
+    return out
+
+
 TANH = Activation("tanh", np.tanh, _tanh_first, _tanh_second)
-IDENTITY = Activation("identity", lambda z: np.asarray(z, dtype=np.float64),
-                      lambda z: np.ones_like(np.asarray(z, dtype=np.float64)),
+IDENTITY = Activation("identity", _identity_value, _identity_first,
                       lambda z: np.zeros_like(np.asarray(z, dtype=np.float64)))
 
 _ACTIVATIONS = {"tanh": TANH, "identity": IDENTITY}
@@ -127,16 +145,18 @@ class ForwardTrace:
 
     hidden[k] is h_k for k = 0..L (hidden[0] is the input), preact[k-1] is
     a_k = alpha_k h_{k-1} and sigma_prime[k-1] is sigma'(a_k), computed from
-    preact on first access and then kept. A batch trace has a sample axis
-    after the layer axis, so hidden has shape (L+1, N, d); the single-input
-    trace of ``forward`` has none, and there, when requested, jacobians[k]
-    is M_k = dh_L/dh_k (so jacobians[L] is the identity).
+    preact on first access (into ``sigma_prime_out`` when one is given) and
+    then kept. A batch trace has a sample axis after the layer axis, so
+    hidden has shape (L+1, N, d); the single-input trace of ``forward`` has
+    none, and there, when requested, jacobians[k] is M_k = dh_L/dh_k (so
+    jacobians[L] is the identity).
     """
 
     hidden: np.ndarray
     preact: np.ndarray
     activation: Activation
     jacobians: np.ndarray | None = None
+    sigma_prime_out: np.ndarray | None = None
 
     @property
     def output(self) -> np.ndarray:
@@ -144,17 +164,24 @@ class ForwardTrace:
 
     @cached_property
     def sigma_prime(self) -> np.ndarray:
-        return self.activation.deriv1(self.preact)
+        if self.sigma_prime_out is None:
+            return self.activation.deriv1(self.preact)
+        return self.activation.deriv1(self.preact, out=self.sigma_prime_out)
 
 
 def forward_batch(xs: np.ndarray, weights: Weights,
-                  activation: Activation = TANH) -> ForwardTrace:
+                  activation: Activation = TANH,
+                  hidden: np.ndarray | None = None,
+                  preact: np.ndarray | None = None,
+                  sigma_prime: np.ndarray | None = None) -> ForwardTrace:
     """Run the residual recursion over a batch of inputs, shape (N, d).
 
     The layer loop does only the matmul, the activation and the residual add,
     writing into the trace and one reused (N, d) buffer (one numpy path, so
-    results are bitwise reproducible). Raises NumericalOverflowError naming
-    the first layer whose hidden state goes non-finite.
+    results are bitwise reproducible). ``hidden`` (L+1, N, d), ``preact`` and
+    ``sigma_prime`` (L, N, d) are optional output buffers; each one not given
+    is allocated. Raises NumericalOverflowError naming the first layer whose
+    hidden state goes non-finite.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != weights.width:
@@ -162,8 +189,10 @@ def forward_batch(xs: np.ndarray, weights: Weights,
     L = weights.depth
     delta = weights.delta
 
-    hidden = np.empty((L + 1,) + xs.shape)
-    preact = np.empty((L,) + xs.shape)
+    if hidden is None:
+        hidden = np.empty((L + 1,) + xs.shape)
+    if preact is None:
+        preact = np.empty((L,) + xs.shape)
     step = np.empty(xs.shape)
     hidden[0] = xs
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,13 +201,13 @@ def forward_batch(xs: np.ndarray, weights: Weights,
             # np.dot makes the same BLAS call as np.matmul with less per-call
             # overhead, which dominates on (N, d) blocks this small
             np.dot(h_prev, alpha_t, out=a)
-            np.multiply(activation.value(a), delta, out=step)
+            np.multiply(activation.value(a, out=step), delta, out=step)
             np.add(h_prev, step, out=h_next)
         finite = np.isfinite(hidden[1:]).reshape(L, -1).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite)) + 1
         raise NumericalOverflowError(f"non-finite hidden state at layer {k}", layer=k)
-    return ForwardTrace(hidden, preact, activation)
+    return ForwardTrace(hidden, preact, activation, sigma_prime_out=sigma_prime)
 
 
 def forward(x, weights: Weights, activation: Activation = TANH,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import grad_objective_with_stats, objective
+from .autograd import grad_objective_with_stats, objective, step_block_size
 from .data import Dataset
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, Weights
@@ -74,15 +74,15 @@ class WeightNorms:
     neighbour_max: float
 
 
-def weight_norms(w: Weights) -> WeightNorms:
-    squares = np.square(w.layers)
+def weight_norms(w: Weights, out: np.ndarray | None = None) -> WeightNorms:
+    """The logged norms; ``out``, if given, is an (L, d, d) scratch array."""
+    squares = np.square(w.layers, out=out)
     layer_sq = np.sum(squares, axis=(1, 2))
     fbar = 0.5 * float(np.sum(layer_sq))
     finf = float(np.sqrt(np.max(layer_sq)))
     if w.depth > 1:
         # the squared neighbour differences reuse the squares' buffer
-        diffs = np.subtract(w.layers[1:], w.layers[:-1], out=squares[1:])
-        diff_sq = np.sum(np.square(diffs, out=diffs), axis=(1, 2))
+        diff_sq = _neighbour_diff_sq(w.layers, squares[1:])
         gbar = 0.5 * w.depth * float(np.sum(diff_sq))
         neighbour_max = float(np.sqrt(np.max(diff_sq)))
     else:
@@ -91,12 +91,24 @@ def weight_norms(w: Weights) -> WeightNorms:
     return WeightNorms(fbar, gbar, finf, neighbour_max)
 
 
-def layer_gaps(w: Weights) -> np.ndarray:
-    """g_k = 1/2 L^2 |A_{k+1} - A_k|_F^2 for k = 1..L-1."""
+def _neighbour_diff_sq(layers: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """|A_{k+1} - A_k|_F^2 for k = 1..L-1; the differences go into ``out``."""
+    diffs = np.subtract(layers[1:], layers[:-1], out=out)
+    return np.sum(np.square(diffs, out=diffs), axis=(1, 2))
+
+
+def layer_gaps(w: Weights, out: np.ndarray | None = None) -> np.ndarray:
+    """g_k = 1/2 L^2 |A_{k+1} - A_k|_F^2 for k = 1..L-1; ``out``, if given,
+    is an (L, d, d) scratch array."""
     if w.depth < 2:
         return np.empty(0)
-    diff_sq = np.sum((w.layers[1:] - w.layers[:-1]) ** 2, axis=(1, 2))
+    diff_sq = _neighbour_diff_sq(w.layers, None if out is None else out[1:])
     return 0.5 * w.depth ** 2 * diff_sq
+
+
+def _row_norms(layers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(layers, axis=2) with its squares written into ``out``."""
+    return np.sqrt(np.add.reduce(np.multiply(layers, layers, out=out), axis=2))
 
 
 @dataclass
@@ -129,17 +141,6 @@ class RunLog:
         return int(self.t[-1])
 
 
-def gd_step(w: Weights, data: Dataset, eta: float,
-            activation: Activation = TANH,
-            delta_trainable: bool = False) -> Weights:
-    """One full-batch update A_k <- A_k - eta * grad_k; input left unmodified."""
-    if eta < 0:
-        raise InvalidInputError("eta must be >= 0")
-    grads, dgrad, _, _ = grad_objective_with_stats(
-        data, w, activation, delta_trainable, want_stats=False)
-    return _apply_update(w, grads, dgrad, eta, delta_trainable)
-
-
 def _apply_update(w: Weights, grads: np.ndarray, dgrad: float, eta: float,
                   delta_trainable: bool) -> Weights:
     """A_k - eta * grad_k for every layer, written over ``grads``."""
@@ -163,7 +164,22 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
           log_stride: int = 1) -> tuple[Weights, RunLog]:
     """Run T sequential updates, logging every ``log_stride`` steps plus the
     initial and final state. Overflow aborts with a partial log and the
-    ``failed`` marker set instead of raising."""
+    ``failed`` marker set instead of raising; the returned weights are then
+    the last finite iterate.
+
+    A run holds three flat blocks of ``step_block_size(L, N, d)`` floats
+    besides w0, which it never writes, and allocates no trace-sized array
+    after its first step. The blocks change roles every step:
+
+    - the trace block holds the hidden states and sigma' of the step's
+      gradient pass, then the scratch squares of the norm logging;
+    - the adjoint block holds the preactivations and G, then the gradient
+      stack, over which the update writes the new layers;
+    - the weights block holds the current layers. After an update it is free
+      and becomes the next step's adjoint block.
+
+    The returned ``Weights`` (unless it is w0) is a view of one block.
+    """
     if T < 0:
         raise InvalidInputError("T must be >= 0")
     if log_stride < 1:
@@ -177,43 +193,50 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
 
     w = w0
     eta_acc = 0.0
-    sqrt_half_l = math.sqrt(0.5 * w0.depth)
+    L, d = w0.depth, w0.width
+    sqrt_half_l = math.sqrt(0.5 * L)
+    size = step_block_size(L, len(data.xs), d)
+    trace_block, adjoint_block, weights_block = (np.empty(size) for _ in range(3))
+    scratch = trace_block[:L * d * d].reshape(L, d, d)
 
     def log_state(t, eta, value):
-        norms = weight_norms(w)
+        norms = weight_norms(w, scratch)
         rows.append((t, eta, value, norms.fbar, norms.gbar, norms.finf,
                      norms.neighbour_max, w.delta, eta_acc))
         if log_layers:
-            g_rows.append(layer_gaps(w))
+            g_rows.append(layer_gaps(w, scratch))
 
     for t in range(T):
         eta = sched.rate(t)
         try:
             grads, dgrad, value, stats = grad_objective_with_stats(
-                data, w, activation, delta_trainable, want_stats=log_layers)
+                data, w, activation, delta_trainable, want_stats=log_layers,
+                blocks=(trace_block, adjoint_block))
         except NumericalOverflowError as exc:
             failed, fail_reason = True, str(exc)
             break
         if t % log_stride == 0:
             log_state(t, eta, value)
         if log_layers:
-            f_sqrt_before = sqrt_half_l * np.linalg.norm(w.layers, axis=2)
-            drive = (eta * math.sqrt(w.depth) * w.delta / math.sqrt(2.0)
+            f_sqrt_before = sqrt_half_l * _row_norms(w.layers, scratch)
+            drive = (eta * math.sqrt(L) * w.delta / math.sqrt(2.0)
                      * np.sqrt(stats.h_sq_ginf_sq))
         try:
             w = _apply_update(w, grads, dgrad, eta, delta_trainable)
         except NumericalOverflowError as exc:
             failed, fail_reason = True, str(exc)
             break
+        adjoint_block, weights_block = weights_block, adjoint_block
         if log_layers:
-            f_sqrt_after = sqrt_half_l * np.linalg.norm(w.layers, axis=2)
+            f_sqrt_after = sqrt_half_l * _row_norms(w.layers, scratch)
             slack = f_sqrt_before + drive[:, None] - f_sqrt_after
             f_slacks.append(float(np.min(slack)))
         eta_acc += eta
 
     if not failed:
         try:
-            final_value = objective(data, w, activation)
+            final_value = objective(data, w, activation,
+                                    blocks=(trace_block, adjoint_block))
             log_state(T, sched.rate(T), final_value)
         except NumericalOverflowError as exc:
             failed, fail_reason = True, str(exc)

@@ -102,6 +102,14 @@ class TestConfig:
         assert "gradcheck_instances" in captured.err
         assert "worst relative error" not in captured.out
 
+    @pytest.mark.parametrize("threads, flag", [(0, []), (-2, []), (None, ["--threads", "0"])])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads, flag):
+        cfg = write_config(tmp_path) if threads is None else write_config(tmp_path, threads=threads)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]
+                    + flag) == EXIT_INPUT_ERROR
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_negative_certify_draws_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, certify_draws=-2)
         assert main(["certify", "--config", cfg,

@@ -1,18 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from resnetlab import training
-from resnetlab.autograd import grad_objective, objective
+from resnetlab import autograd, training
+from resnetlab.autograd import (grad_objective, grad_objective_with_stats,
+                                objective)
 from resnetlab.bounds import lr_feasibility
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, replace_targets,
                             sample_sphere_dataset)
 from resnetlab.errors import InvalidInputError
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
-                               forward_batch, zero_weights)
-from resnetlab.training import (RunLog, Schedule, gd_step, harmonic_number,
+                               forward_batch, load_weights, save_weights,
+                               zero_weights)
+from resnetlab.training import (RunLog, Schedule, harmonic_number,
                                 largest_sum_feasible_T, layer_gaps,
                                 load_runlog, save_layer_gaps, save_runlog,
                                 train, weight_norms)
@@ -70,16 +73,21 @@ class TestNorms:
         assert layer_gaps(w).size == 0
 
 
+def one_step(w, data, eta, **kwargs):
+    """The weights after one full-batch update at learning rate eta."""
+    return train(w, data, Schedule("constant", eta), 1, **kwargs)[0]
+
+
 class TestGdStep:
     def test_zero_gradient_leaves_weights(self):
         data, w = small_instance()
         interp = Dataset(data.xs, forward_batch(data.xs, w).output, 0.0, 0)
-        stepped = gd_step(w, interp, 0.5)
+        stepped = one_step(w, interp, 0.5)
         assert np.array_equal(stepped.layers, w.layers)
 
     def test_zero_weight_single_sample_step(self):
         data = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.0, 0)
-        stepped = gd_step(zero_weights(2, 4), data, 1.0)
+        stepped = one_step(zero_weights(2, 4), data, 1.0)
         expected = -0.5 * np.array([[1.0, 0.0], [-1.0, 0.0]])
         for k in range(4):
             assert np.allclose(stepped.layers[k], expected, atol=1e-16)
@@ -88,20 +96,20 @@ class TestGdStep:
         for seed in range(5):
             data, w = small_instance(seed)
             before = objective(data, w)
-            after = objective(data, gd_step(w, data, 1e-3))
+            after = objective(data, one_step(w, data, 1e-3))
             assert after < before
 
     def test_input_unmodified(self):
         data, w = small_instance()
         baseline = w.layers.copy()
-        gd_step(w, data, 0.1)
+        one_step(w, data, 0.1)
         assert np.array_equal(w.layers, baseline)
 
     def test_update_identity_bitwise(self):
         data, w = small_instance(3)
         eta = 0.05
         grad = grad_objective(data, w)
-        stepped = gd_step(w, data, eta)
+        stepped = one_step(w, data, eta)
         assert np.array_equal(stepped.layers, w.layers - eta * grad.layers)
 
 
@@ -122,7 +130,7 @@ class TestTrain:
     def test_one_step_matches_gd_step(self):
         data, w = small_instance(7)
         final, log = train(w, data, Schedule("constant", 0.02), 1)
-        assert np.array_equal(final.layers, gd_step(w, data, 0.02).layers)
+        assert np.array_equal(final.layers, w.layers - 0.02 * grad_objective(data, w).layers)
         assert log.eta_sum is not None
         assert np.array_equal(log.eta_sum, [0.0, 0.02])
 
@@ -179,7 +187,7 @@ class TestUpdateFailure:
     def test_fail_reason(self, monkeypatch, g, dgrad, trainable, reason):
         data, w0 = small_instance(13, d=3, L=4, n=2)
 
-        def fixed_gradient(data, w, activation, delta_trainable, want_stats):
+        def fixed_gradient(data, w, activation, delta_trainable, want_stats, blocks=None):
             grads = np.zeros_like(w.layers)
             grads[2, 1, 0] = g
             return grads, dgrad, 0.5, None
@@ -217,16 +225,63 @@ def reference_train(w0, data, sched, T, activation=TANH, delta_trainable=False):
     return Weights(layers, delta), [np.asarray(col) for col in zip(*rows)]
 
 
+def reference_iterate(w0, data, sched, steps, activation=TANH, delta_trainable=False):
+    """The weights after ``steps`` allocating updates, as in ``reference_train``,
+    without evaluating the objective at the result."""
+    w = w0
+    for t in range(steps):
+        grad = grad_objective(data, w, activation, delta_trainable)
+        delta = w.delta - sched.rate(t) * grad.delta_grad if delta_trainable else w.delta
+        w = Weights(w.layers - sched.rate(t) * grad.layers, delta)
+    return w
+
+
+def reference_layer_logs(w0, data, sched, T, activation, delta_trainable):
+    """Per-layer gaps of every iterate and the row-growth slack of every step,
+    from the allocating formulas."""
+    iterates = [reference_iterate(w0, data, sched, t, activation, delta_trainable)
+                for t in range(T + 1)]
+    L = w0.depth
+    gaps = [0.5 * L ** 2 * np.sum((w.layers[1:] - w.layers[:-1]) ** 2, axis=(1, 2))
+            for w in iterates]
+    slacks = []
+    for t, (w, w_next) in enumerate(zip(iterates, iterates[1:])):
+        _, _, _, stats = grad_objective_with_stats(data, w, activation, delta_trainable)
+        drive = (sched.rate(t) * math.sqrt(L) * w.delta / math.sqrt(2.0)
+                 * np.sqrt(stats.h_sq_ginf_sq))
+        f_before = math.sqrt(0.5 * L) * np.linalg.norm(w.layers, axis=2)
+        f_after = math.sqrt(0.5 * L) * np.linalg.norm(w_next.layers, axis=2)
+        slacks.append(float(np.min(f_before + drive[:, None] - f_after)))
+    return np.asarray(gaps), np.asarray(slacks)
+
+
 class TestInPlaceUpdate:
-    @pytest.mark.parametrize("L, activation, trainable, sched", [
-        (1, TANH, False, Schedule("constant", 0.1)),
-        (9, TANH, True, Schedule("inverse_decay", 0.05)),
-        (16, IDENTITY, False, Schedule("constant", 0.02)),
-        (40, TANH, False, Schedule("constant", 0.1)),
+    # a step block holds (2L+1) N d floats, or L d^2 if that is more: N > d/2
+    # sizes it by the trace, N < d/2 by the layer stack
+    @pytest.mark.parametrize("L, activation, trainable, sched, d, n, log_layers", [
+        pytest.param(1, TANH, False, Schedule("constant", 0.1), 4, 3, False,
+                     id="1-activation0-False-sched0"),
+        pytest.param(9, TANH, True, Schedule("inverse_decay", 0.05), 4, 3, False,
+                     id="9-activation1-True-sched1"),
+        pytest.param(16, IDENTITY, False, Schedule("constant", 0.02), 4, 3, False,
+                     id="16-activation2-False-sched2"),
+        pytest.param(40, TANH, False, Schedule("constant", 0.1), 4, 3, False,
+                     id="40-activation3-False-sched3"),
+        pytest.param(24, TANH, False, Schedule("constant", 0.1), 6, 5, False,
+                     id="trace_sized_block"),
+        pytest.param(24, TANH, False, Schedule("constant", 0.1), 8, 2, False,
+                     id="stack_sized_block"),
+        pytest.param(1, TANH, True, Schedule("constant", 0.1), 6, 1, False,
+                     id="depth_one_stack_sized_block"),
+        pytest.param(12, TANH, True, Schedule("inverse_decay", 0.05), 5, 3, True,
+                     id="log_layers_trainable_delta"),
+        pytest.param(10, IDENTITY, True, Schedule("constant", 0.02), 6, 2, True,
+                     id="identity_log_layers"),
     ])
-    def test_train_bitwise_equal_to_reference_steps(self, L, activation, trainable, sched):
-        data, w0 = small_instance(11, d=4, L=L, n=3)
-        final, log = train(w0, data, sched, 6, activation, trainable)
+    def test_train_bitwise_equal_to_reference_steps(self, L, activation, trainable, sched,
+                                                    d, n, log_layers):
+        data, w0 = small_instance(11, d=d, L=L, n=n)
+        final, log = train(w0, data, sched, 6, activation, trainable, log_layers)
         ref_final, ref_cols = reference_train(w0, data, sched, 6, activation, trainable)
         assert np.array_equal(final.layers, ref_final.layers)
         assert final.delta == ref_final.delta
@@ -234,16 +289,95 @@ class TestInPlaceUpdate:
                   log.neighbour_max, log.delta)
         for observed, expected in zip(logged, ref_cols):
             assert np.array_equal(observed, expected)
+        if log_layers:
+            gaps, slacks = reference_layer_logs(w0, data, sched, 6, activation, trainable)
+            assert np.array_equal(log.g_layers, gaps)
+            assert np.array_equal(log.f_slack, slacks)
+
+    # (activation, trainable, logged steps, fail_reason, updates before the
+    # failure): a forward pass that overflows after three updates, and an
+    # update that sends delta out of (0, inf) after one
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("activation, trainable, steps, reason, updates", [
+        (IDENTITY, False, [0, 1, 2], "non-finite hidden state at layer 2", 3),
+        (TANH, True, [0, 1], "scale factor left (0, inf) during update", 1),
+    ])
+    def test_overflow_returns_last_finite_iterate(self, tmp_path, activation, trainable,
+                                                  steps, reason, updates):
+        data, w0 = small_instance(11, d=4, L=6, n=3)
+        copy = w0.layers.copy()
+        sched = Schedule("constant", 1e3)
+        final, log = train(w0, data, sched, 12, activation, trainable)
+        assert log.failed and log.fail_reason == reason
+        assert list(log.t) == steps
+        expected = reference_iterate(w0, data, sched, updates, activation, trainable)
+        path = tmp_path / "weights_L6.bin"
+        save_weights(final, path)
+        for w in (final, load_weights(path)):
+            assert np.array_equal(w.layers, expected.layers)
+            assert w.delta == expected.delta
+        assert np.array_equal(w0.layers, copy) and w0.delta == 6 ** -0.5
 
     def test_inputs_unmodified(self):
         data, w0 = small_instance(12, d=4, L=8, n=3)
         copies = [w0.layers.copy(), data.xs.copy(), data.ys.copy()]
         train(w0, data, Schedule("constant", 0.1), 4, delta_trainable=True,
               log_layers=True)
-        gd_step(w0, data, 0.1, delta_trainable=True)
+        train(w0, data, Schedule("constant", 0.1), 1, delta_trainable=True)
         for now, before in zip([w0.layers, data.xs, data.ys], copies):
             assert np.array_equal(now, before)
         assert w0.delta == 8 ** -0.5
+
+    def test_steps_reuse_the_blocks(self, monkeypatch):
+        # from the second update on the layers alternate between two blocks,
+        # and every forward pass writes its hidden states into the same one.
+        # The arrays are kept alive, so a freed address cannot be handed out
+        # again and pass for reuse.
+        data, w0 = small_instance(14, d=5, L=12, n=3)
+        kept = []
+        real_norms, real_forward = training.weight_norms, autograd.forward_batch
+
+        def norms(w, *args, **kwargs):
+            kept.append(("layers", w.layers))
+            return real_norms(w, *args, **kwargs)
+
+        def forward(*args, **kwargs):
+            trace = real_forward(*args, **kwargs)
+            kept.append(("hidden", trace.hidden))
+            return trace
+        monkeypatch.setattr(training, "weight_norms", norms)
+        monkeypatch.setattr(autograd, "forward_batch", forward)
+        T = 7
+        train(w0, data, Schedule("constant", 0.05), T, delta_trainable=True)
+        layer_ptrs = [a.ctypes.data for role, a in kept if role == "layers"]
+        hidden_ptrs = [a.ctypes.data for role, a in kept if role == "hidden"]
+        assert len(layer_ptrs) == T + 1 and len(hidden_ptrs) == T + 1
+        assert layer_ptrs[0] == w0.layers.ctypes.data
+        first, second = layer_ptrs[1], layer_ptrs[2]
+        assert first != second and w0.layers.ctypes.data not in (first, second)
+        assert layer_ptrs[1:] == [(first, second)[t % 2] for t in range(T)]
+        assert set(hidden_ptrs) == {hidden_ptrs[0]}
+
+    def test_memory_flat_in_steps(self):
+        # three blocks of (2L+1) N d floats (the layer stack, L d^2, is the
+        # same size here) are about six trace units, allocated once per run
+        d, n, L = 20, 10, 1024
+        data, w0 = small_instance(15, d=d, L=L, n=n)
+        unit = L * n * d * 8
+        sched = Schedule("constant", 0.01)
+        train(w0, data, sched, 1)
+        peaks = []
+        for T in (3, 8):
+            tracemalloc.start()
+            try:
+                train(w0, data, sched, T)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # the longer run differs only by its few more run-log rows
+        assert peaks[1] <= 6.5 * unit, peaks[1] / unit
+        assert abs(peaks[1] - peaks[0]) <= 0.001 * unit, (peaks[0] / unit, peaks[1] / unit)
 
 
 class TestLrFeasibility:
