@@ -133,15 +133,19 @@ def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
     np.subtract(trace.hidden[L], ys, out=g[L])
     delta = weights.delta
     step = np.empty_like(g[L])
+    g_next = g[L]
+    multiply, add = np.multiply, np.add
     # Non-finite values are caught downstream; silence the transient warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        # layer k = L..1: s holds sigma'(a_k), then sigma'(a_k) * G_k
-        for s, g_next, g_prev, alpha in zip(trace.sigma_prime[::-1], g[:0:-1], g[-2::-1],
-                                            weights.layers[::-1]):
-            np.multiply(s, g_next, out=s)
-            np.dot(s, alpha, out=step)
-            step *= delta
-            np.add(g_next, step, out=g_prev)
+        # layer k = L..1: s holds sigma'(a_k), then sigma'(a_k) * G_k. As in
+        # forward_batch, ndarray.dot and positional outputs keep the per-call
+        # overhead down.
+        for s, g_prev, alpha in zip(trace.sigma_prime[::-1], g[-2::-1], weights.layers[::-1]):
+            multiply(s, g_next, s)
+            s.dot(alpha, step)
+            multiply(step, delta, step)
+            add(g_next, step, g_prev)
+            g_next = g_prev
     return g
 
 

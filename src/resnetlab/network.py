@@ -29,9 +29,10 @@ class Activation:
     violating activations can still be built and inspected.
 
     ``value`` and ``deriv1`` take an optional ``out`` array of the input's
-    shape: when it is given they write the result there and return it, and
-    ``out`` may be the input itself. ``forward_batch`` always passes one to
-    ``value``; ``deriv1`` gets one only when the trace has a sigma' buffer.
+    shape, which may be passed positionally (as a ufunc's is): when it is
+    given they write the result there and return it, and ``out`` may be the
+    input itself. ``forward_batch`` always passes one to ``value``,
+    positionally; ``deriv1`` gets one only when the trace has a sigma' buffer.
     Without ``out``, ``deriv1`` must return a new writable array for an array
     input: the backward pass overwrites it.
     """
@@ -117,7 +118,12 @@ class Weights:
         arr = np.asarray(self.layers, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise InvalidInputError(f"layers must have shape (L, d, d), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # any non-finite entry makes the sum non-finite; only a sum that is
+        # non-finite (possibly by overflow from finite entries) is checked
+        # entry by entry, so a finite stack allocates no (L, d, d) mask
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
             raise InvalidInputError("weights have non-finite entries")
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise InvalidInputError("delta must be positive and finite")
@@ -195,16 +201,23 @@ def forward_batch(xs: np.ndarray, weights: Weights,
         preact = np.empty((L,) + xs.shape)
     step = np.empty(xs.shape)
     hidden[0] = xs
+    h_prev = hidden[0]
+    multiply, add, value = np.multiply, np.add, activation.value
     with np.errstate(over="ignore", invalid="ignore"):
-        for h_prev, h_next, a, alpha_t in zip(hidden[:-1], hidden[1:], preact,
-                                              weights.layers.transpose(0, 2, 1)):
-            # np.dot makes the same BLAS call as np.matmul with less per-call
-            # overhead, which dominates on (N, d) blocks this small
-            np.dot(h_prev, alpha_t, out=a)
-            np.multiply(activation.value(a, out=step), delta, out=step)
-            np.add(h_prev, step, out=h_next)
+        for h_next, a, alpha_t in zip(hidden[1:], preact, weights.layers.transpose(0, 2, 1)):
+            # On (N, d) blocks this small the per-call overhead dominates.
+            # ndarray.dot runs the same matrix product (and BLAS call) as
+            # np.dot without its dispatcher and keyword parsing, and every
+            # output is passed positionally.
+            h_prev.dot(alpha_t, a)
+            multiply(value(a, step), delta, step)
+            add(h_prev, step, h_next)
+            h_prev = h_next
+    # a non-finite entry stays non-finite through every later residual add
+    # (inf + x is inf or nan, nan + x is nan), so a finite output proves a
+    # finite trace, and only an overflow pays for the per-layer scan
+    if not np.isfinite(h_prev).all():
         finite = np.isfinite(hidden[1:]).reshape(L, -1).all(axis=1)
-    if not finite.all():
         k = int(np.argmin(finite)) + 1
         raise NumericalOverflowError(f"non-finite hidden state at layer {k}", layer=k)
     return ForwardTrace(hidden, preact, activation, sigma_prime_out=sigma_prime)
@@ -233,8 +246,10 @@ def jacobian_stack(weights: Weights, sigma_prime: np.ndarray) -> np.ndarray:
     steps += eye
     jac = np.empty((L + 1, d, d))
     jac[L] = eye
-    for k in range(L, 0, -1):
-        np.matmul(jac[k], steps[k - 1], out=jac[k - 1])
+    m_next = jac[L]
+    for m_prev, step in zip(jac[-2::-1], steps[::-1]):
+        m_next.dot(step, m_prev)
+        m_next = m_prev
     return jac
 
 

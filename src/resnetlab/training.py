@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,10 +68,14 @@ def harmonic_number(T: int) -> float:
 
 @dataclass(frozen=True)
 class WeightNorms:
+    """The logged norms, plus the squared neighbour differences
+    |A_{k+1} - A_k|_F^2 (k = 1..L-1) that gbar and neighbour_max come from."""
+
     fbar: float
     gbar: float
     finf: float
     neighbour_max: float
+    diff_sq: np.ndarray = field(repr=False, compare=False)
 
 
 def weight_norms(w: Weights, out: np.ndarray | None = None) -> WeightNorms:
@@ -85,10 +89,8 @@ def weight_norms(w: Weights, out: np.ndarray | None = None) -> WeightNorms:
         diff_sq = _neighbour_diff_sq(w.layers, squares[1:])
         gbar = 0.5 * w.depth * float(np.sum(diff_sq))
         neighbour_max = float(np.sqrt(np.max(diff_sq)))
-    else:
-        gbar = 0.0
-        neighbour_max = 0.0
-    return WeightNorms(fbar, gbar, finf, neighbour_max)
+        return WeightNorms(fbar, gbar, finf, neighbour_max, diff_sq)
+    return WeightNorms(fbar, 0.0, finf, 0.0, np.empty(0))
 
 
 def _neighbour_diff_sq(layers: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -97,12 +99,12 @@ def _neighbour_diff_sq(layers: np.ndarray, out: np.ndarray | None) -> np.ndarray
     return np.sum(np.square(diffs, out=diffs), axis=(1, 2))
 
 
-def layer_gaps(w: Weights, out: np.ndarray | None = None) -> np.ndarray:
-    """g_k = 1/2 L^2 |A_{k+1} - A_k|_F^2 for k = 1..L-1; ``out``, if given,
-    is an (L, d, d) scratch array."""
+def layer_gaps(w: Weights, norms: WeightNorms | None = None) -> np.ndarray:
+    """g_k = 1/2 L^2 |A_{k+1} - A_k|_F^2 for k = 1..L-1, from the differences
+    in ``norms`` when the norms of ``w`` are given."""
     if w.depth < 2:
         return np.empty(0)
-    diff_sq = _neighbour_diff_sq(w.layers, None if out is None else out[1:])
+    diff_sq = _neighbour_diff_sq(w.layers, None) if norms is None else norms.diff_sq
     return 0.5 * w.depth ** 2 * diff_sq
 
 
@@ -204,8 +206,12 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
         rows.append((t, eta, value, norms.fbar, norms.gbar, norms.finf,
                      norms.neighbour_max, w.delta, eta_acc))
         if log_layers:
-            g_rows.append(layer_gaps(w, scratch))
+            g_rows.append(layer_gaps(w, norms))
 
+    # the row norms of each iterate serve as one step's "after" and the next
+    # step's "before"
+    if log_layers:
+        f_sqrt_before = sqrt_half_l * _row_norms(w.layers, scratch)
     for t in range(T):
         eta = sched.rate(t)
         try:
@@ -218,7 +224,6 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
         if t % log_stride == 0:
             log_state(t, eta, value)
         if log_layers:
-            f_sqrt_before = sqrt_half_l * _row_norms(w.layers, scratch)
             drive = (eta * math.sqrt(L) * w.delta / math.sqrt(2.0)
                      * np.sqrt(stats.h_sq_ginf_sq))
         try:
@@ -231,6 +236,7 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
             f_sqrt_after = sqrt_half_l * _row_norms(w.layers, scratch)
             slack = f_sqrt_before + drive[:, None] - f_sqrt_after
             f_slacks.append(float(np.min(slack)))
+            f_sqrt_before = f_sqrt_after
         eta_acc += eta
 
     if not failed:

@@ -18,6 +18,50 @@ def random_weights(rng, d, L, scale=None, delta=None):
     return Weights(layers, L ** -0.5 if delta is None else delta)
 
 
+def overflow_instance(seed):
+    """Random (L, N, d) with the hidden states of chosen samples overflowing
+    at chosen layers under the identity activation.
+
+    Up to three "big" layers before the last multiply every hidden entry by
+    about +-1e100; the others grow a state by at most a factor of about 300
+    over the whole depth. Sample n starts at norm 10^(250 - 100 (j - 1)), so
+    it overflows at the j-th big layer, and the samples not returned start
+    small enough to pass them all. At least one sample overflows at the first
+    big layer, where under tanh its preactivation overflows instead. The last
+    layer is -I, which makes every infinite entry nan (inf - inf). Returns
+    (xs, weights, {sample: layer}).
+    """
+    rng = np.random.default_rng(seed)
+    L, n, d = int(rng.integers(8, 65)), int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    delta = L ** -0.5
+    layers = rng.standard_normal((L, d, d)) * (0.5 / d)
+    big = np.sort(rng.choice(np.arange(1, L), size=int(rng.integers(1, 4)), replace=False))
+    for p in big:
+        layers[p - 1] = rng.choice([-1.0, 1.0]) * 1e100 / delta * np.eye(d)
+    layers[-1] = -np.eye(d)
+    picks = rng.integers(0, len(big) + 1, size=n)
+    picks[rng.integers(n)] = 1
+    exponents = np.where(picks > 0, 250.0 - 100.0 * (picks - 1), 150.0 - 100.0 * len(big))
+    xs = rng.standard_normal((n, d))
+    xs *= 10.0 ** exponents[:, None] / np.linalg.norm(xs, axis=1, keepdims=True)
+    designed = {i: int(big[j - 1]) for i, j in enumerate(picks) if j > 0}
+    return xs, Weights(layers, delta), designed
+
+
+def reference_first_bad_layer(xs, w, activation):
+    """The smallest layer whose hidden state has a non-finite entry in any
+    sample (None if none), from an allocating per-layer loop and a scan of
+    its whole trace; also returns that trace."""
+    h = np.array(xs, dtype=np.float64)
+    hidden = [h]
+    with np.errstate(all="ignore"):
+        for alpha in w.layers:
+            h = h + w.delta * activation.value(h @ alpha.T)
+            hidden.append(h)
+    bad = [k for k in range(1, len(hidden)) if not np.all(np.isfinite(hidden[k]))]
+    return (bad[0] if bad else None), hidden
+
+
 class TestActivations:
     def test_tanh_passes_all_clauses(self):
         rows = {r.name: r for r in check_activation(TANH)}
@@ -124,6 +168,37 @@ class TestForward:
             forward_batch(xs[:1], w, IDENTITY)
         assert err.value.layer == 3
 
+    # seed, activation: the tanh cases overflow preactivations to +-inf,
+    # which tanh maps to +-1, so no hidden state goes non-finite there
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("activation", [IDENTITY, TANH], ids=["identity", "tanh"])
+    def test_overflow_layer_matches_trace_scan(self, seed, activation):
+        xs, w, designed = overflow_instance(seed)
+        layer, hidden = reference_first_bad_layer(xs, w, activation)
+        if activation is IDENTITY:
+            assert layer == min(designed.values())
+            # inf - inf: the last layer turns every infinite entry into nan
+            assert np.isnan(hidden[-1]).any()
+        else:
+            assert layer is None
+        cases = [(xs, layer)] + [
+            (xs[n], reference_first_bad_layer(xs[n:n + 1], w, activation)[0])
+            for n in range(len(xs))]
+        for x, expected in cases:
+            run = forward_batch if x.ndim == 2 else forward
+            if expected is None:
+                trace = run(x, w, activation)
+                assert np.all(np.isfinite(trace.hidden))
+                if x.ndim == 2:
+                    assert np.isinf(trace.preact).any()
+                continue
+            with pytest.raises(NumericalOverflowError) as err:
+                run(x, w, activation)
+            assert err.value.layer == expected
+            assert str(err.value) == f"non-finite hidden state at layer {expected}"
+        if activation is IDENTITY:
+            assert all(cases[n + 1][1] == j for n, j in designed.items())
+
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(11)
         w = random_weights(rng, 5, 9)
@@ -176,6 +251,54 @@ class TestJacobians:
         trace = forward(rng.standard_normal(3), w, TANH, want_jacobians=True)
         rebuilt = jacobian_stack(w, trace.sigma_prime)
         assert np.array_equal(rebuilt, trace.jacobians)
+
+    # (L, d): depth one, width one, and a certify shape
+    @pytest.mark.parametrize("L, d", [(1, 20), (128, 1), (128, 20), (7, 3)])
+    def test_bitwise_equal_to_matmul_loop(self, L, d):
+        rng = np.random.default_rng(L + d)
+        w = random_weights(rng, d, L)
+        trace = forward(rng.standard_normal(d), w, TANH)
+        assert np.array_equal(jacobian_stack(w, trace.sigma_prime),
+                              reference_jacobian_stack(w, trace.sigma_prime))
+
+
+def reference_jacobian_stack(weights, sigma_prime):
+    """The index loop with np.matmul that jacobian_stack replaced."""
+    L, d = weights.depth, weights.width
+    eye = np.eye(d)
+    steps = sigma_prime[:, :, None] * weights.layers
+    steps *= weights.delta
+    steps += eye
+    jac = np.empty((L + 1, d, d))
+    jac[L] = eye
+    for k in range(L, 0, -1):
+        np.matmul(jac[k], steps[k - 1], out=jac[k - 1])
+    return jac
+
+
+class TestWeightsFiniteCheck:
+    @pytest.mark.parametrize("values", [[np.inf], [-np.inf], [np.nan], [np.inf, -np.inf]])
+    def test_non_finite_entry_rejected(self, values):
+        layers = np.zeros((3, 2, 2))
+        layers[2, 1, :len(values)] = values
+        with pytest.raises(InvalidInputError, match="weights have non-finite entries"):
+            Weights(layers, 1.0)
+
+    def test_finite_entries_with_overflowing_sum_accepted(self):
+        top = np.finfo(np.float64).max
+        for layers in (np.full((3, 2, 2), top), np.full((3, 2, 2), -top)):
+            assert Weights(layers, 1.0).layers is layers
+
+    def test_no_entrywise_mask_for_a_finite_stack(self):
+        # a bool mask over L=1024, d=20 would take 409,600 bytes
+        layers = np.random.default_rng(23).standard_normal((1024, 20, 20))
+        tracemalloc.start()
+        try:
+            Weights(layers, 1024 ** -0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < layers.size / 16, peak
 
 
 class TestHiddenStateSandwich:
