@@ -12,7 +12,7 @@ from .analysis import (PathFunction, ScalingFit, TotalScaling, entry_scatter,
                        steps_to_epsilon, total_scaling, two_variation)
 from .autograd import (Grad, HessianEstimate, finite_diff_grad, grad_objective,
                        grad_objective_with_stats, hessian_spectral_estimate,
-                       loss, objective)
+                       objective)
 from .bounds import (BoundReport, certify_forward, certify_gradient_lower,
                      certify_gradient_upper, certify_hessian,
                      certify_loss_bound, certify_run_envelope,
@@ -25,11 +25,9 @@ from .data import (AssumptionParams, Dataset, init_certified, init_gaussian,
                    save_dataset, separation_of, separation_threshold)
 from .errors import (InfeasibleDatasetError, InvalidInputError,
                      NumericalOverflowError)
-from .linalg import (SpectralEstimate, euclidean_norm, frobenius_norm,
-                     hadamard, matvec, outer, power_iteration, spectral_norm)
 from .network import (IDENTITY, TANH, Activation, ForwardTrace, NetworkConfig,
                       Weights, activation_by_name, forward, forward_batch,
-                      load_weights, save_weights, zero_weights)
+                      load_weights, save_weights)
 from .training import (RunLog, Schedule, layer_gaps, load_runlog, save_runlog,
                        train, weight_norms)
 

@@ -95,27 +95,16 @@ def rescaled_path(weights: Weights) -> PathFunction:
     return PathFunction(s, np.sqrt(L) * weights.layers)
 
 
-def two_variation(path: PathFunction, mode: str = "dyadic") -> float:
-    """Supremum over partitions of the summed squared Frobenius increments.
+def two_variation(path: PathFunction) -> float:
+    """Largest summed squared Frobenius increments over the dyadic partitions.
 
     Partitions are index chains of the sample grid that contain both
-    endpoints. "exhaustive" is the exact supremum by the dynamic programme
-    V[0] = 0, V[j] = max_{i<j} V[i] + |x_j - x_i|_F^2, returning V[P-1]:
-    O(P^2 d^2) time and O(P d^2) memory for P points of width d. "dyadic"
-    maximizes over the full grid and its dyadic coarsenings only, a lower
-    bound in O(P d^2) time and memory.
+    endpoints; this maximizes over the full grid and its dyadic coarsenings
+    (every 2^j-th point plus the last), a lower bound on the supremum over
+    all partitions, in O(P d^2) time and memory for P points of width d.
     """
-    if mode not in ("dyadic", "exhaustive"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
     flat = path.values.reshape(path.points, -1)
     last = path.points - 1
-
-    if mode == "exhaustive":
-        best = np.zeros(path.points)
-        for j in range(1, path.points):
-            step = flat[j] - flat[:j]
-            best[j] = np.max(best[:j] + np.sum(step * step, axis=-1))
-        return float(best[last])
 
     best, stride = 0.0, 1
     while True:

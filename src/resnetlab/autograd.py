@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidInputError, NumericalOverflowError
-from .linalg import as_vector
 from .network import TANH, Activation, ForwardTrace, Weights, forward_batch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,18 +36,10 @@ FD_HESSIAN_STEP = 1e-4
 FD_CHUNK_BYTES = 256 * 1024
 
 
-def loss(y, yhat) -> float:
-    """Half the squared Euclidean distance."""
-    yv = as_vector(y)
-    yh = as_vector(yhat, dim=yv.shape[0])
-    diff = yv - yh
-    return 0.5 * float(diff @ diff)
-
-
 def objective(data: "Dataset", weights: Weights,
               activation: Activation = TANH,
               blocks: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """Mean of the per-sample losses over the training set.
+    """Mean over the training set of the per-sample loss |yhat - y|^2 / 2.
 
     With ``blocks`` (see ``grad_objective_with_stats``) the forward trace is
     written into them instead of new arrays.
@@ -79,10 +70,6 @@ class Grad:
 
     layers: np.ndarray
     delta_grad: float = 0.0
-
-    def frobenius_sq(self) -> float:
-        """Squared Frobenius norm over the layer matrices (delta excluded)."""
-        return float(np.sum(self.layers * self.layers))
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,9 @@ def certify_forward(trace: ForwardTrace, x, weights: Weights, norms: WeightNorms
     """Hidden-state sandwich and Jacobian column bounds along one trace:
 
         |x| e^{-2c} <= |h_k| <= |x| e^{1.1c}   and   |M_k e_m| <= e^c.
+
+    ``trace`` is ``forward(x, weights, ...)``; the Jacobians M_k come from
+    ``jacobian_stack(weights, trace.sigma_prime)``.
     """
     reports = _hypothesis_forward(weights, norms, c_alpha, rel_tol)
     applicable = all(r.passed for r in reports)
@@ -207,9 +210,7 @@ def certify_forward(trace: ForwardTrace, x, weights: Weights, norms: WeightNorms
         "forward_hidden_upper", h_norms[k_hi], x_norm * math.exp(1.1 * c_alpha),
         rel_tol, applicable=applicable, context=dict(ctx, k=k_hi + 1)))
 
-    jac = trace.jacobians
-    if jac is None:
-        jac = jacobian_stack(weights, trace.sigma_prime)
+    jac = jacobian_stack(weights, trace.sigma_prime)
     col_norms = np.linalg.norm(jac, axis=1)  # (L+1, d): column norms per k
     k_worst, m_worst = np.unravel_index(np.argmax(col_norms), col_norms.shape)
     reports.append(make_report(

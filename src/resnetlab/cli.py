@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import glob
 import json
+import math
 import os
 import re
 import sys
@@ -50,10 +51,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite_float(value) -> bool:
+    """A float or int within the finite float64 range: JSON's NaN and
+    Infinity tokens, and literals that overflow a float, are rejected."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
+
+
 # keyed by the field annotations, which are strings under postponed evaluation
 _TYPE_CHECKS = {
     "int": _is_int,
-    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "float": _is_finite_float,
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "list[int]": lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
@@ -105,12 +114,20 @@ class ExperimentConfig:
             raise InvalidInputError("threads must be >= 1")
         if self.gradcheck_instances < 1:
             raise InvalidInputError("gradcheck_instances must be >= 1")
+        if self.log_stride < 1:
+            raise InvalidInputError("log_stride must be >= 1")
         if self.target_mode not in ("sphere", "near_init"):
             raise InvalidInputError(f"unknown target_mode {self.target_mode!r}")
         if self.init_mode not in ("gaussian", "certified"):
             raise InvalidInputError(f"unknown init_mode {self.init_mode!r}")
         if len(self.scatter_entry) != 2:
             raise InvalidInputError("scatter_entry must be [m, n]")
+        # the commands build these; building them here applies their domain
+        # rules before any command writes a file
+        activation_by_name(self.activation)
+        Schedule(self.schedule, self.eta0)
+        for depth in self.depths:
+            _params(self, depth)
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -138,13 +155,11 @@ def _params(cfg: ExperimentConfig, depth: int) -> AssumptionParams:
 
 def _base_dataset(cfg: ExperimentConfig) -> Dataset:
     return sample_sphere_dataset(cfg.N, cfg.d, cfg.seed, _params(cfg, cfg.depths[0]),
-                                 target_mode="sphere",
                                  enforce_separation=cfg.enforce_separation)
 
 
 def _init_weights(cfg: ExperimentConfig, depth: int) -> Weights:
-    net = NetworkConfig(cfg.d, depth, cfg.alpha0, cfg.delta_trainable,
-                        activation_by_name(cfg.activation))
+    net = NetworkConfig(cfg.d, depth, cfg.alpha0)
     seed = _depth_seed(cfg.seed, depth)
     if cfg.init_mode == "gaussian":
         return init_gaussian(net, cfg.beta0, seed)
@@ -232,7 +247,7 @@ def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
         w = Weights(layers, delta)
         x = rng.standard_normal(cfg.d)
         x /= np.linalg.norm(x)
-        trace = forward(x, w, act, want_jacobians=True)
+        trace = forward(x, w, act)
         grads, _, value, _ = grad_objective_with_stats(data, w, act, want_stats=False)
         norms = weight_norms(w)
         batch = [
@@ -343,8 +358,11 @@ def _epsilon_grid(mean_loss: np.ndarray) -> np.ndarray:
 
 
 def cmd_analyze(cfg: ExperimentConfig, run_dir: str, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     depths, logs, weights = _load_runs(run_dir)
+    # built first: it checks scatter_entry against the width
+    m, n = cfg.scatter_entry
+    scatter = analysis.entry_scatter([(l, weights[l]) for l in depths], m, n)
+    os.makedirs(out_dir, exist_ok=True)
 
     # Steps-to-epsilon on the mean loss curve across depths.
     t_grid = logs[depths[0]].t
@@ -406,12 +424,10 @@ def cmd_analyze(cfg: ExperimentConfig, run_dir: str, out_dir: str) -> int:
                 writer.writerow([l1, l2, repr(float(dist))])
 
     # Single-entry scatter across depths.
-    m, n = cfg.scatter_entry
-    rows = analysis.entry_scatter([(l, weights[l]) for l in depths], m, n)
     with open(os.path.join(out_dir, f"scatter_m{m}_n{n}.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["L", "s", "value"])
-        for depth, s, value in rows:
+        for depth, s, value in scatter:
             writer.writerow([depth, repr(float(s)), repr(value)])
 
     print(f"analyze: {len(depths)} depths, fits={sorted(fits)}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,9 @@ from .network import TANH, Activation, NetworkConfig, Weights, forward_batch
 
 DEFAULT_MAX_RETRIES = 1000
 UNIT_NORM_TOL = 1e-12
+# the largest c0 at which e^{8.4 c0}, the steepest exponential among the
+# bound formulas, is still a finite float
+C0_MAX = math.log(sys.float_info.max) / 8.4
 
 
 @dataclass(frozen=True)
@@ -32,8 +37,8 @@ class AssumptionParams:
     L: int
 
     def __post_init__(self):
-        if self.c0 <= 0:
-            raise InvalidInputError("c0 must be positive")
+        if not 0.0 < self.c0 <= C0_MAX:
+            raise InvalidInputError(f"c0 must lie in (0, {C0_MAX:.6g}], got {self.c0!r}")
         if min(self.N, self.d, self.L) < 1:
             raise InvalidInputError("N, d, L must be >= 1")
 
@@ -86,12 +91,10 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 def sample_sphere_dataset(N: int, d: int, seed: int, params: AssumptionParams,
                           max_retries: int = DEFAULT_MAX_RETRIES,
-                          target_mode: str = "sphere",
                           enforce_separation: bool = True) -> Dataset:
-    """Inputs i.i.d. uniform on the sphere, redrawn until separated.
+    """Inputs i.i.d. uniform on the sphere, redrawn until separated, and
+    independent uniform unit targets.
 
-    Targets are uniform unit vectors ("sphere") or a copy of the inputs
-    ("inputs", a convenient interpolation-free base for near-init targets).
     Identical seeds give bitwise-identical datasets. With
     ``enforce_separation=False`` the first draw is kept and its separation
     merely recorded; the desk-scale sweeps need this because the threshold
@@ -99,8 +102,6 @@ def sample_sphere_dataset(N: int, d: int, seed: int, params: AssumptionParams,
     """
     if N < 1 or d < 1:
         raise InvalidInputError("N and d must be >= 1")
-    if target_mode not in ("sphere", "inputs"):
-        raise InvalidInputError(f"unknown target mode {target_mode!r}")
     rng = np.random.default_rng(seed)
     threshold = separation_threshold(N, params.c0)
     best = np.inf
@@ -109,10 +110,7 @@ def sample_sphere_dataset(N: int, d: int, seed: int, params: AssumptionParams,
         sep = separation_of(xs)
         best = min(best, sep)
         if sep <= threshold or not enforce_separation:
-            if target_mode == "sphere":
-                ys = _unit_rows(rng.standard_normal((N, d)))
-            else:
-                ys = xs.copy()
+            ys = _unit_rows(rng.standard_normal((N, d)))
             return Dataset(xs, ys, sep, seed)
     raise InfeasibleDatasetError(
         f"no draw of {N} points in dimension {d} met separation "

@@ -4,8 +4,9 @@
 preactivation for a batch of inputs, and ``forward`` is its single-input
 view. The activation derivative is computed from the preactivations on first
 use, because the objective and the finite-difference oracle never need it.
-Layer-to-output Jacobians M_k are optional because gradients only ever need
-the matching vector recursion (see ``autograd``).
+The layer-to-output Jacobians M_k come only from ``jacobian_stack``, which
+the forward certificate calls; gradients only ever need the matching vector
+recursion (see ``autograd``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, NumericalOverflowError
-from .linalg import as_vector
 
 @dataclass(frozen=True)
 class Activation:
@@ -90,8 +90,6 @@ class NetworkConfig:
     width: int
     depth: int
     delta_exponent: float = 0.5
-    delta_trainable: bool = False
-    activation: Activation = TANH
 
     def __post_init__(self):
         if self.width < 1 or self.depth < 1:
@@ -138,13 +136,6 @@ class Weights:
         return self.layers.shape[1]
 
 
-def zero_weights(width: int, depth: int, delta: float | None = None,
-                 delta_exponent: float = 0.5) -> Weights:
-    if delta is None:
-        delta = float(depth) ** (-delta_exponent)
-    return Weights(np.zeros((depth, width, width)), delta)
-
-
 @dataclass(frozen=True)
 class ForwardTrace:
     """Everything the forward pass computes, layer axis first.
@@ -154,14 +145,13 @@ class ForwardTrace:
     preact on first access (into ``sigma_prime_out`` when one is given) and
     then kept. A batch trace has a sample axis after the layer axis, so
     hidden has shape (L+1, N, d); the single-input trace of ``forward`` has
-    none, and there, when requested, jacobians[k] is M_k = dh_L/dh_k (so
-    jacobians[L] is the identity).
+    none. ``jacobian_stack(weights, trace.sigma_prime)`` gives the
+    layer-to-output Jacobians of a single-input trace.
     """
 
     hidden: np.ndarray
     preact: np.ndarray
     activation: Activation
-    jacobians: np.ndarray | None = None
     sigma_prime_out: np.ndarray | None = None
 
     @property
@@ -223,16 +213,22 @@ def forward_batch(xs: np.ndarray, weights: Weights,
     return ForwardTrace(hidden, preact, activation, sigma_prime_out=sigma_prime)
 
 
-def forward(x, weights: Weights, activation: Activation = TANH,
-            want_jacobians: bool = False) -> ForwardTrace:
-    """The single-input view of ``forward_batch``, optionally with the
-    layer-to-output Jacobians."""
-    batch = forward_batch(as_vector(x, dim=weights.width)[None, :], weights, activation)
-    trace = ForwardTrace(batch.hidden[:, 0], batch.preact[:, 0], activation)
-    if not want_jacobians:
-        return trace
-    return ForwardTrace(trace.hidden, trace.preact, activation,
-                        jacobian_stack(weights, trace.sigma_prime))
+def _as_vector(v, dim: int) -> np.ndarray:
+    """Coerce to a finite 1-D float64 array of length ``dim``."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim != 1:
+        raise InvalidInputError(f"expected a 1-D vector, got shape {arr.shape}")
+    if arr.shape[0] != dim:
+        raise InvalidInputError(f"expected length {dim}, got {arr.shape[0]}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("vector has non-finite entries")
+    return arr
+
+
+def forward(x, weights: Weights, activation: Activation = TANH) -> ForwardTrace:
+    """The single-input view of ``forward_batch``: a trace with no sample axis."""
+    batch = forward_batch(_as_vector(x, weights.width)[None, :], weights, activation)
+    return ForwardTrace(batch.hidden[:, 0], batch.preact[:, 0], activation)
 
 
 def jacobian_stack(weights: Weights, sigma_prime: np.ndarray) -> np.ndarray:

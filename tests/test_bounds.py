@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import zero_weights
 from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               certify_gradient_upper, certify_hessian,
@@ -19,7 +20,7 @@ from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             sample_sphere_dataset)
 from resnetlab.errors import InvalidInputError
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
-                               forward, forward_batch, zero_weights)
+                               forward, forward_batch, jacobian_stack)
 from resnetlab.training import Schedule, train, weight_norms
 
 
@@ -84,7 +85,7 @@ class TestCertifyForward:
     def test_zero_weights_all_pass(self):
         w = zero_weights(4, 8)
         x = np.array([0.5, 0.5, 0.5, 0.5])
-        trace = forward(x, w, TANH, want_jacobians=True)
+        trace = forward(x, w, TANH)
         reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
         assert all(r.passed for r in reports)
         assert by_name(reports, "forward_hidden_lower").slack > 0
@@ -92,7 +93,7 @@ class TestCertifyForward:
     def test_bound_constants(self):
         w = zero_weights(3, 8)
         x = np.array([1.0, 0.0, 0.0])
-        trace = forward(x, w, TANH, want_jacobians=True)
+        trace = forward(x, w, TANH)
         reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
         assert by_name(reports, "forward_hidden_lower").bound == pytest.approx(
             0.135335, abs=1e-6)
@@ -113,19 +114,24 @@ class TestCertifyForward:
         assert not meaningful_failures(reports)  # inapplicable is not failed
 
     def test_jacobians_recomputed_when_missing(self):
+        # a trace carries no Jacobians: the certifier builds them with jacobian_stack
         rng = np.random.default_rng(1)
         w = certified_draw(rng, 3, 6)
         x = unit_rows(rng, 1, 3)[0]
-        trace = forward(x, w, TANH, want_jacobians=False)
+        trace = forward(x, w, TANH)
         reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
-        assert by_name(reports, "forward_jacobian_columns").passed
+        report = by_name(reports, "forward_jacobian_columns")
+        assert report.passed
+        col_norms = np.linalg.norm(jacobian_stack(w, trace.sigma_prime), axis=1)
+        assert report.observed == col_norms[report.context["k"], report.context["m"]]
+        assert report.observed == np.max(col_norms)
 
     def test_random_sweep_no_failures(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             w = certified_draw(rng, 8, 16)
             x = unit_rows(rng, 1, 8)[0]
-            trace = forward(x, w, TANH, want_jacobians=True)
+            trace = forward(x, w, TANH)
             reports = certify_forward(trace, x, w, weight_norms(w), 1.0)
             assert not meaningful_failures(reports)
 
@@ -321,7 +327,7 @@ class TestCertifierPurity:
         baseline = w.layers.copy()
         x = unit_rows(rng, 1, 4)[0]
         data = Dataset(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4), 0.0, 0)
-        trace = forward(x, w, TANH, want_jacobians=True)
+        trace = forward(x, w, TANH)
 
         def snapshot():
             return [(r.name, r.observed, r.bound, r.slack, r.passed)
@@ -359,11 +365,12 @@ class TestNeighbourResidual:
             y = unit_rows(rng, 1, d)[0]
             data = Dataset(x[None, :], y[None, :], 0.0, 0)
             grad = grad_objective(data, w)
-            trace = forward(x, w, TANH, want_jacobians=True)
+            trace = forward(x, w, TANH)
+            jac = jacobian_stack(w, trace.sigma_prime)
             residual = trace.output - y
             for k in range(1, L):
                 xi = neighbour_gradient_residual(trace, w, k)
-                g_next = trace.jacobians[k + 1].T @ residual
+                g_next = jac[k + 1].T @ residual
                 sdot_gap = trace.sigma_prime[k - 1] - trace.sigma_prime[k]
                 first = w.delta * np.outer(sdot_gap, trace.hidden[k - 1]) * g_next[:, None]
                 second = w.delta ** 2 * np.einsum("mni,i->mn", xi, g_next)

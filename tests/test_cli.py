@@ -118,6 +118,74 @@ class TestConfig:
         assert not (tmp_path / "cert").exists()
 
 
+# the config of the reproducers below; each bad value exits 2 before any file is written
+SMALL = {"d": 4, "N": 2, "depths": [4, 8], "T": 3, "certify_draws": 1}
+
+
+def write_raw_config(tmp_path, key, token):
+    """SMALL with ``key`` set to the bare JSON token ``token`` (NaN, Infinity, ...)."""
+    text = json.dumps(dict(SMALL, **{key: "@"})).replace('"@"', token)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return str(path)
+
+
+def run_into_empty_dir(tmp_path, argv):
+    """Exit code of ``main(argv + --out)`` and the files it left in --out."""
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(argv + ["--out", str(out)])
+    return code, sorted(os.listdir(out))
+
+
+class TestConfigDomain:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400",
+                                       pytest.param("1" + "0" * 400, id="10**400")])
+    @pytest.mark.parametrize("key", ["alpha0", "beta0", "eta0", "c0", "epsilon_init",
+                                     "init_scale"])
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, key, token):
+        cfg = write_raw_config(tmp_path, key, token)
+        assert run_into_empty_dir(tmp_path, ["train", "--config", cfg]) == (EXIT_INPUT_ERROR, [])
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and "Traceback" not in err
+
+    # e^{8.4 c0} overflows a float above log(max float) / 8.4 = 84.4979...
+    @pytest.mark.parametrize("c0, code, files", [
+        (84.0, EXIT_OK, ["bounds.jsonl"]), (84.5, EXIT_INPUT_ERROR, []),
+        (90.0, EXIT_INPUT_ERROR, []),
+    ])
+    def test_c0_upper_limit(self, tmp_path, capsys, c0, code, files):
+        cfg = write_config(tmp_path, **dict(SMALL, c0=c0))
+        assert run_into_empty_dir(tmp_path, ["certify", "--config", cfg]) == (code, files)
+        err = capsys.readouterr().err
+        assert ("c0 must lie in" in err) == (code == EXIT_INPUT_ERROR)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("override, message", [
+        pytest.param({"log_stride": 0}, "log_stride must be >= 1", id="log_stride"),
+        pytest.param({"activation": "relu"}, "unknown activation 'relu'", id="activation"),
+        pytest.param({"schedule": "cosine"}, "unknown schedule kind 'cosine'", id="schedule"),
+        pytest.param({"eta0": -0.1}, "eta0 must be finite and >= 0", id="eta0"),
+        pytest.param({"c0": 0.0}, "c0 must lie in", id="c0"),
+        pytest.param({"N": 0}, "N, d, L must be >= 1", id="N"),
+        pytest.param({"depths": [0, 4]}, "N, d, L must be >= 1", id="depths"),
+    ])
+    def test_train_config_error_writes_nothing(self, tmp_path, capsys, override, message):
+        cfg = write_config(tmp_path, **dict(SMALL, **override))
+        assert run_into_empty_dir(tmp_path, ["train", "--config", cfg]) == (EXIT_INPUT_ERROR, [])
+        assert message in capsys.readouterr().err
+
+    def test_analyze_scatter_entry_out_of_range_writes_nothing(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, **SMALL),
+                     "--out", str(run_dir)]) == EXIT_OK
+        cfg = write_config(tmp_path, name="analyze.json", **dict(SMALL, scatter_entry=[0, 9]))
+        code, files = run_into_empty_dir(
+            tmp_path, ["analyze", "--config", cfg, "--run-dir", str(run_dir)])
+        assert (code, files) == (EXIT_INPUT_ERROR, [])
+        assert "entry (0, 9) out of range for width 4" in capsys.readouterr().err
+
+
 class TestDatasetCommand:
     def test_writes_and_round_trips(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import zero_weights
 from resnetlab.autograd import objective
 from resnetlab.bounds import check_assumptions
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
@@ -12,7 +13,7 @@ from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             sample_sphere_dataset, save_dataset,
                             separation_of, separation_threshold)
 from resnetlab.errors import InfeasibleDatasetError, InvalidInputError
-from resnetlab.network import NetworkConfig, Weights, forward_batch, zero_weights
+from resnetlab.network import NetworkConfig, Weights, forward_batch
 
 
 def params_for(c0=0.1, N=2, d=2, L=4):

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import zero_weights
 from resnetlab.bounds import check_activation
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
 from resnetlab.network import (IDENTITY, TANH, Activation, NetworkConfig,
                                Weights, forward, forward_batch, jacobian_stack,
-                               load_weights, save_weights, zero_weights)
+                               load_weights, save_weights)
 
 
 def random_weights(rng, d, L, scale=None, delta=None):
@@ -120,10 +121,10 @@ class TestForward:
     def test_zero_weights_identity_map(self):
         w = zero_weights(3, 5)
         x = np.array([0.2, -0.7, 1.0])
-        trace = forward(x, w, TANH, want_jacobians=True)
+        trace = forward(x, w, TANH)
         assert np.array_equal(trace.hidden, np.tile(x, (6, 1)))
         assert np.array_equal(trace.output, x)
-        assert np.allclose(trace.jacobians, np.eye(3))
+        assert np.allclose(jacobian_stack(w, trace.sigma_prime), np.eye(3))
 
     def test_linear_one_layer_doubles(self):
         w = Weights(np.eye(2)[None, :, :], 1.0)
@@ -213,6 +214,16 @@ class TestForward:
         with pytest.raises(InvalidInputError):
             forward_batch(np.zeros((2, 4)), w)
 
+    @pytest.mark.parametrize("x, message", [
+        (np.zeros((1, 3)), "expected a 1-D vector"),
+        ([1.0, 2.0], "expected length 3"),
+        ([0.0, np.nan, 1.0], "non-finite"),
+        ([0.0, 1.0, -np.inf], "non-finite"),
+    ])
+    def test_single_input_validation(self, x, message):
+        with pytest.raises(InvalidInputError, match=message):
+            forward(x, zero_weights(3, 2))
+
 
 class TestJacobians:
     def test_finite_difference_columns(self):
@@ -221,7 +232,8 @@ class TestJacobians:
         d, L = 4, 6
         w = random_weights(rng, d, L)
         x = rng.standard_normal(d)
-        trace = forward(x, w, TANH, want_jacobians=True)
+        trace = forward(x, w, TANH)
+        jac = jacobian_stack(w, trace.sigma_prime)
 
         def propagate(from_k, h):
             h = h.copy()
@@ -237,20 +249,24 @@ class TestJacobians:
                 bump[n] = step
                 fd[:, n] = (propagate(k, trace.hidden[k] + bump)
                             - propagate(k, trace.hidden[k] - bump)) / (2 * step)
-            assert np.allclose(trace.jacobians[k], fd, rtol=1e-6, atol=1e-8)
+            assert np.allclose(jac[k], fd, rtol=1e-6, atol=1e-8)
 
     def test_identity_at_last_layer(self):
         rng = np.random.default_rng(9)
         w = random_weights(rng, 3, 4)
-        trace = forward(rng.standard_normal(3), w, TANH, want_jacobians=True)
-        assert np.array_equal(trace.jacobians[4], np.eye(3))
+        trace = forward(rng.standard_normal(3), w, TANH)
+        assert np.array_equal(jacobian_stack(w, trace.sigma_prime)[4], np.eye(3))
 
     def test_stack_matches_trace(self):
+        # under the identity activation the network is linear, so M_k maps
+        # each hidden state of the trace to its output
         rng = np.random.default_rng(13)
         w = random_weights(rng, 3, 5)
-        trace = forward(rng.standard_normal(3), w, TANH, want_jacobians=True)
-        rebuilt = jacobian_stack(w, trace.sigma_prime)
-        assert np.array_equal(rebuilt, trace.jacobians)
+        trace = forward(rng.standard_normal(3), w, IDENTITY)
+        jac = jacobian_stack(w, trace.sigma_prime)
+        for k in range(6):
+            np.testing.assert_allclose(jac[k] @ trace.hidden[k], trace.output,
+                                       rtol=1e-13, atol=1e-15)
 
     # (L, d): depth one, width one, and a certify shape
     @pytest.mark.parametrize("L, d", [(1, 20), (128, 1), (128, 20), (7, 3)])
@@ -310,11 +326,11 @@ class TestHiddenStateSandwich:
             w = random_weights(rng, d, L, scale=rng.uniform(0.1, 1.0) * c_alpha * L ** -0.5)
             x = rng.standard_normal(d)
             x /= np.linalg.norm(x)
-            trace = forward(x, w, TANH, want_jacobians=True)
+            trace = forward(x, w, TANH)
             h_norms = np.linalg.norm(trace.hidden[1:], axis=1)
             assert np.all(h_norms >= lower - 1e-12)
             assert np.all(h_norms <= upper + 1e-12)
-            col_norms = np.linalg.norm(trace.jacobians, axis=1)
+            col_norms = np.linalg.norm(jacobian_stack(w, trace.sigma_prime), axis=1)
             assert np.all(col_norms <= math.exp(c_alpha) + 1e-12)
 
 
