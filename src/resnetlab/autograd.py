@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 FD_GRAD_STEP = 1e-6
 FD_HESSIAN_STEP = 1e-4
+HESSIAN_TOL = 1e-6  # relative change of the Rayleigh quotient that stops the iteration
 # Forward-trace budget of one chunk of ``finite_diff_grad``'s perturbed
 # passes. Larger chunks save interpreter overhead but not arithmetic: at the
 # d=8, L=32, N=4 shape one unchunked pass per layer raised the peak RSS of
@@ -106,17 +107,19 @@ def _step_views(blocks: tuple[np.ndarray, np.ndarray], weights: Weights,
 
 
 def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None,
+              sigma_prime: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hidden-state gradients G_k = M_k^T (yhat - y) for k = 0..L, stored with
     the trace's layout: shape (L+1, N, d) for a batch, (L+1, d) for one input,
     in ``out`` when given.
 
-    Consumes the trace's sigma': on return trace.sigma_prime[k-1] holds
-    sigma'(a_k) * G_k, the factor that the layer-k gradient contracts with
-    h_{k-1}.
+    sigma'(a_k) is computed into ``sigma_prime`` (preact's shape; allocated
+    when not given), whose layer k-1 then becomes sigma'(a_k) * G_k, the
+    factor that the layer-k gradient contracts with h_{k-1}. Returns (G, it).
     """
     L = weights.depth
     g = np.empty_like(trace.hidden) if out is None else out
+    sg = np.empty_like(trace.preact) if sigma_prime is None else sigma_prime
     np.subtract(trace.hidden[L], ys, out=g[L])
     delta = weights.delta
     step = np.empty_like(g[L])
@@ -124,16 +127,17 @@ def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
     multiply, add = np.multiply, np.add
     # Non-finite values are caught downstream; silence the transient warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        trace.activation.deriv1(trace.preact, sg)
         # layer k = L..1: s holds sigma'(a_k), then sigma'(a_k) * G_k. As in
         # forward_batch, ndarray.dot and positional outputs keep the per-call
         # overhead down.
-        for s, g_prev, alpha in zip(trace.sigma_prime[::-1], g[-2::-1], weights.layers[::-1]):
+        for s, g_prev, alpha in zip(sg[::-1], g[-2::-1], weights.layers[::-1]):
             multiply(s, g_next, s)
             s.dot(alpha, step)
             multiply(step, delta, step)
             add(g_next, step, g_prev)
             g_next = g_prev
-    return g
+    return g, sg
 
 
 def grad_objective(data: "Dataset", weights: Weights,
@@ -164,12 +168,12 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
     """
     if blocks is None:
         trace = forward_batch(data.xs, weights, activation)
-        g_out = grads_out = None
+        sg_out = g_out = grads_out = None
     else:
-        hidden, preact, sigma_prime, g_out, grads_out = _step_views(blocks, weights, data)
-        trace = forward_batch(data.xs, weights, activation, hidden, preact, sigma_prime)
+        hidden, preact, sg_out, g_out, grads_out = _step_views(blocks, weights, data)
+        trace = forward_batch(data.xs, weights, activation, hidden, preact)
     value = _mean_squared(trace.output, data.ys)
-    g = _backward(trace, weights, data.ys, g_out)
+    g, sg = _backward(trace, weights, data.ys, g_out, sg_out)
     n = data.ys.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         dgrad = 0.0
@@ -185,9 +189,8 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
             g_inf = np.max(np.abs(g[1:], out=trace.preact), axis=2)
             stats = LayerStats(np.mean(h_sq * g_inf ** 2, axis=1))
         # grad_k = delta/n * sum_i (sigma'(a_k) * G_k)_i h_{k-1,i}^T, all k at
-        # once, from the product _backward left in sigma_prime. G and preact
-        # go before the (L, d, d) stack is allocated or written over them.
-        sg = trace.sigma_prime
+        # once, from the product _backward returned. G and preact go before
+        # the (L, d, d) stack is allocated or written over them.
         h_prev = trace.hidden[:-1]
         del trace, g
         grads = np.matmul(sg.transpose(0, 2, 1), h_prev, out=grads_out)
@@ -277,9 +280,7 @@ class HessianEstimate:
 
 def hessian_spectral_estimate(data: "Dataset", weights: Weights,
                               activation: Activation = TANH,
-                              probes: int = 50,
-                              fd_step: float = FD_HESSIAN_STEP,
-                              tol: float = 1e-6) -> HessianEstimate:
+                              probes: int = 50) -> HessianEstimate:
     """Power iteration on the layer-weight Hessian via finite differences.
 
     Hessian-vector products are central differences of the analytic gradient
@@ -291,7 +292,7 @@ def hessian_spectral_estimate(data: "Dataset", weights: Weights,
     if probes < 1:
         raise InvalidInputError("probes must be >= 1")
     base = weights.layers
-    scale = fd_step * (1.0 + float(np.linalg.norm(base)))
+    scale = FD_HESSIAN_STEP * (1.0 + float(np.linalg.norm(base)))
 
     def hvp(direction: np.ndarray) -> np.ndarray:
         up = Weights(base + scale * direction, weights.delta)
@@ -304,21 +305,16 @@ def hessian_spectral_estimate(data: "Dataset", weights: Weights,
     v /= np.linalg.norm(v)
     w = hvp(v)
     lam = float(np.sum(v * w))
-    iterations = 0
-    converged = False
-    for it in range(1, probes + 1):
-        iterations = it
+    for iterations in range(1, probes + 1):
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
-            lam = 0.0
-            converged = True
+            lam, converged = 0.0, True
             break
         v = w / norm_w
         w = hvp(v)
         lam_new = float(np.sum(v * w))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
-            lam = lam_new
-            converged = True
-            break
+        converged = abs(lam_new - lam) <= HESSIAN_TOL * max(abs(lam_new), np.finfo(float).tiny)
         lam = lam_new
+        if converged:
+            break
     return HessianEstimate(abs(lam), iterations, converged)

@@ -34,6 +34,7 @@ from .training import (ETA_CAP_COEFF, RunLog, Schedule, WeightNorms,
 
 REL_TOL_EXACT = 1e-9
 REL_TOL_HESSIAN = 1e-3
+HESSIAN_PROBES = 40  # power-iteration budget of the Hessian certificate
 
 ACTIVATION_GRID_POINTS = 20_001
 ACTIVATION_GRID_RANGE = (-10.0, 10.0)
@@ -186,15 +187,15 @@ def _hypothesis_forward(weights: Weights, norms: WeightNorms, c_alpha: float,
 
 
 def certify_forward(trace: ForwardTrace, x, weights: Weights, norms: WeightNorms,
-                    c_alpha: float, rel_tol: float = REL_TOL_EXACT) -> list[BoundReport]:
+                    c_alpha: float) -> list[BoundReport]:
     """Hidden-state sandwich and Jacobian column bounds along one trace:
 
         |x| e^{-2c} <= |h_k| <= |x| e^{1.1c}   and   |M_k e_m| <= e^c.
 
     ``trace`` is ``forward(x, weights, ...)``; the Jacobians M_k come from
-    ``jacobian_stack(weights, trace.sigma_prime)``.
+    ``jacobian_stack`` with sigma' computed from the trace's preactivations.
     """
-    reports = _hypothesis_forward(weights, norms, c_alpha, rel_tol)
+    reports = _hypothesis_forward(weights, norms, c_alpha, REL_TOL_EXACT)
     applicable = all(r.passed for r in reports)
     L = weights.depth
     x_norm = float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
@@ -204,18 +205,18 @@ def certify_forward(trace: ForwardTrace, x, weights: Weights, norms: WeightNorms
     ctx = {"c_alpha": c_alpha, "L": L}
     reports.append(make_report(
         "forward_hidden_lower", h_norms[k_lo], x_norm * math.exp(-2.0 * c_alpha),
-        rel_tol, direction="lower", applicable=applicable,
+        REL_TOL_EXACT, direction="lower", applicable=applicable,
         context=dict(ctx, k=k_lo + 1)))
     reports.append(make_report(
         "forward_hidden_upper", h_norms[k_hi], x_norm * math.exp(1.1 * c_alpha),
-        rel_tol, applicable=applicable, context=dict(ctx, k=k_hi + 1)))
+        REL_TOL_EXACT, applicable=applicable, context=dict(ctx, k=k_hi + 1)))
 
-    jac = jacobian_stack(weights, trace.sigma_prime)
+    jac = jacobian_stack(weights, trace.activation.deriv1(trace.preact))
     col_norms = np.linalg.norm(jac, axis=1)  # (L+1, d): column norms per k
     k_worst, m_worst = np.unravel_index(np.argmax(col_norms), col_norms.shape)
     reports.append(make_report(
         "forward_jacobian_columns", col_norms[k_worst, m_worst],
-        math.exp(c_alpha), rel_tol, applicable=applicable,
+        math.exp(c_alpha), REL_TOL_EXACT, applicable=applicable,
         context=dict(ctx, k=int(k_worst), m=int(m_worst))))
     return reports
 
@@ -226,13 +227,12 @@ def loss_upper_bound(c_alpha: float) -> float:
 
 
 def certify_loss_bound(weights: Weights, value: float, norms: WeightNorms,
-                       c_alpha: float,
-                       rel_tol: float = REL_TOL_EXACT) -> list[BoundReport]:
+                       c_alpha: float) -> list[BoundReport]:
     """Objective ``value`` at ``weights`` against 1 + e^{2.2c}."""
-    reports = _hypothesis_forward(weights, norms, c_alpha, rel_tol)
+    reports = _hypothesis_forward(weights, norms, c_alpha, REL_TOL_EXACT)
     applicable = all(r.passed for r in reports)
     reports.append(make_report("loss_upper", value, loss_upper_bound(c_alpha),
-                               rel_tol, applicable=applicable,
+                               REL_TOL_EXACT, applicable=applicable,
                                context={"c_alpha": c_alpha}))
     return reports
 
@@ -242,16 +242,15 @@ def gradient_upper_coefficient(d: int, L: int, c_alpha: float) -> float:
 
 
 def certify_gradient_upper(weights: Weights, value: float, grads: np.ndarray,
-                           norms: WeightNorms, c_alpha: float,
-                           rel_tol: float = REL_TOL_EXACT) -> list[BoundReport]:
+                           norms: WeightNorms, c_alpha: float) -> list[BoundReport]:
     """Per-layer gradient bound |grad_k J|_F^2 <= 2 d e^{4.2c} L^-1 J."""
-    reports = _hypothesis_forward(weights, norms, c_alpha, rel_tol)
+    reports = _hypothesis_forward(weights, norms, c_alpha, REL_TOL_EXACT)
     applicable = all(r.passed for r in reports)
     per_layer_sq = np.sum(grads ** 2, axis=(1, 2))
     k_worst = int(np.argmax(per_layer_sq))
     bound = gradient_upper_coefficient(weights.width, weights.depth, c_alpha) * value
     reports.append(make_report(
-        "gradient_upper", per_layer_sq[k_worst], bound, rel_tol,
+        "gradient_upper", per_layer_sq[k_worst], bound, REL_TOL_EXACT,
         applicable=applicable,
         context={"c_alpha": c_alpha, "k": k_worst + 1, "objective": value}))
     return reports
@@ -277,8 +276,7 @@ def neighbour_gap_cap(params: AssumptionParams) -> float:
 
 def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
                            grads: np.ndarray, norms: WeightNorms,
-                           params: AssumptionParams,
-                           rel_tol: float = REL_TOL_EXACT) -> list[BoundReport]:
+                           params: AssumptionParams) -> list[BoundReport]:
     """Suboptimality lower bounds on the gradient norm.
 
     First layer: |grad_1 J|_F^2 >= (4N)^-1 e^{-2c0} L^-1 J under the weight
@@ -288,14 +286,14 @@ def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
     """
     c0, L = params.c0, weights.depth
     reports = [
-        make_report("hyp_depth_vs_c", L, max(5.0 * c0, 4.0 * c0 ** 2), rel_tol,
+        make_report("hyp_depth_vs_c", L, max(5.0 * c0, 4.0 * c0 ** 2), REL_TOL_EXACT,
                     direction="lower", hypothesis=True, context={"c0": c0}),
-        make_report("hyp_weight_scale", norms.finf, c0 * L ** (-0.5), rel_tol,
+        make_report("hyp_weight_scale", norms.finf, c0 * L ** (-0.5), REL_TOL_EXACT,
                     hypothesis=True),
         make_report("hyp_unit_data", _unit_deviation(data), UNIT_NORM_TOL,
                     REL_TOL_EXACT, hypothesis=True),
         make_report("hyp_separation", data.separation,
-                    separation_threshold(params.N, c0), rel_tol, hypothesis=True),
+                    separation_threshold(params.N, c0), REL_TOL_EXACT, hypothesis=True),
     ]
     base_ok = all(r.passed for r in reports)
 
@@ -303,17 +301,17 @@ def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
 
     reports.append(make_report(
         "gradient_lower_first_layer", per_layer_sq[0],
-        first_layer_lower_coefficient(params) * value, rel_tol,
+        first_layer_lower_coefficient(params) * value, REL_TOL_EXACT,
         direction="lower", applicable=base_ok,
         context={"c0": c0, "objective": value}))
 
     gap_report = make_report("hyp_neighbour_gap", norms.neighbour_max,
-                             neighbour_gap_cap(params), rel_tol, hypothesis=True)
+                             neighbour_gap_cap(params), REL_TOL_EXACT, hypothesis=True)
     reports.append(gap_report)
     coeff = full_lower_coefficient(params)
     reports.append(make_report(
         "gradient_lower_full", float(np.sum(per_layer_sq)), coeff * value,
-        rel_tol, direction="lower", vacuous=coeff <= 0.0,
+        REL_TOL_EXACT, direction="lower", vacuous=coeff <= 0.0,
         applicable=base_ok and gap_report.passed,
         context={"c0": c0, "objective": value, "coefficient": coeff,
                  "vacuous_below_depth": vacuous_depth_threshold(params)}))
@@ -325,16 +323,15 @@ def hessian_upper_bound(d: int, c_alpha: float) -> float:
 
 
 def certify_hessian(data: Dataset, weights: Weights, c_alpha: float,
-                    activation: Activation = TANH,
-                    probes: int = 40,
-                    rel_tol: float = REL_TOL_HESSIAN) -> list[BoundReport]:
-    """Spectral norm of the layer-weight Hessian against 5 d e^{4.3c}."""
-    reports = _hypothesis_forward(weights, weight_norms(weights), c_alpha, rel_tol)
+                    activation: Activation = TANH) -> list[BoundReport]:
+    """Spectral norm of the layer-weight Hessian against 5 d e^{4.3c}, from
+    ``HESSIAN_PROBES`` power iterations."""
+    reports = _hypothesis_forward(weights, weight_norms(weights), c_alpha, REL_TOL_HESSIAN)
     applicable = all(r.passed for r in reports)
-    est = hessian_spectral_estimate(data, weights, activation, probes=probes)
+    est = hessian_spectral_estimate(data, weights, activation, probes=HESSIAN_PROBES)
     reports.append(make_report(
         "hessian_spectral", est.value, hessian_upper_bound(weights.width, c_alpha),
-        rel_tol, applicable=applicable,
+        REL_TOL_HESSIAN, applicable=applicable,
         context={"c_alpha": c_alpha, "converged": est.converged,
                  "iterations": est.iterations}))
     return reports
@@ -364,8 +361,7 @@ def depth_large_enough(params: AssumptionParams) -> list[BoundReport]:
 
 
 def certify_run_envelope(log: RunLog, params: AssumptionParams,
-                         sched: Schedule | None = None,
-                         rel_tol: float = REL_TOL_EXACT) -> list[BoundReport]:
+                         sched: Schedule | None = None) -> list[BoundReport]:
     """Loss envelope and induction invariants along a recorded run.
 
     At each logged step t with cumulative rate S_t:
@@ -385,7 +381,7 @@ def certify_run_envelope(log: RunLog, params: AssumptionParams,
 
     reports = depth_large_enough(params)
     reports.append(make_report(
-        "hyp_run_completed", 0.0 if log.failed else 1.0, 1.0, rel_tol,
+        "hyp_run_completed", 0.0 if log.failed else 1.0, 1.0, REL_TOL_EXACT,
         direction="lower", hypothesis=True,
         context={"fail_reason": log.fail_reason or ""}))
     applicable = all(r.passed for r in reports)
@@ -394,16 +390,13 @@ def certify_run_envelope(log: RunLog, params: AssumptionParams,
     envelope = (np.exp(-envelope_rate(params) * eta_sum) * j0
                 + envelope_drift(params) * eta_sum / params.L * j0)
 
-    def worst(name, observed_series, bound_series, direction="upper", context=None):
+    def worst(name, observed_series, bound_series, context):
         observed_series = np.asarray(observed_series, dtype=np.float64)
         bound_series = np.broadcast_to(np.asarray(bound_series, dtype=np.float64),
                                        observed_series.shape)
-        margins = (bound_series - observed_series if direction == "upper"
-                   else observed_series - bound_series)
-        i = int(np.argmin(margins))
-        return make_report(name, observed_series[i], bound_series[i], rel_tol,
-                           direction=direction, applicable=applicable,
-                           context=dict(context or {}, t=int(log.t[i])))
+        i = int(np.argmin(bound_series - observed_series))
+        return make_report(name, observed_series[i], bound_series[i], REL_TOL_EXACT,
+                           applicable=applicable, context=dict(context, t=int(log.t[i])))
 
     ctx = {"J0": j0, "L": params.L}
     reports.append(worst("envelope_loss", log.loss, envelope, context=ctx))
@@ -415,8 +408,8 @@ def certify_run_envelope(log: RunLog, params: AssumptionParams,
     return reports
 
 
-def neighbour_gradient_residual(trace: ForwardTrace, weights: Weights, k: int,
-                                activation: Activation = TANH) -> np.ndarray:
+def neighbour_gradient_residual(trace: ForwardTrace, weights: Weights,
+                                k: int) -> np.ndarray:
     """Second-order residual xi in the neighbouring-gradient decomposition.
 
     For layers k and k+1 (1-based k <= L-1), the per-sample gradient gap is
@@ -432,9 +425,8 @@ def neighbour_gradient_residual(trace: ForwardTrace, weights: Weights, k: int,
         raise InvalidInputError("k must lie in 1..L-1")
     d = weights.width
     h_prev = trace.hidden[k - 1]
-    sdot_k = trace.sigma_prime[k - 1]
-    sdot_k1 = trace.sigma_prime[k]
-    sval_k = activation.value(trace.preact[k - 1])
+    sdot_k, sdot_k1 = trace.activation.deriv1(trace.preact[k - 1:k + 1])
+    sval_k = trace.activation.value(trace.preact[k - 1])
     scaled_cols = sdot_k1[:, None] * weights.layers[k]  # column m is s'_{k+1} * col_m
     term1 = np.einsum("m,n,im->mni", sdot_k, h_prev, scaled_cols)
     term2 = np.einsum("n,m,im->mni", sval_k, sdot_k1, np.eye(d))

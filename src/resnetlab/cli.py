@@ -21,7 +21,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,9 +28,9 @@ import numpy as np
 from . import analysis, bounds
 from .autograd import (finite_diff_grad, grad_objective,
                        grad_objective_with_stats)
-from .data import (AssumptionParams, Dataset, init_certified, init_gaussian,
-                   near_init_targets, replace_targets, sample_sphere_dataset,
-                   save_dataset)
+from .data import (AssumptionParams, Dataset, gaussian_init_std, init_certified,
+                   init_gaussian, near_init_targets, replace_targets,
+                   sample_sphere_dataset, save_dataset)
 from .errors import (InfeasibleDatasetError, InvalidInputError,
                      NumericalOverflowError)
 from .network import (NetworkConfig, Weights, activation_by_name, forward,
@@ -96,6 +95,7 @@ class ExperimentConfig:
     gradcheck_instances: int = 25
     scatter_entry: list[int] = field(default_factory=lambda: [0, 1])
     output_dir: str = "out"
+    # accepted only as 1, the value every benchmark workload config still sets
     threads: int = 1
 
     def __post_init__(self):
@@ -110,8 +110,8 @@ class ExperimentConfig:
             raise InvalidInputError("T must be >= 0")
         if self.certify_draws < 0:
             raise InvalidInputError("certify_draws must be >= 0")
-        if self.threads < 1:
-            raise InvalidInputError("threads must be >= 1")
+        if self.threads != 1:
+            raise InvalidInputError("threads must be 1: training runs sequentially")
         if self.gradcheck_instances < 1:
             raise InvalidInputError("gradcheck_instances must be >= 1")
         if self.log_stride < 1:
@@ -122,12 +122,19 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown init_mode {self.init_mode!r}")
         if len(self.scatter_entry) != 2:
             raise InvalidInputError("scatter_entry must be [m, n]")
+        if self.init_mode == "certified" and not 0.0 <= self.init_scale <= 1.0:
+            raise InvalidInputError(f"init_scale must lie in [0, 1], got {self.init_scale!r}")
+        if self.target_mode == "near_init" and self.epsilon_init < 0:
+            raise InvalidInputError(f"epsilon_init must be >= 0, got {self.epsilon_init!r}")
         # the commands build these; building them here applies their domain
-        # rules before any command writes a file
+        # rules before any command writes a file, and draws nothing
         activation_by_name(self.activation)
         Schedule(self.schedule, self.eta0)
         for depth in self.depths:
             _params(self, depth)
+            NetworkConfig(self.d, depth, self.alpha0)
+            if self.init_mode == "gaussian":
+                gaussian_init_std(self.d, depth, self.beta0)
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -183,8 +190,8 @@ def _write_config(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def cmd_dataset(cfg: ExperimentConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     data = _base_dataset(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     save_dataset(data, os.path.join(out_dir, "dataset.csv"), c0=cfg.c0)
     print(f"dataset: N={data.n} d={data.dim} separation={data.separation:.6g}")
     return EXIT_OK
@@ -208,18 +215,13 @@ def _train_one_depth(cfg: ExperimentConfig, base: Dataset, depth: int,
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str) -> int:
+    # sampled first, so an infeasible separation exits 2 before any file is written
+    base = _base_dataset(cfg)
     os.makedirs(out_dir, exist_ok=True)
     _write_config(cfg, out_dir)
-    base = _base_dataset(cfg)
     save_dataset(base, os.path.join(out_dir, "dataset.csv"), c0=cfg.c0)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            logs = list(pool.map(
-                lambda depth: _train_one_depth(cfg, base, depth, out_dir), cfg.depths))
-    else:
-        logs = [_train_one_depth(cfg, base, depth, out_dir) for depth in cfg.depths]
-
+    logs = [_train_one_depth(cfg, base, depth, out_dir) for depth in cfg.depths]
     status = EXIT_OK
     for depth, log in zip(cfg.depths, logs):
         if log.failed:
@@ -273,7 +275,6 @@ def _draw_certified_weights(rng, cfg: ExperimentConfig, depth: int,
 
 
 def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     act = activation_by_name(cfg.activation)
     base = _base_dataset(cfg)
     sched = Schedule(cfg.schedule, cfg.eta0)
@@ -300,11 +301,10 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
                 r = dataclasses.replace(r, applicable=False)
             all_reports.append(r)
 
-    deepest = cfg.depths[-1]
-    w0 = _init_weights(cfg, deepest)
-    all_reports.extend(_random_draw_reports(
-        cfg, _depth_dataset(cfg, base, w0, deepest), deepest))
+    # depths ascend, so the loop ends on the deepest depth and its data
+    all_reports.extend(_random_draw_reports(cfg, data, cfg.depths[-1]))
 
+    os.makedirs(out_dir, exist_ok=True)
     bounds.write_reports_jsonl(all_reports, os.path.join(out_dir, "bounds.jsonl"))
     failures = bounds.meaningful_failures(all_reports)
     passed = sum(1 for r in all_reports if r.passed)
@@ -474,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         if name == "certify":
             p.add_argument("--run-dir", default=None,
                            help="certify an existing run instead of training fresh")
@@ -487,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, {"seed": args.seed, "threads": args.threads})
+        cfg = load_config(args.config, {"seed": args.seed})
         out_dir = args.out if args.out is not None else cfg.output_dir
         if args.command == "dataset":
             return cmd_dataset(cfg, out_dir)

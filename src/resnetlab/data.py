@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleDatasetError, InvalidInputError
+from .errors import InfeasibleDatasetError, InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, NetworkConfig, Weights, forward_batch
 
-DEFAULT_MAX_RETRIES = 1000
+MAX_RETRIES = 1000  # whole draws before a separation is declared infeasible
 UNIT_NORM_TOL = 1e-12
 # the largest c0 at which e^{8.4 c0}, the steepest exponential among the
 # bound formulas, is still a finite float
@@ -86,11 +86,13 @@ def separation_threshold(N: int, c0: float) -> float:
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms)):
+        raise NumericalOverflowError("a row norm overflowed while normalizing to unit length")
+    return rows / norms
 
 
 def sample_sphere_dataset(N: int, d: int, seed: int, params: AssumptionParams,
-                          max_retries: int = DEFAULT_MAX_RETRIES,
                           enforce_separation: bool = True) -> Dataset:
     """Inputs i.i.d. uniform on the sphere, redrawn until separated, and
     independent uniform unit targets.
@@ -105,7 +107,7 @@ def sample_sphere_dataset(N: int, d: int, seed: int, params: AssumptionParams,
     rng = np.random.default_rng(seed)
     threshold = separation_threshold(N, params.c0)
     best = np.inf
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         xs = _unit_rows(rng.standard_normal((N, d)))
         sep = separation_of(xs)
         best = min(best, sep)
@@ -114,7 +116,7 @@ def sample_sphere_dataset(N: int, d: int, seed: int, params: AssumptionParams,
             return Dataset(xs, ys, sep, seed)
     raise InfeasibleDatasetError(
         f"no draw of {N} points in dimension {d} met separation "
-        f"{threshold:.6g} within {max_retries} retries (best {best:.6g})",
+        f"{threshold:.6g} within {MAX_RETRIES} retries (best {best:.6g})",
         achieved_separation=best, threshold=threshold)
 
 
@@ -130,22 +132,32 @@ def near_init_targets(xs: np.ndarray, w0: Weights, epsilon: float, seed: int,
     outputs = forward_batch(np.asarray(xs, dtype=np.float64), w0, activation).output
     rng = np.random.default_rng(seed)
     noise = _unit_rows(rng.standard_normal(outputs.shape))
-    return _unit_rows(outputs + epsilon * noise)
+    with np.errstate(over="ignore"):
+        return _unit_rows(outputs + epsilon * noise)
 
 
 def replace_targets(data: Dataset, ys: np.ndarray) -> Dataset:
     return Dataset(data.xs, np.asarray(ys, dtype=np.float64), data.separation, data.seed)
 
 
-def init_gaussian(config: NetworkConfig, beta0: float, seed: int) -> Weights:
-    """Entries i.i.d. normal with standard deviation d**-1 * L**-beta0."""
-    d, L = config.width, config.depth
-    rng = np.random.default_rng(seed)
+def gaussian_init_std(d: int, L: int, beta0: float) -> float:
+    """d**-1 * L**-beta0; InvalidInputError unless it and L d^2 times its
+    square (the expected squared norm of the stack) are finite floats."""
     try:
         std = d ** (-1.0) * float(L) ** (-beta0)
     except OverflowError:
+        std = math.inf
+    if not math.isfinite(std * std * L * d * d):
         raise InvalidInputError(
-            f"beta0={beta0!r} overflows the init scale L**(-beta0) at L={L}") from None
+            f"beta0={beta0!r} overflows the init scale L**(-beta0) at L={L}")
+    return std
+
+
+def init_gaussian(config: NetworkConfig, beta0: float, seed: int) -> Weights:
+    """Entries i.i.d. normal with standard deviation d**-1 * L**-beta0."""
+    d, L = config.width, config.depth
+    std = gaussian_init_std(d, L, beta0)
+    rng = np.random.default_rng(seed)
     return Weights(std * rng.standard_normal((L, d, d)), config.delta)
 
 

@@ -2,18 +2,17 @@
 
 ``forward_batch`` is the one forward pass: it records every hidden state and
 preactivation for a batch of inputs, and ``forward`` is its single-input
-view. The activation derivative is computed from the preactivations on first
-use, because the objective and the finite-difference oracle never need it.
-The layer-to-output Jacobians M_k come only from ``jacobian_stack``, which
-the forward certificate calls; gradients only ever need the matching vector
-recursion (see ``autograd``).
+view. The activation derivative is not part of the trace: the objective and
+the finite-difference oracle never need it, and its consumers take it from
+the preactivations. The layer-to-output Jacobians M_k come only from
+``jacobian_stack``, which the forward certificate calls; gradients only ever
+need the matching vector recursion (see ``autograd``).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,10 +30,9 @@ class Activation:
     ``value`` and ``deriv1`` take an optional ``out`` array of the input's
     shape, which may be passed positionally (as a ufunc's is): when it is
     given they write the result there and return it, and ``out`` may be the
-    input itself. ``forward_batch`` always passes one to ``value``,
-    positionally; ``deriv1`` gets one only when the trace has a sigma' buffer.
-    Without ``out``, ``deriv1`` must return a new writable array for an array
-    input: the backward pass overwrites it.
+    input itself. ``forward_batch`` passes one to ``value`` and the backward
+    pass one to ``deriv1``, both positionally. Without ``out`` they return a
+    new result.
     """
 
     name: str
@@ -140,44 +138,35 @@ class Weights:
 class ForwardTrace:
     """Everything the forward pass computes, layer axis first.
 
-    hidden[k] is h_k for k = 0..L (hidden[0] is the input), preact[k-1] is
-    a_k = alpha_k h_{k-1} and sigma_prime[k-1] is sigma'(a_k), computed from
-    preact on first access (into ``sigma_prime_out`` when one is given) and
-    then kept. A batch trace has a sample axis after the layer axis, so
-    hidden has shape (L+1, N, d); the single-input trace of ``forward`` has
-    none. ``jacobian_stack(weights, trace.sigma_prime)`` gives the
+    hidden[k] is h_k for k = 0..L (hidden[0] is the input) and preact[k-1]
+    is a_k = alpha_k h_{k-1}; sigma'(a_k) is ``activation.deriv1(preact[k-1])``.
+    A batch trace has a sample axis after the layer axis, so hidden has shape
+    (L+1, N, d); the single-input trace of ``forward`` has none.
+    ``jacobian_stack(weights, activation.deriv1(trace.preact))`` gives the
     layer-to-output Jacobians of a single-input trace.
     """
 
     hidden: np.ndarray
     preact: np.ndarray
     activation: Activation
-    sigma_prime_out: np.ndarray | None = None
 
     @property
     def output(self) -> np.ndarray:
         return self.hidden[-1]
 
-    @cached_property
-    def sigma_prime(self) -> np.ndarray:
-        if self.sigma_prime_out is None:
-            return self.activation.deriv1(self.preact)
-        return self.activation.deriv1(self.preact, out=self.sigma_prime_out)
-
 
 def forward_batch(xs: np.ndarray, weights: Weights,
                   activation: Activation = TANH,
                   hidden: np.ndarray | None = None,
-                  preact: np.ndarray | None = None,
-                  sigma_prime: np.ndarray | None = None) -> ForwardTrace:
+                  preact: np.ndarray | None = None) -> ForwardTrace:
     """Run the residual recursion over a batch of inputs, shape (N, d).
 
     The layer loop does only the matmul, the activation and the residual add,
     writing into the trace and one reused (N, d) buffer (one numpy path, so
-    results are bitwise reproducible). ``hidden`` (L+1, N, d), ``preact`` and
-    ``sigma_prime`` (L, N, d) are optional output buffers; each one not given
-    is allocated. Raises NumericalOverflowError naming the first layer whose
-    hidden state goes non-finite.
+    results are bitwise reproducible). ``hidden`` (L+1, N, d) and ``preact``
+    (L, N, d) are optional output buffers; each one not given is allocated.
+    Raises NumericalOverflowError naming the first layer whose hidden state
+    goes non-finite.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != weights.width:
@@ -210,7 +199,7 @@ def forward_batch(xs: np.ndarray, weights: Weights,
         finite = np.isfinite(hidden[1:]).reshape(L, -1).all(axis=1)
         k = int(np.argmin(finite)) + 1
         raise NumericalOverflowError(f"non-finite hidden state at layer {k}", layer=k)
-    return ForwardTrace(hidden, preact, activation, sigma_prime_out=sigma_prime)
+    return ForwardTrace(hidden, preact, activation)
 
 
 def _as_vector(v, dim: int) -> np.ndarray:

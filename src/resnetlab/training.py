@@ -57,9 +57,7 @@ class Schedule:
 
 
 def harmonic_number(T: int) -> float:
-    """H_T = sum_{k<=T} 1/k; exact summation small, asymptotic beyond."""
-    if T <= 0:
-        return 0.0
+    """H_T = sum_{k<=T} 1/k (0 for T <= 0); exact summation small, asymptotic beyond."""
     if T <= 10_000:
         return float(np.sum(1.0 / np.arange(1, T + 1)))
     t = float(T)
@@ -79,18 +77,20 @@ class WeightNorms:
 
 
 def weight_norms(w: Weights, out: np.ndarray | None = None) -> WeightNorms:
-    """The logged norms; ``out``, if given, is an (L, d, d) scratch array."""
-    squares = np.square(w.layers, out=out)
-    layer_sq = np.sum(squares, axis=(1, 2))
-    fbar = 0.5 * float(np.sum(layer_sq))
-    finf = float(np.sqrt(np.max(layer_sq)))
-    if w.depth > 1:
+    """The logged norms (inf where the squares overflow); ``out``, if given,
+    is an (L, d, d) scratch array."""
+    with np.errstate(over="ignore"):
+        squares = np.square(w.layers, out=out)
+        layer_sq = np.sum(squares, axis=(1, 2))
+        fbar = 0.5 * float(np.sum(layer_sq))
+        finf = float(np.sqrt(np.max(layer_sq)))
+        if w.depth == 1:
+            return WeightNorms(fbar, 0.0, finf, 0.0, np.empty(0))
         # the squared neighbour differences reuse the squares' buffer
         diff_sq = _neighbour_diff_sq(w.layers, squares[1:])
         gbar = 0.5 * w.depth * float(np.sum(diff_sq))
         neighbour_max = float(np.sqrt(np.max(diff_sq)))
-        return WeightNorms(fbar, gbar, finf, neighbour_max, diff_sq)
-    return WeightNorms(fbar, 0.0, finf, 0.0, np.empty(0))
+    return WeightNorms(fbar, gbar, finf, neighbour_max, diff_sq)
 
 
 def _neighbour_diff_sq(layers: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -156,15 +156,17 @@ def _apply_update(w: Weights, grads: np.ndarray, dgrad: float, eta: float,
         raise NumericalOverflowError("scale factor left (0, inf) during update") from None
 
 
+# overflow ends a run through the checks below, so its warnings are silenced
+@np.errstate(over="ignore", invalid="ignore")
 def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
           activation: Activation = TANH,
           delta_trainable: bool = False,
           log_layers: bool = False,
           log_stride: int = 1) -> tuple[Weights, RunLog]:
     """Run T sequential updates, logging every ``log_stride`` steps plus the
-    initial and final state. Overflow aborts with a partial log and the
-    ``failed`` marker set instead of raising; the returned weights are then
-    the last finite iterate.
+    initial and final state. Overflow (also of the logged norms) aborts with
+    a partial log and the ``failed`` marker set instead of raising; the
+    returned weights are then the last finite iterate.
 
     A run holds three flat blocks of ``step_block_size(L, N, d)`` floats
     besides w0, which it never writes, and allocates no trace-sized array
@@ -187,7 +189,6 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     rows: list[tuple] = []
     g_rows: list[np.ndarray] = []
     f_slacks: list[float] = []
-    failed = False
     fail_reason = None
 
     w = w0
@@ -199,11 +200,15 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     scratch = trace_block[:L * d * d].reshape(L, d, d)
 
     def log_state(t, eta, value):
+        """Log the current iterate; the failure reason if its norms are not finite."""
         norms = weight_norms(w, scratch)
         rows.append((t, eta, value, norms.fbar, norms.gbar, norms.finf,
                      norms.neighbour_max, w.delta, eta_acc))
         if log_layers:
             g_rows.append(layer_gaps(w, norms))
+        if not (math.isfinite(norms.fbar) and math.isfinite(norms.gbar)):
+            return f"non-finite weight norms: fbar={norms.fbar!r} gbar={norms.gbar!r}"
+        return None
 
     # the row norms of each iterate serve as one step's "after" and the next
     # step's "before"
@@ -216,17 +221,19 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
                 data, w, activation, delta_trainable, want_stats=log_layers,
                 blocks=(trace_block, adjoint_block))
         except NumericalOverflowError as exc:
-            failed, fail_reason = True, str(exc)
+            fail_reason = str(exc)
             break
         if t % log_stride == 0:
-            log_state(t, eta, value)
+            fail_reason = log_state(t, eta, value)
+            if fail_reason is not None:
+                break
         if log_layers:
             drive = (eta * math.sqrt(L) * w.delta / math.sqrt(2.0)
                      * np.sqrt(stats.h_sq_ginf_sq))
         try:
             w = _apply_update(w, grads, dgrad, eta, delta_trainable)
         except NumericalOverflowError as exc:
-            failed, fail_reason = True, str(exc)
+            fail_reason = str(exc)
             break
         adjoint_block, weights_block = weights_block, adjoint_block
         if log_layers:
@@ -236,13 +243,14 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
             f_sqrt_before = f_sqrt_after
         eta_acc += eta
 
-    if not failed:
+    if fail_reason is None:
         try:
             final_value = objective(data, w, activation,
                                     blocks=(trace_block, adjoint_block))
-            log_state(T, sched.rate(T), final_value)
         except NumericalOverflowError as exc:
-            failed, fail_reason = True, str(exc)
+            fail_reason = str(exc)
+        else:
+            fail_reason = log_state(T, sched.rate(T), final_value)
     if not rows:
         # failed at t=0, before any update: log w0 with an unknown loss, so
         # the saved run log still carries the failure
@@ -261,7 +269,7 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
         eta_sum=np.asarray(cols[8], dtype=np.float64),
         g_layers=np.asarray(g_rows) if log_layers and g_rows else None,
         f_slack=np.asarray(f_slacks) if log_layers else None,
-        failed=failed,
+        failed=fail_reason is not None,
         fail_reason=fail_reason,
     )
     return w, log

@@ -15,6 +15,11 @@ def zero_weights(width, depth, delta=None, delta_exponent=0.5):
     return Weights(np.zeros((depth, width, width)), delta)
 
 
+def sigma_prime(trace):
+    """sigma'(a_k) for every layer of a forward trace, from its preactivations."""
+    return trace.activation.deriv1(trace.preact)
+
+
 def exhaustive_oracle(values):
     """Exact 2-variation by brute force: the largest summed squared increments
     over every index chain that contains both endpoints, via itertools."""

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import zero_weights
+from helpers import sigma_prime, zero_weights
 from resnetlab import autograd
 from resnetlab.autograd import (_backward, finite_diff_grad, grad_objective,
                                 grad_objective_with_stats,
@@ -173,32 +173,36 @@ class TestInPlaceStep:
             assert plain.delta_grad == ref["dgrad"]
 
     def test_backward_consumes_sigma_prime(self):
+        # sigma' goes into the given buffer, which then holds sigma' * G
         rng = np.random.default_rng(41)
         data, w = random_instance(rng, 5, 9, 3)
         ref = reference_grad_objective(data, w)
         trace = forward_batch(data.xs, w)
-        g = _backward(trace, w, data.ys)
+        buffer = np.full_like(trace.preact, np.nan)
+        g, sg = _backward(trace, w, data.ys, sigma_prime=buffer)
+        assert sg is buffer
         assert np.array_equal(g, ref["g"])
-        assert np.array_equal(trace.sigma_prime, ref["sigma_g"])
+        assert np.array_equal(sg, ref["sigma_g"])
+        g_alloc, sg_alloc = _backward(trace, w, data.ys)
+        assert np.array_equal(g_alloc, g) and np.array_equal(sg_alloc, sg)
 
     def test_sigma_prime_computed_on_demand(self):
+        # only the backward pass computes sigma', once per gradient
         calls = []
 
-        def counted_deriv1(z):
+        def counted_deriv1(z, out=None):
             calls.append(np.shape(z))
-            return TANH.deriv1(z)
+            return TANH.deriv1(z, out)
 
         act = Activation("counted", TANH.value, counted_deriv1, TANH.deriv2)
         rng = np.random.default_rng(42)
         data, w = random_instance(rng, 3, 4, 2)
         objective(data, w, act)
         finite_diff_grad(data, w, act)
+        forward_batch(data.xs, w, act)
         assert calls == []
-        trace = forward_batch(data.xs, w, act)
-        assert trace.sigma_prime is trace.sigma_prime
-        assert calls == [(4, 2, 3)]
         grad_objective(data, w, act)
-        assert calls == [(4, 2, 3)] * 2
+        assert calls == [(4, 2, 3)]
 
     def test_memory_is_trace_g_and_gradient_stack(self):
         # hidden, preact, sigma' and G are the most whole-trace arrays alive at
@@ -437,11 +441,11 @@ class TestBackwardTrace:
         # column i of the stored G_k is M_k^T (yhat_i - y_i) for sample i
         rng = np.random.default_rng(10)
         data, w = random_instance(rng, 4, 7, 3)
-        g = _backward(forward_batch(data.xs, w), w, data.ys)
+        g, _ = _backward(forward_batch(data.xs, w), w, data.ys)
         assert g.shape == (8, 3, 4)
         for i, (x, y) in enumerate(zip(data.xs, data.ys)):
             trace = forward(x, w, TANH)
-            jac = jacobian_stack(w, trace.sigma_prime)
+            jac = jacobian_stack(w, sigma_prime(trace))
             residual = trace.output - y
             for k in range(8):
                 explicit = jac[k].T @ residual
@@ -451,7 +455,7 @@ class TestBackwardTrace:
         rng = np.random.default_rng(14)
         data, w = random_instance(rng, 3, 4, 2)
         trace = forward_batch(data.xs, w)
-        g = _backward(trace, w, data.ys)
+        g, _ = _backward(trace, w, data.ys)
         assert np.array_equal(g[-1], trace.output - data.ys)
 
 
@@ -465,7 +469,7 @@ class TestLayerStats:
             acc = 0.0
             for x, y in zip(data.xs, data.ys):
                 trace = forward(x, w, TANH)
-                g_k = jacobian_stack(w, trace.sigma_prime)[k].T @ (trace.output - y)
+                g_k = jacobian_stack(w, sigma_prime(trace))[k].T @ (trace.output - y)
                 acc += (float(trace.hidden[k - 1] @ trace.hidden[k - 1])
                         * float(np.max(np.abs(g_k))) ** 2)
             assert stats.h_sq_ginf_sq[k - 1] == pytest.approx(acc / data.n, rel=1e-12)

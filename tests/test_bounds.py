@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import zero_weights
+from helpers import sigma_prime, zero_weights
 from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               certify_gradient_upper, certify_hessian,
@@ -122,7 +122,7 @@ class TestCertifyForward:
         reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
         report = by_name(reports, "forward_jacobian_columns")
         assert report.passed
-        col_norms = np.linalg.norm(jacobian_stack(w, trace.sigma_prime), axis=1)
+        col_norms = np.linalg.norm(jacobian_stack(w, sigma_prime(trace)), axis=1)
         assert report.observed == col_norms[report.context["k"], report.context["m"]]
         assert report.observed == np.max(col_norms)
 
@@ -240,7 +240,7 @@ class TestCertifyHessian:
     def test_bound_value(self):
         rng = np.random.default_rng(10)
         data = Dataset(unit_rows(rng, 2, 8), unit_rows(rng, 2, 8), 0.0, 0)
-        reports = certify_hessian(data, zero_weights(8, 16), c_alpha=1.0, probes=25)
+        reports = certify_hessian(data, zero_weights(8, 16), c_alpha=1.0)
         report = by_name(reports, "hessian_spectral")
         assert report.bound == pytest.approx(40.0 * math.exp(4.3), rel=1e-12)
         assert hessian_upper_bound(8, 1.0) == report.bound
@@ -250,8 +250,7 @@ class TestCertifyHessian:
         x = np.array([0.6, -0.8])
         data = Dataset(x[None, :], np.array([[1.0, 0.0]]), 0.0, 0)
         w = zero_weights(2, 1, delta=1.0)
-        reports = certify_hessian(data, w, c_alpha=1.0, activation=IDENTITY,
-                                  probes=60)
+        reports = certify_hessian(data, w, c_alpha=1.0, activation=IDENTITY)
         report = by_name(reports, "hessian_spectral")
         assert report.observed == pytest.approx(1.0, rel=1e-4)
         assert report.context["converged"]
@@ -261,7 +260,7 @@ class TestCertifyHessian:
         data = Dataset(unit_rows(rng, 3, 6), unit_rows(rng, 3, 6), 0.0, 0)
         for _ in range(10):
             w = certified_draw(rng, 6, 12)
-            assert not meaningful_failures(certify_hessian(data, w, 1.0, probes=25))
+            assert not meaningful_failures(certify_hessian(data, w, 1.0))
 
 
 class TestRunEnvelope:
@@ -333,7 +332,7 @@ class TestCertifierPurity:
             return [(r.name, r.observed, r.bound, r.slack, r.passed)
                     for r in (certify_forward(trace, x, w, weight_norms(w), 1.0)
                               + certify_gradient_upper(w, *evaluation(data, w), 1.0)
-                              + certify_hessian(data, w, 1.0, probes=10))]
+                              + certify_hessian(data, w, 1.0))]
 
         first = snapshot()
         second = snapshot()
@@ -366,12 +365,12 @@ class TestNeighbourResidual:
             data = Dataset(x[None, :], y[None, :], 0.0, 0)
             grad = grad_objective(data, w)
             trace = forward(x, w, TANH)
-            jac = jacobian_stack(w, trace.sigma_prime)
+            jac = jacobian_stack(w, sigma_prime(trace))
             residual = trace.output - y
             for k in range(1, L):
                 xi = neighbour_gradient_residual(trace, w, k)
                 g_next = jac[k + 1].T @ residual
-                sdot_gap = trace.sigma_prime[k - 1] - trace.sigma_prime[k]
+                sdot_gap = sigma_prime(trace)[k - 1] - sigma_prime(trace)[k]
                 first = w.delta * np.outer(sdot_gap, trace.hidden[k - 1]) * g_next[:, None]
                 second = w.delta ** 2 * np.einsum("mni,i->mn", xi, g_next)
                 gap = grad.layers[k - 1] - grad.layers[k]

@@ -4,9 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resnetlab import autograd, bounds, cli, network
 from resnetlab.bounds import load_reports_jsonl
@@ -53,7 +57,7 @@ class TestConfig:
 
     def test_overrides_win(self, tmp_path):
         path = write_config(tmp_path, seed=1)
-        cfg = load_config(path, {"seed": 42, "threads": None})
+        cfg = load_config(path, {"seed": 42})
         assert cfg.seed == 42 and cfg.threads == 1
 
     def test_descending_depths_rejected(self):
@@ -102,12 +106,28 @@ class TestConfig:
         assert "gradcheck_instances" in captured.err
         assert "worst relative error" not in captured.out
 
-    @pytest.mark.parametrize("threads, flag", [(0, []), (-2, []), (None, ["--threads", "0"])])
-    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads, flag):
-        cfg = write_config(tmp_path) if threads is None else write_config(tmp_path, threads=threads)
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]
-                    + flag) == EXIT_INPUT_ERROR
-        assert "threads must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, threads=threads)
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == EXIT_INPUT_ERROR
+        assert "threads must be 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_threads_above_one_exit_2(self, tmp_path, capsys):
+        # training runs sequentially; the key stays for configs that set it to 1
+        cfg = write_config(tmp_path, threads=2)
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == EXIT_INPUT_ERROR
+        assert "threads must be 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_threads_flag_is_gone(self, tmp_path):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", cfg, "--out", str(tmp_path / "run"),
+                  "--threads", "2"])
+        assert exc.value.code == EXIT_INPUT_ERROR
         assert not (tmp_path / "run").exists()
 
     def test_negative_certify_draws_exits_2(self, tmp_path, capsys):
@@ -175,6 +195,54 @@ class TestConfigDomain:
         assert run_into_empty_dir(tmp_path, ["train", "--config", cfg]) == (EXIT_INPUT_ERROR, [])
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        pytest.param({"beta0": -400.0}, "beta0=-400.0 overflows", id="beta0"),
+        # 8**330 / 4 is a finite std, but its square is not
+        pytest.param({"depths": [8], "beta0": -330.0}, "beta0=-330.0 overflows",
+                     id="beta0-square"),
+        pytest.param({"alpha0": 1.5}, "delta_exponent must lie in [0, 1]", id="alpha0"),
+        pytest.param({"alpha0": -0.5}, "delta_exponent must lie in [0, 1]", id="alpha0-neg"),
+        pytest.param({"init_mode": "certified", "init_scale": 1.5},
+                     "init_scale must lie in [0, 1]", id="init_scale"),
+        pytest.param({"init_mode": "certified", "init_scale": -0.1},
+                     "init_scale must lie in [0, 1]", id="init_scale-neg"),
+        pytest.param({"target_mode": "near_init", "epsilon_init": -0.1},
+                     "epsilon_init must be >= 0", id="epsilon_init"),
+    ])
+    def test_init_domain_error_writes_nothing(self, tmp_path, capsys, override, message):
+        cfg = write_config(tmp_path, **dict(SMALL, **override))
+        for command in ("train", "certify"):
+            (tmp_path / command).mkdir()
+            assert run_into_empty_dir(tmp_path / command, [command, "--config", cfg]) == (
+                EXIT_INPUT_ERROR, [])
+            assert message in capsys.readouterr().err
+
+    def test_infeasible_separation_writes_nothing(self, tmp_path, capsys):
+        # two unit points on a line are never nearly orthogonal
+        cfg = write_config(tmp_path, **dict(SMALL, d=1, enforce_separation=True))
+        for command in ("dataset", "train", "certify"):
+            (tmp_path / command).mkdir()
+            assert run_into_empty_dir(tmp_path / command, [command, "--config", cfg]) == (
+                EXIT_INPUT_ERROR, [])
+            assert "no draw of 2 points in dimension 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        {"init_mode": "certified", "beta0": -400.0, "init_scale": 0.5},
+        {"init_mode": "gaussian", "init_scale": 7.0},
+        {"target_mode": "sphere", "epsilon_init": -1.0},
+    ])
+    def test_keys_of_unused_modes_are_not_checked(self, override):
+        ExperimentConfig(**dict(SMALL, **override))
+
+    def test_domain_check_draws_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the config check drew random numbers")
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        ExperimentConfig(**SMALL)
+        ExperimentConfig(**dict(SMALL, init_mode="certified", target_mode="near_init"))
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(**dict(SMALL, beta0=-400.0))
+
     def test_analyze_scatter_entry_out_of_range_writes_nothing(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(["train", "--config", write_config(tmp_path, **SMALL),
@@ -184,6 +252,61 @@ class TestConfigDomain:
             tmp_path, ["analyze", "--config", cfg, "--run-dir", str(run_dir)])
         assert (code, files) == (EXIT_INPUT_ERROR, [])
         assert "entry (0, 9) out of range for width 4" in capsys.readouterr().err
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+# each float key in its domain, or (for up to two keys) an edge value: NaN,
+# +-inf, 0, negatives, huge values or an integer beyond any float
+IN_DOMAIN = {
+    "alpha0": st.floats(0.0, 1.0), "beta0": st.floats(-2.0, 2.0),
+    "eta0": st.floats(0.0, 2.0), "c0": st.floats(0.01, 2.0),
+    "epsilon_init": st.floats(0.0, 2.0), "init_scale": st.floats(0.0, 1.0),
+}
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -400.0,
+                               1e200, -1e200, 1e308, 10 ** 400])
+
+
+@st.composite
+def train_configs(draw):
+    config = draw(st.fixed_dictionaries({
+        "d": st.integers(1, 4), "N": st.integers(1, 2), "T": st.integers(0, 3),
+        "depths": st.sets(st.integers(1, 8), min_size=1, max_size=3).map(sorted),
+        "seed": st.integers(0, 3),
+        "activation": st.sampled_from(["tanh", "identity"]),
+        "schedule": st.sampled_from(["constant", "inverse_decay"]),
+        "init_mode": st.sampled_from(["gaussian", "certified"]),
+        "target_mode": st.sampled_from(["sphere", "near_init"]),
+        "enforce_separation": st.booleans(), "delta_trainable": st.booleans(),
+        "log_layers": st.booleans(), "log_stride": st.integers(1, 3),
+    }))
+    edge_keys = draw(st.sets(st.sampled_from(sorted(IN_DOMAIN)), max_size=2))
+    for key, values in IN_DOMAIN.items():
+        config[key] = draw(EDGE_FLOATS if key in edge_keys else values)
+    return config
+
+
+class TestTrainProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(train_configs())
+    def test_every_config_ends_in_a_documented_exit(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            out = os.path.join(tmp, "out")
+            os.mkdir(out)
+            code = main(["train", "--config", path, "--out", out])
+            assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_OVERFLOW)
+            written = sorted(os.listdir(out))
+            if code == EXIT_INPUT_ERROR:
+                assert written == []
+            for name in written:
+                if name.endswith(".json"):
+                    with open(os.path.join(out, name)) as fh:
+                        json.load(fh, parse_constant=reject_constant)
 
 
 class TestDatasetCommand:
@@ -234,17 +357,6 @@ class TestTrainCommand:
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert (out / "gaps_L8.csv").exists()
-
-    def test_threads_match_sequential(self, tmp_path):
-        cfg = write_config(tmp_path)
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        assert main(["train", "--config", cfg, "--out", str(seq)]) == EXIT_OK
-        assert main(["train", "--config", cfg, "--out", str(par),
-                     "--threads", "2"]) == EXIT_OK
-        seq_files = tree_bytes(seq)
-        par_files = tree_bytes(par)
-        del seq_files["config.json"], par_files["config.json"]  # threads differ
-        assert seq_files == par_files
 
 
 class TestDeterminism:
@@ -322,6 +434,25 @@ class TestCertifyCommand:
                    for r in failed)
 
 
+    @pytest.mark.parametrize("with_run_dir", [False, True])
+    def test_each_depth_initialized_once(self, tmp_path, monkeypatch, with_run_dir):
+        cfg = write_config(tmp_path, depths=[2, 4, 8], T=2, certify_draws=1)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+        calls = []
+        init_weights = cli._init_weights
+
+        def counted(cfg, depth):
+            calls.append(depth)
+            return init_weights(cfg, depth)
+        monkeypatch.setattr(cli, "_init_weights", counted)
+        argv = ["certify", "--config", cfg, "--out", str(tmp_path / "cert")]
+        if with_run_dir:
+            argv += ["--run-dir", str(run_dir)]
+        assert main(argv) == EXIT_OK
+        assert calls == [2, 4, 8]
+
+
 class TestDrawPasses:
     def test_one_gradient_pass_per_draw(self, monkeypatch):
         # every binding of the three pass functions in the modules on the path
@@ -396,6 +527,28 @@ class TestFailedRuns:
         err = capsys.readouterr().err
         assert all(f"depth {depth}: skipped" in err for depth in (8, 16, 32))
 
+    def test_overflowing_weight_norms_fail_the_run(self, tmp_path, capsys):
+        # eta0=1e200 gives finite weights whose squares overflow a float
+        cfg = write_config(tmp_path, d=4, N=2, depths=[4, 8], T=3, eta0=1e200)
+        run_dir = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OVERFLOW
+        err = capsys.readouterr().err
+        assert all(f"depth {depth}: overflow" in err for depth in (4, 8))
+        for depth in (4, 8):
+            log = load_runlog(run_dir / f"runlog_L{depth}.csv")
+            assert log.failed and "non-finite weight norms" in log.fail_reason
+            assert not np.isfinite(log.fbar[-1])
+            assert np.all(np.isfinite(log.fbar[:-1]))
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", cfg, "--out", str(out),
+                     "--run-dir", str(run_dir)]) == EXIT_OK
+        completed = [r for r in load_reports_jsonl(out / "bounds.jsonl")
+                     if r["name"] == "hyp_run_completed"]
+        assert [r["context"]["L"] for r in completed] == [4, 8]
+        assert not any(r["pass"] for r in completed)
+
     def test_analyze_skips_failed_depths(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         good = write_config(tmp_path, "good.json", depths=[4, 8, 16], T=10)
@@ -452,12 +605,8 @@ class TestFailedRuns:
         out = tmp_path / "cert"
         assert main(["certify", "--config", cfg, "--out", str(out),
                      "--run-dir", str(run_dir)]) == EXIT_OK
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
         lines = (out / "bounds.jsonl").read_text().splitlines()
-        rows = [json.loads(line, parse_constant=reject) for line in lines]
+        rows = [json.loads(line, parse_constant=reject_constant) for line in lines]
         assert any(r["observed"] == "inf" for r in rows)
         assert any(r["observed"] == "nan" for r in rows)
 

@@ -6,13 +6,14 @@ import pytest
 from helpers import zero_weights
 from resnetlab.autograd import objective
 from resnetlab.bounds import check_assumptions
-from resnetlab.data import (AssumptionParams, Dataset, init_certified,
-                            init_gaussian, initial_loss_cap,
+from resnetlab.data import (AssumptionParams, Dataset, gaussian_init_std,
+                            init_certified, init_gaussian, initial_loss_cap,
                             initial_row_norm_cap, load_dataset,
                             near_init_targets, replace_targets,
                             sample_sphere_dataset, save_dataset,
                             separation_of, separation_threshold)
-from resnetlab.errors import InfeasibleDatasetError, InvalidInputError
+from resnetlab.errors import (InfeasibleDatasetError, InvalidInputError,
+                              NumericalOverflowError)
 from resnetlab.network import NetworkConfig, Weights, forward_batch
 
 
@@ -35,8 +36,7 @@ class TestSeparation:
     def test_four_points_in_plane_infeasible(self):
         # best spread of 4 unit vectors in the plane has |<x_i,x_j>| >= cos(45)
         with pytest.raises(InfeasibleDatasetError) as err:
-            sample_sphere_dataset(4, 2, seed=0, params=params_for(N=4),
-                                  max_retries=50)
+            sample_sphere_dataset(4, 2, seed=0, params=params_for(N=4))
         assert err.value.achieved_separation > err.value.threshold
 
     def test_enforcement_can_be_disabled(self):
@@ -84,6 +84,12 @@ class TestNearInitTargets:
         with pytest.raises(InvalidInputError):
             near_init_targets(data.xs, zero_weights(4, 2), -0.1, seed=0)
 
+    def test_overflowing_target_norm_raises(self):
+        # 1e300 * noise is finite, its squared norm is not
+        data = sample_sphere_dataset(2, 4, seed=3, params=params_for(d=4))
+        with pytest.raises(NumericalOverflowError):
+            near_init_targets(data.xs, zero_weights(4, 2), 1e300, seed=0)
+
 
 class TestInitializers:
     def test_gaussian_std(self):
@@ -92,6 +98,19 @@ class TestInitializers:
         assert w.delta == pytest.approx(0.125)
         observed = float(np.std(w.layers))
         assert observed == pytest.approx(1.0 / (8 * 64), rel=0.05)
+
+    @pytest.mark.parametrize("beta0, L", [(-400.0, 8), (-330.0, 8), (-1e300, 2)])
+    def test_gaussian_std_overflow_rejected(self, beta0, L):
+        # at beta0=-330 the std 8**330/4 is finite but its square is not
+        with pytest.raises(InvalidInputError, match="beta0"):
+            gaussian_init_std(4, L, beta0)
+        with pytest.raises(InvalidInputError, match="beta0"):
+            init_gaussian(NetworkConfig(4, L), beta0=beta0, seed=0)
+
+    def test_gaussian_std_value(self):
+        assert gaussian_init_std(8, 64, 1.0) == 1.0 / (8 * 64)
+        assert gaussian_init_std(4, 1, -1e300) == 0.25
+        assert gaussian_init_std(4, 8, 1e300) == 0.0
 
     def test_certified_rows_exactly_at_cap(self):
         params = AssumptionParams(0.25, 2, 6, 32)

@@ -1,7 +1,10 @@
 """Every public top-level function, class and constant of ``resnetlab`` has a
-caller in ``src/``: code that only tests reach belongs with the tests."""
+caller in ``src/``, and every defaulted parameter of a public function is
+passed by some call there: code and options that only tests reach belong
+with the tests."""
 
 import ast
+import math
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "resnetlab"
@@ -64,3 +67,64 @@ def test_no_public_symbol_without_a_caller():
 def test_allowlist_is_current():
     defined = {name for tree in modules().values() for name, _ in public_definitions(tree)}
     assert set(ALLOWED) <= defined
+
+
+# defaulted parameters kept although no call in src/ passes them, each for one reason
+ALLOWED_DEFAULTS = {
+    "finite_diff_grad.step": "the oracle's convergence test varies the step",
+    "main.argv": "the console-script entry point calls main() with no argument",
+}
+
+
+def optional_parameters(tree):
+    """(function, parameter, position or None) for each defaulted parameter of
+    a public top-level function; keyword-only parameters have no position."""
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield node.name, positional[i].arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def passed_arguments(trees):
+    """{function name: [largest positional count, keyword names]} over every
+    call of a bare name or attribute; ``*`` passes every position, ``**``
+    every keyword."""
+    passed = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name is None:
+            continue
+        entry = passed.setdefault(name, [0, set()])
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        entry[0] = max(entry[0], math.inf if starred else len(node.args))
+        entry[1].update(kw.arg or "**" for kw in node.keywords)
+    return passed
+
+
+def test_every_default_is_overridden_somewhere():
+    trees = modules().values()
+    passed = passed_arguments(trees)
+    never = []
+    for tree in trees:
+        for func, param, position in optional_parameters(tree):
+            count, keywords = passed.get(func, (0, set()))
+            overridden = (param in keywords or "**" in keywords
+                          or (position is not None and position < count))
+            if not overridden and f"{func}.{param}" not in ALLOWED_DEFAULTS:
+                never.append(f"{func}.{param}")
+    assert not never, (f"defaulted parameters that no call in src/ passes "
+                       f"(make them constants): {never}")
+
+
+def test_default_allowlist_is_current():
+    defined = {f"{func}.{param}" for tree in modules().values()
+               for func, param, _ in optional_parameters(tree)}
+    assert set(ALLOWED_DEFAULTS) <= defined

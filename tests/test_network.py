@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import zero_weights
+from helpers import sigma_prime, zero_weights
 from resnetlab.bounds import check_activation
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
 from resnetlab.network import (IDENTITY, TANH, Activation, NetworkConfig,
@@ -124,7 +124,7 @@ class TestForward:
         trace = forward(x, w, TANH)
         assert np.array_equal(trace.hidden, np.tile(x, (6, 1)))
         assert np.array_equal(trace.output, x)
-        assert np.allclose(jacobian_stack(w, trace.sigma_prime), np.eye(3))
+        assert np.allclose(jacobian_stack(w, sigma_prime(trace)), np.eye(3))
 
     def test_linear_one_layer_doubles(self):
         w = Weights(np.eye(2)[None, :, :], 1.0)
@@ -233,7 +233,7 @@ class TestJacobians:
         w = random_weights(rng, d, L)
         x = rng.standard_normal(d)
         trace = forward(x, w, TANH)
-        jac = jacobian_stack(w, trace.sigma_prime)
+        jac = jacobian_stack(w, sigma_prime(trace))
 
         def propagate(from_k, h):
             h = h.copy()
@@ -255,7 +255,7 @@ class TestJacobians:
         rng = np.random.default_rng(9)
         w = random_weights(rng, 3, 4)
         trace = forward(rng.standard_normal(3), w, TANH)
-        assert np.array_equal(jacobian_stack(w, trace.sigma_prime)[4], np.eye(3))
+        assert np.array_equal(jacobian_stack(w, sigma_prime(trace))[4], np.eye(3))
 
     def test_stack_matches_trace(self):
         # under the identity activation the network is linear, so M_k maps
@@ -263,7 +263,7 @@ class TestJacobians:
         rng = np.random.default_rng(13)
         w = random_weights(rng, 3, 5)
         trace = forward(rng.standard_normal(3), w, IDENTITY)
-        jac = jacobian_stack(w, trace.sigma_prime)
+        jac = jacobian_stack(w, sigma_prime(trace))
         for k in range(6):
             np.testing.assert_allclose(jac[k] @ trace.hidden[k], trace.output,
                                        rtol=1e-13, atol=1e-15)
@@ -274,8 +274,8 @@ class TestJacobians:
         rng = np.random.default_rng(L + d)
         w = random_weights(rng, d, L)
         trace = forward(rng.standard_normal(d), w, TANH)
-        assert np.array_equal(jacobian_stack(w, trace.sigma_prime),
-                              reference_jacobian_stack(w, trace.sigma_prime))
+        assert np.array_equal(jacobian_stack(w, sigma_prime(trace)),
+                              reference_jacobian_stack(w, sigma_prime(trace)))
 
 
 def reference_jacobian_stack(weights, sigma_prime):
@@ -330,7 +330,7 @@ class TestHiddenStateSandwich:
             h_norms = np.linalg.norm(trace.hidden[1:], axis=1)
             assert np.all(h_norms >= lower - 1e-12)
             assert np.all(h_norms <= upper + 1e-12)
-            col_norms = np.linalg.norm(jacobian_stack(w, trace.sigma_prime), axis=1)
+            col_norms = np.linalg.norm(jacobian_stack(w, sigma_prime(trace)), axis=1)
             assert np.all(col_norms <= math.exp(c_alpha) + 1e-12)
 
 

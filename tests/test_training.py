@@ -199,6 +199,23 @@ class TestUpdateFailure:
         assert final is w0
 
 
+    # one update to entries of 1e156: finite weights whose squares overflow,
+    # caught on the next logged row (stride 1) or the final one (stride 5)
+    @pytest.mark.parametrize("stride, T", [(1, 3), (5, 1)])
+    def test_overflowing_norms_fail_the_run(self, monkeypatch, stride, T):
+        data, w0 = small_instance(14, d=3, L=4, n=2)
+
+        def fixed_gradient(data, w, activation, delta_trainable, want_stats, blocks=None):
+            return np.full_like(w.layers, -1e155), 0.0, 0.5, None
+        monkeypatch.setattr(training, "grad_objective_with_stats", fixed_gradient)
+        final, log = train(w0, data, Schedule("constant", 10.0), T, log_stride=stride)
+        assert log.failed
+        assert log.fail_reason == "non-finite weight norms: fbar=inf gbar=0.0"
+        assert list(log.t) == [0, 1]
+        assert np.isfinite(log.fbar[0]) and np.isinf(log.fbar[1])
+        assert np.all(np.isfinite(final.layers))
+
+
 def reference_train(w0, data, sched, T, activation=TANH, delta_trainable=False):
     """Reference: T allocating updates A - eta * grad, with the norm formulas
     written out. Returns the final weights and the logged columns."""
