@@ -17,8 +17,7 @@ from .bounds import (BoundReport, certify_forward, certify_gradient_lower,
                      certify_gradient_upper, certify_hessian,
                      certify_loss_bound, certify_run_envelope,
                      check_activation, check_assumptions, lr_feasibility,
-                     make_report, meaningful_failures,
-                     neighbour_gradient_residual, write_reports_jsonl)
+                     make_report, meaningful_failures, write_reports_jsonl)
 from .data import (AssumptionParams, Dataset, init_certified, init_gaussian,
                    initial_loss_cap, initial_row_norm_cap, load_dataset,
                    near_init_targets, replace_targets, sample_sphere_dataset,

@@ -73,17 +73,6 @@ class Grad:
     delta_grad: float = 0.0
 
 
-@dataclass(frozen=True)
-class LayerStats:
-    """Per-layer mean of |h_{k-1}|^2 * |G_k|_inf^2 over the samples (length L).
-
-    This is the drive term in the one-step growth bound for the depth-scaled
-    row norms, recorded during training when per-layer logging is on.
-    """
-
-    h_sq_ginf_sq: np.ndarray
-
-
 def step_block_size(depth: int, n: int, width: int) -> int:
     """Entries of one block of ``grad_objective_with_stats``: a pair of
     trace-sized arrays, (2L+1) N d, or the (L, d, d) stack if that is larger."""
@@ -144,21 +133,20 @@ def grad_objective(data: "Dataset", weights: Weights,
                    activation: Activation = TANH,
                    delta_trainable: bool = False) -> Grad:
     """Exact gradient of the objective with respect to every layer (and delta)."""
-    grads, dgrad, _, _ = grad_objective_with_stats(
-        data, weights, activation, delta_trainable, want_stats=False)
+    grads, dgrad, _ = grad_objective_with_stats(data, weights, activation,
+                                                delta_trainable)
     return Grad(grads, dgrad)
 
 
 def grad_objective_with_stats(data: "Dataset", weights: Weights,
                               activation: Activation = TANH,
                               delta_trainable: bool = False,
-                              want_stats: bool = True,
                               blocks: tuple[np.ndarray, np.ndarray] | None = None):
-    """Gradient plus the current loss and optional per-layer drive stats.
+    """Gradient plus the current loss (the "stats" of the name), from one
+    forward pass.
 
-    Returns (layer_grads, delta_grad, current_objective, LayerStats or None).
-    Training uses this to get the step's loss and logging quantities from the
-    same forward pass that produced the gradient.
+    Returns (layer_grads, delta_grad, current_objective). Training uses this
+    to get the step's loss from the forward pass that produced the gradient.
 
     ``blocks`` is an optional pair of flat float64 arrays of
     ``step_block_size(L, N, d)`` entries each. The first holds the hidden
@@ -182,12 +170,6 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
             # hold sigma(a_k), then G_k * sigma(a_k)
             s_val = activation.value(trace.preact, out=trace.preact)
             dgrad = float(np.sum(np.multiply(g[1:], s_val, out=s_val))) / n
-        stats = None
-        if want_stats:
-            # preact is free here too: it holds the squares and the absolute values
-            h_sq = np.sum(np.square(trace.hidden[:-1], out=trace.preact), axis=2)
-            g_inf = np.max(np.abs(g[1:], out=trace.preact), axis=2)
-            stats = LayerStats(np.mean(h_sq * g_inf ** 2, axis=1))
         # grad_k = delta/n * sum_i (sigma'(a_k) * G_k)_i h_{k-1,i}^T, all k at
         # once, from the product _backward returned. G and preact go before
         # the (L, d, d) stack is allocated or written over them.
@@ -195,7 +177,7 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
         del trace, g
         grads = np.matmul(sg.transpose(0, 2, 1), h_prev, out=grads_out)
         grads *= weights.delta / n
-    return grads, dgrad, value, stats
+    return grads, dgrad, value
 
 
 def finite_diff_grad(data: "Dataset", weights: Weights,

@@ -408,31 +408,6 @@ def certify_run_envelope(log: RunLog, params: AssumptionParams,
     return reports
 
 
-def neighbour_gradient_residual(trace: ForwardTrace, weights: Weights,
-                                k: int) -> np.ndarray:
-    """Second-order residual xi in the neighbouring-gradient decomposition.
-
-    For layers k and k+1 (1-based k <= L-1), the per-sample gradient gap is
-
-        dl/da_{k,mn} - dl/da_{k+1,mn}
-            = delta h_{k-1,n} (s'_{k,m} - s'_{k+1,m}) <G_{k+1}, e_m>
-              + delta^2 <G_{k+1}, xi_{mn}>,
-
-    with xi_{mn} = h_{k-1,n} s'_{k,m} (s'_{k+1} * col_m(alpha_{k+1}))
-                   - sigma(a_k)_n s'_{k+1,m} e_m. Returned as (m, n, :) array.
-    """
-    if not 1 <= k <= weights.depth - 1:
-        raise InvalidInputError("k must lie in 1..L-1")
-    d = weights.width
-    h_prev = trace.hidden[k - 1]
-    sdot_k, sdot_k1 = trace.activation.deriv1(trace.preact[k - 1:k + 1])
-    sval_k = trace.activation.value(trace.preact[k - 1])
-    scaled_cols = sdot_k1[:, None] * weights.layers[k]  # column m is s'_{k+1} * col_m
-    term1 = np.einsum("m,n,im->mni", sdot_k, h_prev, scaled_cols)
-    term2 = np.einsum("n,m,im->mni", sval_k, sdot_k1, np.eye(d))
-    return term1 - term2
-
-
 def _encode(value):
     """Non-finite floats as the strings "nan", "inf" and "-inf" (strict JSON)."""
     if isinstance(value, float) and not math.isfinite(value):

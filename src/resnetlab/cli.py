@@ -250,7 +250,7 @@ def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
         x = rng.standard_normal(cfg.d)
         x /= np.linalg.norm(x)
         trace = forward(x, w, act)
-        grads, _, value, _ = grad_objective_with_stats(data, w, act, want_stats=False)
+        grads, _, value = grad_objective_with_stats(data, w, act)
         norms = weight_norms(w)
         batch = [
             *bounds.certify_forward(trace, x, w, norms, cfg.c0),
@@ -319,7 +319,8 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
 
 
 def _load_runs(run_dir: str) -> tuple[list[int], dict[int, RunLog], dict[int, Weights]]:
-    """Completed runs under ``run_dir``; failed ones are named on stderr and skipped."""
+    """Completed runs under ``run_dir``, all of one width; failed ones are
+    named on stderr and skipped."""
     runs = []
     for path in glob.glob(os.path.join(run_dir, "runlog_L*.csv")):
         match = re.search(r"runlog_L(\d+)\.csv$", path)
@@ -340,6 +341,10 @@ def _load_runs(run_dir: str) -> tuple[list[int], dict[int, RunLog], dict[int, We
         if not os.path.exists(wpath):
             raise InvalidInputError(f"missing final weights {wpath}")
         weights[depth] = load_weights(wpath)
+        width, first = weights[depth].width, weights[depths[0]].width
+        if width != first:
+            raise InvalidInputError(f"all runs must share the width d: depth {depth} has "
+                                    f"d={width}, depth {depths[0]} has d={first}")
     if not depths:
         raise InvalidInputError(f"no completed runs under {run_dir}")
     return depths, logs, weights
@@ -393,12 +398,13 @@ def cmd_analyze(cfg: ExperimentConfig, run_dir: str, out_dir: str) -> int:
         for row in fit_rows:
             writer.writerow([row["L"], repr(row["fbar0"]),
                              repr(row["mean_weight_norm"]), repr(row["delta_final"])])
+    # a power law fits positive values only; a fit over a zero is left out
     if len(depths) >= 2:
-        fbar_fit = analysis.fit_power_law([(r["L"], r["fbar0"]) for r in fit_rows])
-        fits["fbar0"] = asdict(fbar_fit)
-        delta_fit = analysis.fit_power_law([(r["L"], r["delta_final"]) for r in fit_rows])
-        fits["delta_final"] = asdict(delta_fit)
-    if len(depths) >= 3:
+        for key in ("fbar0", "delta_final"):
+            if all(r[key] > 0 for r in fit_rows):
+                points = [(r["L"], r[key]) for r in fit_rows]
+                fits[key] = asdict(analysis.fit_power_law(points))
+    if len(depths) >= 3 and all(r["mean_weight_norm"] > 0 for r in fit_rows):
         ts = analysis.total_scaling([(l, weights[l]) for l in depths], cfg.alpha0)
         fits["weight_norm"] = asdict(ts.weight_fit)
         fits["total_scaling"] = ts.total

@@ -117,7 +117,7 @@ def sample_sphere_dataset(N: int, d: int, seed: int, params: AssumptionParams,
     raise InfeasibleDatasetError(
         f"no draw of {N} points in dimension {d} met separation "
         f"{threshold:.6g} within {MAX_RETRIES} retries (best {best:.6g})",
-        achieved_separation=best, threshold=threshold)
+        achieved_separation=best)
 
 
 def near_init_targets(xs: np.ndarray, w0: Weights, epsilon: float, seed: int,

@@ -12,13 +12,12 @@ class InfeasibleDatasetError(InvalidInputError):
     """Raised when sphere sampling cannot meet the separation threshold.
 
     Carries the best separation achieved so the caller can report how far
-    the draw was from the requirement.
+    the draw was from the requirement; the message names the threshold.
     """
 
-    def __init__(self, message: str, achieved_separation: float, threshold: float):
+    def __init__(self, message: str, achieved_separation: float):
         super().__init__(message)
         self.achieved_separation = achieved_separation
-        self.threshold = threshold
 
 
 class NumericalOverflowError(FloatingPointError):

@@ -35,7 +35,6 @@ class Activation:
     new result.
     """
 
-    name: str
     value: Callable[[np.ndarray], np.ndarray]
     deriv1: Callable[[np.ndarray], np.ndarray]
     deriv2: Callable[[np.ndarray], np.ndarray]
@@ -67,8 +66,8 @@ def _identity_first(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-TANH = Activation("tanh", np.tanh, _tanh_first, _tanh_second)
-IDENTITY = Activation("identity", _identity_value, _identity_first,
+TANH = Activation(np.tanh, _tanh_first, _tanh_second)
+IDENTITY = Activation(_identity_value, _identity_first,
                       lambda z: np.zeros_like(np.asarray(z, dtype=np.float64)))
 
 _ACTIVATIONS = {"tanh": TANH, "identity": IDENTITY}

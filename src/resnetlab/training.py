@@ -5,8 +5,7 @@ Each run records the loss, the depth-scaled weight norms
     fbar = 1/2 sum_k |A_k|_F^2,    gbar = L/2 sum_k |A_{k+1} - A_k|_F^2,
 
 the layerwise maxima behind them, and the learning rate. With per-layer
-logging on, the run also verifies at every step that the row norms grow no
-faster than their one-step drive bound allows.
+logging on, it also records each logged state's neighbour gaps g_k.
 """
 
 from __future__ import annotations
@@ -105,19 +104,13 @@ def layer_gaps(w: Weights, norms: WeightNorms) -> np.ndarray:
     return 0.5 * w.depth ** 2 * norms.diff_sq
 
 
-def _row_norms(layers: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(layers, axis=2) with its squares written into ``out``."""
-    return np.sqrt(np.add.reduce(np.multiply(layers, layers, out=out), axis=2))
-
-
 @dataclass
 class RunLog:
     """Time series of one gradient-descent run (row 0 is the initial state).
 
     ``eta_sum`` holds the exact cumulative learning rate before each logged
-    step, so envelope checks work at any logging stride. ``f_slack`` (with
-    per-layer logging) is the per-step minimum of bound-minus-observed for
-    the row-norm growth inequality; ``g_layers`` the per-step g_k rows.
+    step, so envelope checks work at any logging stride. ``g_layers`` (with
+    per-layer logging) holds the g_k row of each logged step.
     """
 
     t: np.ndarray
@@ -130,7 +123,6 @@ class RunLog:
     delta: np.ndarray
     eta_sum: np.ndarray | None = None
     g_layers: np.ndarray | None = None
-    f_slack: np.ndarray | None = None
     failed: bool = False
     fail_reason: str | None = None
 
@@ -188,13 +180,11 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
 
     rows: list[tuple] = []
     g_rows: list[np.ndarray] = []
-    f_slacks: list[float] = []
     fail_reason = None
 
     w = w0
     eta_acc = 0.0
     L, d = w0.depth, w0.width
-    sqrt_half_l = math.sqrt(0.5 * L)
     size = step_block_size(L, len(data.xs), d)
     trace_block, adjoint_block, weights_block = (np.empty(size) for _ in range(3))
     scratch = trace_block[:L * d * d].reshape(L, d, d)
@@ -210,15 +200,11 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
             return f"non-finite weight norms: fbar={norms.fbar!r} gbar={norms.gbar!r}"
         return None
 
-    # the row norms of each iterate serve as one step's "after" and the next
-    # step's "before"
-    if log_layers:
-        f_sqrt_before = sqrt_half_l * _row_norms(w.layers, scratch)
     for t in range(T):
         eta = sched.rate(t)
         try:
-            grads, dgrad, value, stats = grad_objective_with_stats(
-                data, w, activation, delta_trainable, want_stats=log_layers,
+            grads, dgrad, value = grad_objective_with_stats(
+                data, w, activation, delta_trainable,
                 blocks=(trace_block, adjoint_block))
         except NumericalOverflowError as exc:
             fail_reason = str(exc)
@@ -227,20 +213,12 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
             fail_reason = log_state(t, eta, value)
             if fail_reason is not None:
                 break
-        if log_layers:
-            drive = (eta * math.sqrt(L) * w.delta / math.sqrt(2.0)
-                     * np.sqrt(stats.h_sq_ginf_sq))
         try:
             w = _apply_update(w, grads, dgrad, eta, delta_trainable)
         except NumericalOverflowError as exc:
             fail_reason = str(exc)
             break
         adjoint_block, weights_block = weights_block, adjoint_block
-        if log_layers:
-            f_sqrt_after = sqrt_half_l * _row_norms(w.layers, scratch)
-            slack = f_sqrt_before + drive[:, None] - f_sqrt_after
-            f_slacks.append(float(np.min(slack)))
-            f_sqrt_before = f_sqrt_after
         eta_acc += eta
 
     if fail_reason is None:
@@ -268,7 +246,6 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
         delta=np.asarray(cols[7], dtype=np.float64),
         eta_sum=np.asarray(cols[8], dtype=np.float64),
         g_layers=np.asarray(g_rows) if log_layers and g_rows else None,
-        f_slack=np.asarray(f_slacks) if log_layers else None,
         failed=fail_reason is not None,
         fail_reason=fail_reason,
     )
@@ -331,18 +308,20 @@ def load_runlog(path) -> RunLog:
     if any(row[-1] for row in rows[:-1]):
         raise InvalidInputError(f"fail_reason before the last row of {path}")
     try:
-        arr = np.asarray([[float(v) for v in row[:-1]] for row in rows])
-    except ValueError:
+        t = np.asarray([int(row[0]) for row in rows], dtype=np.int64)
+        arr = np.asarray([[float(v) for v in row[1:-1]] for row in rows])
+    except (ValueError, OverflowError):
         raise InvalidInputError(f"unparseable number in run log {path}") from None
+    if t[0] != 0 or np.any(t[1:] <= t[:-1]):
+        raise InvalidInputError(f"run log steps must start at 0 and strictly increase in {path}")
     fail_reason = rows[-1][-1] or None
-    t = arr[:, 0].astype(np.int64)
-    eta = arr[:, 1]
+    eta = arr[:, 0]
     # The cumulative rate is recoverable exactly when every step was logged.
     eta_sum = None
-    if len(t) >= 1 and np.array_equal(t[:-1], np.arange(len(t) - 1)):
+    if np.array_equal(t[:-1], np.arange(len(t) - 1)):
         eta_sum = np.concatenate([[0.0], np.cumsum(eta[:-1])])
-    return RunLog(t=t, eta=eta, loss=arr[:, 2], fbar=arr[:, 3], gbar=arr[:, 4],
-                  finf=arr[:, 5], neighbour_max=arr[:, 6], delta=arr[:, 7],
+    return RunLog(t=t, eta=eta, loss=arr[:, 1], fbar=arr[:, 2], gbar=arr[:, 3],
+                  finf=arr[:, 4], neighbour_max=arr[:, 5], delta=arr[:, 6],
                   eta_sum=eta_sum, failed=fail_reason is not None,
                   fail_reason=fail_reason)
 

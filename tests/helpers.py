@@ -4,7 +4,8 @@ import itertools
 
 import numpy as np
 
-from resnetlab.network import Weights
+from resnetlab.autograd import _backward
+from resnetlab.network import TANH, Weights, forward_batch
 
 
 def zero_weights(width, depth, delta=None, delta_exponent=0.5):
@@ -18,6 +19,37 @@ def zero_weights(width, depth, delta=None, delta_exponent=0.5):
 def sigma_prime(trace):
     """sigma'(a_k) for every layer of a forward trace, from its preactivations."""
     return trace.activation.deriv1(trace.preact)
+
+
+def row_growth_drive(data, weights, activation=TANH):
+    """Per layer, the mean over the samples of |h_{k-1}|^2 |G_k|_inf^2: the
+    drive term of the paper's one-step growth bound for the row norms."""
+    trace = forward_batch(data.xs, weights, activation)
+    g, _ = _backward(trace, weights, data.ys)
+    return np.mean(np.sum(trace.hidden[:-1] ** 2, axis=2)
+                   * np.max(np.abs(g[1:]), axis=2) ** 2, axis=1)
+
+
+def neighbour_gradient_residual(trace, weights, k):
+    """Second-order residual xi in the neighbouring-gradient decomposition.
+
+    For layers k and k+1 (1-based k <= L-1) of a single-input trace, the
+    per-sample gradient gap is
+
+        dl/da_{k,mn} - dl/da_{k+1,mn}
+            = delta h_{k-1,n} (s'_{k,m} - s'_{k+1,m}) <G_{k+1}, e_m>
+              + delta^2 <G_{k+1}, xi_{mn}>,
+
+    with xi_{mn} = h_{k-1,n} s'_{k,m} (s'_{k+1} * col_m(alpha_{k+1}))
+                   - sigma(a_k)_n s'_{k+1,m} e_m. Returned as (m, n, :) array.
+    """
+    h_prev = trace.hidden[k - 1]
+    sdot_k, sdot_k1 = trace.activation.deriv1(trace.preact[k - 1:k + 1])
+    sval_k = trace.activation.value(trace.preact[k - 1])
+    scaled_cols = sdot_k1[:, None] * weights.layers[k]  # column m is s'_{k+1} * col_m
+    term1 = np.einsum("m,n,im->mni", sdot_k, h_prev, scaled_cols)
+    term2 = np.einsum("n,m,im->mni", sval_k, sdot_k1, np.eye(weights.width))
+    return term1 - term2
 
 
 def exhaustive_oracle(values):

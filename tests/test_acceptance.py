@@ -106,7 +106,7 @@ def test_criterion_2_forward_backward_certification():
         w = rl.Weights(layers, depth ** -0.5)
         x = unit_rows(rng, 1, d)[0]
         trace = rl.forward(x, w, rl.TANH)
-        grads, _, value, _ = rl.grad_objective_with_stats(data, w, want_stats=False)
+        grads, _, value = rl.grad_objective_with_stats(data, w)
         norms = weight_norms(w)
         reports = [
             *certify_forward(trace, x, w, norms, c_alpha),

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import sigma_prime, zero_weights
+from helpers import row_growth_drive, sigma_prime, zero_weights
 from resnetlab import autograd
 from resnetlab.autograd import (_backward, finite_diff_grad, grad_objective,
                                 grad_objective_with_stats,
@@ -61,7 +61,7 @@ class TestObjective:
         rng = np.random.default_rng(20)
         for L in (1, 7, 64):
             data, w = random_instance(rng, 5, L, 3)
-            _, _, value, _ = grad_objective_with_stats(data, w, want_stats=False)
+            _, _, value = grad_objective_with_stats(data, w)
             assert objective(data, w) == value
 
     def test_depth_free_upper_bound(self):
@@ -122,8 +122,8 @@ class TestGradObjective:
 def reference_grad_objective(data, weights, activation=TANH, delta_trainable=False):
     """Reference: the allocating formulas, one new array per operation.
 
-    Returns the forward trace, the loss, the layer gradients, the delta
-    gradient and the per-layer drive stats of ``grad_objective_with_stats``.
+    Returns the forward trace, the loss, the layer gradients and the delta
+    gradient of ``grad_objective_with_stats``.
     """
     L, delta, n = weights.depth, weights.delta, data.ys.shape[0]
     hidden, preact = [data.xs], []
@@ -139,14 +139,11 @@ def reference_grad_objective(data, weights, activation=TANH, delta_trainable=Fal
     for k in range(L, 0, -1):
         g[k - 1] = g[k] + delta * ((sprime[k - 1] * g[k]) @ weights.layers[k - 1])
     g = np.array(g)
-    h_sq = np.sum(hidden[:-1] ** 2, axis=2)
-    g_inf = np.max(np.abs(g[1:]), axis=2)
-    stats = np.mean(h_sq * g_inf ** 2, axis=1)
     dgrad = float(np.sum(g[1:] * activation.value(preact))) / n if delta_trainable else 0.0
     grads = np.matmul((g[1:] * sprime).transpose(0, 2, 1), hidden[:-1])
     grads *= delta / n
     return {"hidden": hidden, "preact": preact, "sigma_g": sprime * g[1:], "g": g,
-            "value": value, "grads": grads, "dgrad": dgrad, "stats": stats}
+            "value": value, "grads": grads, "dgrad": dgrad}
 
 
 class TestInPlaceStep:
@@ -163,11 +160,9 @@ class TestInPlaceStep:
             trace = forward_batch(data.xs, w, activation)
             assert np.array_equal(trace.hidden, ref["hidden"])
             assert np.array_equal(trace.preact, ref["preact"])
-            grads, dgrad, value, stats = grad_objective_with_stats(
-                data, w, activation, trainable, want_stats=True)
+            grads, dgrad, value = grad_objective_with_stats(data, w, activation, trainable)
             assert np.array_equal(grads, ref["grads"])
             assert dgrad == ref["dgrad"] and value == ref["value"]
-            assert np.array_equal(stats.h_sq_ginf_sq, ref["stats"])
             plain = grad_objective(data, w, activation, trainable)
             assert np.array_equal(plain.layers, ref["grads"])
             assert plain.delta_grad == ref["dgrad"]
@@ -194,7 +189,7 @@ class TestInPlaceStep:
             calls.append(np.shape(z))
             return TANH.deriv1(z, out)
 
-        act = Activation("counted", TANH.value, counted_deriv1, TANH.deriv2)
+        act = Activation(TANH.value, counted_deriv1, TANH.deriv2)
         rng = np.random.default_rng(42)
         data, w = random_instance(rng, 3, 4, 2)
         objective(data, w, act)
@@ -207,7 +202,7 @@ class TestInPlaceStep:
     def test_memory_is_trace_g_and_gradient_stack(self):
         # hidden, preact, sigma' and G are the most whole-trace arrays alive at
         # once; the (L, d, d) gradient stack (two trace-sized arrays at N = d/2)
-        # comes after preact and G are dropped, and the drive stats reuse preact
+        # comes after preact and G are dropped
         d, n, L = 20, 10, 1024
         rng = np.random.default_rng(43)
         data, w = random_instance(rng, d, L, n)
@@ -215,7 +210,7 @@ class TestInPlaceStep:
         grad_objective_with_stats(data, w)
         tracemalloc.start()
         try:
-            grad_objective_with_stats(data, w, want_stats=True)
+            grad_objective_with_stats(data, w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -463,8 +458,7 @@ class TestLayerStats:
     def test_drive_matches_direct_computation(self):
         rng = np.random.default_rng(15)
         data, w = random_instance(rng, 3, 5, 4)
-        _, _, value, stats = grad_objective_with_stats(data, w, want_stats=True)
-        assert value == pytest.approx(objective(data, w), rel=1e-15)
+        drive = row_growth_drive(data, w)
         for k in range(1, 6):
             acc = 0.0
             for x, y in zip(data.xs, data.ys):
@@ -472,7 +466,7 @@ class TestLayerStats:
                 g_k = jacobian_stack(w, sigma_prime(trace))[k].T @ (trace.output - y)
                 acc += (float(trace.hidden[k - 1] @ trace.hidden[k - 1])
                         * float(np.max(np.abs(g_k))) ** 2)
-            assert stats.h_sq_ginf_sq[k - 1] == pytest.approx(acc / data.n, rel=1e-12)
+            assert drive[k - 1] == pytest.approx(acc / data.n, rel=1e-12)
 
 
 class TestHessianEstimate:

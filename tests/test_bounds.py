@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import sigma_prime, zero_weights
+from helpers import neighbour_gradient_residual, sigma_prime, zero_weights
 from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               certify_gradient_upper, certify_hessian,
@@ -11,9 +11,7 @@ from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               check_assumptions, envelope_drift,
                               envelope_rate, full_lower_coefficient,
                               hessian_upper_bound, lr_feasibility, make_report,
-                              meaningful_failures,
-                              neighbour_gradient_residual,
-                              vacuous_depth_threshold, write_reports_jsonl,
+                              meaningful_failures, vacuous_depth_threshold, write_reports_jsonl,
                               load_reports_jsonl)
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, replace_targets,

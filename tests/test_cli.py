@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resnetlab import autograd, bounds, cli, network
@@ -300,13 +300,38 @@ class TestTrainProperty:
             os.mkdir(out)
             code = main(["train", "--config", path, "--out", out])
             assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_OVERFLOW)
-            written = sorted(os.listdir(out))
             if code == EXIT_INPUT_ERROR:
-                assert written == []
-            for name in written:
-                if name.endswith(".json"):
-                    with open(os.path.join(out, name)) as fh:
-                        json.load(fh, parse_constant=reject_constant)
+                assert os.listdir(out) == []
+            assert_strict_json_files(out)
+
+
+def assert_strict_json_files(directory):
+    for name in os.listdir(directory):
+        if name.endswith(".json"):
+            with open(os.path.join(directory, name)) as fh:
+                json.load(fh, parse_constant=reject_constant)
+
+
+class TestAnalyzeProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(train_configs())
+    @example({"d": 4, "N": 2, "depths": [4, 8, 16], "T": 3, "init_mode": "certified",
+              "init_scale": 0.0})
+    def test_every_trained_run_ends_in_a_documented_exit(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            run_dir, out = os.path.join(tmp, "run"), os.path.join(tmp, "analysis")
+            trained = main(["train", "--config", path, "--out", run_dir])
+            if trained not in (EXIT_OK, EXIT_OVERFLOW):
+                return
+            os.mkdir(out)
+            code = main(["analyze", "--config", path, "--run-dir", run_dir, "--out", out])
+            assert code in (EXIT_OK, EXIT_INPUT_ERROR)
+            if code == EXIT_INPUT_ERROR:
+                assert os.listdir(out) == []
+            assert_strict_json_files(out)
 
 
 class TestDatasetCommand:
@@ -687,6 +712,51 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert f"missing final weights {run_dir / 'weights_L8.bin'}" in err
         assert "Traceback" not in err
+
+    # every fbar0 is 0 from zero weights; with T = 0 so is every final
+    # weight norm, and the fits over them are left out
+    @pytest.mark.parametrize("T, omitted", [
+        (3, {"fbar0"}),
+        (0, {"fbar0", "weight_norm", "total_scaling"}),
+    ])
+    def test_zero_init_omits_fits_over_zeros(self, tmp_path, capsys, T, omitted):
+        cfg, run_dir = self.run_training(tmp_path, **dict(
+            SMALL, depths=[4, 8, 16], T=T, init_mode="certified", init_scale=0.0))
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--config", cfg, "--run-dir", str(run_dir),
+                     "--out", str(out)]) == EXIT_OK
+        fits = json.loads((out / "scaling_fits.json").read_text())
+        assert set(fits) == {"fbar0", "delta_final", "weight_norm", "total_scaling"} - omitted
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_mixed_widths_exit_2_writing_nothing(self, tmp_path, capsys):
+        cfg, run_dir = self.run_training(tmp_path, **SMALL)
+        (tmp_path / "wide").mkdir()
+        _, wide_dir = self.run_training(tmp_path / "wide", **dict(SMALL, d=6, depths=[16]))
+        for name in ("runlog_L16.csv", "weights_L16.bin"):
+            (run_dir / name).write_bytes((wide_dir / name).read_bytes())
+        code, files = run_into_empty_dir(
+            tmp_path, ["analyze", "--config", cfg, "--run-dir", str(run_dir)])
+        assert (code, files) == (EXIT_INPUT_ERROR, [])
+        assert ("all runs must share the width d: depth 16 has d=6, depth 4 has d=4"
+                in capsys.readouterr().err)
+
+    # the t cell of the second logged row (t=2 at stride 2) edited to -7, and
+    # of the first row (t=0) edited to 5
+    @pytest.mark.parametrize("line, token", [(2, "-7"), (1, "5")])
+    def test_step_column_out_of_order_exits_2(self, tmp_path, capsys, line, token):
+        cfg, run_dir = self.run_training(tmp_path, **dict(SMALL, log_stride=2))
+        path = run_dir / "runlog_L8.csv"
+        lines = path.read_text().split("\n")
+        lines[line] = ",".join([token] + lines[line].split(",")[1:])
+        path.write_text("\n".join(lines))
+        for command in ("certify", "analyze"):
+            (tmp_path / command).mkdir()
+            code, files = run_into_empty_dir(
+                tmp_path / command, [command, "--config", cfg, "--run-dir", str(run_dir)])
+            assert (code, files) == (EXIT_INPUT_ERROR, [])
+            err = capsys.readouterr().err
+            assert f"run log steps must start at 0 and strictly increase in {path}" in err
 
     def test_steps_csv_round_trips(self, tmp_path):
         cfg, run_dir = self.run_training(tmp_path, depths=[4, 8], T=30)

@@ -37,7 +37,7 @@ class TestSeparation:
         # best spread of 4 unit vectors in the plane has |<x_i,x_j>| >= cos(45)
         with pytest.raises(InfeasibleDatasetError) as err:
             sample_sphere_dataset(4, 2, seed=0, params=params_for(N=4))
-        assert err.value.achieved_separation > err.value.threshold
+        assert err.value.achieved_separation > separation_threshold(4, 0.1)
 
     def test_enforcement_can_be_disabled(self):
         data = sample_sphere_dataset(8, 4, seed=0, params=params_for(N=8),

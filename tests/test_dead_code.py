@@ -1,7 +1,7 @@
 """Every public top-level function, class and constant of ``resnetlab`` has a
-caller in ``src/``, and every defaulted parameter of a public function is
-passed by some call there: code and options that only tests reach belong
-with the tests."""
+caller in ``src/``, every defaulted parameter of a public function is passed
+by some call there, and every field of a class is read there: code, options
+and values that only tests reach belong with the tests."""
 
 import ast
 import math
@@ -14,8 +14,6 @@ ALLOWED = {
     "load_reports_jsonl": "the README documents it as the reader of bounds.jsonl",
     "load_dataset": "it reads back the dataset files train writes; checking a "
                     "run's data against them is planned work for certify",
-    "neighbour_gradient_residual": "the paper's neighbouring-gradient decomposition, "
-                                   "checked by the tests; a certify row is planned",
 }
 
 
@@ -128,3 +126,54 @@ def test_default_allowlist_is_current():
     defined = {f"{func}.{param}" for tree in modules().values()
                for func, param, _ in optional_parameters(tree)}
     assert set(ALLOWED_DEFAULTS) <= defined
+
+
+# classes whose fields are kept although src/ reads some of them by no
+# attribute, each for one reason
+ALLOWED_FIELDS = {
+    "ExperimentConfig": "asdict writes every key into config.json",
+    "ScalingFit": "asdict writes every field into scaling_fits.json",
+}
+
+
+def class_fields(tree):
+    """(class, field) for each annotated name of a top-level class body and
+    each attribute that the class's ``__init__`` sets on ``self``."""
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield cls.name, item.target.id
+            elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for node in ast.walk(item):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                        yield cls.name, node.attr
+
+
+def attribute_reads(node, reads):
+    """Adds to ``reads`` the name of each attribute loaded under ``node``,
+    except inside ``__init__`` and ``__post_init__``, which set and check
+    fields but are not their readers."""
+    if isinstance(node, ast.FunctionDef) and node.name in ("__init__", "__post_init__"):
+        return reads
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        reads.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        attribute_reads(child, reads)
+    return reads
+
+
+def test_every_field_is_read():
+    trees = modules()
+    reads = set()
+    for tree in trees.values():
+        attribute_reads(tree, reads)
+    unread = [f"{mod}.{cls}.{name}" for mod, tree in trees.items()
+              for cls, name in class_fields(tree)
+              if name not in reads and cls not in ALLOWED_FIELDS]
+    assert not unread, f"fields that no code in src/ reads: {unread}"
+
+
+def test_field_allowlist_is_current():
+    defined = {cls for tree in modules().values() for cls, _ in class_fields(tree)}
+    assert set(ALLOWED_FIELDS) <= defined

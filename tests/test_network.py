@@ -92,7 +92,7 @@ class TestActivations:
         assert np.asarray(observed).tobytes() == np.asarray(expected).tobytes()
 
     def test_synthetic_violation_reported(self):
-        doubler = Activation("double", lambda z: 2.0 * np.asarray(z),
+        doubler = Activation(lambda z: 2.0 * np.asarray(z),
                              lambda z: np.full_like(np.asarray(z, float), 2.0),
                              lambda z: np.zeros_like(np.asarray(z, float)))
         rows = {r.name: r for r in check_activation(doubler)}
