@@ -17,6 +17,10 @@ from .errors import InvalidInputError
 from .network import Weights
 from .training import RunLog
 
+# Byte budget of the one working buffer of each path kernel below: the
+# kernels' memory beyond their inputs does not grow with depth.
+CHUNK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class ScalingFit:
@@ -101,29 +105,50 @@ def two_variation(path: PathFunction) -> float:
     Partitions are index chains of the sample grid that contain both
     endpoints; this maximizes over the full grid and its dyadic coarsenings
     (every 2^j-th point plus the last), a lower bound on the supremum over
-    all partitions, in O(P d^2) time and memory for P points of width d.
+    all partitions, in O(P d^2) time for P points of width d. Each chain's
+    increments pass through one buffer of at most ``CHUNK_BYTES``.
     """
     flat = path.values.reshape(path.points, -1)
     last = path.points - 1
+    rows = max(1, CHUNK_BYTES // (flat.shape[1] * flat.itemsize))
+    buf = np.empty((min(rows, max(last, 1)), flat.shape[1]))
+    sums = np.empty(len(buf))
 
     best, stride = 0.0, 1
     while True:
-        idx = list(range(0, last + 1, stride))
-        if idx[-1] != last:
-            idx.append(last)
-        step = np.diff(flat[idx], axis=0)
-        # increments added in index order, one at a time, not np.sum's pairwise order
-        best = max(best, float(sum(np.sum(step * step, axis=-1))))
+        chain = flat[::stride]
+        inner = len(chain) - 1  # increments between chain points
+        count = inner + (last % stride != 0)  # plus the one to the last point
+        total = 0.0
+        for start in range(0, count, len(buf)):
+            stop = min(start + len(buf), count)
+            mid = min(stop, inner)
+            np.subtract(chain[start + 1:mid + 1], chain[start:mid], buf[:mid - start])
+            if mid < stop:
+                np.subtract(flat[last], chain[-1], buf[mid - start])
+            step, part = buf[:stop - start], sums[:stop - start]
+            np.multiply(step, step, step)
+            np.add.reduce(step, axis=-1, out=part)
+            # increments added in index order, one at a time, not np.sum's
+            # pairwise order: the running sum carries from chunk to chunk
+            part[0] += total
+            np.add.accumulate(part, out=part)
+            total = float(part[-1])
+        best = max(best, total)
         if stride >= last:
             return best
         stride *= 2
 
 
-def _value_at(weights: Weights, s: float) -> np.ndarray:
+def _rescaled_rows(weights: Weights, s: np.ndarray, out: np.ndarray) -> None:
+    """sqrt(L) * A_{floor(L s)} into ``out`` (len(s), d, d), index clipped to [1, L]."""
     # floor(L*s) with a nudge so grid points shared across depths land exactly
-    k = int(np.floor(weights.depth * s + 1e-9))
-    k = min(weights.depth, max(1, k))
-    return np.sqrt(weights.depth) * weights.layers[k - 1]
+    k = np.floor(weights.depth * s + 1e-9).astype(np.intp)
+    k -= 1
+    # mode="clip" clips k - 1 to [0, L - 1], and unlike "raise" it writes
+    # into out without a buffered copy
+    np.take(weights.layers, k, axis=0, out=out, mode="clip")
+    np.multiply(np.sqrt(weights.depth), out, out)
 
 
 def scaling_limit_distance(runs: list[tuple[int, Weights]]) -> list[tuple[tuple[int, int], float]]:
@@ -131,7 +156,8 @@ def scaling_limit_distance(runs: list[tuple[int, Weights]]) -> list[tuple[tuple[
 
     Both paths are evaluated piecewise-constantly on the union of their layer
     grids, and the max over that grid of |sqrt(L) A_{floor(Ls)} -
-    sqrt(L') A_{floor(L's)}|_F is reported per consecutive depth pair.
+    sqrt(L') A_{floor(L's)}|_F is reported per consecutive depth pair. Both
+    paths pass through one buffer of at most ``CHUNK_BYTES``.
     """
     if len(runs) < 2:
         raise InvalidInputError("need at least two depths")
@@ -139,19 +165,51 @@ def scaling_limit_distance(runs: list[tuple[int, Weights]]) -> list[tuple[tuple[
     widths = {w.width for _, w in runs}
     if len(widths) != 1:
         raise InvalidInputError("all runs must share the width d")
+    d = widths.pop()
+    rows = max(1, CHUNK_BYTES // (2 * d * d * runs[0][1].layers.itemsize))
+    buf = np.empty((2, rows, d * d))
+    sq = np.empty(rows)
     out = []
     for (l1, w1), (l2, w2) in zip(runs[:-1], runs[1:]):
-        grid = np.union1d(np.arange(1, l1 + 1) / l1, np.arange(1, l2 + 1) / l2)
+        # the sorted union of both grids; np.union1d would import numpy.ma
+        grid = np.concatenate((np.arange(1, l1 + 1) / l1, np.arange(1, l2 + 1) / l2))
+        grid.sort()
+        grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
         sup = 0.0
-        for s in grid:
-            gap = _value_at(w1, float(s)) - _value_at(w2, float(s))
-            sup = max(sup, float(np.linalg.norm(gap)))
+        for start in range(0, len(grid), rows):
+            s = grid[start:start + rows]
+            gap, other, norms = buf[0, :len(s)], buf[1, :len(s)], sq[:len(s)]
+            _rescaled_rows(w1, s, gap.reshape(-1, d, d))
+            _rescaled_rows(w2, s, other.reshape(-1, d, d))
+            np.subtract(gap, other, gap)
+            # each row's squared norm by the BLAS dot that np.linalg.norm
+            # uses, in the same order for C-ordered stacks (as load_weights
+            # and train write them)
+            np.matmul(gap[:, None, :], gap[:, :, None], norms[:, None, None])
+            np.sqrt(norms, norms)
+            # fmax skips a NaN gap (from inf - inf) as max(sup, nan) did
+            sup = float(np.fmax.reduce(norms, initial=sup))
         out.append(((l1, l2), sup))
     return out
 
 
 def mean_layer_norm(weights: Weights) -> float:
-    return float(np.mean(np.linalg.norm(weights.layers, axis=(1, 2))))
+    """Mean over the layers of the Frobenius norm, equal bit for bit to the
+    mean of ``np.linalg.norm(weights.layers, axis=(1, 2))``; the squares pass
+    through one buffer of at most ``CHUNK_BYTES``."""
+    layers = weights.layers
+    L, d = weights.depth, weights.width
+    rows = max(1, CHUNK_BYTES // (d * d * layers.itemsize))
+    # the stack's own memory layout, so each sum runs in np.linalg.norm's order
+    buf = np.empty_like(layers[:rows])
+    norms = np.empty(L)
+    for start in range(0, L, rows):
+        chunk = layers[start:start + rows]
+        block = buf[:len(chunk)]
+        np.square(chunk, block)
+        np.add.reduce(block, axis=(1, 2), out=norms[start:start + len(chunk)])
+    np.sqrt(norms, norms)
+    return float(np.mean(norms))
 
 
 @dataclass(frozen=True)
@@ -166,12 +224,11 @@ class TotalScaling:
         return self.alpha0 + self.weight_fit.exponent
 
 
-def total_scaling(runs: list[tuple[int, Weights]], alpha0: float) -> TotalScaling:
-    """Fit mean layer Frobenius norm ~ L**(-beta_T) and return alpha0 + beta_T."""
-    if len(runs) < 3:
+def total_scaling(points: list[tuple[int, float]], alpha0: float) -> TotalScaling:
+    """Fit (L, mean_layer_norm) pairs ~ L**(-beta_T) and return alpha0 + beta_T."""
+    if len(points) < 3:
         raise InvalidInputError("need at least three depths")
-    fit = fit_power_law([(l, mean_layer_norm(w)) for l, w in runs])
-    return TotalScaling(fit, alpha0)
+    return TotalScaling(fit_power_law(points), alpha0)
 
 
 def entry_scatter(runs: list[tuple[int, Weights]], m: int, n: int) -> list[tuple[int, float, float]]:

@@ -110,7 +110,9 @@ def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
     g = np.empty_like(trace.hidden) if out is None else out
     sg = np.empty_like(trace.preact) if sigma_prime is None else sigma_prime
     np.subtract(trace.hidden[L], ys, out=g[L])
-    delta = weights.delta
+    # a 0-d array operand spares each per-layer multiply numpy's conversion
+    # of a Python float scalar; the product is the same
+    delta = np.array(weights.delta)
     step = np.empty_like(g[L])
     g_next = g[L]
     multiply, add = np.multiply, np.add

@@ -405,7 +405,8 @@ def cmd_analyze(cfg: ExperimentConfig, run_dir: str, out_dir: str) -> int:
                 points = [(r["L"], r[key]) for r in fit_rows]
                 fits[key] = asdict(analysis.fit_power_law(points))
     if len(depths) >= 3 and all(r["mean_weight_norm"] > 0 for r in fit_rows):
-        ts = analysis.total_scaling([(l, weights[l]) for l in depths], cfg.alpha0)
+        ts = analysis.total_scaling([(r["L"], r["mean_weight_norm"]) for r in fit_rows],
+                                    cfg.alpha0)
         fits["weight_norm"] = asdict(ts.weight_fit)
         fits["total_scaling"] = ts.total
     with open(os.path.join(out_dir, "scaling_fits.json"), "w") as fh:

@@ -171,7 +171,9 @@ def forward_batch(xs: np.ndarray, weights: Weights,
     if xs.ndim != 2 or xs.shape[1] != weights.width:
         raise InvalidInputError(f"inputs must have shape (N, {weights.width})")
     L = weights.depth
-    delta = weights.delta
+    # a 0-d array operand spares each per-layer multiply numpy's conversion
+    # of a Python float scalar; the product is the same
+    delta = np.array(weights.delta)
 
     if hidden is None:
         hidden = np.empty((L + 1,) + xs.shape)

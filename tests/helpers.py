@@ -65,3 +65,50 @@ def exhaustive_oracle(values):
                         for a, b in zip(idx[:-1], idx[1:]))
             best = max(best, total)
     return best
+
+
+# The analysis kernels as they were before they worked in fixed-size chunks:
+# one temporary per partition level, one Python iteration per grid point. The
+# chunked kernels must match them bit for bit.
+
+def two_variation_oracle(path):
+    """Dyadic 2-variation of a PathFunction: every 2^j-th point plus the last."""
+    flat = path.values.reshape(path.points, -1)
+    last = path.points - 1
+    best, stride = 0.0, 1
+    while True:
+        idx = list(range(0, last + 1, stride))
+        if idx[-1] != last:
+            idx.append(last)
+        step = np.diff(flat[idx], axis=0)
+        # increments added in index order, one at a time
+        best = max(best, float(sum(np.sum(step * step, axis=-1))))
+        if stride >= last:
+            return best
+        stride *= 2
+
+
+def _value_at(weights, s):
+    k = int(np.floor(weights.depth * s + 1e-9))
+    k = min(weights.depth, max(1, k))
+    return np.sqrt(weights.depth) * weights.layers[k - 1]
+
+
+def scaling_limit_distance_oracle(runs):
+    """Sup distances of the rescaled paths between consecutive depths, one
+    grid point of the union of their layer grids at a time."""
+    runs = sorted(runs, key=lambda lw: lw[0])
+    out = []
+    for (l1, w1), (l2, w2) in zip(runs[:-1], runs[1:]):
+        grid = np.union1d(np.arange(1, l1 + 1) / l1, np.arange(1, l2 + 1) / l2)
+        sup = 0.0
+        for s in grid:
+            gap = _value_at(w1, float(s)) - _value_at(w2, float(s))
+            sup = max(sup, float(np.linalg.norm(gap)))
+        out.append(((l1, l2), sup))
+    return out
+
+
+def mean_layer_norm_oracle(weights):
+    """Mean over the layers of the Frobenius norm, via np.linalg.norm."""
+    return float(np.mean(np.linalg.norm(weights.layers, axis=(1, 2))))

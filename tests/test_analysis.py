@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exhaustive_oracle
-from resnetlab.analysis import (PathFunction, entry_scatter, fit_power_law,
+from helpers import (exhaustive_oracle, mean_layer_norm_oracle,
+                     scaling_limit_distance_oracle, two_variation_oracle)
+from resnetlab.analysis import (CHUNK_BYTES, PathFunction, entry_scatter, fit_power_law,
                                 mean_layer_norm, rescaled_path,
                                 scaling_limit_distance, steps_to_epsilon,
                                 total_scaling, two_variation)
@@ -189,17 +190,82 @@ class TestTotalScaling:
     def test_synthetic_exact(self):
         core = np.array([[0.4, 0.1], [-0.2, 0.3]])
         alpha0 = 0.25
-        runs = [(L, Weights(np.tile(core * L ** -alpha0, (L, 1, 1)), L ** -alpha0))
-                for L in (8, 16, 32, 64)]
-        result = total_scaling(runs, alpha0)
+        points = [(L, mean_layer_norm(Weights(np.tile(core * L ** -alpha0, (L, 1, 1)),
+                                              L ** -alpha0)))
+                  for L in (8, 16, 32, 64)]
+        result = total_scaling(points, alpha0)
         assert result.weight_fit.exponent == pytest.approx(alpha0, abs=1e-12)
         assert result.total == pytest.approx(2 * alpha0, abs=1e-12)
 
     def test_requires_three_depths(self):
-        runs = [(8, Weights(np.zeros((8, 2, 2)), 0.3)),
-                (16, Weights(np.zeros((16, 2, 2)), 0.25))]
         with pytest.raises(InvalidInputError):
-            total_scaling(runs, 0.5)
+            total_scaling([(8, 1.0), (16, 0.5)], 0.5)
+
+
+def size(label, d):
+    """A path length from a label: a number, or "chunk" (the rows of d x d
+    float64 matrices that fill one CHUNK_BYTES buffer) plus or minus one."""
+    chunk = CHUNK_BYTES // (d * d * 8)
+    return {"chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}.get(label) or int(label)
+
+
+def random_weights(rng, depth, width, scale=1.0):
+    return Weights(rng.standard_normal((depth, width, width)) * scale / math.sqrt(depth),
+                   depth ** -0.5)
+
+
+class TestChunkedKernels:
+    """The kernels work in CHUNK_BYTES buffers; their results equal, bit for
+    bit, the unchunked oracles in helpers.py."""
+
+    @pytest.mark.parametrize("d", [1, 20])
+    @pytest.mark.parametrize("points", ["1", "2", "3", "chunk-1", "chunk", "chunk+1", "1000"])
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+    def test_two_variation_bitwise(self, d, points, scale):
+        P = size(points, d)
+        rng = np.random.default_rng(P * 7 + d)
+        values = scale * rng.standard_normal((P, d, d))
+        path = PathFunction(np.arange(1, P + 1) / P, values)
+        assert two_variation(path) == two_variation_oracle(path)
+
+    @pytest.mark.parametrize("d", [6, 20])
+    @pytest.mark.parametrize("depths", [(8, 16, 32), (3, 5, 12, 20, 33), (7, 100, 300)],
+                             ids=["nested", "non-nested", "multi-chunk"])
+    def test_scaling_limit_distance_bitwise(self, d, depths):
+        rng = np.random.default_rng(sum(depths) + d)
+        runs = [(L, random_weights(rng, L, d)) for L in depths]
+        assert scaling_limit_distance(runs) == scaling_limit_distance_oracle(runs)
+
+    @pytest.mark.parametrize("d", [1, 6, 20])
+    @pytest.mark.parametrize("depth", ["1", "chunk-1", "chunk", "chunk+1", "1000"])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_mean_layer_norm_bitwise(self, d, depth, transposed):
+        L = size(depth, d)
+        w = random_weights(np.random.default_rng(L + d), L, d, scale=3.0)
+        if transposed:  # np.linalg.norm sums each layer in memory order
+            w = Weights(w.layers.transpose(0, 2, 1), w.delta)
+        assert mean_layer_norm(w) == mean_layer_norm_oracle(w)
+
+    @pytest.mark.parametrize("kernel", ["two_variation", "scaling_limit_distance",
+                                        "mean_layer_norm"])
+    def test_memory_beyond_inputs_under_1mb(self, kernel):
+        # at P = 4096, d = 20 the path alone is 12.5 MB
+        rng = np.random.default_rng(6)
+        deep = random_weights(rng, 4096, 20)
+        path = rescaled_path(deep)
+        runs = [(2048, random_weights(rng, 2048, 20)), (4096, deep)]
+        call = {
+            "two_variation": lambda: two_variation(path),
+            "scaling_limit_distance": lambda: scaling_limit_distance(runs),
+            "mean_layer_norm": lambda: mean_layer_norm(deep),
+        }[kernel]
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
 
 
 class TestPathHelpers:

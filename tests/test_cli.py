@@ -288,21 +288,48 @@ def train_configs(draw):
     return config
 
 
+def documented_exit(command, config):
+    """Runs ``command`` in-process on ``config`` into an empty --out and
+    returns its exit code, after checking that an exit 2 left --out empty and
+    that every JSON file written is strict JSON. An exception escaping
+    ``main`` fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        out = os.path.join(tmp, "out")
+        os.mkdir(out)
+        code = main([command, "--config", path, "--out", out])
+        if code == EXIT_INPUT_ERROR:
+            assert os.listdir(out) == []
+        assert_strict_json_files(out)
+        return code
+
+
 class TestTrainProperty:
     @settings(max_examples=150, deadline=None)
     @given(train_configs())
     def test_every_config_ends_in_a_documented_exit(self, config):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "config.json")
-            with open(path, "w") as fh:
-                json.dump(config, fh)
-            out = os.path.join(tmp, "out")
-            os.mkdir(out)
-            code = main(["train", "--config", path, "--out", out])
-            assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_OVERFLOW)
-            if code == EXIT_INPUT_ERROR:
-                assert os.listdir(out) == []
-            assert_strict_json_files(out)
+        assert documented_exit("train", config) in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_OVERFLOW)
+
+
+@st.composite
+def command_configs(draw):
+    """A train config plus tiny values of the keys only certify and gradcheck
+    read (their lower limits have tests of their own)."""
+    config = draw(train_configs())
+    config["certify_draws"] = draw(st.integers(0, 1))
+    config["gradcheck_instances"] = draw(st.integers(1, 2))
+    return config
+
+
+class TestCommandProperty:
+    @pytest.mark.parametrize("command", ["certify", "dataset", "gradcheck"])
+    @settings(max_examples=100, deadline=None)
+    @given(config=command_configs())
+    def test_every_config_ends_in_a_documented_exit(self, command, config):
+        assert documented_exit(command, config) in (
+            EXIT_OK, EXIT_BOUND_FAILURE, EXIT_INPUT_ERROR, EXIT_OVERFLOW)
 
 
 def assert_strict_json_files(directory):
@@ -654,6 +681,22 @@ class TestAnalyzeCommand:
         assert (out / "two_variation.csv").exists()
         assert (out / "limit_distances.csv").exists()
         assert (out / "scatter_m0_n1.csv").exists()
+
+    def test_does_not_import_numpy_ma(self, tmp_path):
+        # np.union1d imports numpy.ma on its first call: +1.7 MB of RSS
+        cfg, run_dir = self.run_training(tmp_path, depths=[4, 8, 16], T=2)
+        script = ("import sys; from resnetlab.cli import main; code = main(sys.argv[1:]); "
+                  "print('numpy.ma' in sys.modules); sys.exit(code)")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run(
+            [sys.executable, "-c", script, "analyze", "--config", cfg,
+             "--run-dir", str(run_dir), "--out", str(tmp_path / "analysis")],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert (tmp_path / "analysis" / "limit_distances.csv").exists()
+        assert result.stdout.splitlines()[-1] == "False"
 
     def test_single_depth_skips_fits(self, tmp_path):
         cfg, run_dir = self.run_training(tmp_path, depths=[8], T=10)
