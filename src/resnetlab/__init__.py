@@ -7,9 +7,9 @@ depth-scaling diagnostics: scaling-exponent identification, convergence
 rates, weight-norm evolution and the emergence of a rescaled weight limit.
 """
 
-from .analysis import (PathFunction, ScalingFit, TotalScaling, entry_scatter,
-                       fit_power_law, rescaled_path, scaling_limit_distance,
-                       steps_to_epsilon, total_scaling, two_variation)
+from .analysis import (ScalingFit, TotalScaling, entry_scatter, fit_power_law,
+                       scaling_limit_distance, steps_to_epsilon, total_scaling,
+                       two_variation)
 from .autograd import (Grad, HessianEstimate, finite_diff_grad, grad_objective,
                        grad_objective_with_stats, hessian_spectral_estimate,
                        objective)

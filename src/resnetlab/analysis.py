@@ -3,8 +3,9 @@
 Layer-indexed weights are treated as step functions on [0, 1] via s = k/L
 and the depth rescaling sqrt(L) * A_k, so runs of different depth become
 comparable paths: this module fits power laws across depth, measures
-steps-to-epsilon convergence, estimates 2-variation of the rescaled paths
-and computes sup distances between consecutive depths.
+steps-to-epsilon convergence, estimates 2-variation of a rescaled path and
+computes the sup distance between the paths of two depths. Each path kernel
+takes one depth or one pair of depths.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .network import Weights
-from .training import RunLog
 
 # Byte budget of the one working buffer of each path kernel below: the
 # kernels' memory beyond their inputs does not grow with depth.
@@ -48,71 +48,41 @@ def fit_power_law(points) -> ScalingFit:
     return ScalingFit(float(-slope), float(intercept), r2)
 
 
-def steps_to_epsilon(log, eps_grid) -> list[tuple[float, int | None]]:
-    """First logged step with loss below each epsilon (None if never reached).
-
-    Accepts a RunLog or a plain loss sequence indexed by step.
-    """
-    if isinstance(log, RunLog):
-        ts, losses = np.asarray(log.t), np.asarray(log.loss)
-    else:
-        losses = np.asarray(log, dtype=np.float64)
-        ts = np.arange(len(losses))
+def steps_to_epsilon(t: np.ndarray, loss: np.ndarray,
+                     eps_grid) -> list[tuple[float, int | None]]:
+    """First logged step ``t`` whose ``loss`` is below each epsilon (None if
+    never reached)."""
     out = []
     for eps in eps_grid:
         eps = float(eps)
         if eps <= 0:
             raise InvalidInputError("epsilon grid must be positive")
-        hits = np.nonzero(losses < eps)[0]
-        out.append((eps, int(ts[hits[0]]) if len(hits) else None))
+        hits = np.nonzero(loss < eps)[0]
+        out.append((eps, int(t[hits[0]]) if len(hits) else None))
     return out
 
 
-@dataclass(frozen=True)
-class PathFunction:
-    """Matrix-valued step function sampled at strictly increasing s in [0, 1]."""
+def two_variation(weights: Weights) -> float:
+    """Largest summed squared Frobenius increments of the rescaled path
+    sqrt(L) * A_k, k = 1..L, over its dyadic partitions.
 
-    s: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if s.ndim != 1 or len(s) == 0 or len(s) != len(values):
-            raise InvalidInputError("need one value per sample point")
-        if np.any(np.diff(s) <= 0):
-            raise InvalidInputError("sample points must be strictly increasing")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(values))):
-            raise InvalidInputError("path has non-finite entries")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def points(self) -> int:
-        return len(self.s)
-
-
-def rescaled_path(weights: Weights) -> PathFunction:
-    """s = k/L against sqrt(L) * A_k: the depth-rescaled weight path."""
-    L = weights.depth
-    s = np.arange(1, L + 1) / L
-    return PathFunction(s, np.sqrt(L) * weights.layers)
-
-
-def two_variation(path: PathFunction) -> float:
-    """Largest summed squared Frobenius increments over the dyadic partitions.
-
-    Partitions are index chains of the sample grid that contain both
+    Partitions are index chains of the layer grid that contain both
     endpoints; this maximizes over the full grid and its dyadic coarsenings
     (every 2^j-th point plus the last), a lower bound on the supremum over
-    all partitions, in O(P d^2) time for P points of width d. Each chain's
-    increments pass through one buffer of at most ``CHUNK_BYTES``.
+    all partitions, in O(L d^2) time. A chunk of each chain's points is
+    rescaled into one buffer and differenced into another, together about
+    ``CHUNK_BYTES``, as sqrt(L) a - sqrt(L) b: the increments equal those of a
+    rescaled copy of the stack bit for bit.
     """
-    flat = path.values.reshape(path.points, -1)
-    last = path.points - 1
-    rows = max(1, CHUNK_BYTES // (flat.shape[1] * flat.itemsize))
-    buf = np.empty((min(rows, max(last, 1)), flat.shape[1]))
-    sums = np.empty(len(buf))
+    L = weights.depth
+    flat = weights.layers.reshape(L, -1)
+    scale = np.sqrt(L)
+    last = L - 1
+    rows = max(1, CHUNK_BYTES // (2 * flat.shape[1] * flat.itemsize))
+    n = min(rows, max(last, 1))
+    points = np.empty((n + 1, flat.shape[1]))
+    buf = np.empty((n, flat.shape[1]))
+    sums = np.empty(n)
 
     best, stride = 0.0, 1
     while True:
@@ -120,13 +90,15 @@ def two_variation(path: PathFunction) -> float:
         inner = len(chain) - 1  # increments between chain points
         count = inner + (last % stride != 0)  # plus the one to the last point
         total = 0.0
-        for start in range(0, count, len(buf)):
-            stop = min(start + len(buf), count)
+        for start in range(0, count, n):
+            stop = min(start + n, count)
             mid = min(stop, inner)
-            np.subtract(chain[start + 1:mid + 1], chain[start:mid], buf[:mid - start])
+            ends = points[:stop - start + 1]
+            np.multiply(chain[start:mid + 1], scale, ends[:mid - start + 1])
             if mid < stop:
-                np.subtract(flat[last], chain[-1], buf[mid - start])
+                np.multiply(flat[last], scale, ends[-1])
             step, part = buf[:stop - start], sums[:stop - start]
+            np.subtract(ends[1:], ends[:-1], step)
             np.multiply(step, step, step)
             np.add.reduce(step, axis=-1, out=part)
             # increments added in index order, one at a time, not np.sum's
@@ -151,46 +123,37 @@ def _rescaled_rows(weights: Weights, s: np.ndarray, out: np.ndarray) -> None:
     np.multiply(np.sqrt(weights.depth), out, out)
 
 
-def scaling_limit_distance(runs: list[tuple[int, Weights]]) -> list[tuple[tuple[int, int], float]]:
-    """Sup distance of rescaled weight paths between consecutive depths.
+def scaling_limit_distance(w_low: Weights, w_high: Weights) -> float:
+    """Sup distance of the rescaled weight paths of two runs of one width.
 
     Both paths are evaluated piecewise-constantly on the union of their layer
     grids, and the max over that grid of |sqrt(L) A_{floor(Ls)} -
-    sqrt(L') A_{floor(L's)}|_F is reported per consecutive depth pair. Both
-    paths pass through one buffer of at most ``CHUNK_BYTES``.
+    sqrt(L') A_{floor(L's)}|_F is returned. Both paths pass through one
+    buffer of at most ``CHUNK_BYTES``.
     """
-    if len(runs) < 2:
-        raise InvalidInputError("need at least two depths")
-    runs = sorted(runs, key=lambda lw: lw[0])
-    widths = {w.width for _, w in runs}
-    if len(widths) != 1:
-        raise InvalidInputError("all runs must share the width d")
-    d = widths.pop()
-    rows = max(1, CHUNK_BYTES // (2 * d * d * runs[0][1].layers.itemsize))
+    l1, l2, d = w_low.depth, w_high.depth, w_low.width
+    rows = max(1, CHUNK_BYTES // (2 * d * d * w_low.layers.itemsize))
     buf = np.empty((2, rows, d * d))
     sq = np.empty(rows)
-    out = []
-    for (l1, w1), (l2, w2) in zip(runs[:-1], runs[1:]):
-        # the sorted union of both grids; np.union1d would import numpy.ma
-        grid = np.concatenate((np.arange(1, l1 + 1) / l1, np.arange(1, l2 + 1) / l2))
-        grid.sort()
-        grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-        sup = 0.0
-        for start in range(0, len(grid), rows):
-            s = grid[start:start + rows]
-            gap, other, norms = buf[0, :len(s)], buf[1, :len(s)], sq[:len(s)]
-            _rescaled_rows(w1, s, gap.reshape(-1, d, d))
-            _rescaled_rows(w2, s, other.reshape(-1, d, d))
-            np.subtract(gap, other, gap)
-            # each row's squared norm by the BLAS dot that np.linalg.norm
-            # uses, in the same order for C-ordered stacks (as load_weights
-            # and train write them)
-            np.matmul(gap[:, None, :], gap[:, :, None], norms[:, None, None])
-            np.sqrt(norms, norms)
-            # fmax skips a NaN gap (from inf - inf) as max(sup, nan) did
-            sup = float(np.fmax.reduce(norms, initial=sup))
-        out.append(((l1, l2), sup))
-    return out
+    # the sorted union of both grids; np.union1d would import numpy.ma
+    grid = np.concatenate((np.arange(1, l1 + 1) / l1, np.arange(1, l2 + 1) / l2))
+    grid.sort()
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+    sup = 0.0
+    for start in range(0, len(grid), rows):
+        s = grid[start:start + rows]
+        gap, other, norms = buf[0, :len(s)], buf[1, :len(s)], sq[:len(s)]
+        _rescaled_rows(w_low, s, gap.reshape(-1, d, d))
+        _rescaled_rows(w_high, s, other.reshape(-1, d, d))
+        np.subtract(gap, other, gap)
+        # each row's squared norm by the BLAS dot that np.linalg.norm
+        # uses, in the same order for C-ordered stacks (as load_weights
+        # and train write them)
+        np.matmul(gap[:, None, :], gap[:, :, None], norms[:, None, None])
+        np.sqrt(norms, norms)
+        # fmax skips a NaN gap (from inf - inf) as max(sup, nan) did
+        sup = float(np.fmax.reduce(norms, initial=sup))
+    return sup
 
 
 def mean_layer_norm(weights: Weights) -> float:
@@ -231,13 +194,10 @@ def total_scaling(points: list[tuple[int, float]], alpha0: float) -> TotalScalin
     return TotalScaling(fit_power_law(points), alpha0)
 
 
-def entry_scatter(runs: list[tuple[int, Weights]], m: int, n: int) -> list[tuple[int, float, float]]:
-    """Rows (L, k/L, sqrt(L) * A_k[m, n]) for a fixed matrix entry."""
-    rows = []
-    for l, w in sorted(runs, key=lambda lw: lw[0]):
-        if not (0 <= m < w.width and 0 <= n < w.width):
-            raise InvalidInputError(f"entry ({m}, {n}) out of range for width {w.width}")
-        scale = np.sqrt(w.depth)
-        for k in range(1, w.depth + 1):
-            rows.append((l, k / w.depth, float(scale * w.layers[k - 1, m, n])))
-    return rows
+def entry_scatter(weights: Weights, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid k/L and the values sqrt(L) * A_k[m, n], k = 1..L, of one
+    matrix entry."""
+    if not (0 <= m < weights.width and 0 <= n < weights.width):
+        raise InvalidInputError(f"entry ({m}, {n}) out of range for width {weights.width}")
+    L = weights.depth
+    return np.arange(1, L + 1) / L, np.sqrt(L) * weights.layers[:, m, n]

@@ -13,9 +13,9 @@ output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import glob
+import itertools
 import json
 import math
 import os
@@ -30,7 +30,7 @@ from .autograd import (finite_diff_grad, grad_objective,
                        grad_objective_with_stats)
 from .data import (AssumptionParams, Dataset, gaussian_init_std, init_certified,
                    init_gaussian, near_init_targets, replace_targets,
-                   sample_sphere_dataset, save_dataset)
+                   sample_sphere_dataset, save_dataset, write_csv)
 from .errors import (InfeasibleDatasetError, InvalidInputError,
                      NumericalOverflowError)
 from .network import (NetworkConfig, Weights, activation_by_name, forward,
@@ -106,6 +106,8 @@ class ExperimentConfig:
                     f"config key {f.name!r} must be {f.type}, got {value!r}")
         if not self.depths or any(a >= b for a, b in zip(self.depths, self.depths[1:])):
             raise InvalidInputError("depths must be a nonempty strictly ascending list")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
         if self.T < 0:
             raise InvalidInputError("T must be >= 0")
         if self.certify_draws < 0:
@@ -140,7 +142,7 @@ class ExperimentConfig:
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     raw: dict = {}
     if path is not None:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise InvalidInputError("config must be a JSON object")
@@ -318,9 +320,11 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
     return EXIT_BOUND_FAILURE if failures else EXIT_OK
 
 
-def _load_runs(run_dir: str) -> tuple[list[int], dict[int, RunLog], dict[int, Weights]]:
-    """Completed runs under ``run_dir``, all of one width; failed ones are
-    named on stderr and skipped."""
+def _completed_runs(run_dir: str):
+    """Yields (depth, run log, final weights) for each completed run under
+    ``run_dir`` in ascending depth, all of one width; failed runs are named on
+    stderr and skipped. Each stack is read only when the next run is asked
+    for."""
     runs = []
     for path in glob.glob(os.path.join(run_dir, "runlog_L*.csv")):
         match = re.search(r"runlog_L(\d+)\.csv$", path)
@@ -328,26 +332,25 @@ def _load_runs(run_dir: str) -> tuple[list[int], dict[int, RunLog], dict[int, We
             runs.append((int(match.group(1)), path))
     if not runs:
         raise InvalidInputError(f"no run logs found under {run_dir}")
-    depths, logs, weights = [], {}, {}
+    first = None  # (depth, width) of the first completed run
     for depth, path in sorted(runs):
         log = load_runlog(path)
         if log.failed:
             print(f"depth {depth}: skipped, run failed after step {log.steps}: "
                   f"{log.fail_reason}", file=sys.stderr)
             continue
-        depths.append(depth)
-        logs[depth] = log
         wpath = os.path.join(run_dir, f"weights_L{depth}.bin")
         if not os.path.exists(wpath):
             raise InvalidInputError(f"missing final weights {wpath}")
-        weights[depth] = load_weights(wpath)
-        width, first = weights[depth].width, weights[depths[0]].width
-        if width != first:
+        weights = load_weights(wpath)
+        if first is None:
+            first = depth, weights.width
+        elif weights.width != first[1]:
             raise InvalidInputError(f"all runs must share the width d: depth {depth} has "
-                                    f"d={width}, depth {depths[0]} has d={first}")
-    if not depths:
+                                    f"d={weights.width}, depth {first[0]} has d={first[1]}")
+        yield depth, log, weights
+    if first is None:
         raise InvalidInputError(f"no completed runs under {run_dir}")
-    return depths, logs, weights
 
 
 def _epsilon_grid(mean_loss: np.ndarray) -> np.ndarray:
@@ -363,81 +366,62 @@ def _epsilon_grid(mean_loss: np.ndarray) -> np.ndarray:
 
 
 def cmd_analyze(cfg: ExperimentConfig, run_dir: str, out_dir: str) -> int:
-    depths, logs, weights = _load_runs(run_dir)
-    # built first: it checks scatter_entry against the width
+    # One pass in ascending depth that holds at most two weight stacks: the
+    # current one and the previous one, for the limit distance. Files are
+    # written after it, so bad input exits 2 before any file exists.
     m, n = cfg.scatter_entry
-    scatter = analysis.entry_scatter([(l, weights[l]) for l in depths], m, n)
-    os.makedirs(out_dir, exist_ok=True)
+    losses, fit_rows, two_var, distances, scatter = [], [], [], [], []
+    low = None  # (depth, weights) of the previous completed run
+    for depth, log, weights in _completed_runs(run_dir):
+        if low is None:
+            t_grid = log.t
+        if np.array_equal(log.t, t_grid):
+            losses.append(log.loss)
+        # first: it checks scatter_entry against the width
+        scatter.append((depth, *analysis.entry_scatter(weights, m, n)))
+        fit_rows.append((depth, float(log.fbar[0]), analysis.mean_layer_norm(weights),
+                         float(log.delta[-1])))
+        two_var.append((depth, analysis.two_variation(weights)))
+        if low is not None:
+            distances.append((low[0], depth, analysis.scaling_limit_distance(low[1], weights)))
+        low = depth, weights
 
     # Steps-to-epsilon on the mean loss curve across depths.
-    t_grid = logs[depths[0]].t
-    aligned = [log.loss for log in logs.values() if np.array_equal(log.t, t_grid)]
-    mean_loss = np.mean(np.stack(aligned), axis=0)
-    grid = _epsilon_grid(mean_loss)
-    mean_log = dataclasses.replace(logs[depths[0]], loss=mean_loss)
-    hits = analysis.steps_to_epsilon(mean_log, grid)
-    with open(os.path.join(out_dir, "steps_to_eps.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "t_first"])
-        for eps, t_first in hits:
-            writer.writerow([repr(float(eps)), "" if t_first is None else t_first])
+    mean_loss = np.mean(np.stack(losses), axis=0)
+    hits = analysis.steps_to_epsilon(t_grid, mean_loss, _epsilon_grid(mean_loss))
 
     # Depth fits: initial fbar, final weight norm (+ delta when trainable).
+    # A power law fits positive values only; a fit over a zero is left out.
+    header = ["L", "fbar0", "mean_weight_norm", "delta_final"]
+    columns = dict(zip(header, zip(*fit_rows)))
     fits: dict[str, dict] = {}
-    fit_rows = []
-    for depth in depths:
-        fit_rows.append({
-            "L": depth,
-            "fbar0": float(logs[depth].fbar[0]),
-            "mean_weight_norm": analysis.mean_layer_norm(weights[depth]),
-            "delta_final": float(logs[depth].delta[-1]),
-        })
-    with open(os.path.join(out_dir, "fit_inputs.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["L", "fbar0", "mean_weight_norm", "delta_final"])
-        for row in fit_rows:
-            writer.writerow([row["L"], repr(row["fbar0"]),
-                             repr(row["mean_weight_norm"]), repr(row["delta_final"])])
-    # a power law fits positive values only; a fit over a zero is left out
-    if len(depths) >= 2:
+    if len(fit_rows) >= 2:
         for key in ("fbar0", "delta_final"):
-            if all(r[key] > 0 for r in fit_rows):
-                points = [(r["L"], r[key]) for r in fit_rows]
-                fits[key] = asdict(analysis.fit_power_law(points))
-    if len(depths) >= 3 and all(r["mean_weight_norm"] > 0 for r in fit_rows):
-        ts = analysis.total_scaling([(r["L"], r["mean_weight_norm"]) for r in fit_rows],
+            if all(v > 0 for v in columns[key]):
+                fits[key] = asdict(analysis.fit_power_law(zip(columns["L"], columns[key])))
+    if len(fit_rows) >= 3 and all(v > 0 for v in columns["mean_weight_norm"]):
+        ts = analysis.total_scaling(list(zip(columns["L"], columns["mean_weight_norm"])),
                                     cfg.alpha0)
         fits["weight_norm"] = asdict(ts.weight_fit)
         fits["total_scaling"] = ts.total
+
+    os.makedirs(out_dir, exist_ok=True)
+    write_csv(os.path.join(out_dir, "steps_to_eps.csv"), ["eps", "t_first"], hits)
+    write_csv(os.path.join(out_dir, "fit_inputs.csv"), header, fit_rows)
     with open(os.path.join(out_dir, "scaling_fits.json"), "w") as fh:
         json.dump(fits, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    write_csv(os.path.join(out_dir, "two_variation.csv"), ["L", "two_variation_dyadic"],
+              two_var)
+    if distances:
+        write_csv(os.path.join(out_dir, "limit_distances.csv"),
+                  ["L_low", "L_high", "sup_distance"], distances)
+    write_csv(os.path.join(out_dir, f"scatter_m{m}_n{n}.csv"), ["L", "s", "value"],
+              itertools.chain.from_iterable(
+                  zip(itertools.repeat(depth), s.tolist(), values.tolist())
+                  for depth, s, values in scatter))
 
-    # 2-variation of the rescaled final paths.
-    with open(os.path.join(out_dir, "two_variation.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["L", "two_variation_dyadic"])
-        for depth in depths:
-            value = analysis.two_variation(analysis.rescaled_path(weights[depth]))
-            writer.writerow([depth, repr(float(value))])
-
-    # Cross-depth sup distances of the rescaled paths.
-    if len(depths) >= 2:
-        pairs = analysis.scaling_limit_distance([(l, weights[l]) for l in depths])
-        with open(os.path.join(out_dir, "limit_distances.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["L_low", "L_high", "sup_distance"])
-            for (l1, l2), dist in pairs:
-                writer.writerow([l1, l2, repr(float(dist))])
-
-    # Single-entry scatter across depths.
-    with open(os.path.join(out_dir, f"scatter_m{m}_n{n}.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["L", "s", "value"])
-        for depth, s, value in scatter:
-            writer.writerow([depth, repr(float(s)), repr(value)])
-
-    print(f"analyze: {len(depths)} depths, fits={sorted(fits)}")
+    print(f"analyze: {len(fit_rows)} depths, fits={sorted(fits)}")
     return EXIT_OK
 
 
@@ -510,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc} (achieved separation {exc.achieved_separation:.6g})",
               file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InvalidInputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NumericalOverflowError as exc:

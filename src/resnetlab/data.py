@@ -189,17 +189,27 @@ def init_certified(config: NetworkConfig, params: AssumptionParams, seed: int,
     return Weights(scale * initial_row_norm_cap(params) * directions, config.delta)
 
 
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer of the package: ``header``, then one line per row.
+
+    Cells must be Python scalars (numpy arrays pass through ``.tolist()``
+    first): ``csv`` writes a float as its ``repr``, an exact round trip, and
+    None as an empty cell. Lines end in ``\\r\\n``.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_dataset(data: Dataset, csv_path, c0: float | None = None) -> None:
     """CSV of components plus a JSON sidecar with {N, d, seed, separation, c0}."""
     csv_path = str(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "kind", "component", "value"])
-        for i in range(data.n):
-            for j in range(data.dim):
-                writer.writerow([i, "x", j, repr(float(data.xs[i, j]))])
-            for j in range(data.dim):
-                writer.writerow([i, "y", j, repr(float(data.ys[i, j]))])
+    rows = []
+    for i, (x, y) in enumerate(zip(data.xs.tolist(), data.ys.tolist())):
+        rows += [(i, "x", j, value) for j, value in enumerate(x)]
+        rows += [(i, "y", j, value) for j, value in enumerate(y)]
+    write_csv(csv_path, ["i", "kind", "component", "value"], rows)
     meta = {"N": data.n, "d": data.dim, "seed": data.seed,
             "separation": data.separation, "c0": c0}
     with open(_sidecar_path(csv_path), "w") as fh:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import grad_objective_with_stats, objective, step_block_size
-from .data import Dataset
+from .data import Dataset, write_csv
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, Weights
 
@@ -282,16 +282,12 @@ def largest_sum_feasible_T(sched: Schedule, budget: float) -> float:
 def save_runlog(log: RunLog, path) -> None:
     """One CSV row per logged step. A failed run carries its reason in the
     ``fail_reason`` column of its last row; every other cell there is empty."""
-    last_reason = (log.fail_reason or "failed") if log.failed else ""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUNLOG_COLUMNS)
-        for i in range(len(log.t)):
-            writer.writerow([int(log.t[i])] + [
-                repr(float(col[i])) for col in
-                (log.eta, log.loss, log.fbar, log.gbar, log.finf,
-                 log.neighbour_max, log.delta)]
-                + [last_reason if i == len(log.t) - 1 else ""])
+    reasons = [""] * len(log.t)
+    if log.failed:
+        reasons[-1] = log.fail_reason or "failed"
+    columns = (log.t, log.eta, log.loss, log.fbar, log.gbar, log.finf,
+               log.neighbour_max, log.delta)
+    write_csv(path, RUNLOG_COLUMNS, zip(*(col.tolist() for col in columns), reasons))
 
 
 def load_runlog(path) -> RunLog:
@@ -329,9 +325,7 @@ def load_runlog(path) -> RunLog:
 def save_layer_gaps(log: RunLog, path) -> None:
     if log.g_layers is None:
         raise InvalidInputError("run log has no per-layer data")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "k", "g_k"])
-        for i in range(len(log.t)):
-            for k, value in enumerate(log.g_layers[i], start=1):
-                writer.writerow([int(log.t[i]), k, repr(float(value))])
+    write_csv(path, ["t", "k", "g_k"],
+              ((t, k, value)
+               for t, gaps in zip(log.t.tolist(), log.g_layers.tolist())
+               for k, value in enumerate(gaps, start=1)))

@@ -71,10 +71,11 @@ def exhaustive_oracle(values):
 # one temporary per partition level, one Python iteration per grid point. The
 # chunked kernels must match them bit for bit.
 
-def two_variation_oracle(path):
-    """Dyadic 2-variation of a PathFunction: every 2^j-th point plus the last."""
-    flat = path.values.reshape(path.points, -1)
-    last = path.points - 1
+def two_variation_oracle(values):
+    """Dyadic 2-variation of the path ``values`` (P, d, d): every 2^j-th
+    point plus the last."""
+    flat = values.reshape(len(values), -1)
+    last = len(values) - 1
     best, stride = 0.0, 1
     while True:
         idx = list(range(0, last + 1, stride))
@@ -112,3 +113,14 @@ def scaling_limit_distance_oracle(runs):
 def mean_layer_norm_oracle(weights):
     """Mean over the layers of the Frobenius norm, via np.linalg.norm."""
     return float(np.mean(np.linalg.norm(weights.layers, axis=(1, 2))))
+
+
+def entry_scatter_oracle(runs, m, n):
+    """Rows (L, k/L, sqrt(L) * A_k[m, n]) of the (L, weights) runs, one layer
+    at a time."""
+    rows = []
+    for depth, w in sorted(runs, key=lambda lw: lw[0]):
+        scale = np.sqrt(w.depth)
+        for k in range(1, w.depth + 1):
+            rows.append((depth, k / w.depth, float(scale * w.layers[k - 1, m, n])))
+    return rows

@@ -15,7 +15,7 @@ import pytest
 
 import resnetlab as rl
 from helpers import exhaustive_oracle
-from resnetlab.analysis import (fit_power_law, mean_layer_norm, rescaled_path,
+from resnetlab.analysis import (fit_power_law, mean_layer_norm,
                                 scaling_limit_distance, steps_to_epsilon,
                                 two_variation)
 from resnetlab.bounds import (certify_forward, certify_gradient_upper,
@@ -164,7 +164,7 @@ def test_criterion_4_convergence_rate_shape(figure_dataset):
     for eta0 in (0.1, 0.2):
         curve = mean_curve("constant", eta0, 600)
         grid = np.geomspace(0.5 * curve[0], 1e-3 * curve[0], 10)
-        hits = steps_to_epsilon(curve, grid)
+        hits = steps_to_epsilon(np.arange(len(curve)), curve, grid)
         assert all(t is not None for _, t in hits)
         slope, r2 = affine_fit([math.log(1 / eps) for eps, _ in hits],
                                [t for _, t in hits])
@@ -173,7 +173,8 @@ def test_criterion_4_convergence_rate_shape(figure_dataset):
     curve = mean_curve("inverse_decay", 2.0, 1500)
     floor = max(2.5 * float(np.min(curve)) / curve[0], 1e-3) * curve[0]
     hits = [(eps, t) for eps, t in
-            steps_to_epsilon(curve, np.geomspace(0.5 * curve[0], floor, 10))
+            steps_to_epsilon(np.arange(len(curve)), curve,
+                             np.geomspace(0.5 * curve[0], floor, 10))
             if t is not None and t > 0]
     decay_slope, decay_r2 = affine_fit([math.log(1 / eps) for eps, _ in hits],
                                        [math.log(t) for _, t in hits])
@@ -257,9 +258,9 @@ def test_criterion_7_two_variation_oracle():
     rng = np.random.default_rng(3)
 
     def scalar_path(values):
+        """Weights whose rescaled path sqrt(L) * A_k is ``values``."""
         values = np.asarray(values, dtype=float)
-        return rl.PathFunction(np.linspace(0, 1, len(values)),
-                               values.reshape(-1, 1, 1))
+        return rl.Weights(values.reshape(-1, 1, 1) / math.sqrt(len(values)), 1.0)
 
     agree = True
     for n_points in range(2, 13):
@@ -267,7 +268,7 @@ def test_criterion_7_two_variation_oracle():
         alternating = scalar_path([float(i % 2) for i in range(n_points)])
         for path in (monotone, alternating):
             dy = two_variation(path)
-            ex = exhaustive_oracle(path.values)
+            ex = exhaustive_oracle(math.sqrt(path.depth) * path.layers)
             agree = agree and math.isclose(dy, ex, rel_tol=1e-12, abs_tol=0.0)
 
     scaling_ok = True
@@ -285,9 +286,9 @@ def test_criterion_7_two_variation_oracle():
 
 def test_criterion_8_scaling_limit_distances(deep_sweep):
     runs = [(depth, w) for depth, (w, _) in sorted(deep_sweep.items())]
-    pairs = scaling_limit_distance(runs)
-    dists = [dist for _, dist in pairs]
-    tv = {depth: two_variation(rescaled_path(w)) for depth, w in runs}
+    dists = [scaling_limit_distance(low, high)
+             for (_, low), (_, high) in zip(runs, runs[1:])]
+    tv = {depth: two_variation(w) for depth, w in runs}
     ratio = tv[1024] / tv[256]
     ok = dists[0] > dists[1] and math.isfinite(tv[1024]) and 0.5 <= ratio <= 2.0
     criterion(8, "rescaled-path distances shrink with depth, 2-variation stable",

@@ -8,20 +8,24 @@ from hypothesis import strategies as st
 
 from helpers import (exhaustive_oracle, mean_layer_norm_oracle,
                      scaling_limit_distance_oracle, two_variation_oracle)
-from resnetlab.analysis import (CHUNK_BYTES, PathFunction, entry_scatter, fit_power_law,
-                                mean_layer_norm, rescaled_path,
-                                scaling_limit_distance, steps_to_epsilon,
-                                total_scaling, two_variation)
+from resnetlab.analysis import (CHUNK_BYTES, entry_scatter, fit_power_law,
+                                mean_layer_norm, scaling_limit_distance,
+                                steps_to_epsilon, total_scaling, two_variation)
 from resnetlab.data import Dataset
 from resnetlab.errors import InvalidInputError
 from resnetlab.network import Weights
 from resnetlab.training import Schedule, train
 
 
-def scalar_path(values):
+def path_weights(values):
+    """Weights whose rescaled path sqrt(L) * A_k is ``values`` (L, d, d), up to
+    rounding."""
     values = np.asarray(values, dtype=np.float64)
-    return PathFunction(np.linspace(0.0, 1.0, len(values)),
-                        values.reshape(-1, 1, 1))
+    return Weights(values / math.sqrt(len(values)), 1.0)
+
+
+def scalar_path(values):
+    return path_weights(np.reshape(values, (-1, 1, 1)))
 
 
 class TestFitPowerLaw:
@@ -57,23 +61,23 @@ class TestStepsToEpsilon:
         data = Dataset(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), 0.0, 0)
         w = Weights(np.zeros((2, 2, 2)), 2 ** -0.5)
         _, log = train(w, data, Schedule("constant", 0.1), 4)
-        hits = steps_to_epsilon(log, [1.0, 1e-3, 1e-9])
+        hits = steps_to_epsilon(log.t, log.loss, [1.0, 1e-3, 1e-9])
         assert all(t_first == 0 for _, t_first in hits)
 
     def test_exponential_closed_form(self):
         losses = np.exp(-np.arange(30, dtype=float))
         for eps in (0.3, 0.01, 1e-4):
-            (_, t_first), = steps_to_epsilon(losses, [eps])
+            (_, t_first), = steps_to_epsilon(np.arange(30), losses, [eps])
             assert t_first == math.ceil(math.log(1.0 / eps)) or (
                 math.log(1.0 / eps).is_integer() and t_first == int(math.log(1.0 / eps)) + 1)
 
     def test_never_reached_is_none(self):
-        (_, t_first), = steps_to_epsilon(np.ones(5), [0.5])
+        (_, t_first), = steps_to_epsilon(np.arange(5), np.ones(5), [0.5])
         assert t_first is None
 
     def test_positive_grid_required(self):
         with pytest.raises(InvalidInputError):
-            steps_to_epsilon(np.ones(3), [0.0])
+            steps_to_epsilon(np.arange(3), np.ones(3), [0.0])
 
 
 class TestTwoVariation:
@@ -101,8 +105,7 @@ class TestTwoVariation:
         for _ in range(40):
             n_points = int(rng.integers(2, 13))
             values = rng.standard_normal((n_points, 4, 4))
-            path = PathFunction(np.linspace(0, 1, n_points), values)
-            dy = two_variation(path)
+            dy = two_variation(path_weights(values))
             ex = exhaustive_oracle(values)
             assert dy <= ex * (1 + 1e-12)
             if ex > 0:
@@ -119,8 +122,8 @@ class TestTwoVariation:
     def test_reversal_invariance(self):
         rng = np.random.default_rng(4)
         values = rng.standard_normal((9, 2, 2))
-        fwd = PathFunction(np.linspace(0, 1, 9), values)
-        rev = PathFunction(np.linspace(0, 1, 9), values[::-1])
+        fwd = path_weights(values)
+        rev = path_weights(values[::-1])
         assert two_variation(fwd) == pytest.approx(two_variation(rev), rel=1e-12)
         assert exhaustive_oracle(values) == pytest.approx(
             exhaustive_oracle(values[::-1]), rel=1e-12)
@@ -137,7 +140,7 @@ class TestTwoVariation:
     def test_memory_linear_in_points(self):
         # a pairwise P x P x d^2 difference tensor would take 512 MB here
         values = np.random.default_rng(5).standard_normal((1024, 8, 8))
-        path = PathFunction(np.linspace(0.0, 1.0, 1024), values)
+        path = Weights(values, 1.0)
         tracemalloc.start()
         try:
             two_variation(path)
@@ -147,18 +150,15 @@ class TestTwoVariation:
         assert peak < 16 * 2 ** 20, peak
 
     def test_single_point(self):
-        path = PathFunction(np.array([1.0]), np.zeros((1, 2, 2)))
-        assert two_variation(path) == 0.0
+        assert two_variation(Weights(np.zeros((1, 2, 2)), 1.0)) == 0.0
 
 
 class TestScalingLimitDistance:
     def test_identical_rescaled_weights(self):
         core = np.array([[0.3, -0.1], [0.2, 0.5]])
-        runs = [(L, Weights(np.tile(core / math.sqrt(L), (L, 1, 1)), L ** -0.5))
-                for L in (8, 16)]
-        pairs = scaling_limit_distance(runs)
-        assert pairs[0][0] == (8, 16)
-        assert pairs[0][1] == pytest.approx(0.0, abs=1e-12)
+        w8, w16 = (Weights(np.tile(core / math.sqrt(L), (L, 1, 1)), L ** -0.5)
+                   for L in (8, 16))
+        assert scaling_limit_distance(w8, w16) == pytest.approx(0.0, abs=1e-12)
 
     def test_smooth_profile_distance_shrinks(self):
         # A_k = f(k/L)/sqrt(L) for smooth f: consecutive distances ~ 1/L
@@ -169,21 +169,10 @@ class TestScalingLimitDistance:
                 layers[k - 1] = np.array([[math.sin(2 * s), s], [0.1, s * s]])
             return Weights(layers / math.sqrt(L), L ** -0.5)
 
-        runs = [(L, build(L)) for L in (16, 32, 64, 128)]
-        pairs = scaling_limit_distance(runs)
-        dists = [dist for _, dist in pairs]
+        runs = [build(L) for L in (16, 32, 64, 128)]
+        dists = [scaling_limit_distance(low, high) for low, high in zip(runs, runs[1:])]
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < 0.2
-
-    def test_width_mismatch_rejected(self):
-        runs = [(4, Weights(np.zeros((4, 2, 2)), 0.5)),
-                (8, Weights(np.zeros((8, 3, 3)), 0.35))]
-        with pytest.raises(InvalidInputError):
-            scaling_limit_distance(runs)
-
-    def test_needs_two_depths(self):
-        with pytest.raises(InvalidInputError):
-            scaling_limit_distance([(4, Weights(np.zeros((4, 2, 2)), 0.5))])
 
 
 class TestTotalScaling:
@@ -224,9 +213,8 @@ class TestChunkedKernels:
     def test_two_variation_bitwise(self, d, points, scale):
         P = size(points, d)
         rng = np.random.default_rng(P * 7 + d)
-        values = scale * rng.standard_normal((P, d, d))
-        path = PathFunction(np.arange(1, P + 1) / P, values)
-        assert two_variation(path) == two_variation_oracle(path)
+        w = Weights(scale * rng.standard_normal((P, d, d)), 1.0)
+        assert two_variation(w) == two_variation_oracle(np.sqrt(P) * w.layers)
 
     @pytest.mark.parametrize("d", [6, 20])
     @pytest.mark.parametrize("depths", [(8, 16, 32), (3, 5, 12, 20, 33), (7, 100, 300)],
@@ -234,7 +222,9 @@ class TestChunkedKernels:
     def test_scaling_limit_distance_bitwise(self, d, depths):
         rng = np.random.default_rng(sum(depths) + d)
         runs = [(L, random_weights(rng, L, d)) for L in depths]
-        assert scaling_limit_distance(runs) == scaling_limit_distance_oracle(runs)
+        pairs = [((l1, l2), scaling_limit_distance(w1, w2))
+                 for (l1, w1), (l2, w2) in zip(runs, runs[1:])]
+        assert pairs == scaling_limit_distance_oracle(runs)
 
     @pytest.mark.parametrize("d", [1, 6, 20])
     @pytest.mark.parametrize("depth", ["1", "chunk-1", "chunk", "chunk+1", "1000"])
@@ -252,11 +242,10 @@ class TestChunkedKernels:
         # at P = 4096, d = 20 the path alone is 12.5 MB
         rng = np.random.default_rng(6)
         deep = random_weights(rng, 4096, 20)
-        path = rescaled_path(deep)
-        runs = [(2048, random_weights(rng, 2048, 20)), (4096, deep)]
+        shallow = random_weights(rng, 2048, 20)
         call = {
-            "two_variation": lambda: two_variation(path),
-            "scaling_limit_distance": lambda: scaling_limit_distance(runs),
+            "two_variation": lambda: two_variation(deep),
+            "scaling_limit_distance": lambda: scaling_limit_distance(shallow, deep),
             "mean_layer_norm": lambda: mean_layer_norm(deep),
         }[kernel]
         tracemalloc.start()
@@ -269,26 +258,15 @@ class TestChunkedKernels:
 
 
 class TestPathHelpers:
-    def test_rescaled_path_grid(self):
-        w = Weights(np.arange(8.0).reshape(2, 2, 2), 2 ** -0.5)
-        path = rescaled_path(w)
-        assert np.allclose(path.s, [0.5, 1.0])
-        assert np.allclose(path.values, math.sqrt(2) * w.layers)
-
     def test_entry_scatter_rows(self):
         w = Weights(np.arange(8.0).reshape(2, 2, 2), 2 ** -0.5)
-        rows = entry_scatter([(2, w)], 0, 1)
-        assert rows == [(2, 0.5, math.sqrt(2) * 1.0), (2, 1.0, math.sqrt(2) * 5.0)]
+        s, values = entry_scatter(w, 0, 1)
+        assert s.tolist() == [0.5, 1.0]
+        assert values.tolist() == [math.sqrt(2) * 1.0, math.sqrt(2) * 5.0]
         with pytest.raises(InvalidInputError):
-            entry_scatter([(2, w)], 0, 5)
+            entry_scatter(w, 0, 5)
 
     def test_mean_layer_norm(self):
         w = Weights(np.stack([np.eye(2), 2 * np.eye(2)]), 0.7)
         assert mean_layer_norm(w) == pytest.approx(
             (math.sqrt(2) + 2 * math.sqrt(2)) / 2, rel=1e-12)
-
-    def test_path_validation(self):
-        with pytest.raises(InvalidInputError):
-            PathFunction(np.array([0.5, 0.5]), np.zeros((2, 1, 1)))
-        with pytest.raises(InvalidInputError):
-            PathFunction(np.array([0.5]), np.zeros((2, 1, 1)))

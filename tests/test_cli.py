@@ -1,10 +1,12 @@
 import collections
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import (entry_scatter_oracle, mean_layer_norm_oracle,
+                     scaling_limit_distance_oracle, two_variation_oracle)
 from resnetlab import autograd, bounds, cli, network
 from resnetlab.bounds import load_reports_jsonl
 from resnetlab.cli import (EXIT_BOUND_FAILURE, EXIT_INPUT_ERROR, EXIT_OK,
@@ -189,6 +193,7 @@ class TestConfigDomain:
         pytest.param({"c0": 0.0}, "c0 must lie in", id="c0"),
         pytest.param({"N": 0}, "N, d, L must be >= 1", id="N"),
         pytest.param({"depths": [0, 4]}, "N, d, L must be >= 1", id="depths"),
+        pytest.param({"seed": -1}, "seed must be >= 0", id="seed"),
     ])
     def test_train_config_error_writes_nothing(self, tmp_path, capsys, override, message):
         cfg = write_config(tmp_path, **dict(SMALL, **override))
@@ -274,7 +279,7 @@ def train_configs(draw):
     config = draw(st.fixed_dictionaries({
         "d": st.integers(1, 4), "N": st.integers(1, 2), "T": st.integers(0, 3),
         "depths": st.sets(st.integers(1, 8), min_size=1, max_size=3).map(sorted),
-        "seed": st.integers(0, 3),
+        "seed": st.integers(-3, 3),
         "activation": st.sampled_from(["tanh", "identity"]),
         "schedule": st.sampled_from(["constant", "inverse_decay"]),
         "init_mode": st.sampled_from(["gaussian", "certified"]),
@@ -801,6 +806,57 @@ class TestAnalyzeCommand:
             err = capsys.readouterr().err
             assert f"run log steps must start at 0 and strictly increase in {path}" in err
 
+    def test_memory_holds_two_stacks(self, tmp_path):
+        # ten depths against the deepest two: the peaks differ by less than
+        # one deepest stack, so no more than two stacks are held at once
+        peaks = []
+        for name, depths in (("ten", list(range(200, 300, 10))), ("two", [280, 290])):
+            (tmp_path / name).mkdir()
+            cfg, run_dir = self.run_training(tmp_path / name, d=20, N=4, T=0, depths=depths)
+            config = load_config(cfg, {})
+            tracemalloc.start()
+            try:
+                assert cli.cmd_analyze(config, str(run_dir),
+                                       str(tmp_path / name / "analysis")) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        stack = 290 * 20 * 20 * 8
+        assert peaks[0] - peaks[1] < stack, (peaks, stack)
+
+    @pytest.mark.parametrize("layout", ["non-nested", "failed-middle"])
+    def test_files_equal_per_layer_oracles(self, tmp_path, layout):
+        if layout == "non-nested":
+            completed, scatter_entry = [3, 5, 12, 20], [2, 4]
+            cfg, run_dir = self.run_training(tmp_path, d=6, N=3, T=10, depths=completed,
+                                             scatter_entry=scatter_entry)
+        else:
+            completed, scatter_entry = [4, 8, 16], [0, 1]
+            cfg, run_dir = self.run_training(tmp_path, depths=completed, T=10)
+            bad = write_config(tmp_path, "bad.json", **{**TestFailedRuns.OVERFLOW,
+                                                        "depths": [12]})
+            assert main(["train", "--config", bad, "--out", str(run_dir)]) == EXIT_OVERFLOW
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--config", cfg, "--run-dir", str(run_dir),
+                     "--out", str(out)]) == EXIT_OK
+        runs = [(L, load_weights(run_dir / f"weights_L{L}.bin")) for L in completed]
+        m, n = scatter_entry
+
+        def rows(name):
+            with open(out / name, newline="") as fh:
+                return list(csv.reader(fh))[1:]
+
+        assert [(int(L), float(v)) for L, v in rows("two_variation.csv")] == [
+            (L, two_variation_oracle(np.sqrt(L) * w.layers)) for L, w in runs]
+        distances = [((int(a), int(b)), float(v)) for a, b, v in rows("limit_distances.csv")]
+        assert distances == scaling_limit_distance_oracle(runs)
+        # a failed middle depth drops out of the pairs: (4, 8) and (8, 16)
+        assert [pair for pair, _ in distances] == list(zip(completed, completed[1:]))
+        assert [(int(L), float(v)) for L, _, v, _ in rows("fit_inputs.csv")] == [
+            (L, mean_layer_norm_oracle(w)) for L, w in runs]
+        assert [(int(L), float(s), float(v))
+                for L, s, v in rows(f"scatter_m{m}_n{n}.csv")] == entry_scatter_oracle(runs, m, n)
+
     def test_steps_csv_round_trips(self, tmp_path):
         cfg, run_dir = self.run_training(tmp_path, depths=[4, 8], T=30)
         out = tmp_path / "analysis"
@@ -824,6 +880,25 @@ class TestEntryPoints:
     def test_bad_config_path_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o")]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("case", ["config-is-dir", "config-not-utf8", "out-is-file",
+                                      "out-under-file"])
+    def test_path_errors_exit_2(self, tmp_path, capsys, case):
+        cfg, out = write_config(tmp_path, **SMALL), tmp_path / "out"
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        if case == "config-is-dir":
+            cfg = str(tmp_path)
+        elif case == "config-not-utf8":
+            cfg = tmp_path / "latin1.json"
+            cfg.write_bytes('{"activation": "tanh\u00e9"}'.encode("latin-1"))
+        elif case == "out-is-file":
+            out = afile
+        else:
+            out = afile / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)

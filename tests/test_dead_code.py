@@ -177,3 +177,14 @@ def test_every_field_is_read():
 def test_field_allowlist_is_current():
     defined = {cls for tree in modules().values() for cls, _ in class_fields(tree)}
     assert set(ALLOWED_FIELDS) <= defined
+
+
+def test_csv_is_written_only_by_data():
+    """``data.write_csv`` is the one owner of the CSV number format."""
+    writers = [f"{mod}:{node.lineno}" for mod, tree in modules().items() if mod != "data"
+               for node in ast.walk(tree)
+               if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "csv" and node.attr in ("writer", "DictWriter"))
+               or (isinstance(node, ast.ImportFrom) and node.module == "csv"
+                   and any(a.name in ("writer", "DictWriter") for a in node.names))]
+    assert not writers, f"csv writers outside data.py: {writers}"
