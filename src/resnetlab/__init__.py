@@ -22,8 +22,7 @@ from .data import (AssumptionParams, Dataset, init_certified, init_gaussian,
                    initial_loss_cap, initial_row_norm_cap, load_dataset,
                    near_init_targets, replace_targets, sample_sphere_dataset,
                    save_dataset, separation_of, separation_threshold)
-from .errors import (InfeasibleDatasetError, InvalidInputError,
-                     NumericalOverflowError)
+from .errors import InvalidInputError, NumericalOverflowError
 from .network import (IDENTITY, TANH, Activation, ForwardTrace, NetworkConfig,
                       Weights, activation_by_name, forward, forward_batch,
                       load_weights, save_weights)

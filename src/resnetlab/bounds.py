@@ -7,7 +7,9 @@ failed one, and lower bounds with a nonpositive coefficient are flagged
 vacuous rather than counted as meaningful passes. The premises of the
 proofs (activation admissibility, the initial-state clauses and the
 learning-rate caps) are hypothesis rows of the same record, and ``make_report``
-is the one place that decides whether a row passes.
+is the one place that decides whether a row passes. ``certify_run_envelope``
+states the loss-envelope theorem whole: it builds its premise rows and decides
+from them whether its conclusions apply.
 
 The certifiers of one weight draw take the draw's evaluation from the
 caller, so a draw costs one gradient pass however many bounds read it:
@@ -354,57 +356,70 @@ def depth_large_enough(params: AssumptionParams) -> list[BoundReport]:
     lhs2 = 34.0 * c0 ** 4 * math.exp(6.4 * c0) * log_l
     return [
         make_report("hyp_depth_log32", lhs1, math.sqrt(L), REL_TOL_EXACT,
-                    hypothesis=True),
+                    hypothesis=True, context={"L": L}),
         make_report("hyp_depth_log", lhs2, float(L), REL_TOL_EXACT,
-                    hypothesis=True),
+                    hypothesis=True, context={"L": L}),
     ]
 
 
-def certify_run_envelope(log: RunLog, params: AssumptionParams,
-                         sched: Schedule | None = None) -> list[BoundReport]:
-    """Loss envelope and induction invariants along a recorded run.
+def certify_run_envelope(data: Dataset, w0: Weights, log: RunLog,
+                         params: AssumptionParams, sched: Schedule, T: int,
+                         activation: Activation) -> list[BoundReport]:
+    """The loss-envelope theorem on one recorded run from ``w0`` on ``data``.
 
-    At each logged step t with cumulative rate S_t:
+    Premises: the admissibility clauses (``check_assumptions``), the two
+    learning-rate caps over T steps (``lr_feasibility``), the two depth
+    conditions and a completed run. Conclusions, at each logged step t with
+    cumulative rate S_t = sum_{s<t} eta(s):
 
         J(t) <= exp(-(1/32) N^-1 e^{-2c0} S_t) J_0
                 + 34 d c0^4 e^{6.4c0} S_t L^-1 J_0,
 
     together with J(t) <= 2 J_0, max_k |A_k|_F <= c0 L^-1/2 and
-    max_k |A_{k+1}-A_k|_F <= 2^{-7/2} N^-1/2 e^{-4.2c0} L^-1.
-    """
-    if log.eta_sum is not None:
-        eta_sum = np.asarray(log.eta_sum, dtype=np.float64)
-    elif sched is not None:
-        eta_sum = np.asarray([sched.sum_rates(int(t)) for t in log.t])
-    else:
-        raise InvalidInputError("run log lacks cumulative rates; pass the schedule")
+    max_k |A_{k+1}-A_k|_F <= 2^{-7/2} N^-1/2 e^{-4.2c0} L^-1. Each
+    conclusion reports its worst logged step and is applicable only when
+    every premise row passes.
 
-    reports = depth_large_enough(params)
-    reports.append(make_report(
-        "hyp_run_completed", 0.0 if log.failed else 1.0, 1.0, REL_TOL_EXACT,
-        direction="lower", hypothesis=True,
-        context={"fail_reason": log.fail_reason or ""}))
+    S_t sums the logged rates when every step before the last was logged
+    (the run's own additions, in its order), and is the schedule's
+    ``sum_rates(t)`` otherwise.
+    """
+    reports = [
+        *check_assumptions(data, w0, params, activation),
+        *lr_feasibility(params, sched, T),
+        *depth_large_enough(params),
+        make_report("hyp_run_completed", 0.0 if log.failed else 1.0, 1.0,
+                    REL_TOL_EXACT, direction="lower", hypothesis=True,
+                    context={"L": params.L, "fail_reason": log.fail_reason or ""}),
+    ]
     applicable = all(r.passed for r in reports)
 
     j0 = float(log.loss[0])
-    envelope = (np.exp(-envelope_rate(params) * eta_sum) * j0
-                + envelope_drift(params) * eta_sum / params.L * j0)
+    ctx = {"J0": j0, "L": params.L}
 
-    def worst(name, observed_series, bound_series, context):
+    def worst(name, observed_series, bound_series):
         observed_series = np.asarray(observed_series, dtype=np.float64)
         bound_series = np.broadcast_to(np.asarray(bound_series, dtype=np.float64),
                                        observed_series.shape)
         i = int(np.argmin(bound_series - observed_series))
         return make_report(name, observed_series[i], bound_series[i], REL_TOL_EXACT,
-                           applicable=applicable, context=dict(context, t=int(log.t[i])))
+                           applicable=applicable, context=dict(ctx, t=int(log.t[i])))
 
-    ctx = {"J0": j0, "L": params.L}
-    reports.append(worst("envelope_loss", log.loss, envelope, context=ctx))
-    reports.append(worst("induction_loss_doubling", log.loss, 2.0 * j0, context=ctx))
-    reports.append(worst("induction_weight_scale", log.finf,
-                         params.c0 * params.L ** (-0.5), context=ctx))
-    reports.append(worst("induction_neighbour_gap", log.neighbour_max,
-                         neighbour_gap_cap(params), context=ctx))
+    # a huge rate overflows S_t and the envelope to inf, and J0 = 0 times an
+    # infinite S_t is nan; the rows report these values as they are
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.array_equal(log.t[:-1], np.arange(len(log.t) - 1)):
+            rate_sums = np.concatenate([[0.0], np.cumsum(log.eta[:-1])])
+        else:
+            rate_sums = np.asarray([sched.sum_rates(int(t)) for t in log.t])
+        envelope = (np.exp(-envelope_rate(params) * rate_sums) * j0
+                    + envelope_drift(params) * rate_sums / params.L * j0)
+        reports.append(worst("envelope_loss", log.loss, envelope))
+        reports.append(worst("induction_loss_doubling", log.loss, 2.0 * j0))
+        reports.append(worst("induction_weight_scale", log.finf,
+                             params.c0 * params.L ** (-0.5)))
+        reports.append(worst("induction_neighbour_gap", log.neighbour_max,
+                             neighbour_gap_cap(params)))
     return reports
 
 

@@ -31,8 +31,7 @@ from .autograd import (finite_diff_grad, grad_objective,
 from .data import (AssumptionParams, Dataset, gaussian_init_std, init_certified,
                    init_gaussian, near_init_targets, replace_targets,
                    sample_sphere_dataset, save_dataset, write_csv)
-from .errors import (InfeasibleDatasetError, InvalidInputError,
-                     NumericalOverflowError)
+from .errors import InvalidInputError, NumericalOverflowError
 from .network import (NetworkConfig, Weights, activation_by_name, forward,
                       load_weights, save_weights)
 from .training import (RunLog, Schedule, load_runlog, save_layer_gaps,
@@ -142,8 +141,11 @@ class ExperimentConfig:
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     raw: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except UnicodeDecodeError:
+            raise InvalidInputError(f"config {path} is not UTF-8") from None
         if not isinstance(raw, dict):
             raise InvalidInputError("config must be a JSON object")
     known = set(ExperimentConfig.__dataclass_fields__)
@@ -285,23 +287,13 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
     for depth in cfg.depths:
         w0 = _init_weights(cfg, depth)
         data = _depth_dataset(cfg, base, w0, depth)
-        params = _params(cfg, depth)
-        premises = [*bounds.check_assumptions(data, w0, params, act),
-                    *bounds.lr_feasibility(params, sched, cfg.T)]
-        all_reports.extend(premises)
         if run_dir is not None:
             log = load_runlog(os.path.join(run_dir, f"runlog_L{depth}.csv"))
         else:
             _, log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable,
                            log_stride=cfg.log_stride)
-        env = bounds.certify_run_envelope(log, params, sched)
-        # the envelope claim presumes the admissibility and rate clauses
-        premises_ok = all(r.passed for r in premises)
-        for r in env:
-            r.context["L"] = depth
-            if not premises_ok and not r.hypothesis:
-                r = dataclasses.replace(r, applicable=False)
-            all_reports.append(r)
+        all_reports.extend(bounds.certify_run_envelope(
+            data, w0, log, _params(cfg, depth), sched, cfg.T, act))
 
     # depths ascend, so the loop ends on the deepest depth and its data
     all_reports.extend(_random_draw_reports(cfg, data, cfg.depths[-1]))
@@ -343,6 +335,8 @@ def _completed_runs(run_dir: str):
         if not os.path.exists(wpath):
             raise InvalidInputError(f"missing final weights {wpath}")
         weights = load_weights(wpath)
+        if weights.depth != depth:
+            raise InvalidInputError(f"{wpath} holds depth {weights.depth}, not {depth}")
         if first is None:
             first = depth, weights.width
         elif weights.width != first[1]:
@@ -490,11 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(cfg)
         raise InvalidInputError(f"unknown command {args.command!r}")
-    except InfeasibleDatasetError as exc:
-        print(f"error: {exc} (achieved separation {exc.achieved_separation:.6g})",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (InvalidInputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NumericalOverflowError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleDatasetError, InvalidInputError, NumericalOverflowError
+from .errors import InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, NetworkConfig, Weights, forward_batch
 
 MAX_RETRIES = 1000  # whole draws before a separation is declared infeasible
@@ -114,10 +114,9 @@ def sample_sphere_dataset(N: int, d: int, seed: int, params: AssumptionParams,
         if sep <= threshold or not enforce_separation:
             ys = _unit_rows(rng.standard_normal((N, d)))
             return Dataset(xs, ys, sep, seed)
-    raise InfeasibleDatasetError(
+    raise InvalidInputError(
         f"no draw of {N} points in dimension {d} met separation "
-        f"{threshold:.6g} within {MAX_RETRIES} retries (best {best:.6g})",
-        achieved_separation=best)
+        f"{threshold:.6g} within {MAX_RETRIES} retries (best {best:.6g})")
 
 
 def near_init_targets(xs: np.ndarray, w0: Weights, epsilon: float, seed: int,

@@ -8,18 +8,6 @@ class InvalidInputError(ValueError):
     """Raised when an argument violates a documented precondition."""
 
 
-class InfeasibleDatasetError(InvalidInputError):
-    """Raised when sphere sampling cannot meet the separation threshold.
-
-    Carries the best separation achieved so the caller can report how far
-    the draw was from the requirement; the message names the threshold.
-    """
-
-    def __init__(self, message: str, achieved_separation: float):
-        super().__init__(message)
-        self.achieved_separation = achieved_separation
-
-
 class NumericalOverflowError(FloatingPointError):
     """Raised when a forward pass or gradient produces a non-finite value.
 

@@ -108,9 +108,8 @@ def layer_gaps(w: Weights, norms: WeightNorms) -> np.ndarray:
 class RunLog:
     """Time series of one gradient-descent run (row 0 is the initial state).
 
-    ``eta_sum`` holds the exact cumulative learning rate before each logged
-    step, so envelope checks work at any logging stride. ``g_layers`` (with
-    per-layer logging) holds the g_k row of each logged step.
+    ``g_layers`` (with per-layer logging) holds the g_k row of each logged
+    step; ``fail_reason`` is set when the run overflowed.
     """
 
     t: np.ndarray
@@ -121,10 +120,12 @@ class RunLog:
     finf: np.ndarray
     neighbour_max: np.ndarray
     delta: np.ndarray
-    eta_sum: np.ndarray | None = None
     g_layers: np.ndarray | None = None
-    failed: bool = False
     fail_reason: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.fail_reason is not None
 
     @property
     def steps(self) -> int:
@@ -183,7 +184,6 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     fail_reason = None
 
     w = w0
-    eta_acc = 0.0
     L, d = w0.depth, w0.width
     size = step_block_size(L, len(data.xs), d)
     trace_block, adjoint_block, weights_block = (np.empty(size) for _ in range(3))
@@ -193,7 +193,7 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
         """Log the current iterate; the failure reason if its norms are not finite."""
         norms = weight_norms(w, scratch)
         rows.append((t, eta, value, norms.fbar, norms.gbar, norms.finf,
-                     norms.neighbour_max, w.delta, eta_acc))
+                     norms.neighbour_max, w.delta))
         if log_layers:
             g_rows.append(layer_gaps(w, norms))
         if not (math.isfinite(norms.fbar) and math.isfinite(norms.gbar)):
@@ -219,7 +219,6 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
             fail_reason = str(exc)
             break
         adjoint_block, weights_block = weights_block, adjoint_block
-        eta_acc += eta
 
     if fail_reason is None:
         try:
@@ -244,9 +243,7 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
         finf=np.asarray(cols[5], dtype=np.float64),
         neighbour_max=np.asarray(cols[6], dtype=np.float64),
         delta=np.asarray(cols[7], dtype=np.float64),
-        eta_sum=np.asarray(cols[8], dtype=np.float64),
         g_layers=np.asarray(g_rows) if log_layers and g_rows else None,
-        failed=fail_reason is not None,
         fail_reason=fail_reason,
     )
     return w, log
@@ -262,9 +259,9 @@ def largest_sum_feasible_T(sched: Schedule, budget: float) -> float:
         raise InvalidInputError("budget and eta0 must be nonnegative")
     if sched.eta0 == 0.0:
         return math.inf
+    ratio = budget / sched.eta0  # inf for a subnormal eta0
     if sched.kind == "constant":
-        return min(float(math.floor(budget / sched.eta0)), float(LARGEST_T_CAP))
-    ratio = budget / sched.eta0
+        return float(math.floor(min(ratio, LARGEST_T_CAP)))
     if ratio < 1.0:
         return 0.0
     if harmonic_number(LARGEST_T_CAP) <= ratio:
@@ -291,12 +288,17 @@ def save_runlog(log: RunLog, path) -> None:
 
 
 def load_runlog(path) -> RunLog:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != RUNLOG_COLUMNS:
-            raise InvalidInputError(f"unexpected run log header {header!r} in {path}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header != RUNLOG_COLUMNS:
+                raise InvalidInputError(f"unexpected run log header {header!r} in {path}")
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"run log {path} is not UTF-8") from None
+    except csv.Error as exc:
+        raise InvalidInputError(f"malformed run log {path}: {exc}") from None
     if not rows:
         raise InvalidInputError(f"empty run log {path}")
     if any(len(row) != len(RUNLOG_COLUMNS) for row in rows):
@@ -310,16 +312,9 @@ def load_runlog(path) -> RunLog:
         raise InvalidInputError(f"unparseable number in run log {path}") from None
     if t[0] != 0 or np.any(t[1:] <= t[:-1]):
         raise InvalidInputError(f"run log steps must start at 0 and strictly increase in {path}")
-    fail_reason = rows[-1][-1] or None
-    eta = arr[:, 0]
-    # The cumulative rate is recoverable exactly when every step was logged.
-    eta_sum = None
-    if np.array_equal(t[:-1], np.arange(len(t) - 1)):
-        eta_sum = np.concatenate([[0.0], np.cumsum(eta[:-1])])
-    return RunLog(t=t, eta=eta, loss=arr[:, 1], fbar=arr[:, 2], gbar=arr[:, 3],
+    return RunLog(t=t, eta=arr[:, 0], loss=arr[:, 1], fbar=arr[:, 2], gbar=arr[:, 3],
                   finf=arr[:, 4], neighbour_max=arr[:, 5], delta=arr[:, 6],
-                  eta_sum=eta_sum, failed=fail_reason is not None,
-                  fail_reason=fail_reason)
+                  fail_reason=rows[-1][-1] or None)
 
 
 def save_layer_gaps(log: RunLog, path) -> None:

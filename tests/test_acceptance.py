@@ -20,7 +20,7 @@ from resnetlab.analysis import (fit_power_law, mean_layer_norm,
                                 two_variation)
 from resnetlab.bounds import (certify_forward, certify_gradient_upper,
                               certify_loss_bound, certify_run_envelope,
-                              lr_feasibility, meaningful_failures)
+                              meaningful_failures)
 from resnetlab.cli import main
 from resnetlab.training import weight_norms
 
@@ -127,17 +127,15 @@ def test_criterion_3_certified_envelope():
     data = rl.replace_targets(
         data0, rl.near_init_targets(data0.xs, w0, 0.0, seed=13))
 
-    assumptions = rl.check_assumptions(data, w0, params)
     eta0 = 0.95 * (1.0 / 160.0) / params.N / params.d * math.exp(-10.5 * params.c0)
     sched = rl.Schedule("constant", eta0)
-    feasibility = lr_feasibility(params, sched, 2000)
     w_final, log = rl.train(w0, data, sched, 2000)
-    reports = certify_run_envelope(log, params)
+    # the conclusions are applicable only when every premise row passes
+    reports = certify_run_envelope(data, w0, log, params, sched, 2000, rl.TANH)
     failures = meaningful_failures(reports)
     elapsed = time.time() - start
 
-    ok = (all(r.passed for r in assumptions + feasibility) and not log.failed
-          and not failures and all(r.applicable for r in reports)
+    ok = (not log.failed and not failures and all(r.applicable for r in reports)
           and elapsed < 300.0)
     criterion(3, "admissible run satisfies the loss envelope and invariants",
               ok, f"J0 {log.loss[0]:.2e} -> {log.loss[-1]:.2e}, {elapsed:.1f}s")

@@ -10,16 +10,17 @@ from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               certify_loss_bound, certify_run_envelope,
                               check_assumptions, envelope_drift,
                               envelope_rate, full_lower_coefficient,
-                              hessian_upper_bound, lr_feasibility, make_report,
-                              meaningful_failures, vacuous_depth_threshold, write_reports_jsonl,
+                              hessian_upper_bound, make_report,
+                              meaningful_failures, report_to_dict,
+                              vacuous_depth_threshold, write_reports_jsonl,
                               load_reports_jsonl)
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, replace_targets,
                             sample_sphere_dataset)
-from resnetlab.errors import InvalidInputError
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
                                forward, forward_batch, jacobian_stack)
-from resnetlab.training import Schedule, train, weight_norms
+from resnetlab.training import (Schedule, load_runlog, save_runlog, train,
+                                weight_norms)
 
 
 def unit_rows(rng, n, d):
@@ -262,27 +263,52 @@ class TestCertifyHessian:
 
 
 class TestRunEnvelope:
-    def build_certified_run(self, L=64, T=300, seed=31):
+    def build_certified_run(self, L=64, T=300, seed=31, eta0=None, log_stride=1):
         params = AssumptionParams(0.25, 2, 16, L)
         data0 = sample_sphere_dataset(2, 16, seed=seed, params=params)
         w0 = init_certified(NetworkConfig(16, L), params, seed=seed + 1)
         data = replace_targets(
             data0, near_init_targets(data0.xs, w0, 0.0, seed=seed + 2))
-        eta0 = 0.9 * (1.0 / 160.0) / params.N / params.d * math.exp(-10.5 * params.c0)
+        if eta0 is None:
+            eta0 = 0.9 * (1.0 / 160.0) / params.N / params.d * math.exp(-10.5 * params.c0)
         sched = Schedule("constant", eta0)
-        assert all(r.passed for r in lr_feasibility(params, sched, T))
-        _, log = train(w0, data, sched, T)
-        return log, params, sched
+        _, log = train(w0, data, sched, T, log_stride=log_stride)
+        return data, w0, log, params, sched, T, TANH
 
     def test_certified_run_all_pass(self):
-        log, params, _ = self.build_certified_run()
-        reports = certify_run_envelope(log, params)
+        reports = certify_run_envelope(*self.build_certified_run())
         assert not meaningful_failures(reports)
+        # the conclusions apply only when every premise, the rate caps too, passes
         assert all(r.applicable for r in reports)
 
+    def test_rows_in_order_each_carrying_L(self):
+        reports = certify_run_envelope(*self.build_certified_run(T=5))
+        assert [r.name for r in reports] == [
+            "assumption_i_activation", "assumption_ii_delta_scaling",
+            "assumption_iii_unit_norms", "assumption_iii_separation",
+            "assumption_iv_row_norms", "assumption_v_initial_loss",
+            "lr_per_step", "lr_sum", "hyp_depth_log32", "hyp_depth_log",
+            "hyp_run_completed", "envelope_loss", "induction_loss_doubling",
+            "induction_weight_scale", "induction_neighbour_gap"]
+        assert all(r.context["L"] == 64 for r in reports)
+        assert [r.hypothesis for r in reports] == [True] * 11 + [False] * 4
+
+    @pytest.mark.parametrize("premise", ["assumption_v_initial_loss", "lr_per_step"])
+    def test_a_failed_premise_makes_the_conclusions_inapplicable(self, premise):
+        data, w0, log, params, sched, T, act = self.build_certified_run(T=5)
+        if premise == "assumption_v_initial_loss":
+            # targets far from the initial outputs: J0 above its cap
+            data = replace_targets(data, -data.ys)
+        else:
+            sched = Schedule("constant", 1.0)
+        reports = certify_run_envelope(data, w0, log, params, sched, T, act)
+        assert not by_name(reports, premise).passed
+        conclusions = [r for r in reports if not r.hypothesis]
+        assert len(conclusions) == 4 and not any(r.applicable for r in conclusions)
+        assert all(r.applicable for r in reports if r.hypothesis)
+
     def test_envelope_trivial_at_t0(self):
-        log, params, _ = self.build_certified_run(T=0)
-        reports = certify_run_envelope(log, params)
+        reports = certify_run_envelope(*self.build_certified_run(T=0))
         env = by_name(reports, "envelope_loss")
         assert env.observed == pytest.approx(env.bound, rel=1e-12)
 
@@ -293,21 +319,56 @@ class TestRunEnvelope:
         w = init_certified(NetworkConfig(16, 64), params, seed=14)
         xs = unit_rows(rng, 2, 16)
         data = Dataset(xs, forward_batch(xs, w).output, 0.0, 0)
-        _, log = train(w, data, Schedule("constant", 1e-5), 10)
-        reports = certify_run_envelope(log, params)
+        sched = Schedule("constant", 1e-5)
+        _, log = train(w, data, sched, 10)
+        reports = certify_run_envelope(data, w, log, params, sched, 10, TANH)
         assert np.all(log.loss == 0.0)
-        assert not meaningful_failures(reports)
+        # the outputs are not unit vectors, so assumption (iii) fails and the
+        # conclusions are inapplicable; each of them still holds
+        assert all(r.passed for r in reports if not r.hypothesis)
 
-    def test_schedule_reconstructs_missing_rate_sums(self):
-        log, params, sched = self.build_certified_run(T=50)
-        stripped = type(log)(t=log.t, eta=log.eta, loss=log.loss, fbar=log.fbar,
-                             gbar=log.gbar, finf=log.finf,
-                             neighbour_max=log.neighbour_max, delta=log.delta,
-                             eta_sum=None)
-        with pytest.raises(InvalidInputError):
-            certify_run_envelope(stripped, params)
-        reports = certify_run_envelope(stripped, params, sched)
-        assert not meaningful_failures(reports)
+    def test_fully_logged_rates_are_the_runs_own_sums(self):
+        # S_t sums the logged rates in the run's order: 0.07 added t times,
+        # which is not 0.07 * t in floating point
+        data, w0, log, params, sched, T, act = self.build_certified_run(T=40, eta0=0.07)
+        log.loss[10] = 1e3
+        env = by_name(certify_run_envelope(data, w0, log, params, sched, T, act),
+                      "envelope_loss")
+        s10 = 0.0
+        for _ in range(10):
+            s10 += 0.07
+        assert s10 != 0.07 * 10
+        j0 = log.loss[0]
+        assert env.context["t"] == 10
+        assert env.bound == (math.exp(-envelope_rate(params) * s10) * j0
+                             + envelope_drift(params) * s10 / params.L * j0)
+
+    def test_strided_rates_come_from_the_schedule(self):
+        data, w0, log, params, sched, T, act = self.build_certified_run(
+            T=40, eta0=0.07, log_stride=5)
+        log.loss[2] = 1e3
+        assert log.t[2] == 10
+        env = by_name(certify_run_envelope(data, w0, log, params, sched, T, act),
+                      "envelope_loss")
+        s10 = sched.sum_rates(10)
+        j0 = log.loss[0]
+        assert env.context["t"] == 10
+        assert env.bound == (math.exp(-envelope_rate(params) * s10) * j0
+                             + envelope_drift(params) * s10 / params.L * j0)
+
+    def test_strided_run_certifies_as_its_saved_log(self, tmp_path):
+        # constant rate 0.07, logged every 5 steps, with the loss at t = 10
+        # doctored so that the worst envelope point lies inside the run
+        data, w0, log, params, sched, T, act = self.build_certified_run(
+            T=40, eta0=0.07, log_stride=5)
+        log.loss[2] = 1e3
+        path = tmp_path / "runlog.csv"
+        save_runlog(log, path)
+        in_memory = certify_run_envelope(data, w0, log, params, sched, T, act)
+        loaded = certify_run_envelope(data, w0, load_runlog(path), params, sched, T, act)
+        assert by_name(in_memory, "envelope_loss").context["t"] == 10
+        assert ([report_to_dict(r) for r in in_memory]
+                == [report_to_dict(r) for r in loaded])
 
     def test_envelope_formula_values(self):
         params = AssumptionParams(0.25, 2, 16, 256)

@@ -23,7 +23,7 @@ from resnetlab.cli import (EXIT_BOUND_FAILURE, EXIT_INPUT_ERROR, EXIT_OK,
 from resnetlab.data import load_dataset
 from resnetlab.errors import InvalidInputError
 from resnetlab.network import load_weights
-from resnetlab.training import load_runlog
+from resnetlab.training import RUNLOG_COLUMNS, load_runlog
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -336,6 +336,21 @@ class TestCommandProperty:
         assert documented_exit(command, config) in (
             EXIT_OK, EXIT_BOUND_FAILURE, EXIT_INPUT_ERROR, EXIT_OVERFLOW)
 
+    # eta0 = 1e308 overflows the loss envelope at T = 1 and T = 2. With
+    # targets equal to the zero network's outputs J0 = 0, S_t itself
+    # overflows at T = 2 and the envelope is 0 * inf = nan. RuntimeWarnings
+    # are errors in the tests, so an unguarded overflow escapes main. A
+    # subnormal eta0 overflows the rate-sum horizon log(L) / (d eta0).
+    @pytest.mark.parametrize("overrides", [
+        {"T": 1}, {"T": 2},
+        {"T": 2, "init_mode": "certified", "target_mode": "near_init"},
+        {"T": 0, "depths": [2], "eta0": 5e-324},
+    ], ids=["T1", "T2", "T2-zero-J0", "subnormal-eta0"])
+    def test_extreme_rates_end_in_a_documented_exit(self, overrides):
+        config = {"d": 1, "N": 1, "depths": [1], "alpha0": 0, "beta0": 0,
+                  "eta0": 1e308, "c0": 1, "init_scale": 0, "certify_draws": 0, **overrides}
+        assert documented_exit("certify", config) == EXIT_OK
+
 
 def assert_strict_json_files(directory):
     for name in os.listdir(directory):
@@ -466,6 +481,26 @@ class TestCertifyCommand:
         assert main(["certify", "--config", cfg, "--out", str(out),
                      "--run-dir", str(run_dir)]) == EXIT_OK
         assert (out / "bounds.jsonl").exists()
+
+    # a strided log, and a strided log of a decaying rate with trainable
+    # delta, per-layer logging and near-init targets
+    @pytest.mark.parametrize("overrides", [
+        {"log_stride": 3},
+        {"schedule": "inverse_decay", "delta_trainable": True, "log_layers": True,
+         "target_mode": "near_init", "log_stride": 4},
+    ], ids=["stride", "mixed"])
+    def test_fresh_certify_equals_certify_of_the_trained_run(self, tmp_path, capsys,
+                                                             overrides):
+        cfg = write_config(tmp_path, T=12, certify_draws=1, **overrides)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+        capsys.readouterr()
+        results = []
+        for name, extra in (("fresh", []), ("run-dir", ["--run-dir", str(run_dir)])):
+            out = tmp_path / name
+            code = main(["certify", "--config", cfg, "--out", str(out), *extra])
+            results.append((code, tree_bytes(out), capsys.readouterr()))
+        assert results[0] == results[1]
 
     def test_doctored_run_fails_with_exit_1(self, tmp_path):
         # corrupt a recorded loss beyond the envelope: certify must say so
@@ -777,6 +812,15 @@ class TestAnalyzeCommand:
         assert set(fits) == {"fbar0", "delta_final", "weight_norm", "total_scaling"} - omitted
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_weights_of_another_depth_exit_2_writing_nothing(self, tmp_path, capsys):
+        cfg, run_dir = self.run_training(tmp_path, **dict(SMALL, depths=[4, 8, 16]))
+        path = run_dir / "weights_L8.bin"
+        path.write_bytes((run_dir / "weights_L16.bin").read_bytes())
+        code, files = run_into_empty_dir(
+            tmp_path, ["analyze", "--config", cfg, "--run-dir", str(run_dir)])
+        assert (code, files) == (EXIT_INPUT_ERROR, [])
+        assert f"{path} holds depth 16, not 8" in capsys.readouterr().err
+
     def test_mixed_widths_exit_2_writing_nothing(self, tmp_path, capsys):
         cfg, run_dir = self.run_training(tmp_path, **SMALL)
         (tmp_path / "wide").mkdir()
@@ -805,6 +849,27 @@ class TestAnalyzeCommand:
             assert (code, files) == (EXIT_INPUT_ERROR, [])
             err = capsys.readouterr().err
             assert f"run log steps must start at 0 and strictly increase in {path}" in err
+
+    # a Latin-1 byte in the header, an empty file, and a cell beyond the csv
+    # module's field size limit (131072 characters)
+    @pytest.mark.parametrize("content, message", [
+        (",".join(RUNLOG_COLUMNS).replace("delta", "delta\u00e9").encode("latin-1"),
+         "run log {} is not UTF-8"),
+        (b"", "unexpected run log header [] in {}"),
+        (",".join(RUNLOG_COLUMNS).encode() + b'\r\n"' + b"x" * 200_000 + b'"\r\n',
+         "malformed run log {}: field larger than field limit"),
+    ], ids=["not-utf8", "empty", "over-long-cell"])
+    def test_unreadable_run_log_exits_2(self, tmp_path, capsys, content, message):
+        cfg, run_dir = self.run_training(tmp_path, **SMALL)
+        path = run_dir / "runlog_L8.csv"
+        path.write_bytes(content)
+        for command in ("certify", "analyze"):
+            (tmp_path / command).mkdir()
+            code, files = run_into_empty_dir(
+                tmp_path / command, [command, "--config", cfg, "--run-dir", str(run_dir)])
+            assert (code, files) == (EXIT_INPUT_ERROR, [])
+            err = capsys.readouterr().err
+            assert message.format(path) in err and "Traceback" not in err
 
     def test_memory_holds_two_stacks(self, tmp_path):
         # ten depths against the deepest two: the peaks differ by less than
@@ -899,6 +964,8 @@ class TestEntryPoints:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        if case == "config-not-utf8":
+            assert err == f"error: config {cfg} is not UTF-8\n"
 
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)

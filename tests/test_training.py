@@ -130,14 +130,13 @@ class TestTrain:
         data, w = small_instance(7)
         final, log = train(w, data, Schedule("constant", 0.02), 1)
         assert np.array_equal(final.layers, w.layers - 0.02 * grad_objective(data, w).layers)
-        assert log.eta_sum is not None
-        assert np.array_equal(log.eta_sum, [0.0, 0.02])
+        assert np.array_equal(log.t, [0, 1]) and np.array_equal(log.eta, [0.02, 0.02])
 
     def test_stride_logging_keeps_final_row(self):
         data, w = small_instance()
         _, log = train(w, data, Schedule("constant", 0.01), 7, log_stride=3)
         assert list(log.t) == [0, 3, 6, 7]
-        assert log.eta_sum[-1] == pytest.approx(7 * 0.01)
+        assert np.array_equal(log.eta, [0.01] * 4)
 
     def test_row_norm_growth_bound_each_step(self):
         # the paper's one-step bound: sqrt(L/2) |row_m(A_k)| grows by at most
@@ -439,6 +438,11 @@ class TestLrFeasibility:
     def test_constant_largest_sum_t(self):
         assert largest_sum_feasible_T(Schedule("constant", 0.05), 1.04) == 20
 
+    @pytest.mark.parametrize("kind", ["constant", "inverse_decay"])
+    def test_subnormal_eta_reaches_the_cap(self, kind):
+        # log(2) / 5e-324 overflows to inf
+        assert largest_sum_feasible_T(Schedule(kind, 5e-324), math.log(2)) == 1e18
+
     def test_per_step_cap_gates_largest_t(self):
         # eta(0) above the per-step cap means no admissible horizon at all
         params = AssumptionParams(0.1, 2, 4, 64)
@@ -469,7 +473,6 @@ class TestRunLogPersistence:
         for name in ("t", "eta", "loss", "fbar", "gbar", "finf",
                      "neighbour_max", "delta"):
             assert np.array_equal(getattr(loaded, name), getattr(log, name)), name
-        assert np.allclose(loaded.eta_sum, log.eta_sum, rtol=0, atol=0)
         assert not loaded.failed and loaded.fail_reason is None
 
     def test_failed_status_round_trips(self, tmp_path):
@@ -481,13 +484,6 @@ class TestRunLogPersistence:
         loaded = load_runlog(path)
         assert loaded.failed and loaded.fail_reason == log.fail_reason
         assert np.array_equal(loaded.loss, log.loss)
-
-    def test_strided_load_has_no_eta_sum(self, tmp_path):
-        data, w = small_instance(11)
-        _, log = train(w, data, Schedule("constant", 0.05), 6, log_stride=2)
-        path = tmp_path / "runlog.csv"
-        save_runlog(log, path)
-        assert load_runlog(path).eta_sum is None
 
     def test_layer_gap_file(self, tmp_path):
         data, w = small_instance(12, L=4)
