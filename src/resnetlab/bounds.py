@@ -380,9 +380,9 @@ def certify_run_envelope(data: Dataset, w0: Weights, log: RunLog,
     conclusion reports its worst logged step and is applicable only when
     every premise row passes.
 
-    S_t sums the logged rates when every step before the last was logged
-    (the run's own additions, in its order), and is the schedule's
-    ``sum_rates(t)`` otherwise.
+    S_t sums the logged rates when every step was logged (the run's own
+    additions, in its order), and is the schedule's ``sum_rates(t)``
+    otherwise.
     """
     reports = [
         *check_assumptions(data, w0, params, activation),
@@ -408,7 +408,7 @@ def certify_run_envelope(data: Dataset, w0: Weights, log: RunLog,
     # a huge rate overflows S_t and the envelope to inf, and J0 = 0 times an
     # infinite S_t is nan; the rows report these values as they are
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.array_equal(log.t[:-1], np.arange(len(log.t) - 1)):
+        if np.array_equal(log.t, np.arange(len(log.t))):
             rate_sums = np.concatenate([[0.0], np.cumsum(log.eta[:-1])])
         else:
             rate_sums = np.asarray([sched.sum_rates(int(t)) for t in log.t])

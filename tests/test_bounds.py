@@ -356,6 +356,21 @@ class TestRunEnvelope:
         assert env.bound == (math.exp(-envelope_rate(params) * s10) * j0
                              + envelope_drift(params) * s10 / params.L * j0)
 
+    @pytest.mark.parametrize("T", [2, 5])
+    def test_run_no_longer_than_its_stride_uses_the_schedule(self, T):
+        # logged at t = 0 and t = T only: S_T is sum_rates(T), not eta(0)
+        data, w0, log, params, sched, T, act = self.build_certified_run(
+            T=T, eta0=0.07, log_stride=5)
+        log.loss[-1] = 1e3
+        assert log.t.tolist() == [0, T]
+        env = by_name(certify_run_envelope(data, w0, log, params, sched, T, act),
+                      "envelope_loss")
+        s_t = sched.sum_rates(T)
+        j0 = log.loss[0]
+        assert env.context["t"] == T
+        assert env.bound == (math.exp(-envelope_rate(params) * s_t) * j0
+                             + envelope_drift(params) * s_t / params.L * j0)
+
     def test_strided_run_certifies_as_its_saved_log(self, tmp_path):
         # constant rate 0.07, logged every 5 steps, with the loss at t = 10
         # doctored so that the worst envelope point lies inside the run

@@ -482,16 +482,18 @@ class TestCertifyCommand:
                      "--run-dir", str(run_dir)]) == EXIT_OK
         assert (out / "bounds.jsonl").exists()
 
-    # a strided log, and a strided log of a decaying rate with trainable
-    # delta, per-layer logging and near-init targets
+    # a strided log, a strided log of a decaying rate with trainable delta,
+    # per-layer logging and near-init targets, and a run no longer than its
+    # stride (logged at t = 0 and t = T only)
     @pytest.mark.parametrize("overrides", [
         {"log_stride": 3},
         {"schedule": "inverse_decay", "delta_trainable": True, "log_layers": True,
          "target_mode": "near_init", "log_stride": 4},
-    ], ids=["stride", "mixed"])
+        {"T": 3, "log_stride": 5},
+    ], ids=["stride", "mixed", "short"])
     def test_fresh_certify_equals_certify_of_the_trained_run(self, tmp_path, capsys,
                                                              overrides):
-        cfg = write_config(tmp_path, T=12, certify_draws=1, **overrides)
+        cfg = write_config(tmp_path, **{"T": 12, "certify_draws": 1, **overrides})
         run_dir = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
         capsys.readouterr()
@@ -501,6 +503,32 @@ class TestCertifyCommand:
             code = main(["certify", "--config", cfg, "--out", str(out), *extra])
             results.append((code, tree_bytes(out), capsys.readouterr()))
         assert results[0] == results[1]
+
+    def test_run_no_longer_than_its_stride_certifies_as_logged_every_step(
+            self, tmp_path):
+        # T = 2 logged at stride 5 (t = 0, 2) and at stride 1 (t = 0, 1, 2),
+        # the loss at t = 2 doctored in both: S_2 = 2 eta0 either way, so the
+        # envelope rows agree
+        rows = []
+        for stride in (5, 1):
+            cfg = write_config(tmp_path, name=f"config{stride}.json", depths=[4],
+                               T=2, eta0=0.07, log_stride=stride)
+            run_dir = tmp_path / f"run{stride}"
+            assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+            log_path = run_dir / "runlog_L4.csv"
+            lines = log_path.read_text().splitlines()
+            parts = lines[-1].split(",")
+            parts[2] = "1000.0"
+            lines[-1] = ",".join(parts)
+            log_path.write_text("\n".join(lines) + "\n")
+            out = tmp_path / f"cert{stride}"
+            main(["certify", "--config", cfg, "--out", str(out),
+                  "--run-dir", str(run_dir)])
+            envelope, = [r for r in load_reports_jsonl(out / "bounds.jsonl")
+                         if r["name"] == "envelope_loss"]
+            rows.append(envelope)
+        assert rows[0]["context"]["t"] == 2
+        assert rows[0] == rows[1]
 
     def test_doctored_run_fails_with_exit_1(self, tmp_path):
         # corrupt a recorded loss beyond the envelope: certify must say so
