@@ -11,7 +11,7 @@ from resnetlab.bounds import lr_feasibility
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, replace_targets,
                             sample_sphere_dataset)
-from resnetlab.errors import InvalidInputError
+from resnetlab.errors import InvalidInputError, NumericalOverflowError
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
                                forward_batch, load_weights, save_weights)
 from resnetlab.training import (RunLog, Schedule, harmonic_number,
@@ -218,6 +218,34 @@ class TestUpdateFailure:
         assert list(log.t) == [0, 1]
         assert np.isfinite(log.fbar[0]) and np.isinf(log.fbar[1])
         assert np.all(np.isfinite(final.layers))
+
+    def test_final_objective_overflow_keeps_w_T(self, monkeypatch):
+        # the T updates succeed; only the loss of the final state overflows
+        data, w0 = small_instance(15, d=3, L=4, n=2)
+        sched = Schedule("constant", 0.05)
+        expected, _ = train(w0, data, sched, 3)
+
+        def overflowing_objective(data, w, activation, blocks=None):
+            raise NumericalOverflowError("final objective overflowed")
+        monkeypatch.setattr(training, "objective", overflowing_objective)
+        final, log = train(w0, data, sched, 3)
+        assert log.failed and log.fail_reason == "final objective overflowed"
+        assert list(log.t) == [0, 1, 2]
+        assert np.array_equal(final.layers, expected.layers)
+        assert final.delta == expected.delta
+
+    def test_w0_overflow_keeps_the_forward_reason(self):
+        # entries of 1e155: the identity forward pass overflows at w0, and so
+        # do the squares behind w0's norms; the forward pass is named
+        data, _ = small_instance(16, d=3, L=4, n=2)
+        w0 = Weights(np.full((4, 3, 3), 1e155), 0.5)
+        with pytest.raises(NumericalOverflowError) as forward_failure:
+            grad_objective(data, w0, IDENTITY)
+        final, log = train(w0, data, Schedule("constant", 0.1), 3, activation=IDENTITY)
+        assert log.fail_reason == str(forward_failure.value)
+        assert list(log.t) == [0] and np.isnan(log.loss[0])
+        assert np.isinf(log.fbar[0])
+        assert final is w0
 
 
 def reference_train(w0, data, sched, T, activation=TANH, delta_trainable=False):
