@@ -79,7 +79,9 @@ def make_report(name: str, observed: float, bound: float, rel_tol: float,
         slack = observed - bound
     else:
         raise InvalidInputError(f"unknown direction {direction!r}")
-    tol = rel_tol * max(abs(observed), abs(bound), 1e-300)
+    # NaN on either side makes tol NaN; max alone would skip a NaN bound
+    tol = (math.nan if math.isnan(observed) or math.isnan(bound)
+           else rel_tol * max(abs(observed), abs(bound), 1e-300))
     passed = math.isfinite(observed) and slack >= -tol
     return BoundReport(name, observed, bound, slack, passed, tol,
                        direction, vacuous, applicable, hypothesis,

@@ -314,9 +314,9 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
 
 def _completed_runs(run_dir: str):
     """Yields (depth, run log, final weights) for each completed run under
-    ``run_dir`` in ascending depth, all of one width; failed runs are named on
-    stderr and skipped. Each stack is read only when the next run is asked
-    for."""
+    ``run_dir`` in ascending depth, all of one width and one logged step
+    column; failed runs are named on stderr and skipped. Each stack is read
+    only when the next run is asked for."""
     runs = []
     for path in glob.glob(os.path.join(run_dir, "runlog_L*.csv")):
         match = re.search(r"runlog_L(\d+)\.csv$", path)
@@ -324,7 +324,7 @@ def _completed_runs(run_dir: str):
             runs.append((int(match.group(1)), path))
     if not runs:
         raise InvalidInputError(f"no run logs found under {run_dir}")
-    first = None  # (depth, width) of the first completed run
+    first = None  # (depth, width, steps) of the first completed run
     for depth, path in sorted(runs):
         log = load_runlog(path)
         if log.failed:
@@ -338,10 +338,13 @@ def _completed_runs(run_dir: str):
         if weights.depth != depth:
             raise InvalidInputError(f"{wpath} holds depth {weights.depth}, not {depth}")
         if first is None:
-            first = depth, weights.width
+            first = depth, weights.width, log.t
         elif weights.width != first[1]:
             raise InvalidInputError(f"all runs must share the width d: depth {depth} has "
                                     f"d={weights.width}, depth {first[0]} has d={first[1]}")
+        elif not np.array_equal(log.t, first[2]):
+            raise InvalidInputError(f"all runs must log the same steps t: depth {depth} "
+                                    f"logs other steps than depth {first[0]}")
         yield depth, log, weights
     if first is None:
         raise InvalidInputError(f"no completed runs under {run_dir}")
@@ -367,10 +370,7 @@ def cmd_analyze(cfg: ExperimentConfig, run_dir: str, out_dir: str) -> int:
     losses, fit_rows, two_var, distances, scatter = [], [], [], [], []
     low = None  # (depth, weights) of the previous completed run
     for depth, log, weights in _completed_runs(run_dir):
-        if low is None:
-            t_grid = log.t
-        if np.array_equal(log.t, t_grid):
-            losses.append(log.loss)
+        losses.append(log.loss)
         # first: it checks scatter_entry against the width
         scatter.append((depth, *analysis.entry_scatter(weights, m, n)))
         fit_rows.append((depth, float(log.fbar[0]), analysis.mean_layer_norm(weights),
@@ -380,9 +380,10 @@ def cmd_analyze(cfg: ExperimentConfig, run_dir: str, out_dir: str) -> int:
             distances.append((low[0], depth, analysis.scaling_limit_distance(low[1], weights)))
         low = depth, weights
 
-    # Steps-to-epsilon on the mean loss curve across depths.
+    # Steps-to-epsilon on the mean loss curve across depths, whose runs all
+    # logged the steps log.t.
     mean_loss = np.mean(np.stack(losses), axis=0)
-    hits = analysis.steps_to_epsilon(t_grid, mean_loss, _epsilon_grid(mean_loss))
+    hits = analysis.steps_to_epsilon(log.t, mean_loss, _epsilon_grid(mean_loss))
 
     # Depth fits: initial fbar, final weight norm (+ delta when trainable).
     # A power law fits positive values only; a fit over a zero is left out.

@@ -108,8 +108,10 @@ def layer_gaps(w: Weights, norms: WeightNorms) -> np.ndarray:
 class RunLog:
     """Time series of one gradient-descent run (row 0 is the initial state).
 
-    ``g_layers`` (with per-layer logging) holds the g_k row of each logged
-    step; ``fail_reason`` is set when the run overflowed.
+    The fields but ``g_layers`` are ``RUNLOG_COLUMNS`` in order, so a log is
+    built from its columns by position. ``g_layers`` (with per-layer logging)
+    holds the g_k row of each logged step; ``fail_reason`` is set when the
+    run overflowed.
     """
 
     t: np.ndarray
@@ -189,64 +191,40 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     trace_block, adjoint_block, weights_block = (np.empty(size) for _ in range(3))
     scratch = trace_block[:L * d * d].reshape(L, d, d)
 
-    def log_state(t, eta, value):
-        """Log the current iterate; the failure reason if its norms are not finite."""
+    def log_state(t, eta, value, require_finite=True):
+        """Log the current iterate, then raise if its norms are not finite."""
         norms = weight_norms(w, scratch)
         rows.append((t, eta, value, norms.fbar, norms.gbar, norms.finf,
                      norms.neighbour_max, w.delta))
         if log_layers:
             g_rows.append(layer_gaps(w, norms))
-        if not (math.isfinite(norms.fbar) and math.isfinite(norms.gbar)):
-            return f"non-finite weight norms: fbar={norms.fbar!r} gbar={norms.gbar!r}"
-        return None
+        if require_finite and not (math.isfinite(norms.fbar) and math.isfinite(norms.gbar)):
+            raise NumericalOverflowError(
+                f"non-finite weight norms: fbar={norms.fbar!r} gbar={norms.gbar!r}")
 
-    for t in range(T):
-        eta = sched.rate(t)
-        try:
+    try:
+        for t in range(T):
+            eta = sched.rate(t)
             grads, dgrad, value = grad_objective_with_stats(
                 data, w, activation, delta_trainable,
                 blocks=(trace_block, adjoint_block))
-        except NumericalOverflowError as exc:
-            fail_reason = str(exc)
-            break
-        if t % log_stride == 0:
-            fail_reason = log_state(t, eta, value)
-            if fail_reason is not None:
-                break
-        try:
+            if t % log_stride == 0:
+                log_state(t, eta, value)
             w = _apply_update(w, grads, dgrad, eta, delta_trainable)
-        except NumericalOverflowError as exc:
-            fail_reason = str(exc)
-            break
-        adjoint_block, weights_block = weights_block, adjoint_block
+            adjoint_block, weights_block = weights_block, adjoint_block
+        final_value = objective(data, w, activation, blocks=(trace_block, adjoint_block))
+        log_state(T, sched.rate(T), final_value)
+    except NumericalOverflowError as exc:
+        fail_reason = str(exc)
+        if not rows:
+            # failed at t=0, before any update: log w0 with an unknown loss, so
+            # the saved run log still carries the failure
+            log_state(0, sched.rate(0), math.nan, require_finite=False)
 
-    if fail_reason is None:
-        try:
-            final_value = objective(data, w, activation,
-                                    blocks=(trace_block, adjoint_block))
-        except NumericalOverflowError as exc:
-            fail_reason = str(exc)
-        else:
-            fail_reason = log_state(T, sched.rate(T), final_value)
-    if not rows:
-        # failed at t=0, before any update: log w0 with an unknown loss, so
-        # the saved run log still carries the failure
-        log_state(0, sched.rate(0), math.nan)
-
-    cols = list(zip(*rows))
-    log = RunLog(
-        t=np.asarray(cols[0], dtype=np.int64),
-        eta=np.asarray(cols[1], dtype=np.float64),
-        loss=np.asarray(cols[2], dtype=np.float64),
-        fbar=np.asarray(cols[3], dtype=np.float64),
-        gbar=np.asarray(cols[4], dtype=np.float64),
-        finf=np.asarray(cols[5], dtype=np.float64),
-        neighbour_max=np.asarray(cols[6], dtype=np.float64),
-        delta=np.asarray(cols[7], dtype=np.float64),
-        g_layers=np.asarray(g_rows) if log_layers and g_rows else None,
-        fail_reason=fail_reason,
-    )
-    return w, log
+    steps, *columns = zip(*rows)
+    return w, RunLog(np.asarray(steps, dtype=np.int64), *np.asarray(columns, dtype=np.float64),
+                     g_layers=np.asarray(g_rows) if log_layers else None,
+                     fail_reason=fail_reason)
 
 
 def largest_sum_feasible_T(sched: Schedule, budget: float) -> float:
@@ -282,12 +260,13 @@ def save_runlog(log: RunLog, path) -> None:
     reasons = [""] * len(log.t)
     if log.failed:
         reasons[-1] = log.fail_reason or "failed"
-    columns = (log.t, log.eta, log.loss, log.fbar, log.gbar, log.finf,
-               log.neighbour_max, log.delta)
-    write_csv(path, RUNLOG_COLUMNS, zip(*(col.tolist() for col in columns), reasons))
+    columns = (getattr(log, name).tolist() for name in RUNLOG_COLUMNS[:-1])
+    write_csv(path, RUNLOG_COLUMNS, zip(*columns, reasons))
 
 
 def load_runlog(path) -> RunLog:
+    """The run log at ``path``; every number must be finite, except in the
+    last row of a failed run."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -312,9 +291,11 @@ def load_runlog(path) -> RunLog:
         raise InvalidInputError(f"unparseable number in run log {path}") from None
     if t[0] != 0 or np.any(t[1:] <= t[:-1]):
         raise InvalidInputError(f"run log steps must start at 0 and strictly increase in {path}")
-    return RunLog(t=t, eta=arr[:, 0], loss=arr[:, 1], fbar=arr[:, 2], gbar=arr[:, 3],
-                  finf=arr[:, 4], neighbour_max=arr[:, 5], delta=arr[:, 6],
-                  fail_reason=rows[-1][-1] or None)
+    fail_reason = rows[-1][-1] or None
+    if not np.all(np.isfinite(arr[:-1] if fail_reason else arr)):
+        raise InvalidInputError(f"non-finite number in run log {path} outside the last "
+                                "row of a failed run")
+    return RunLog(t, *arr.T, fail_reason=fail_reason)
 
 
 def save_layer_gaps(log: RunLog, path) -> None:

@@ -66,6 +66,14 @@ class TestReportSemantics:
         assert not make_report("x", -math.inf, 1.0, 1e-9, direction="lower").passed
         assert not make_report("x", math.nan, 1.0, 1e-9).passed
 
+    # a NaN on either side, in either direction, gives tol NaN
+    @pytest.mark.parametrize("observed, bound", [(math.nan, 1.0), (1.0, math.nan),
+                                                 (math.nan, math.nan)])
+    @pytest.mark.parametrize("direction", ["upper", "lower"])
+    def test_nan_side_gives_nan_tol(self, observed, bound, direction):
+        r = make_report("x", observed, bound, 1e-9, direction=direction)
+        assert math.isnan(r.tol) and math.isnan(r.slack) and not r.passed
+
     def test_jsonl_round_trip(self, tmp_path):
         reports = [make_report("a", 1.0, 2.0, 1e-9, context={"k": 3}),
                    make_report("b", math.nan, -math.inf, 1e-9, context={"J0": math.inf})]

@@ -351,6 +351,18 @@ class TestCommandProperty:
                   "eta0": 1e308, "c0": 1, "init_scale": 0, "certify_draws": 0, **overrides}
         assert documented_exit("certify", config) == EXIT_OK
 
+    def test_nan_bound_has_nan_tol(self, tmp_path):
+        # S_2 overflows and the envelope is 0 * inf = nan: a NaN bound gives a
+        # NaN tol, as a NaN observed value does
+        cfg = write_config(tmp_path, d=1, N=1, depths=[1], T=2, alpha0=0, beta0=0,
+                           eta0=1e308, c0=1, init_scale=0, certify_draws=0,
+                           init_mode="certified", target_mode="near_init")
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        row, = [r for r in load_reports_jsonl(out / "bounds.jsonl")
+                if r["name"] == "envelope_loss"]
+        assert math.isnan(row["bound"]) and math.isnan(row["tol"])
+
 
 def assert_strict_json_files(directory):
     for name in os.listdir(directory):
@@ -860,6 +872,49 @@ class TestAnalyzeCommand:
         assert (code, files) == (EXIT_INPUT_ERROR, [])
         assert ("all runs must share the width d: depth 16 has d=6, depth 4 has d=4"
                 in capsys.readouterr().err)
+
+    def test_mixed_step_grids_exit_2_writing_nothing(self, tmp_path, capsys):
+        # depth 16 replaced by a T = 9 run: its loss curve has other steps
+        cfg, run_dir = self.run_training(tmp_path, d=4, N=2, depths=[4, 8, 16], T=5,
+                                         seed=1)
+        (tmp_path / "long").mkdir()
+        _, long_dir = self.run_training(tmp_path / "long", d=4, N=2, depths=[16], T=9,
+                                        seed=1)
+        for name in ("runlog_L16.csv", "weights_L16.bin"):
+            (run_dir / name).write_bytes((long_dir / name).read_bytes())
+        code, files = run_into_empty_dir(
+            tmp_path, ["analyze", "--config", cfg, "--run-dir", str(run_dir)])
+        assert (code, files) == (EXIT_INPUT_ERROR, [])
+        assert ("all runs must log the same steps t: depth 16 logs other steps than "
+                "depth 4" in capsys.readouterr().err)
+
+    # the t = 10 loss of an admissible run set to nan (certify observed it
+    # and failed; analyze passed it), and the t = 0 loss of a default-style
+    # run set to inf (analyze wrote inf rows into steps_to_eps.csv)
+    @pytest.mark.parametrize("overrides, depth, line, token", [
+        ({"d": 4, "N": 2, "depths": [128, 256], "T": 50, "c0": 0.25,
+          "init_mode": "certified", "target_mode": "near_init", "epsilon_init": 1e-6,
+          "enforce_separation": True, "eta0": 1e-5, "certify_draws": 20, "seed": 3},
+         128, 11, "nan"),
+        ({"d": 4, "N": 2, "depths": [4, 8, 16], "T": 5, "seed": 1}, 8, 1, "inf"),
+    ], ids=["admissible-nan", "default-inf"])
+    def test_non_finite_completed_run_log_exits_2(self, tmp_path, capsys, overrides,
+                                                  depth, line, token):
+        cfg, run_dir = self.run_training(tmp_path, **overrides)
+        path = run_dir / f"runlog_L{depth}.csv"
+        lines = path.read_text().split("\n")
+        parts = lines[line].split(",")
+        parts[2] = token
+        lines[line] = ",".join(parts)
+        path.write_text("\n".join(lines))
+        for command in ("certify", "analyze"):
+            (tmp_path / command).mkdir()
+            code, files = run_into_empty_dir(
+                tmp_path / command, [command, "--config", cfg, "--run-dir", str(run_dir)])
+            assert (code, files) == (EXIT_INPUT_ERROR, [])
+            err = capsys.readouterr().err
+            assert f"non-finite number in run log {path} outside the last row" in err
+            assert "Traceback" not in err
 
     # the t cell of the second logged row (t=2 at stride 2) edited to -7, and
     # of the first row (t=0) edited to 5

@@ -4,8 +4,11 @@ by some call there, and every field of a class is read there: code, options
 and values that only tests reach belong with the tests."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
+
+from resnetlab.training import RUNLOG_COLUMNS, RunLog
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "resnetlab"
 
@@ -188,3 +191,11 @@ def test_csv_is_written_only_by_data():
                or (isinstance(node, ast.ImportFrom) and node.module == "csv"
                    and any(a.name in ("writer", "DictWriter") for a in node.names))]
     assert not writers, f"csv writers outside data.py: {writers}"
+
+
+def test_runlog_fields_are_the_columns():
+    """``train``, ``save_runlog`` and ``load_runlog`` build and read a
+    ``RunLog`` by position, so its fields but ``g_layers`` are the run-log
+    columns in order."""
+    fields = [f.name for f in dataclasses.fields(RunLog) if f.name != "g_layers"]
+    assert fields == RUNLOG_COLUMNS

@@ -513,6 +513,31 @@ class TestRunLogPersistence:
         assert loaded.failed and loaded.fail_reason == log.fail_reason
         assert np.array_equal(loaded.loss, log.loss)
 
+    def test_non_finite_numbers_only_in_the_last_row_of_a_failed_run(self, tmp_path):
+        # a failed run's last row may hold NaN and inf (w0's fallback row
+        # with overflowing norms); a completed run's may not, nor may any
+        # earlier row of a failed run
+        data, _ = small_instance(16, d=3, L=4, n=2)
+        w0 = Weights(np.full((4, 3, 3), 1e155), 0.5)
+        _, failed = train(w0, data, Schedule("constant", 0.1), 3, activation=IDENTITY)
+        path = tmp_path / "runlog.csv"
+        save_runlog(failed, path)
+        loaded = load_runlog(path)
+        assert np.isnan(loaded.loss[0]) and np.isinf(loaded.fbar[0])
+        assert loaded.fail_reason == failed.fail_reason
+
+        data, w = small_instance(11)
+        _, completed = train(w, data, Schedule("constant", 0.05), 3)
+        # the last and the first row of a completed run, and row 1 of 0..3
+        # marked failed
+        for reason, row in ((None, 3), (None, 0), ("overflow", 1)):
+            completed.fail_reason = reason
+            completed.loss[row] = math.inf
+            save_runlog(completed, path)
+            with pytest.raises(InvalidInputError, match="non-finite number in run log"):
+                load_runlog(path)
+            completed.loss[row] = 0.5
+
     def test_layer_gap_file(self, tmp_path):
         data, w = small_instance(12, L=4)
         _, log = train(w, data, Schedule("constant", 0.05), 2, log_layers=True)
