@@ -20,8 +20,8 @@ from .bounds import (BoundReport, certify_forward, certify_gradient_lower,
                      make_report, meaningful_failures, write_reports_jsonl)
 from .data import (AssumptionParams, Dataset, init_certified, init_gaussian,
                    initial_loss_cap, initial_row_norm_cap, load_dataset,
-                   near_init_targets, replace_targets, sample_sphere_dataset,
-                   save_dataset, separation_of, separation_threshold)
+                   near_init_targets, sample_sphere_dataset, save_dataset,
+                   separation_of, separation_threshold)
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import (IDENTITY, TANH, Activation, ForwardTrace, NetworkConfig,
                       Weights, activation_by_name, forward, forward_batch,

@@ -263,8 +263,8 @@ class HessianEstimate:
 
 
 def hessian_spectral_estimate(data: "Dataset", weights: Weights,
-                              activation: Activation = TANH,
-                              probes: int = 50) -> HessianEstimate:
+                              activation: Activation = TANH, *,
+                              probes: int) -> HessianEstimate:
     """Power iteration on the layer-weight Hessian via finite differences.
 
     Hessian-vector products are central differences of the analytic gradient

@@ -190,19 +190,20 @@ def _hypothesis_forward(weights: Weights, norms: WeightNorms, c_alpha: float,
     ]
 
 
-def certify_forward(trace: ForwardTrace, x, weights: Weights, norms: WeightNorms,
+def certify_forward(trace: ForwardTrace, weights: Weights, norms: WeightNorms,
                     c_alpha: float) -> list[BoundReport]:
     """Hidden-state sandwich and Jacobian column bounds along one trace:
 
         |x| e^{-2c} <= |h_k| <= |x| e^{1.1c}   and   |M_k e_m| <= e^c.
 
-    ``trace`` is ``forward(x, weights, ...)``; the Jacobians M_k come from
-    ``jacobian_stack`` with sigma' computed from the trace's preactivations.
+    ``trace`` is ``forward(x, weights, ...)``, so x is ``trace.hidden[0]``; the
+    Jacobians M_k come from ``jacobian_stack`` with sigma' computed from the
+    trace's preactivations.
     """
     reports = _hypothesis_forward(weights, norms, c_alpha, REL_TOL_EXACT)
     applicable = all(r.passed for r in reports)
     L = weights.depth
-    x_norm = float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
+    x_norm = float(np.linalg.norm(trace.hidden[0]))
     h_norms = np.linalg.norm(trace.hidden[1:], axis=1)
     k_lo = int(np.argmin(h_norms))
     k_hi = int(np.argmax(h_norms))

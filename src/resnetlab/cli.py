@@ -29,8 +29,8 @@ from . import analysis, bounds
 from .autograd import (finite_diff_grad, grad_objective,
                        grad_objective_with_stats)
 from .data import (AssumptionParams, Dataset, gaussian_init_std, init_certified,
-                   init_gaussian, near_init_targets, replace_targets,
-                   sample_sphere_dataset, save_dataset, write_csv)
+                   init_gaussian, near_init_targets, sample_sphere_dataset,
+                   save_dataset, write_csv)
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import (NetworkConfig, Weights, activation_by_name, forward,
                       load_weights, save_weights)
@@ -184,7 +184,7 @@ def _depth_dataset(cfg: ExperimentConfig, base: Dataset, w0: Weights,
     act = activation_by_name(cfg.activation)
     ys = near_init_targets(base.xs, w0, cfg.epsilon_init,
                            _depth_seed(cfg.seed, depth, salt=1), act)
-    return replace_targets(base, ys)
+    return Dataset(base.xs, ys)
 
 
 def _write_config(cfg: ExperimentConfig, out_dir: str) -> None:
@@ -196,7 +196,7 @@ def _write_config(cfg: ExperimentConfig, out_dir: str) -> None:
 def cmd_dataset(cfg: ExperimentConfig, out_dir: str) -> int:
     data = _base_dataset(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    save_dataset(data, os.path.join(out_dir, "dataset.csv"), c0=cfg.c0)
+    save_dataset(data, os.path.join(out_dir, "dataset.csv"), cfg.seed, cfg.c0)
     print(f"dataset: N={data.n} d={data.dim} separation={data.separation:.6g}")
     return EXIT_OK
 
@@ -207,7 +207,7 @@ def _train_one_depth(cfg: ExperimentConfig, base: Dataset, depth: int,
     w0 = _init_weights(cfg, depth)
     data = _depth_dataset(cfg, base, w0, depth)
     if cfg.target_mode == "near_init":
-        save_dataset(data, os.path.join(out_dir, f"dataset_L{depth}.csv"), c0=cfg.c0)
+        save_dataset(data, os.path.join(out_dir, f"dataset_L{depth}.csv"), cfg.seed, cfg.c0)
     sched = Schedule(cfg.schedule, cfg.eta0)
     w_final, log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable,
                          log_layers=cfg.log_layers, log_stride=cfg.log_stride)
@@ -223,7 +223,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> int:
     base = _base_dataset(cfg)
     os.makedirs(out_dir, exist_ok=True)
     _write_config(cfg, out_dir)
-    save_dataset(base, os.path.join(out_dir, "dataset.csv"), c0=cfg.c0)
+    save_dataset(base, os.path.join(out_dir, "dataset.csv"), cfg.seed, cfg.c0)
 
     logs = [_train_one_depth(cfg, base, depth, out_dir) for depth in cfg.depths]
     status = EXIT_OK
@@ -244,7 +244,7 @@ def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
     act = activation_by_name(cfg.activation)
     rng = np.random.default_rng(_depth_seed(cfg.seed, depth, salt=2))
     reports: list[bounds.BoundReport] = []
-    delta = float(depth) ** (-cfg.alpha0)
+    delta = NetworkConfig(cfg.d, depth, cfg.alpha0).delta
     cap = cfg.c0 * depth ** (-0.5)
     for draw in range(cfg.certify_draws):
         layers = rng.standard_normal((depth, cfg.d, cfg.d))
@@ -257,7 +257,7 @@ def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
         grads, _, value = grad_objective_with_stats(data, w, act)
         norms = weight_norms(w)
         batch = [
-            *bounds.certify_forward(trace, x, w, norms, cfg.c0),
+            *bounds.certify_forward(trace, w, norms, cfg.c0),
             *bounds.certify_loss_bound(w, value, norms, cfg.c0),
             *bounds.certify_gradient_upper(w, value, grads, norms, cfg.c0),
             *bounds.certify_gradient_lower(data, w, value, grads, norms,
@@ -294,9 +294,8 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
                            log_stride=cfg.log_stride)
         all_reports.extend(bounds.certify_run_envelope(
             data, w0, log, _params(cfg, depth), sched, cfg.T, act))
-
-    # depths ascend, so the loop ends on the deepest depth and its data
-    all_reports.extend(_random_draw_reports(cfg, data, cfg.depths[-1]))
+        if depth == cfg.depths[-1]:
+            all_reports.extend(_random_draw_reports(cfg, data, depth))
 
     os.makedirs(out_dir, exist_ok=True)
     bounds.write_reports_jsonl(all_reports, os.path.join(out_dir, "bounds.jsonl"))
@@ -434,7 +433,7 @@ def cmd_gradcheck(cfg: ExperimentConfig) -> int:
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         ys = rng.standard_normal((n, d))
         ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-        data = Dataset(xs, ys, 0.0, cfg.seed)
+        data = Dataset(xs, ys)
         layers = rng.standard_normal((L, d, d)) * L ** (-0.5) * 0.5
         w = Weights(layers, L ** (-0.5))
         analytic = grad_objective(data, w, act, delta_trainable=trainable)

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,12 +45,11 @@ class AssumptionParams:
 
 @dataclass(frozen=True)
 class Dataset:
-    """N input/target pairs with the recorded input separation."""
+    """N input/target pairs; ``separation`` is ``separation_of(xs)``."""
 
     xs: np.ndarray
     ys: np.ndarray
-    separation: float
-    seed: int
+    separation: float = field(init=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=np.float64)
@@ -61,6 +60,7 @@ class Dataset:
             raise InvalidInputError("dataset has non-finite entries")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "separation", separation_of(xs))
 
     @property
     def n(self) -> int:
@@ -98,8 +98,8 @@ def sample_sphere_dataset(N: int, d: int, seed: int, params: AssumptionParams,
     independent uniform unit targets.
 
     Identical seeds give bitwise-identical datasets. With
-    ``enforce_separation=False`` the first draw is kept and its separation
-    merely recorded; the desk-scale sweeps need this because the threshold
+    ``enforce_separation=False`` the first draw is kept whatever its
+    separation; the desk-scale sweeps need this because the threshold
     is only reachable when d is much larger than N.
     """
     if N < 1 or d < 1:
@@ -113,7 +113,7 @@ def sample_sphere_dataset(N: int, d: int, seed: int, params: AssumptionParams,
         best = min(best, sep)
         if sep <= threshold or not enforce_separation:
             ys = _unit_rows(rng.standard_normal((N, d)))
-            return Dataset(xs, ys, sep, seed)
+            return Dataset(xs, ys)
     raise InvalidInputError(
         f"no draw of {N} points in dimension {d} met separation "
         f"{threshold:.6g} within {MAX_RETRIES} retries (best {best:.6g})")
@@ -133,10 +133,6 @@ def near_init_targets(xs: np.ndarray, w0: Weights, epsilon: float, seed: int,
     noise = _unit_rows(rng.standard_normal(outputs.shape))
     with np.errstate(over="ignore"):
         return _unit_rows(outputs + epsilon * noise)
-
-
-def replace_targets(data: Dataset, ys: np.ndarray) -> Dataset:
-    return Dataset(data.xs, np.asarray(ys, dtype=np.float64), data.separation, data.seed)
 
 
 def gaussian_init_std(d: int, L: int, beta0: float) -> float:
@@ -201,15 +197,16 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def save_dataset(data: Dataset, csv_path, c0: float | None = None) -> None:
-    """CSV of components plus a JSON sidecar with {N, d, seed, separation, c0}."""
+def save_dataset(data: Dataset, csv_path, seed: int, c0: float) -> None:
+    """CSV of components plus a JSON sidecar with {N, d, seed, separation, c0};
+    ``seed`` and ``c0`` are those of the config that drew the data."""
     csv_path = str(csv_path)
     rows = []
     for i, (x, y) in enumerate(zip(data.xs.tolist(), data.ys.tolist())):
         rows += [(i, "x", j, value) for j, value in enumerate(x)]
         rows += [(i, "y", j, value) for j, value in enumerate(y)]
     write_csv(csv_path, ["i", "kind", "component", "value"], rows)
-    meta = {"N": data.n, "d": data.dim, "seed": data.seed,
+    meta = {"N": data.n, "d": data.dim, "seed": seed,
             "separation": data.separation, "c0": c0}
     with open(_sidecar_path(csv_path), "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
@@ -235,4 +232,4 @@ def load_dataset(csv_path) -> tuple[Dataset, dict]:
         for i, kind, comp, value in reader:
             target = xs if kind == "x" else ys
             target[int(i), int(comp)] = float(value)
-    return Dataset(xs, ys, meta["separation"], meta["seed"]), meta
+    return Dataset(xs, ys), meta

@@ -76,7 +76,7 @@ def test_criterion_1_gradient_oracle():
         depth = int(rng.integers(1, 33))
         n = int(rng.integers(1, 5))
         trainable = bool(i % 2)
-        data = rl.Dataset(unit_rows(rng, n, d), unit_rows(rng, n, d), 0.0, 0)
+        data = rl.Dataset(unit_rows(rng, n, d), unit_rows(rng, n, d))
         layers = rng.standard_normal((depth, d, d)) * 0.5 * depth ** -0.5
         w = rl.Weights(layers, depth ** -0.5)
         analytic = rl.grad_objective(data, w, delta_trainable=trainable)
@@ -96,7 +96,7 @@ def test_criterion_1_gradient_oracle():
 def test_criterion_2_forward_backward_certification():
     rng = np.random.default_rng(2)
     c_alpha, depth, d = 1.0, 64, 8
-    data = rl.Dataset(unit_rows(rng, 4, d), unit_rows(rng, 4, d), 0.0, 0)
+    data = rl.Dataset(unit_rows(rng, 4, d), unit_rows(rng, 4, d))
     failures = 0
     reports_seen = 0
     for _ in range(1000):
@@ -109,7 +109,7 @@ def test_criterion_2_forward_backward_certification():
         grads, _, value = rl.grad_objective_with_stats(data, w)
         norms = weight_norms(w)
         reports = [
-            *certify_forward(trace, x, w, norms, c_alpha),
+            *certify_forward(trace, w, norms, c_alpha),
             *certify_loss_bound(w, value, norms, c_alpha),
             *certify_gradient_upper(w, value, grads, norms, c_alpha),
         ]
@@ -124,8 +124,7 @@ def test_criterion_3_certified_envelope():
     params = rl.AssumptionParams(0.25, 2, 16, 256)
     data0 = rl.sample_sphere_dataset(2, 16, seed=11, params=params)
     w0 = rl.init_certified(rl.NetworkConfig(16, 256), params, seed=12)
-    data = rl.replace_targets(
-        data0, rl.near_init_targets(data0.xs, w0, 0.0, seed=13))
+    data = rl.Dataset(data0.xs, rl.near_init_targets(data0.xs, w0, 0.0, seed=13))
 
     eta0 = 0.95 * (1.0 / 160.0) / params.N / params.d * math.exp(-10.5 * params.c0)
     sched = rl.Schedule("constant", eta0)
@@ -193,10 +192,9 @@ def test_criterion_5_scaling_identification(figure_dataset):
     for depth in (8, 16, 32, 64, 128, 256, 512):
         net = rl.NetworkConfig(d, depth, 0.5)
         w0 = rl.init_gaussian(net, 1.0, seed=seed * 1000 + depth)
-        data = rl.replace_targets(
-            figure_dataset,
-            rl.near_init_targets(figure_dataset.xs, w0, 0.0,
-                                 seed=seed * 1000 + depth + 1))
+        data = rl.Dataset(figure_dataset.xs,
+                          rl.near_init_targets(figure_dataset.xs, w0, 0.0,
+                                               seed=seed * 1000 + depth + 1))
         w, log = rl.train(w0, data, rl.Schedule("constant", 0.1), 200,
                           delta_trainable=True)
         assert not log.failed

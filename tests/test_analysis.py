@@ -58,7 +58,7 @@ class TestFitPowerLaw:
 
 class TestStepsToEpsilon:
     def test_interpolating_run(self):
-        data = Dataset(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), 0.0, 0)
+        data = Dataset(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
         w = Weights(np.zeros((2, 2, 2)), 2 ** -0.5)
         _, log = train(w, data, Schedule("constant", 0.1), 4)
         hits = steps_to_epsilon(log.t, log.loss, [1.0, 1e-3, 1e-9])

@@ -22,7 +22,7 @@ def unit_rows(rng, n, d):
 
 
 def random_instance(rng, d, L, n, weight_scale=0.5):
-    data = Dataset(unit_rows(rng, n, d), unit_rows(rng, n, d), 0.0, 0)
+    data = Dataset(unit_rows(rng, n, d), unit_rows(rng, n, d))
     layers = rng.standard_normal((L, d, d))
     layers *= weight_scale * L ** -0.5 / np.linalg.norm(layers, axis=(1, 2), keepdims=True)
     return data, Weights(layers, L ** -0.5)
@@ -31,7 +31,7 @@ def random_instance(rng, d, L, n, weight_scale=0.5):
 def one_sample_loss(y, x):
     """The per-sample loss |yhat - y|^2 / 2 at yhat = x: the objective of the
     one-sample set {(x, y)} at zero weights, where the network is the identity."""
-    data = Dataset(np.array([x], dtype=float), np.array([y], dtype=float), 0.0, 0)
+    data = Dataset(np.array([x], dtype=float), np.array([y], dtype=float))
     return objective(data, zero_weights(len(x), 3))
 
 
@@ -48,14 +48,14 @@ class TestLoss:
 
 class TestObjective:
     def test_zero_weights_single_sample(self):
-        data = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.0, 0)
+        data = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
         assert objective(data, zero_weights(2, 4)) == 1.0
 
     def test_interpolating_targets(self):
         rng = np.random.default_rng(2)
         data, w = random_instance(rng, 3, 5, 4)
         outputs = forward_batch(data.xs, w).output
-        assert objective(Dataset(data.xs, outputs, 0.0, 0), w) == 0.0
+        assert objective(Dataset(data.xs, outputs), w) == 0.0
 
     def test_equals_loss_from_gradient_pass(self):
         rng = np.random.default_rng(20)
@@ -75,14 +75,14 @@ class TestObjective:
 class TestGradObjective:
     def test_zero_weight_closed_form(self):
         # grad_k = delta (x - y) x^T at zero weights, every layer
-        data = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.0, 0)
+        data = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
         grad = grad_objective(data, zero_weights(2, 4))
         expected = 0.5 * np.array([[1.0, 0.0], [-1.0, 0.0]])
         for k in range(4):
             assert np.allclose(grad.layers[k], expected, rtol=0, atol=1e-16)
 
     def test_delta_grad_zero_at_zero_weights(self):
-        data = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.0, 0)
+        data = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
         grad = grad_objective(data, zero_weights(2, 4), delta_trainable=True)
         assert grad.delta_grad == 0.0
 
@@ -91,7 +91,7 @@ class TestGradObjective:
         rng = np.random.default_rng(8)
         data, w = random_instance(rng, 3, 6, 2)
         outputs = forward_batch(data.xs, w).output
-        grad = grad_objective(Dataset(data.xs, outputs, 0.0, 0), w,
+        grad = grad_objective(Dataset(data.xs, outputs), w,
                               delta_trainable=True)
         assert np.all(grad.layers == 0.0)
         assert grad.delta_grad == 0.0
@@ -286,7 +286,7 @@ class TestFiniteDifferenceOracle:
     def test_linear_closed_form(self):
         # J(a) = (y - (1+a) x)^2 / 2 has derivative -x (y - (1+a) x)
         x, y, a = 0.8, -0.3, 0.4
-        data = Dataset(np.array([[x]]), np.array([[y]]), 0.0, 0)
+        data = Dataset(np.array([[x]]), np.array([[y]]))
         w = Weights(np.array([[[a]]]), 1.0)
         hand = -x * (y - (1 + a) * x)
         numeric = finite_diff_grad(data, w, IDENTITY)
@@ -421,7 +421,7 @@ class TestFiniteDifferenceOracle:
         ([[[0.5]], [[1e10]]], 1e300, 2),
     ])
     def test_perturbed_overflow_raises(self, layers, step, layer):
-        data = Dataset(np.array([[100.0]]), np.array([[0.0]]), 0.0, 0)
+        data = Dataset(np.array([[100.0]]), np.array([[0.0]]))
         w = Weights(np.array(layers), 1.0)
         objective(data, w, IDENTITY)  # the unperturbed pass is finite
         with pytest.raises(NumericalOverflowError) as exc:
@@ -473,7 +473,7 @@ class TestHessianEstimate:
     def test_quadratic_closed_form(self, monkeypatch):
         # identity activation, L=1, delta=1: Hessian top eigenvalue is |x|^2
         x = np.array([0.6, -0.8])
-        data = Dataset(x[None, :], np.array([[0.1, 0.2]]), 0.0, 0)
+        data = Dataset(x[None, :], np.array([[0.1, 0.2]]))
         w = Weights(np.zeros((1, 2, 2)), 1.0)
         passes = []
 
@@ -491,7 +491,7 @@ class TestHessianEstimate:
         rng = np.random.default_rng(16)
         data, w = random_instance(rng, 3, 4, 1)
         doubled = Dataset(np.repeat(data.xs, 2, axis=0),
-                          np.repeat(data.ys, 2, axis=0), 0.0, 0)
+                          np.repeat(data.ys, 2, axis=0))
         a = hessian_spectral_estimate(data, w, probes=30)
         b = hessian_spectral_estimate(doubled, w, probes=30)
         assert a.value == pytest.approx(b.value, rel=1e-8)
@@ -500,7 +500,7 @@ class TestHessianEstimate:
         # estimate <= 5 d e^{4.3 c} at zero weights, c_alpha = 1
         d = 4
         rng = np.random.default_rng(18)
-        data = Dataset(unit_rows(rng, 3, d), unit_rows(rng, 3, d), 0.0, 0)
+        data = Dataset(unit_rows(rng, 3, d), unit_rows(rng, 3, d))
         est = hessian_spectral_estimate(data, zero_weights(d, 16), probes=40)
         assert est.value <= 5.0 * d * math.exp(4.3)
 

@@ -15,8 +15,7 @@ from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               vacuous_depth_threshold, write_reports_jsonl,
                               load_reports_jsonl)
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
-                            near_init_targets, replace_targets,
-                            sample_sphere_dataset)
+                            near_init_targets, sample_sphere_dataset)
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
                                forward, forward_batch, jacobian_stack)
 from resnetlab.training import (Schedule, load_runlog, save_runlog, train,
@@ -93,7 +92,7 @@ class TestCertifyForward:
         w = zero_weights(4, 8)
         x = np.array([0.5, 0.5, 0.5, 0.5])
         trace = forward(x, w, TANH)
-        reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
+        reports = certify_forward(trace, w, weight_norms(w), c_alpha=1.0)
         assert all(r.passed for r in reports)
         assert by_name(reports, "forward_hidden_lower").slack > 0
 
@@ -101,7 +100,7 @@ class TestCertifyForward:
         w = zero_weights(3, 8)
         x = np.array([1.0, 0.0, 0.0])
         trace = forward(x, w, TANH)
-        reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
+        reports = certify_forward(trace, w, weight_norms(w), c_alpha=1.0)
         assert by_name(reports, "forward_hidden_lower").bound == pytest.approx(
             0.135335, abs=1e-6)
         assert by_name(reports, "forward_hidden_upper").bound == pytest.approx(
@@ -115,7 +114,7 @@ class TestCertifyForward:
         w = Weights(layers, 0.5)
         x = unit_rows(rng, 1, 3)[0]
         trace = forward(x, w, TANH)
-        reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
+        reports = certify_forward(trace, w, weight_norms(w), c_alpha=1.0)
         assert not by_name(reports, "hyp_weight_scale").passed
         assert not by_name(reports, "forward_hidden_upper").applicable
         assert not meaningful_failures(reports)  # inapplicable is not failed
@@ -126,7 +125,7 @@ class TestCertifyForward:
         w = certified_draw(rng, 3, 6)
         x = unit_rows(rng, 1, 3)[0]
         trace = forward(x, w, TANH)
-        reports = certify_forward(trace, x, w, weight_norms(w), c_alpha=1.0)
+        reports = certify_forward(trace, w, weight_norms(w), c_alpha=1.0)
         report = by_name(reports, "forward_jacobian_columns")
         assert report.passed
         col_norms = np.linalg.norm(jacobian_stack(w, sigma_prime(trace)), axis=1)
@@ -139,7 +138,7 @@ class TestCertifyForward:
             w = certified_draw(rng, 8, 16)
             x = unit_rows(rng, 1, 8)[0]
             trace = forward(x, w, TANH)
-            reports = certify_forward(trace, x, w, weight_norms(w), 1.0)
+            reports = certify_forward(trace, w, weight_norms(w), 1.0)
             assert not meaningful_failures(reports)
 
 
@@ -147,7 +146,7 @@ class TestCertifyGradientUpper:
     def test_zero_weight_closed_form(self):
         rng = np.random.default_rng(3)
         d, L, n = 4, 8, 3
-        data = Dataset(unit_rows(rng, n, d), unit_rows(rng, n, d), 0.0, 0)
+        data = Dataset(unit_rows(rng, n, d), unit_rows(rng, n, d))
         w = zero_weights(d, L)
         reports = certify_gradient_upper(w, *evaluation(data, w), c_alpha=1.0)
         report = by_name(reports, "gradient_upper")
@@ -164,14 +163,14 @@ class TestCertifyGradientUpper:
         rng = np.random.default_rng(4)
         w = certified_draw(rng, 3, 5)
         xs = unit_rows(rng, 2, 3)
-        data = Dataset(xs, forward_batch(xs, w).output, 0.0, 0)
+        data = Dataset(xs, forward_batch(xs, w).output)
         reports = certify_gradient_upper(w, *evaluation(data, w), 1.0)
         report = by_name(reports, "gradient_upper")
         assert report.observed == 0.0 and report.bound == 0.0 and report.passed
 
     def test_random_sweep_no_failures(self):
         rng = np.random.default_rng(5)
-        data = Dataset(unit_rows(rng, 4, 8), unit_rows(rng, 4, 8), 0.0, 0)
+        data = Dataset(unit_rows(rng, 4, 8), unit_rows(rng, 4, 8))
         for _ in range(100):
             w = certified_draw(rng, 8, 16)
             reports = certify_gradient_upper(w, *evaluation(data, w), 1.0)
@@ -188,8 +187,7 @@ class TestCertifyGradientLower:
         rng = np.random.default_rng(6)
         data, params = self.make_separated(rng)
         w = certified_draw(rng, 16, 32, c_alpha=params.c0, frac=0.2)
-        interp = Dataset(data.xs, forward_batch(data.xs, w).output,
-                         data.separation, 0)
+        interp = Dataset(data.xs, forward_batch(data.xs, w).output)
         reports = certify_gradient_lower(interp, w, *evaluation(interp, w), params)
         first = by_name(reports, "gradient_lower_first_layer")
         assert first.observed == 0.0 and first.bound == 0.0
@@ -211,7 +209,7 @@ class TestCertifyGradientLower:
         assert full_lower_coefficient(params) < 0
         assert 16 < vacuous_depth_threshold(params)
         rng = np.random.default_rng(8)
-        data = Dataset(unit_rows(rng, 4, 8), unit_rows(rng, 4, 8), 0.0, 0)
+        data = Dataset(unit_rows(rng, 4, 8), unit_rows(rng, 4, 8))
         w = zero_weights(8, 16)
         reports = certify_gradient_lower(data, w, *evaluation(data, w), params)
         full = by_name(reports, "gradient_lower_full")
@@ -223,7 +221,7 @@ class TestCertifyGradientLower:
         # admissibility clause (iii)
         rng = np.random.default_rng(10)
         data, params = self.make_separated(rng)
-        doubled = Dataset(2.0 * data.xs, data.ys, data.separation, 0)
+        doubled = Dataset(2.0 * data.xs, data.ys)
         w = zero_weights(16, 32)
         reports = certify_gradient_lower(doubled, w, *evaluation(doubled, w), params)
         unit = by_name(reports, "hyp_unit_data")
@@ -246,7 +244,7 @@ class TestCertifyGradientLower:
 class TestCertifyHessian:
     def test_bound_value(self):
         rng = np.random.default_rng(10)
-        data = Dataset(unit_rows(rng, 2, 8), unit_rows(rng, 2, 8), 0.0, 0)
+        data = Dataset(unit_rows(rng, 2, 8), unit_rows(rng, 2, 8))
         reports = certify_hessian(data, zero_weights(8, 16), c_alpha=1.0)
         report = by_name(reports, "hessian_spectral")
         assert report.bound == pytest.approx(40.0 * math.exp(4.3), rel=1e-12)
@@ -255,7 +253,7 @@ class TestCertifyHessian:
 
     def test_identity_quadratic_exact(self):
         x = np.array([0.6, -0.8])
-        data = Dataset(x[None, :], np.array([[1.0, 0.0]]), 0.0, 0)
+        data = Dataset(x[None, :], np.array([[1.0, 0.0]]))
         w = zero_weights(2, 1, delta=1.0)
         reports = certify_hessian(data, w, c_alpha=1.0, activation=IDENTITY)
         report = by_name(reports, "hessian_spectral")
@@ -264,7 +262,7 @@ class TestCertifyHessian:
 
     def test_random_sweep_no_failures(self):
         rng = np.random.default_rng(11)
-        data = Dataset(unit_rows(rng, 3, 6), unit_rows(rng, 3, 6), 0.0, 0)
+        data = Dataset(unit_rows(rng, 3, 6), unit_rows(rng, 3, 6))
         for _ in range(10):
             w = certified_draw(rng, 6, 12)
             assert not meaningful_failures(certify_hessian(data, w, 1.0))
@@ -275,8 +273,7 @@ class TestRunEnvelope:
         params = AssumptionParams(0.25, 2, 16, L)
         data0 = sample_sphere_dataset(2, 16, seed=seed, params=params)
         w0 = init_certified(NetworkConfig(16, L), params, seed=seed + 1)
-        data = replace_targets(
-            data0, near_init_targets(data0.xs, w0, 0.0, seed=seed + 2))
+        data = Dataset(data0.xs, near_init_targets(data0.xs, w0, 0.0, seed=seed + 2))
         if eta0 is None:
             eta0 = 0.9 * (1.0 / 160.0) / params.N / params.d * math.exp(-10.5 * params.c0)
         sched = Schedule("constant", eta0)
@@ -306,7 +303,7 @@ class TestRunEnvelope:
         data, w0, log, params, sched, T, act = self.build_certified_run(T=5)
         if premise == "assumption_v_initial_loss":
             # targets far from the initial outputs: J0 above its cap
-            data = replace_targets(data, -data.ys)
+            data = Dataset(data.xs, -data.ys)
         else:
             sched = Schedule("constant", 1.0)
         reports = certify_run_envelope(data, w0, log, params, sched, T, act)
@@ -326,7 +323,7 @@ class TestRunEnvelope:
         params = AssumptionParams(0.25, 2, 16, 64)
         w = init_certified(NetworkConfig(16, 64), params, seed=14)
         xs = unit_rows(rng, 2, 16)
-        data = Dataset(xs, forward_batch(xs, w).output, 0.0, 0)
+        data = Dataset(xs, forward_batch(xs, w).output)
         sched = Schedule("constant", 1e-5)
         _, log = train(w, data, sched, 10)
         reports = certify_run_envelope(data, w, log, params, sched, 10, TANH)
@@ -407,12 +404,12 @@ class TestCertifierPurity:
         w = certified_draw(rng, 4, 8)
         baseline = w.layers.copy()
         x = unit_rows(rng, 1, 4)[0]
-        data = Dataset(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4), 0.0, 0)
+        data = Dataset(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4))
         trace = forward(x, w, TANH)
 
         def snapshot():
             return [(r.name, r.observed, r.bound, r.slack, r.passed)
-                    for r in (certify_forward(trace, x, w, weight_norms(w), 1.0)
+                    for r in (certify_forward(trace, w, weight_norms(w), 1.0)
                               + certify_gradient_upper(w, *evaluation(data, w), 1.0)
                               + certify_hessian(data, w, 1.0))]
 
@@ -444,7 +441,7 @@ class TestNeighbourResidual:
             w = certified_draw(rng, d, L)
             x = unit_rows(rng, 1, d)[0]
             y = unit_rows(rng, 1, d)[0]
-            data = Dataset(x[None, :], y[None, :], 0.0, 0)
+            data = Dataset(x[None, :], y[None, :])
             grad = grad_objective(data, w)
             trace = forward(x, w, TANH)
             jac = jacobian_stack(w, sigma_prime(trace))

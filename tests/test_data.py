@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,16 +6,16 @@ import numpy as np
 import pytest
 
 from helpers import zero_weights
-from resnetlab.autograd import objective
-from resnetlab.bounds import check_assumptions
+from resnetlab.autograd import grad_objective_with_stats, objective
+from resnetlab.bounds import certify_gradient_lower, check_assumptions
 from resnetlab.data import (AssumptionParams, Dataset, gaussian_init_std,
                             init_certified, init_gaussian, initial_loss_cap,
                             initial_row_norm_cap, load_dataset,
-                            near_init_targets, replace_targets,
-                            sample_sphere_dataset, save_dataset,
-                            separation_of, separation_threshold)
+                            near_init_targets, sample_sphere_dataset,
+                            save_dataset, separation_of, separation_threshold)
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
 from resnetlab.network import NetworkConfig, Weights, forward_batch
+from resnetlab.training import weight_norms
 
 
 def params_for(c0=0.1, N=2, d=2, L=4):
@@ -53,6 +54,24 @@ class TestSeparation:
         data = sample_sphere_dataset(2, 8, seed=5, params=params_for(d=8))
         assert data.separation == separation_of(data.xs)
 
+    def test_parallel_inputs_fail_both_separation_premises(self):
+        # the separation is computed from the inputs; no caller can set it
+        fields = dataclasses.fields(Dataset)
+        assert [f.name for f in fields] == ["xs", "ys", "separation"]
+        assert not fields[2].init
+        xs = np.array([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(TypeError):
+            Dataset(xs, xs, 0.0)
+        data = Dataset(xs, np.array([[0.0, 1.0], [0.0, -1.0]]))
+        assert data.separation == 1.0
+        params, w = params_for(), zero_weights(2, 4)
+        rows = {r.name: r for r in check_assumptions(data, w, params)}
+        assert not rows["assumption_iii_separation"].passed
+        grads, _, value = grad_objective_with_stats(data, w)
+        rows = {r.name: r for r in certify_gradient_lower(
+            data, w, value, grads, weight_norms(w), params)}
+        assert not rows["hyp_separation"].passed
+
     def test_determinism(self):
         a = sample_sphere_dataset(2, 6, seed=9, params=params_for(d=6))
         b = sample_sphere_dataset(2, 6, seed=9, params=params_for(d=6))
@@ -66,7 +85,7 @@ class TestNearInitTargets:
         w0 = zero_weights(4, 6)
         ys = near_init_targets(data.xs, w0, 0.0, seed=4)
         assert np.allclose(ys, data.xs, atol=1e-15)
-        assert objective(replace_targets(data, ys), w0) <= 1e-24
+        assert objective(Dataset(data.xs, ys), w0) <= 1e-24
 
     def test_zero_eps_normalizes_outputs(self):
         rng = np.random.default_rng(6)
@@ -77,7 +96,7 @@ class TestNearInitTargets:
         outputs = forward_batch(data.xs, w0).output
         norms = np.linalg.norm(outputs, axis=1)
         expected = float(np.sum((norms - 1.0) ** 2)) / (2 * data.n)
-        assert objective(replace_targets(data, ys), w0) == pytest.approx(
+        assert objective(Dataset(data.xs, ys), w0) == pytest.approx(
             expected, rel=1e-12)
 
     def test_negative_eps_rejected(self):
@@ -138,7 +157,7 @@ class TestAssumptionChecks:
         params = AssumptionParams(0.1, 2, 4, 8)
         data = sample_sphere_dataset(2, 4, seed=3, params=params)
         ys = near_init_targets(data.xs, zero_weights(4, 8), 0.0, seed=4)
-        rows = {r.name: r for r in check_assumptions(replace_targets(data, ys),
+        rows = {r.name: r for r in check_assumptions(Dataset(data.xs, ys),
                                                      zero_weights(4, 8), params)}
         row = rows["assumption_iv_row_norms"]
         assert row.passed and row.observed == 0.0
@@ -173,7 +192,7 @@ class TestAssumptionChecks:
         data0 = sample_sphere_dataset(2, 16, seed=11, params=params)
         w0 = init_certified(NetworkConfig(16, 64), params, seed=12)
         ys = near_init_targets(data0.xs, w0, 0.0, seed=13)
-        rows = {r.name: r for r in check_assumptions(replace_targets(data0, ys),
+        rows = {r.name: r for r in check_assumptions(Dataset(data0.xs, ys),
                                                      w0, params)}
         assert all(r.passed for r in rows.values())
         loss_clause = rows["assumption_v_initial_loss"]
@@ -185,7 +204,7 @@ class TestPersistence:
         data = sample_sphere_dataset(3, 5, seed=8, params=params_for(N=3, d=5),
                                      enforce_separation=False)
         path = tmp_path / "dataset.csv"
-        save_dataset(data, path, c0=0.1)
+        save_dataset(data, path, 8, 0.1)
         loaded, meta = load_dataset(path)
         assert np.array_equal(loaded.xs, data.xs)
         assert np.array_equal(loaded.ys, data.ys)

@@ -1,7 +1,8 @@
 """Every public top-level function, class and constant of ``resnetlab`` has a
 caller in ``src/``, every defaulted parameter of a public function is passed
-by some call there, and every field of a class is read there: code, options
-and values that only tests reach belong with the tests."""
+by some call there and left out by some call in ``src/`` or ``tests/``, and
+every field of a class is read there: code, options and values that only
+tests reach belong with the tests."""
 
 import ast
 import dataclasses
@@ -10,7 +11,8 @@ from pathlib import Path
 
 from resnetlab.training import RUNLOG_COLUMNS, RunLog
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "resnetlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "resnetlab"
 
 # public names kept without a caller in src/, each for one reason
 ALLOWED = {
@@ -92,6 +94,11 @@ def optional_parameters(tree):
                 yield node.name, arg.arg, None
 
 
+def called_name(call):
+    """The bare name or attribute a call invokes, None for any other callee."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
 def passed_arguments(trees):
     """{function name: [largest positional count, keyword names]} over every
     call of a bare name or attribute; ``*`` passes every position, ``**``
@@ -100,7 +107,7 @@ def passed_arguments(trees):
     for node in (node for tree in trees for node in ast.walk(tree)):
         if not isinstance(node, ast.Call):
             continue
-        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        name = called_name(node)
         if name is None:
             continue
         entry = passed.setdefault(name, [0, set()])
@@ -123,6 +130,27 @@ def test_every_default_is_overridden_somewhere():
                 never.append(f"{func}.{param}")
     assert not never, (f"defaulted parameters that no call in src/ passes "
                        f"(make them constants): {never}")
+
+
+def test_every_default_is_omitted_somewhere():
+    """A default that every call overrides is never used, so the parameter
+    should be required. Calls with ``*args`` or ``**kwargs`` are skipped,
+    since which parameters they pass is not known from the source."""
+    trees = modules().values()
+    test_trees = [ast.parse(path.read_text(), str(path))
+                  for path in sorted(TESTS.glob("*.py"))]
+    calls = [node for tree in (*trees, *test_trees) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and not any(isinstance(a, ast.Starred) for a in node.args)
+             and all(kw.arg is not None for kw in node.keywords)]
+    always = [f"{func}.{param}" for tree in trees
+              for func, param, position in optional_parameters(tree)
+              if not any(called_name(call) == func
+                         and (position is None or len(call.args) <= position)
+                         and all(kw.arg != param for kw in call.keywords)
+                         for call in calls)]
+    assert not always, (f"defaulted parameters that every call in src/ and tests/ "
+                        f"passes (make them required): {always}")
 
 
 def test_default_allowlist_is_current():

@@ -9,8 +9,7 @@ from resnetlab import autograd, training
 from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import lr_feasibility
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
-                            near_init_targets, replace_targets,
-                            sample_sphere_dataset)
+                            near_init_targets, sample_sphere_dataset)
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
                                forward_batch, load_weights, save_weights)
@@ -27,7 +26,7 @@ def small_instance(seed=0, d=3, L=5, n=3):
     ys = rng.standard_normal((n, d))
     ys /= np.linalg.norm(ys, axis=1, keepdims=True)
     layers = rng.standard_normal((L, d, d)) * 0.3 * L ** -0.5
-    return Dataset(xs, ys, 0.0, seed), Weights(layers, L ** -0.5)
+    return Dataset(xs, ys), Weights(layers, L ** -0.5)
 
 
 class TestSchedule:
@@ -80,12 +79,12 @@ def one_step(w, data, eta, **kwargs):
 class TestGdStep:
     def test_zero_gradient_leaves_weights(self):
         data, w = small_instance()
-        interp = Dataset(data.xs, forward_batch(data.xs, w).output, 0.0, 0)
+        interp = Dataset(data.xs, forward_batch(data.xs, w).output)
         stepped = one_step(w, interp, 0.5)
         assert np.array_equal(stepped.layers, w.layers)
 
     def test_zero_weight_single_sample_step(self):
-        data = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.0, 0)
+        data = Dataset(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
         stepped = one_step(zero_weights(2, 4), data, 1.0)
         expected = -0.5 * np.array([[1.0, 0.0], [-1.0, 0.0]])
         for k in range(4):
@@ -122,7 +121,7 @@ class TestTrain:
 
     def test_interpolating_targets_loss_zero(self):
         data, w = small_instance()
-        interp = Dataset(data.xs, forward_batch(data.xs, w).output, 0.0, 0)
+        interp = Dataset(data.xs, forward_batch(data.xs, w).output)
         _, log = train(w, interp, Schedule("constant", 0.1), 5)
         assert np.all(log.loss == 0.0)
 
@@ -156,13 +155,13 @@ class TestTrain:
         params = AssumptionParams(0.25, 2, 8, 32)
         data0 = sample_sphere_dataset(2, 8, seed=21, params=params)
         w0 = init_certified(NetworkConfig(8, 32), params, seed=22)
-        data = replace_targets(data0, near_init_targets(data0.xs, w0, 0.0, seed=23))
+        data = Dataset(data0.xs, near_init_targets(data0.xs, w0, 0.0, seed=23))
         eta_cap = (1.0 / 160.0) / 2 / 8 * math.exp(-10.5 * 0.25)
         _, log = train(w0, data, Schedule("constant", 0.9 * eta_cap), 200)
         assert np.all(log.gbar <= 2.0 * log.gbar[0] + 1e-30)
 
     def test_overflow_marks_partial_log(self):
-        data = Dataset(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]]), 0.0, 0)
+        data = Dataset(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]]))
         w = Weights(np.full((2, 2, 2), 5.0), 1.0)
         final, log = train(w, data, Schedule("constant", 1e6), 10,
                            activation=IDENTITY)
