@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .network import Weights
-
-# Byte budget of the one working buffer of each path kernel below: the
-# kernels' memory beyond their inputs does not grow with depth.
-CHUNK_BYTES = 256 * 1024
+from .network import CHUNK_BYTES, Weights
 
 
 @dataclass(frozen=True)

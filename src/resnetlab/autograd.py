@@ -3,14 +3,16 @@
 The backward pass never materializes the layer-to-output Jacobians: the
 hidden-state gradients G_k obey
 
-    G_L = yhat - y,      G_{k-1} = G_k + delta * alpha_k^T (sigma'(a_k) * G_k),
+    G_L = yhat - y,      G_{k-1} = G_k + alpha_k^T (delta sigma'(a_k) * G_k),
 
 and the layer-k gradient of the per-sample loss is
-delta * (sigma'(a_k) * G_k) h_{k-1}^T. Finite differences of the objective
+(delta sigma'(a_k) * G_k) h_{k-1}^T. delta sigma' is formed once over the
+whole trace, so neither the recursion nor the gradient contraction multiplies
+by delta layer by layer. Finite differences of the objective
 serve as the independent check on all of this. The gradient oracle is routed
 through ``forward_batch`` only: it reuses the unperturbed prefix h_{k-1} for
 every perturbation of layer k and runs the perturbed copies through the
-later layers in batches whose forward trace stays within ``FD_CHUNK_BYTES``,
+later layers in batches whose forward trace stays within ``CHUNK_BYTES``,
 so its memory does not grow with the 2 d^2 N L perturbed hidden states.
 """
 
@@ -22,7 +24,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidInputError, NumericalOverflowError
-from .network import TANH, Activation, ForwardTrace, Weights, forward_batch
+from .network import (CHUNK_BYTES, TANH, Activation, ForwardTrace, Weights,
+                      forward_batch)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import Dataset
@@ -30,11 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 FD_GRAD_STEP = 1e-6
 FD_HESSIAN_STEP = 1e-4
 HESSIAN_TOL = 1e-6  # relative change of the Rayleigh quotient that stops the iteration
-# Forward-trace budget of one chunk of ``finite_diff_grad``'s perturbed
-# passes. Larger chunks save interpreter overhead but not arithmetic: at the
-# d=8, L=32, N=4 shape one unchunked pass per layer raised the peak RSS of
-# ``resnetlab gradcheck`` by 12%, and 256 KB keeps it within 1%.
-FD_CHUNK_BYTES = 256 * 1024
 
 
 def objective(data: "Dataset", weights: Weights,
@@ -82,7 +80,7 @@ def step_block_size(depth: int, n: int, width: int) -> int:
 def _step_views(blocks: tuple[np.ndarray, np.ndarray], weights: Weights,
                 data: "Dataset"):
     """hidden (L+1, N, d) and preact (L, N, d) at the start of the two blocks,
-    sigma' after hidden and G after preact; the (L, d, d) gradient stack
+    delta sigma' after hidden and G after preact; the (L, d, d) gradient stack
     overlays preact and G."""
     L, n, d = weights.depth, len(data.xs), weights.width
     unit = L * n * d
@@ -102,31 +100,29 @@ def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
     the trace's layout: shape (L+1, N, d) for a batch, (L+1, d) for one input,
     in ``out`` when given.
 
-    sigma'(a_k) is computed into ``sigma_prime`` (preact's shape; allocated
-    when not given), whose layer k-1 then becomes sigma'(a_k) * G_k, the
-    factor that the layer-k gradient contracts with h_{k-1}. Returns (G, it).
+    delta sigma'(a_k) is computed into ``sigma_prime`` (preact's shape;
+    allocated when not given), whose layer k-1 then becomes
+    delta sigma'(a_k) * G_k, the factor that the layer-k gradient contracts
+    with h_{k-1}. Returns (G, it).
     """
     L = weights.depth
     g = np.empty_like(trace.hidden) if out is None else out
     sg = np.empty_like(trace.preact) if sigma_prime is None else sigma_prime
     np.subtract(trace.hidden[L], ys, out=g[L])
-    # a 0-d array operand spares each per-layer multiply numpy's conversion
-    # of a Python float scalar; the product is the same
-    delta = np.array(weights.delta)
-    step = np.empty_like(g[L])
     g_next = g[L]
     multiply, add = np.multiply, np.add
     # Non-finite values are caught downstream; silence the transient warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        trace.activation.deriv1(trace.preact, sg)
-        # layer k = L..1: s holds sigma'(a_k), then sigma'(a_k) * G_k. As in
-        # forward_batch, ndarray.dot and positional outputs keep the per-call
-        # overhead down.
+        # delta sigma'(a_k) for every layer at once, so the loop has no
+        # scalar multiply
+        multiply(trace.activation.deriv1(trace.preact, sg), weights.delta, sg)
+        # layer k = L..1: s holds delta sigma'(a_k), then delta sigma'(a_k) * G_k,
+        # and G_{k-1} is built in place. As in forward_batch, ndarray.dot and
+        # positional outputs keep the per-call overhead down.
         for s, g_prev, alpha in zip(sg[::-1], g[-2::-1], weights.layers[::-1]):
             multiply(s, g_next, s)
-            s.dot(alpha, step)
-            multiply(step, delta, step)
-            add(g_next, step, g_prev)
+            s.dot(alpha, g_prev)
+            add(g_prev, g_next, g_prev)
             g_next = g_prev
     return g, sg
 
@@ -152,9 +148,11 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
 
     ``blocks`` is an optional pair of flat float64 arrays of
     ``step_block_size(L, N, d)`` entries each. The first holds the hidden
-    states and sigma', the second the preactivations and G, and then the
+    states and delta sigma', the second the preactivations and G, and then the
     returned layer gradients, which are a view of its start. Without it every
-    array is allocated.
+    array is allocated. Where delta is a power of two the results equal
+    those of the h-space formulas (delta applied per layer in the forward
+    and the G recursion, delta/n in the gradient) bit for bit.
     """
     if blocks is None:
         trace = forward_batch(data.xs, weights, activation)
@@ -172,13 +170,13 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
             # hold sigma(a_k), then G_k * sigma(a_k)
             s_val = activation.value(trace.preact, out=trace.preact)
             dgrad = float(np.sum(np.multiply(g[1:], s_val, out=s_val))) / n
-        # grad_k = delta/n * sum_i (sigma'(a_k) * G_k)_i h_{k-1,i}^T, all k at
-        # once, from the product _backward returned. G and preact go before
-        # the (L, d, d) stack is allocated or written over them.
+        # grad_k = 1/n * sum_i (delta sigma'(a_k) * G_k)_i h_{k-1,i}^T, all k
+        # at once, from the product _backward returned. G and preact go
+        # before the (L, d, d) stack is allocated or written over them.
         h_prev = trace.hidden[:-1]
         del trace, g
         grads = np.matmul(sg.transpose(0, 2, 1), h_prev, out=grads_out)
-        grads *= weights.delta / n
+        grads *= 1.0 / n
     return grads, dgrad, value
 
 
@@ -194,7 +192,7 @@ def finite_diff_grad(data: "Dataset", weights: Weights,
     one pass supplies all of them; layer k is applied to its 2d^2 perturbed
     copies as one stacked matmul, and the (2d^2 N, d) result runs through
     layers k+1..L in chunks of rows and layers whose forward trace stays
-    within ``FD_CHUNK_BYTES``.
+    within ``CHUNK_BYTES``.
     """
     if step <= 0:
         raise InvalidInputError("step must be positive")
@@ -209,8 +207,8 @@ def finite_diff_grad(data: "Dataset", weights: Weights,
     out_rows = out.reshape(-1, d)
     # a trace over r rows and s layers holds about 3 (s + 1) r d floats
     row_bytes = 3 * d * out.itemsize
-    rows = min(len(out_rows), max(1, FD_CHUNK_BYTES // (2 * row_bytes)))
-    span = max(1, FD_CHUNK_BYTES // (rows * row_bytes) - 1)
+    rows = min(len(out_rows), max(1, CHUNK_BYTES // (2 * row_bytes)))
+    span = max(1, CHUNK_BYTES // (rows * row_bytes) - 1)
     # suffix spans start on multiples of span, so each is built once; layer k
     # first runs the partial span from k + 1 up to the next multiple
     grid = {j: Weights(weights.layers[j:j + span], delta) for j in range(span, L, span)}

@@ -218,18 +218,51 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def load_dataset(csv_path) -> tuple[Dataset, dict]:
+    """The dataset that ``save_dataset`` wrote at ``csv_path``, and its sidecar.
+
+    The sidecar's N and d must be positive integers, and the CSV must hold
+    each (i, kind, component) cell with i < N, kind x or y and component < d
+    exactly once; anything else raises InvalidInputError naming the file.
+    """
     csv_path = str(csv_path)
-    with open(_sidecar_path(csv_path)) as fh:
-        meta = json.load(fh)
-    n, d = meta["N"], meta["d"]
-    xs = np.empty((n, d))
-    ys = np.empty((n, d))
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["i", "kind", "component", "value"]:
-            raise InvalidInputError(f"unexpected dataset header {header!r} in {csv_path}")
-        for i, kind, comp, value in reader:
-            target = xs if kind == "x" else ys
-            target[int(i), int(comp)] = float(value)
-    return Dataset(xs, ys), meta
+    sidecar = _sidecar_path(csv_path)
+    try:
+        with open(sidecar) as fh:
+            meta = json.load(fh)
+        with open(csv_path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (ValueError, csv.Error) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise InvalidInputError(f"unreadable dataset {csv_path}: {exc}") from None
+    n, d = (meta.get(key) if isinstance(meta, dict) else None for key in ("N", "d"))
+    if not all(type(v) is int and v >= 1 for v in (n, d)):
+        raise InvalidInputError(f"sidecar {sidecar} needs positive integers N and d, "
+                                f"got N={n!r}, d={d!r}")
+    if header != ["i", "kind", "component", "value"]:
+        raise InvalidInputError(f"unexpected dataset header {header!r} in {csv_path}")
+    # counted before anything of size N d is allocated
+    if len(rows) != 2 * n * d:
+        raise InvalidInputError(f"dataset {csv_path} has {len(rows)} rows, expected "
+                                f"2 N d = {2 * n * d} for N={n}, d={d}")
+    # 2 N d rows, each in range and none repeated, fill every cell once
+    values = np.empty((2, n, d))
+    seen = np.zeros((2, n, d), dtype=bool)
+    for row in rows:
+        try:
+            i, kind, comp, value = row
+            cell = ({"x": 0, "y": 1}[kind], int(i), int(comp))
+            number = float(value)
+        except (ValueError, KeyError):  # a wrong cell count, kind or number
+            raise InvalidInputError(f"malformed dataset row {row!r} in {csv_path}") from None
+        if not (0 <= cell[1] < n and 0 <= cell[2] < d):
+            raise InvalidInputError(f"dataset row {row!r} out of range for N={n}, "
+                                    f"d={d} in {csv_path}")
+        if seen[cell]:
+            raise InvalidInputError(f"dataset row {row!r} repeats a cell in {csv_path}")
+        seen[cell] = True
+        values[cell] = number
+    try:
+        return Dataset(values[0], values[1]), meta
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{exc} in {csv_path}") from None

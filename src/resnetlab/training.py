@@ -165,9 +165,11 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
 
     A run holds three flat blocks of ``step_block_size(L, N, d)`` floats
     besides w0, which it never writes, and allocates no trace-sized array
-    after its first step. The blocks change roles every step:
+    after its first step: each forward pass adds only its chunk of scaled
+    layers delta A_k, below ``network.CHUNK_BYTES``. The blocks change roles
+    every step:
 
-    - the trace block holds the hidden states and sigma' of the step's
+    - the trace block holds the hidden states and delta sigma' of the step's
       gradient pass, then the scratch squares of the norm logging;
     - the adjoint block holds the preactivations and G, then the gradient
       stack, over which the update writes the new layers;

@@ -218,3 +218,59 @@ class TestPersistence:
         (tmp_path / "x.json").write_text('{"N":1,"d":1,"seed":0,"separation":0.0,"c0":0.1}')
         with pytest.raises(InvalidInputError):
             load_dataset(path)
+
+    @staticmethod
+    def saved(tmp_path):
+        """An N=3, d=4 dataset saved under tmp_path: (csv path, its lines)."""
+        data = sample_sphere_dataset(3, 4, seed=5, params=params_for(N=3, d=4),
+                                     enforce_separation=False)
+        path = tmp_path / "dataset.csv"
+        save_dataset(data, path, 5, 0.1)
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        # the last 4 rows are y components of sample 2
+        path, lines = self.saved(tmp_path)
+        path.write_text("".join(lines[:-4]))
+        with pytest.raises(InvalidInputError, match="has 20 rows, expected") as exc:
+            load_dataset(path)
+        assert str(path) in str(exc.value)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        path.write_text("".join(line.replace(",y,", ",z,") for line in lines))
+        with pytest.raises(InvalidInputError, match="malformed dataset row") as exc:
+            load_dataset(path)
+        assert str(path) in str(exc.value)
+
+    # the CSV row that replaces line 5, the cell (0, y, 0), and the message
+    @pytest.mark.parametrize("row, message", [
+        ("3,x,0,0.5", "out of range"),
+        ("0,y,4,0.5", "out of range"),
+        ("-1,x,0,0.5", "out of range"),
+        ("1.0,x,0,0.5", "malformed"),
+        ("0,x,0,0.5,7", "malformed"),
+        ("0,x,0,zero", "malformed"),
+        ("0,x,0,0.5", "repeats a cell"),
+        ("0,y,0,nan", "non-finite"),
+    ], ids=["i", "component", "negative", "float-index", "five-cells", "value",
+            "duplicate", "nan"])
+    def test_bad_row_rejected(self, tmp_path, row, message):
+        path, lines = self.saved(tmp_path)
+        assert lines[5].startswith("0,y,0,")
+        lines[5] = row + "\r\n"
+        path.write_text("".join(lines))
+        with pytest.raises(InvalidInputError, match=message) as exc:
+            load_dataset(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"N": 0, "d": 4}', '{"N": 3, "d": 4.0}', '{"N": "3", "d": 4}',
+        '{"N": true, "d": 4}', '{"d": 4}', '[3, 4]', '{"N": 3,',
+    ], ids=["zero", "float", "string", "bool", "missing", "list", "not-json"])
+    def test_bad_sidecar_rejected(self, tmp_path, sidecar):
+        path, _ = self.saved(tmp_path)
+        (tmp_path / "dataset.json").write_text(sidecar)
+        with pytest.raises(InvalidInputError) as exc:
+            load_dataset(path)
+        assert "dataset.json" in str(exc.value) or str(path) in str(exc.value)

@@ -7,9 +7,9 @@ import pytest
 from helpers import sigma_prime, zero_weights
 from resnetlab.bounds import check_activation
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
-from resnetlab.network import (IDENTITY, TANH, Activation, NetworkConfig,
-                               Weights, forward, forward_batch, jacobian_stack,
-                               load_weights, save_weights)
+from resnetlab.network import (CHUNK_BYTES, IDENTITY, TANH, Activation,
+                               NetworkConfig, Weights, forward, forward_batch,
+                               jacobian_stack, load_weights, save_weights)
 
 
 def random_weights(rng, d, L, scale=None, delta=None):
@@ -139,14 +139,19 @@ class TestForward:
         assert trace.output[0] == pytest.approx(1.7615941560, abs=1e-9)
 
     def test_recursion_invariant(self):
+        # the loop runs in u_k = h_k / delta with the scaled layers delta A_k:
+        # a_k = (delta A_k) u_{k-1}, u_k = u_{k-1} + sigma(a_k), h_k = delta u_k
         rng = np.random.default_rng(5)
         w = random_weights(rng, 4, 7)
         x = rng.standard_normal(4)
         trace = forward(x, w, TANH)
+        assert np.array_equal(trace.hidden[0], x)
+        u = x / w.delta
         for k in range(1, 8):
-            expected = trace.hidden[k - 1] + w.delta * np.tanh(trace.preact[k - 1])
-            assert np.array_equal(trace.hidden[k], expected)
-            assert np.array_equal(trace.preact[k - 1], w.layers[k - 1] @ trace.hidden[k - 1])
+            a = (w.layers[k - 1] * w.delta) @ u
+            assert np.array_equal(trace.preact[k - 1], a)
+            u = np.tanh(a) + u
+            assert np.array_equal(trace.hidden[k], u * w.delta)
 
     def test_overflow_names_first_layer(self):
         w = Weights(np.full((3, 2, 2), 1e200), 1.0)
@@ -199,6 +204,44 @@ class TestForward:
             assert str(err.value) == f"non-finite hidden state at layer {expected}"
         if activation is IDENTITY:
             assert all(cases[n + 1][1] == j for n, j in designed.items())
+
+    def test_state_within_one_over_delta_of_the_maximum_reported_early(self):
+        # delta = 1/2 and A_k = I under the identity: h_k = 1.5^k x. h_2 =
+        # 1.3e308 is finite, but u_2 = h_2 / delta is not, so layer 2 is
+        # reported where the h-space scan finds layer 3 (h_3 = 1.95e308).
+        w = Weights(np.tile(np.eye(1), (4, 1, 1)), 0.5)
+        x = np.array([[1.3e308 / 2.25]])
+        assert reference_first_bad_layer(x, w, IDENTITY)[0] == 3
+        with pytest.raises(NumericalOverflowError) as err:
+            forward_batch(x, w, IDENTITY)
+        assert err.value.layer == 2
+
+    def test_scaling_back_overflow_above_delta_one(self):
+        # delta = 2: u_1 = 1e308 is finite and h_1 = 2 u_1 is not, while
+        # A_2 = -1/2 brings u_2 back to 0; the h-space scan names layer 1 too
+        w = Weights(np.array([[[0.5]], [[-0.5]]]), 2.0)
+        x = np.array([[1e308]])
+        assert reference_first_bad_layer(x, w, IDENTITY)[0] == 1
+        with pytest.raises(NumericalOverflowError) as err:
+            forward_batch(x, w, IDENTITY)
+        assert err.value.layer == 1
+
+    def test_memory_is_one_chunk_beyond_the_caller_buffers(self):
+        # a scaled copy of the whole stack would be 13.1 MB here
+        d, n, L = 20, 10, 4096
+        rng = np.random.default_rng(24)
+        w = random_weights(rng, d, L)
+        xs = rng.standard_normal((n, d))
+        hidden, preact = np.empty((L + 1, n, d)), np.empty((L, n, d))
+        forward_batch(xs, w, TANH, hidden, preact)
+        tracemalloc.start()
+        try:
+            trace = forward_batch(xs, w, TANH, hidden, preact)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.hidden is hidden and trace.preact is preact
+        assert peak <= CHUNK_BYTES, peak
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(11)
