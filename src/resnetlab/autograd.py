@@ -9,11 +9,13 @@ and the layer-k gradient of the per-sample loss is
 (delta sigma'(a_k) * G_k) h_{k-1}^T. delta sigma' is formed once over the
 whole trace, so neither the recursion nor the gradient contraction multiplies
 by delta layer by layer. Finite differences of the objective
-serve as the independent check on all of this. The gradient oracle is routed
-through ``forward_batch`` only: it reuses the unperturbed prefix h_{k-1} for
-every perturbation of layer k and runs the perturbed copies through the
-later layers in batches whose forward trace stays within ``CHUNK_BYTES``,
-so its memory does not grow with the 2 d^2 N L perturbed hidden states.
+serve as the independent check on all of this. The gradient oracle takes
+the unperturbed prefix h_{k-1} from one ``forward_batch`` call, shares it
+among every perturbation of layer k, and runs the perturbed copies through
+the later layers by the h-space recursion itself, all 2 d^2 N rows at once
+in place, so its memory does not grow with depth. It thereby checks the
+scaled-state loops of ``forward_batch`` and ``_backward`` in other
+arithmetic.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidInputError, NumericalOverflowError
-from .network import (CHUNK_BYTES, TANH, Activation, ForwardTrace, Weights,
-                      forward_batch)
+from .network import TANH, Activation, ForwardTrace, Weights, forward_batch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import Dataset
@@ -186,13 +187,15 @@ def finite_diff_grad(data: "Dataset", weights: Weights,
                      delta_trainable: bool = False) -> Grad:
     """Central differences of the objective over every entry (and delta).
 
-    Per-entry step is ``step * (1 + |entry|)``. Deliberately routed through
-    ``forward_batch`` only, so it stays independent of the analytic backward
-    pass. Every perturbation of layer k shares the unperturbed h_{k-1}, so
-    one pass supplies all of them; layer k is applied to its 2d^2 perturbed
-    copies as one stacked matmul, and the (2d^2 N, d) result runs through
-    layers k+1..L in chunks of rows and layers whose forward trace stays
-    within ``CHUNK_BYTES``.
+    Per-entry step is ``step * (1 + |entry|)``. Independent of the analytic
+    backward pass: the unperturbed states h_0..h_{L-1} come from one
+    ``forward_batch`` call, and the perturbed copies run the recursion
+    h_j = h_{j-1} + delta sigma(A_j h_{j-1}) here, in h-space. Every
+    perturbation of layer k shares the unperturbed h_{k-1}; layer k is
+    applied to its 2d^2 perturbed copies as one stacked matmul, and the
+    (2d^2 N, d) result runs through layers k+1..L in place, with one buffer
+    of its size. Raises NumericalOverflowError naming the first layer whose
+    perturbed state goes non-finite.
     """
     if step <= 0:
         raise InvalidInputError("step must be positive")
@@ -204,39 +207,27 @@ def finite_diff_grad(data: "Dataset", weights: Weights,
     # row block j (j < d^2) of out belongs to the copy whose entry j moved by
     # +h, block d^2 + j to the one moved by -h; it holds h_k, then h_L
     out = np.empty((2 * d * d, n, d))
-    out_rows = out.reshape(-1, d)
-    # a trace over r rows and s layers holds about 3 (s + 1) r d floats
-    row_bytes = 3 * d * out.itemsize
-    rows = min(len(out_rows), max(1, CHUNK_BYTES // (2 * row_bytes)))
-    span = max(1, CHUNK_BYTES // (rows * row_bytes) - 1)
-    # suffix spans start on multiples of span, so each is built once; layer k
-    # first runs the partial span from k + 1 up to the next multiple
-    grid = {j: Weights(weights.layers[j:j + span], delta) for j in range(span, L, span)}
+    rows = out.reshape(-1, d)
+    buf = np.empty_like(rows)
+    value = activation.value
     for k in range(L):
-        head = min(span * (k // span + 1), L)
-        suffix = [(j, grid[j]) for j in range(head, L, span)]
-        if k + 1 < head:
-            suffix.insert(0, (k + 1, Weights(weights.layers[k + 1:head], delta)))
         base = weights.layers[k]
         h = step * (1.0 + np.abs(base))
         moves = np.diag(h.ravel()).reshape(d * d, d, d)
         copies = np.concatenate([base + moves, base - moves])
         with np.errstate(over="ignore", invalid="ignore"):
             a = np.matmul(hidden[k], copies.transpose(0, 2, 1))
-            np.add(hidden[k], delta * activation.value(a), out=out)
-        if not np.all(np.isfinite(out)):
-            raise NumericalOverflowError(f"non-finite hidden state at layer {k + 1}",
-                                         layer=k + 1)
-        for start in range(0, len(out_rows), rows):
-            chunk = out_rows[start:start + rows]
-            for j, suffix_weights in suffix:
-                try:
-                    chunk[:] = forward_batch(chunk, suffix_weights, activation).output
-                except NumericalOverflowError as exc:
-                    layer = j + exc.layer
-                    raise NumericalOverflowError(
-                        f"non-finite hidden state at layer {layer}", layer=layer) from None
-        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(hidden[k], delta * value(a), out=out)
+            # layer j + 1 (1-based) maps rows to h_{j+1}; layer k + 1 was the
+            # stacked step above
+            for j in range(k, L):
+                if j > k:
+                    rows.dot(weights.layers[j].T, buf)
+                    value(buf, buf)
+                    buf *= delta
+                    rows += buf
+                if not np.isfinite(rows).all():
+                    raise NumericalOverflowError(f"non-finite hidden state at layer {j + 1}")
             diff = out - data.ys
             values = 0.5 * np.sum(diff * diff, axis=(1, 2)) / n
         if not np.all(np.isfinite(values)):

@@ -132,6 +132,10 @@ class ExperimentConfig:
         activation_by_name(self.activation)
         Schedule(self.schedule, self.eta0)
         for depth in self.depths:
+            # numpy's own limit on an array's size in bytes
+            if 8 * depth * self.d * self.d > sys.maxsize:
+                raise InvalidInputError(f"depth {depth} at d={self.d}: the (L, d, d) "
+                                        f"float64 weight stack exceeds {sys.maxsize} bytes")
             _params(self, depth)
             NetworkConfig(self.d, depth, self.alpha0)
             if self.init_mode == "gaussian":
@@ -486,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
         raise InvalidInputError(f"unknown command {args.command!r}")
     except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NumericalOverflowError as exc:
         print(f"overflow: {exc}", file=sys.stderr)

@@ -54,8 +54,8 @@ class Dataset:
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=np.float64)
         ys = np.asarray(self.ys, dtype=np.float64)
-        if xs.shape != ys.shape or xs.ndim != 2:
-            raise InvalidInputError("xs and ys must share shape (N, d)")
+        if xs.shape != ys.shape or xs.ndim != 2 or 0 in xs.shape:
+            raise InvalidInputError("xs and ys must share shape (N, d) with N, d >= 1")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise InvalidInputError("dataset has non-finite entries")
         object.__setattr__(self, "xs", xs)

@@ -11,10 +11,5 @@ class InvalidInputError(ValueError):
 class NumericalOverflowError(FloatingPointError):
     """Raised when a forward pass or gradient produces a non-finite value.
 
-    ``layer`` is the 1-based index of the first offending layer, or None when
-    the overflow is not attributable to a single layer.
+    A hidden state's overflow names the first offending layer in the message.
     """
-
-    def __init__(self, message: str, layer: int | None = None):
-        super().__init__(message)
-        self.layer = layer

@@ -21,13 +21,12 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalOverflowError
 
-# Byte budget of one working buffer: the chunk of scaled layers in
-# ``forward_batch``, the perturbed traces of ``autograd.finite_diff_grad`` and
-# each path kernel of ``analysis``, whose memory beyond their callers' arrays
-# then does not grow with depth. Larger chunks save interpreter overhead but
-# not arithmetic: at d=8, L=32, N=4 one unchunked finite-difference pass per
-# layer raised the peak RSS of ``resnetlab gradcheck`` by 12%, and 256 KB
-# keeps it within 1%.
+# Byte budget of one working buffer: the chunk of scaled layers delta A_k in
+# ``forward_batch`` and each path kernel of ``analysis``, whose memory beyond
+# their callers' arrays then does not grow with depth. Larger chunks save
+# interpreter overhead but not arithmetic. At d=20, N=10 a forward chunk is
+# 40 layers in 128 KB, inside the about 139 KB that a training step at
+# L=1024 leaves over its three blocks (``test_memory_flat_in_steps``).
 CHUNK_BYTES = 256 * 1024
 
 
@@ -123,8 +122,9 @@ class Weights:
 
     def __post_init__(self):
         arr = np.asarray(self.layers, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise InvalidInputError(f"layers must have shape (L, d, d), got {arr.shape}")
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
+            raise InvalidInputError(
+                f"layers must have shape (L, d, d) with L, d >= 1, got {arr.shape}")
         # any non-finite entry makes the sum non-finite; only a sum that is
         # non-finite (possibly by overflow from finite entries) is checked
         # entry by entry, so a finite stack allocates no (L, d, d) mask
@@ -231,7 +231,7 @@ def forward_batch(xs: np.ndarray, weights: Weights,
     if not np.isfinite(hidden[L]).all() or (delta > 1.0 and not np.isfinite(hidden).all()):
         finite = np.isfinite(hidden[1:]).reshape(L, -1).all(axis=1)
         k = int(np.argmin(finite)) + 1
-        raise NumericalOverflowError(f"non-finite hidden state at layer {k}", layer=k)
+        raise NumericalOverflowError(f"non-finite hidden state at layer {k}")
     return ForwardTrace(hidden, preact, activation)
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import row_growth_drive, sigma_prime, zero_weights
+from helpers import complex_objective, row_growth_drive, sigma_prime, zero_weights
 from resnetlab import autograd
 from resnetlab.autograd import (_backward, finite_diff_grad, grad_objective,
                                 grad_objective_with_stats,
@@ -277,6 +277,25 @@ class TestPowerOfTwoDelta:
         assert np.array_equal(log.loss, losses)
 
 
+class TestComplexStep:
+    # Im J(W + itV, delta + it c) / t at t = 1e-30 is the derivative along
+    # (V, c) to roundoff, so the scaled-state loops are checked at the CLI's
+    # default depth: delta = 1/64 frozen at L=4096, and a trainable delta that
+    # is not a power of two at L=4000
+    @pytest.mark.parametrize("L, trainable", [(4096, False), (4000, True)])
+    def test_directional_derivative_at_default_depth(self, L, trainable):
+        rng = np.random.default_rng(L)
+        data, w = random_instance(rng, 20, L, 10)
+        v = rng.standard_normal(w.layers.shape)
+        c = 1.0 if trainable else 0.0
+        grads, dgrad, _ = grad_objective_with_stats(data, w, TANH, trainable)
+        analytic = float(np.sum(grads * v)) + dgrad * c
+        t = 1e-30
+        value = complex_objective(data.xs, data.ys, w.layers + 1j * t * v,
+                                  w.delta + 1j * t * c)
+        assert value.imag / t == pytest.approx(analytic, rel=1e-12, abs=0)
+
+
 def entrywise_finite_diff(data, weights, activation=TANH,
                           step=autograd.FD_GRAD_STEP, delta_trainable=False):
     """Reference oracle: two full ``objective`` calls per weight entry."""
@@ -305,8 +324,9 @@ def entrywise_finite_diff(data, weights, activation=TANH,
 
 
 def reference_finite_diff_grad(data, weights, activation=TANH, delta_trainable=False):
-    """Reference: the oracle with suffix spans starting at k + 1 for every
-    perturbed layer k, and a new ``Weights`` for each span and row chunk."""
+    """Reference: the oracle with each later layer run as one ``forward_batch``
+    call over all perturbed rows, in the scaled state u = h / delta. Where
+    delta is a power of two, h-space and u-space agree bit for bit."""
     step = autograd.FD_GRAD_STEP
     L, d = weights.depth, weights.width
     n = data.ys.shape[0]
@@ -314,10 +334,7 @@ def reference_finite_diff_grad(data, weights, activation=TANH, delta_trainable=F
     hidden = forward_batch(data.xs, weights, activation).hidden
     grads = np.empty_like(weights.layers)
     out = np.empty((2 * d * d, n, d))
-    out_rows = out.reshape(-1, d)
-    row_bytes = 3 * d * out.itemsize
-    rows = min(len(out_rows), max(1, autograd.CHUNK_BYTES // (2 * row_bytes)))
-    span = max(1, autograd.CHUNK_BYTES // (rows * row_bytes) - 1)
+    rows = out.reshape(-1, d)
     for k in range(L):
         base = weights.layers[k]
         h = step * (1.0 + np.abs(base))
@@ -325,11 +342,9 @@ def reference_finite_diff_grad(data, weights, activation=TANH, delta_trainable=F
         copies = np.concatenate([base + moves, base - moves])
         a = np.matmul(hidden[k], copies.transpose(0, 2, 1))
         np.add(hidden[k], delta * activation.value(a), out=out)
-        for start in range(0, len(out_rows), rows):
-            chunk = out_rows[start:start + rows]
-            for j in range(k + 1, L, span):
-                chunk[:] = forward_batch(chunk, Weights(weights.layers[j:j + span], delta),
-                                         activation).output
+        for j in range(k + 1, L):
+            rows[:] = forward_batch(rows, Weights(weights.layers[j:j + 1], delta),
+                                    activation).output
         diff = out - data.ys
         values = 0.5 * np.sum(diff * diff, axis=(1, 2)) / n
         grads[k] = ((values[:d * d] - values[d * d:]) / (2.0 * h.ravel())).reshape(d, d)
@@ -366,25 +381,20 @@ class TestFiniteDifferenceOracle:
         ratio = errs[0] / errs[1]
         assert 2.5 < ratio < 6.0
 
-    # (d, L, N, activation, delta_trainable, chunk budget or None for the
-    # module's): no suffix, d=1, N=1, identity, trainable delta, two row
-    # chunks at d=8 N=6, one-layer chunks at d=8 N=4, and a budget that
-    # splits the rows into four chunks or the suffix into three-layer spans
-    @pytest.mark.parametrize("d, L, n, activation, trainable, budget", [
-        (1, 1, 1, TANH, False, None),
-        (3, 1, 2, TANH, True, None),
-        (1, 6, 3, IDENTITY, True, None),
-        (4, 5, 1, TANH, False, None),
-        (5, 4, 2, IDENTITY, False, None),
-        (8, 5, 6, TANH, True, None),
-        (8, 12, 4, TANH, False, None),
-        (3, 6, 4, TANH, True, 3000),
-        (2, 10, 2, IDENTITY, False, 3072),
+    # (d, L, N, activation, delta_trainable): no suffix, d=1, N=1, identity,
+    # trainable delta, 2 d^2 N = 768 rows at d=8 N=6 and 512 at d=8 N=4
+    @pytest.mark.parametrize("d, L, n, activation, trainable", [
+        (1, 1, 1, TANH, False),
+        (3, 1, 2, TANH, True),
+        (1, 6, 3, IDENTITY, True),
+        (4, 5, 1, TANH, False),
+        (5, 4, 2, IDENTITY, False),
+        (8, 5, 6, TANH, True),
+        (8, 12, 4, TANH, False),
+        (3, 6, 4, TANH, True),
+        (2, 10, 2, IDENTITY, False),
     ])
-    def test_matches_entrywise_reference(self, monkeypatch, d, L, n, activation,
-                                         trainable, budget):
-        if budget is not None:
-            monkeypatch.setattr(autograd, "CHUNK_BYTES", budget)
+    def test_matches_entrywise_reference(self, d, L, n, activation, trainable):
         rng = np.random.default_rng(100 * d + L + n)
         data, w = random_instance(rng, d, L, n, weight_scale=rng.uniform(0.2, 2.0))
         numeric = finite_diff_grad(data, w, activation, delta_trainable=trainable)
@@ -394,49 +404,34 @@ class TestFiniteDifferenceOracle:
         assert numeric.delta_grad == pytest.approx(ref_delta, rel=0, abs=1e-8)
         assert trainable or numeric.delta_grad == 0.0
 
-    # (d, L, N, activation, delta_trainable, chunk budget or None for the
-    # module's): one-layer spans in one row chunk (the gradcheck benchmark's
-    # shape), three-layer spans that do not divide L, one-layer spans over
-    # four row chunks, L=1, and three-layer spans that do not divide L at
-    # delta = 1/4
-    @pytest.mark.parametrize("d, L, n, activation, trainable, budget", [
-        (8, 32, 4, TANH, False, None),
-        (2, 10, 2, IDENTITY, True, 3072),
-        (3, 6, 4, TANH, True, 3000),
-        (4, 1, 3, TANH, False, None),
-        (2, 16, 2, IDENTITY, True, 3072),
+    # (d, L, N, activation, delta_trainable, delta), delta a power of two:
+    # the gradcheck benchmark's shape, d=8 N=4 at L=16, L=1, and trainable
+    # delta under both activations
+    @pytest.mark.parametrize("d, L, n, activation, trainable, delta", [
+        (8, 32, 4, TANH, False, 0.125),
+        (2, 10, 2, IDENTITY, True, 0.25),
+        (3, 6, 4, TANH, True, 0.5),
+        (4, 1, 3, TANH, False, 1.0),
+        (2, 16, 2, IDENTITY, True, 0.25),
+        (8, 16, 4, TANH, True, 0.25),
     ])
-    def test_bitwise_equal_to_per_layer_spans(self, monkeypatch, d, L, n, activation,
-                                              trainable, budget):
-        if budget is not None:
-            monkeypatch.setattr(autograd, "CHUNK_BYTES", budget)
+    def test_bitwise_equal_to_per_layer_spans(self, d, L, n, activation, trainable, delta):
         rng = np.random.default_rng(1000 + 10 * d + L)
         data, w = random_instance(rng, d, L, n)
+        w = Weights(w.layers, delta)
         numeric = finite_diff_grad(data, w, activation, delta_trainable=trainable)
         ref_layers, ref_delta = reference_finite_diff_grad(data, w, activation, trainable)
+        assert np.array_equal(numeric.layers, ref_layers)
         assert numeric.delta_grad == ref_delta
-        if math.frexp(w.delta)[0] == 0.5:  # a power of two
-            assert np.array_equal(numeric.layers, ref_layers)
-            return
-        # Each forward_batch call enters and leaves the scaled state u = h /
-        # delta, so where the spans differ, the perturbed objectives differ
-        # by the last bits of that round trip at each span boundary. The
-        # quotient divides them by 2h, so the bound is on the objective
-        # differences: 1e-12 of the objective, where a dropped or repeated
-        # layer moves it by orders of magnitude more.
-        h = autograd.FD_GRAD_STEP * (1.0 + np.abs(w.layers))
-        moved = np.abs(numeric.layers - ref_layers) * 2.0 * h
-        assert np.all(moved <= 1e-12 * objective(data, w, activation)), moved.max()
 
-    @pytest.mark.parametrize("d, L, n, trainable, budget", [
-        (8, 32, 4, False, None),
-        (2, 10, 2, True, 3072),
-        (8, 128, 4, False, None),
+    @pytest.mark.parametrize("d, L, n, trainable", [
+        (8, 32, 4, False),
+        (2, 10, 2, True),
+        (8, 128, 4, False),
     ])
-    def test_weights_built_at_most_twice_per_layer(self, monkeypatch, d, L, n,
-                                                   trainable, budget):
-        if budget is not None:
-            monkeypatch.setattr(autograd, "CHUNK_BYTES", budget)
+    def test_weights_built_at_most_twice_per_layer(self, monkeypatch, d, L, n, trainable):
+        # the later layers read the caller's stack, so the only Weights built
+        # are the delta +- h stacks of a trainable delta
         data, w = random_instance(np.random.default_rng(24), d, L, n)
         built = []
         post_init = Weights.__post_init__
@@ -446,11 +441,11 @@ class TestFiniteDifferenceOracle:
             post_init(self)
         monkeypatch.setattr(Weights, "__post_init__", counted)
         finite_diff_grad(data, w, delta_trainable=trainable)
-        assert len(built) <= 2 * L, len(built)
+        assert built == ([L, L] if trainable else [])
 
     def test_perturbed_passes_are_chunked(self, monkeypatch):
-        # at d=8, N=4 the 512 perturbed rows fit one chunk of one layer, so
-        # layer k's copies take L-1-k suffix calls after the unperturbed pass
+        # the perturbed copies run the recursion in the oracle, so the one
+        # forward_batch call is the unperturbed pass
         calls = []
 
         def counted(*args, **kwargs):
@@ -460,7 +455,7 @@ class TestFiniteDifferenceOracle:
         rng = np.random.default_rng(21)
         data, w = random_instance(rng, 8, 6, 4)
         finite_diff_grad(data, w)
-        assert calls == [6] + [1] * (5 + 4 + 3 + 2 + 1)
+        assert calls == [6]
 
     def test_runs_forward_code_only(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -497,9 +492,8 @@ class TestFiniteDifferenceOracle:
         data = Dataset(np.array([[100.0]]), np.array([[0.0]]))
         w = Weights(np.array(layers), 1.0)
         objective(data, w, IDENTITY)  # the unperturbed pass is finite
-        with pytest.raises(NumericalOverflowError) as exc:
+        with pytest.raises(NumericalOverflowError, match=rf"at layer {layer}$"):
             finite_diff_grad(data, w, IDENTITY, step=step)
-        assert exc.value.layer == layer
         with pytest.raises(NumericalOverflowError):
             entrywise_finite_diff(data, w, IDENTITY, step=step)
 

@@ -38,6 +38,14 @@ def write_config(tmp_path, name="config.json", **overrides):
     return str(path)
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so a
+    subprocess imports the package whether or not it is installed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def tree_bytes(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -194,6 +202,9 @@ class TestConfigDomain:
         pytest.param({"N": 0}, "N, d, L must be >= 1", id="N"),
         pytest.param({"depths": [0, 4]}, "N, d, L must be >= 1", id="depths"),
         pytest.param({"seed": -1}, "seed must be >= 0", id="seed"),
+        # 8 L d^2 = 3.2e19 bytes, above sys.maxsize: numpy's "array is too big"
+        pytest.param({"d": 20, "depths": [10 ** 16]}, "float64 weight stack exceeds",
+                     id="depth-too-big"),
     ])
     def test_train_config_error_writes_nothing(self, tmp_path, capsys, override, message):
         cfg = write_config(tmp_path, **dict(SMALL, **override))
@@ -221,6 +232,16 @@ class TestConfigDomain:
             assert run_into_empty_dir(tmp_path / command, [command, "--config", cfg]) == (
                 EXIT_INPUT_ERROR, [])
             assert message in capsys.readouterr().err
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a stack within sys.maxsize bytes may still not fit in memory
+        def unallocatable(*args):
+            raise MemoryError("Unable to allocate 2.84 PiB")
+        monkeypatch.setattr(cli, "init_gaussian", unallocatable)
+        cfg = write_config(tmp_path, **SMALL)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == (
+            EXIT_INPUT_ERROR)
+        assert capsys.readouterr().err == "error: Unable to allocate 2.84 PiB\n"
 
     def test_infeasible_separation_writes_nothing(self, tmp_path, capsys):
         # two unit points on a line are never nearly orthogonal
@@ -767,13 +788,10 @@ class TestAnalyzeCommand:
         cfg, run_dir = self.run_training(tmp_path, depths=[4, 8, 16], T=2)
         script = ("import sys; from resnetlab.cli import main; code = main(sys.argv[1:]); "
                   "print('numpy.ma' in sys.modules); sys.exit(code)")
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         result = subprocess.run(
             [sys.executable, "-c", script, "analyze", "--config", cfg,
              "--run-dir", str(run_dir), "--out", str(tmp_path / "analysis")],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=src_env())
         assert result.returncode == EXIT_OK, result.stderr
         assert (tmp_path / "analysis" / "limit_distances.csv").exists()
         assert result.stdout.splitlines()[-1] == "False"
@@ -1055,6 +1073,6 @@ class TestEntryPoints:
         result = subprocess.run(
             [sys.executable, "-m", "resnetlab.cli", "dataset", "--config", cfg,
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert result.returncode == EXIT_OK
         assert "dataset:" in result.stdout

@@ -79,6 +79,14 @@ class TestSeparation:
         assert a.separation == b.separation
 
 
+class TestDataset:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_rejected(self, shape):
+        # an empty set would reach the objective's division by N
+        with pytest.raises(InvalidInputError, match="N, d >= 1"):
+            Dataset(np.empty(shape), np.empty(shape))
+
+
 class TestNearInitTargets:
     def test_zero_eps_zero_weights_keeps_inputs(self):
         data = sample_sphere_dataset(2, 4, seed=3, params=params_for(d=4))

@@ -227,3 +227,23 @@ def test_runlog_fields_are_the_columns():
     columns in order."""
     fields = [f.name for f in dataclasses.fields(RunLog) if f.name != "g_layers"]
     assert fields == RUNLOG_COLUMNS
+
+
+# names in the benchmark's NAMED_FUNCTIONS table that resolve to no function,
+# each for one reason; the test fails once either resolves again
+STALE_BENCHMARK_NAMES = {
+    "network.outputs_only": "forward_batch replaced it; the table still names it",
+    "data.check_assumptions": "it moved to bounds; the table still names data",
+}
+
+
+def test_benchmark_names_resolve():
+    """A function that the benchmark times by name is not deleted unnoticed.
+    The table is read from perfbench/run.py's source, not imported."""
+    tree = ast.parse((TESTS.parent / "perfbench" / "run.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "NAMED_FUNCTIONS" for t in node.targets))
+    named = set(ast.literal_eval(table))
+    defined = {f"{mod}.{node.name}" for mod, tree in modules().items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert named - defined == set(STALE_BENCHMARK_NAMES)

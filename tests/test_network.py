@@ -116,6 +116,12 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             Weights(np.zeros((2, 3, 3)), -1.0)
 
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0)])
+    def test_empty_stack_rejected(self, shape):
+        # an empty stack would reach forward_batch's chunk loop with span 0
+        with pytest.raises(InvalidInputError, match="L, d >= 1"):
+            Weights(np.zeros(shape), 1.0)
+
 
 class TestForward:
     def test_zero_weights_identity_map(self):
@@ -155,9 +161,9 @@ class TestForward:
 
     def test_overflow_names_first_layer(self):
         w = Weights(np.full((3, 2, 2), 1e200), 1.0)
-        with pytest.raises(NumericalOverflowError) as err:
+        # layer 1 yields ~1e200, squaring overflows at 2
+        with pytest.raises(NumericalOverflowError, match=r"at layer 2$"):
             forward([1.0, 1.0], w, IDENTITY)
-        assert err.value.layer == 2  # layer 1 yields ~1e200, squaring overflows at 2
 
     def test_batch_overflow_names_smallest_layer(self):
         # sample 0 goes non-finite at layer 3, sample 1 at layer 2
@@ -168,11 +174,9 @@ class TestForward:
         xs = np.array([[1e-200, 0.0], [0.0, 1.0]])
         with pytest.raises(NumericalOverflowError) as err:
             forward_batch(xs, w, IDENTITY)
-        assert err.value.layer == 2
         assert str(err.value) == "non-finite hidden state at layer 2"
-        with pytest.raises(NumericalOverflowError) as err:
+        with pytest.raises(NumericalOverflowError, match=r"at layer 3$"):
             forward_batch(xs[:1], w, IDENTITY)
-        assert err.value.layer == 3
 
     # seed, activation: the tanh cases overflow preactivations to +-inf,
     # which tanh maps to +-1, so no hidden state goes non-finite there
@@ -200,7 +204,6 @@ class TestForward:
                 continue
             with pytest.raises(NumericalOverflowError) as err:
                 run(x, w, activation)
-            assert err.value.layer == expected
             assert str(err.value) == f"non-finite hidden state at layer {expected}"
         if activation is IDENTITY:
             assert all(cases[n + 1][1] == j for n, j in designed.items())
@@ -212,9 +215,8 @@ class TestForward:
         w = Weights(np.tile(np.eye(1), (4, 1, 1)), 0.5)
         x = np.array([[1.3e308 / 2.25]])
         assert reference_first_bad_layer(x, w, IDENTITY)[0] == 3
-        with pytest.raises(NumericalOverflowError) as err:
+        with pytest.raises(NumericalOverflowError, match=r"at layer 2$"):
             forward_batch(x, w, IDENTITY)
-        assert err.value.layer == 2
 
     def test_scaling_back_overflow_above_delta_one(self):
         # delta = 2: u_1 = 1e308 is finite and h_1 = 2 u_1 is not, while
@@ -222,9 +224,8 @@ class TestForward:
         w = Weights(np.array([[[0.5]], [[-0.5]]]), 2.0)
         x = np.array([[1e308]])
         assert reference_first_bad_layer(x, w, IDENTITY)[0] == 1
-        with pytest.raises(NumericalOverflowError) as err:
+        with pytest.raises(NumericalOverflowError, match=r"at layer 1$"):
             forward_batch(x, w, IDENTITY)
-        assert err.value.layer == 1
 
     def test_memory_is_one_chunk_beyond_the_caller_buffers(self):
         # a scaled copy of the whole stack would be 13.1 MB here
