@@ -5,7 +5,10 @@ and the depth rescaling sqrt(L) * A_k, so runs of different depth become
 comparable paths: this module fits power laws across depth, measures
 steps-to-epsilon convergence, estimates 2-variation of a rescaled path and
 computes the sup distance between the paths of two depths. Each path kernel
-takes one depth or one pair of depths.
+takes one depth or one pair of depths, states the points it reads as an
+array of layer indices and reads them through one chunked reader,
+``_path_rows``, which owns the ``CHUNK_BYTES`` buffer and the one-row overlap
+between chunks; no kernel runs a chunk loop of its own.
 """
 
 from __future__ import annotations
@@ -58,6 +61,33 @@ def steps_to_epsilon(t: np.ndarray, loss: np.ndarray,
     return out
 
 
+def _path_rows(weights: Weights, k: np.ndarray, scale: float | None = None):
+    """Yield ``(at, rows)`` for the layer indices ``k``, clipped to [0, L - 1]:
+    ``rows`` holds ``scale * A_k`` (the unscaled A_k without a ``scale``) for
+    the slice ``at`` of ``k``, one chunk at a time.
+
+    Each chunk after the first begins with the last row of the one before, so
+    every pair of consecutive indices lies in one chunk. The chunks are views
+    of one buffer in the stack's memory layout, refilled from the stack for
+    each chunk, so the caller may overwrite them. The buffer takes at most
+    half of ``CHUNK_BYTES`` (but at least two rows), so that the two readers
+    ``scaling_limit_distance`` zips together fit it.
+    """
+    layers = weights.layers
+    rows = max(2, CHUNK_BYTES // (2 * layers[0].nbytes))
+    # sized from k, not from the stack: a union grid is longer than either stack
+    buf = np.empty_like(layers, shape=(min(rows, len(k)), *layers.shape[1:]))
+    for start in range(0, max(len(k) - 1, 1), rows - 1):
+        at = slice(start, min(start + rows, len(k)))
+        chunk = buf[:at.stop - start]
+        # mode="clip" clips k, and unlike "raise" it writes into chunk
+        # without a buffered copy
+        np.take(layers, k[at], axis=0, out=chunk, mode="clip")
+        if scale is not None:
+            np.multiply(chunk, scale, chunk)
+        yield at, chunk
+
+
 def two_variation(weights: Weights) -> float:
     """Largest summed squared Frobenius increments of the rescaled path
     sqrt(L) * A_k, k = 1..L, over its dyadic partitions.
@@ -65,58 +95,35 @@ def two_variation(weights: Weights) -> float:
     Partitions are index chains of the layer grid that contain both
     endpoints; this maximizes over the full grid and its dyadic coarsenings
     (every 2^j-th point plus the last), a lower bound on the supremum over
-    all partitions, in O(L d^2) time. A chunk of each chain's points is
-    rescaled into one buffer and differenced into another, together about
-    ``CHUNK_BYTES``, as sqrt(L) a - sqrt(L) b: the increments equal those of a
-    rescaled copy of the stack bit for bit.
+    all partitions, in O(L d^2) time. Each chain's points are read rescaled
+    and differenced as sqrt(L) a - sqrt(L) b, so the increments equal those
+    of a rescaled copy of the stack bit for bit.
     """
-    L = weights.depth
-    flat = weights.layers.reshape(L, -1)
-    scale = np.sqrt(L)
-    last = L - 1
-    rows = max(1, CHUNK_BYTES // (2 * flat.shape[1] * flat.itemsize))
-    n = min(rows, max(last, 1))
-    points = np.empty((n + 1, flat.shape[1]))
-    buf = np.empty((n, flat.shape[1]))
-    sums = np.empty(n)
-
+    last = weights.depth - 1
+    scale = np.sqrt(weights.depth)
+    # sums[i] is the squared increment into the chain's i-th point; sums[0]
+    # stays 0, the start of the running sum
+    sums = np.zeros(weights.depth)
     best, stride = 0.0, 1
     while True:
-        chain = flat[::stride]
-        inner = len(chain) - 1  # increments between chain points
-        count = inner + (last % stride != 0)  # plus the one to the last point
-        total = 0.0
-        for start in range(0, count, n):
-            stop = min(start + n, count)
-            mid = min(stop, inner)
-            ends = points[:stop - start + 1]
-            np.multiply(chain[start:mid + 1], scale, ends[:mid - start + 1])
-            if mid < stop:
-                np.multiply(flat[last], scale, ends[-1])
-            step, part = buf[:stop - start], sums[:stop - start]
-            np.subtract(ends[1:], ends[:-1], step)
+        # every stride-th layer; the one past the last clips to the last
+        chain = np.arange(0, last + stride, stride)
+        for at, rows in _path_rows(weights, chain, scale):
+            step = rows[:-1]
+            np.subtract(rows[1:], step, step)
             np.multiply(step, step, step)
-            np.add.reduce(step, axis=-1, out=part)
-            # increments added in index order, one at a time, not np.sum's
-            # pairwise order: the running sum carries from chunk to chunk
-            part[0] += total
-            np.add.accumulate(part, out=part)
-            total = float(part[-1])
-        best = max(best, total)
+            np.add.reduce(step, axis=(1, 2), out=sums[at.start + 1:at.stop])
+        # increments added in index order, one at a time, not np.sum's
+        # pairwise order
+        total = sums[:len(chain)]
+        np.add.accumulate(total, out=total)
+        best = max(best, float(total[-1]))
+        # the last chunk's views would hold this chain's buffer while the
+        # next chain's reader allocates its own
+        del rows, step
         if stride >= last:
             return best
         stride *= 2
-
-
-def _rescaled_rows(weights: Weights, s: np.ndarray, out: np.ndarray) -> None:
-    """sqrt(L) * A_{floor(L s)} into ``out`` (len(s), d, d), index clipped to [1, L]."""
-    # floor(L*s) with a nudge so grid points shared across depths land exactly
-    k = np.floor(weights.depth * s + 1e-9).astype(np.intp)
-    k -= 1
-    # mode="clip" clips k - 1 to [0, L - 1], and unlike "raise" it writes
-    # into out without a buffered copy
-    np.take(weights.layers, k, axis=0, out=out, mode="clip")
-    np.multiply(np.sqrt(weights.depth), out, out)
 
 
 def scaling_limit_distance(w_low: Weights, w_high: Weights) -> float:
@@ -124,49 +131,37 @@ def scaling_limit_distance(w_low: Weights, w_high: Weights) -> float:
 
     Both paths are evaluated piecewise-constantly on the union of their layer
     grids, and the max over that grid of |sqrt(L) A_{floor(Ls)} -
-    sqrt(L') A_{floor(L's)}|_F is returned. Both paths pass through one
-    buffer of at most ``CHUNK_BYTES``.
+    sqrt(L') A_{floor(L's)}|_F is returned.
     """
-    l1, l2, d = w_low.depth, w_high.depth, w_low.width
-    rows = max(1, CHUNK_BYTES // (2 * d * d * w_low.layers.itemsize))
-    buf = np.empty((2, rows, d * d))
-    sq = np.empty(rows)
+    l1, l2 = w_low.depth, w_high.depth
     # the sorted union of both grids; np.union1d would import numpy.ma
     grid = np.concatenate((np.arange(1, l1 + 1) / l1, np.arange(1, l2 + 1) / l2))
     grid.sort()
     grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    sup = 0.0
-    for start in range(0, len(grid), rows):
-        s = grid[start:start + rows]
-        gap, other, norms = buf[0, :len(s)], buf[1, :len(s)], sq[:len(s)]
-        _rescaled_rows(w_low, s, gap.reshape(-1, d, d))
-        _rescaled_rows(w_high, s, other.reshape(-1, d, d))
+    # floor(L*s) - 1 with a nudge so grid points shared across depths land exactly
+    paths = [_path_rows(w, np.floor(w.depth * grid + 1e-9).astype(np.intp) - 1,
+                        np.sqrt(w.depth)) for w in (w_low, w_high)]
+    norms = np.empty(len(grid))
+    for (at, gap), (_, other) in zip(*paths):
         np.subtract(gap, other, gap)
-        # each row's squared norm by the BLAS dot that np.linalg.norm
-        # uses, in the same order for C-ordered stacks (as load_weights
-        # and train write them)
-        np.matmul(gap[:, None, :], gap[:, :, None], norms[:, None, None])
-        np.sqrt(norms, norms)
-        # fmax skips a NaN gap (from inf - inf) as max(sup, nan) did
-        sup = float(np.fmax.reduce(norms, initial=sup))
-    return sup
+        # each row's squared norm by the BLAS dot that np.linalg.norm uses, in
+        # the same order for C-ordered stacks (as load_weights and train
+        # write them)
+        flat = gap.reshape(len(gap), -1)
+        np.matmul(flat[:, None, :], flat[:, :, None], norms[at, None, None])
+    np.sqrt(norms, norms)
+    # fmax skips a NaN gap (from inf - inf) as max(sup, nan) did
+    return float(np.fmax.reduce(norms, initial=0.0))
 
 
 def mean_layer_norm(weights: Weights) -> float:
     """Mean over the layers of the Frobenius norm, equal bit for bit to the
-    mean of ``np.linalg.norm(weights.layers, axis=(1, 2))``; the squares pass
-    through one buffer of at most ``CHUNK_BYTES``."""
-    layers = weights.layers
-    L, d = weights.depth, weights.width
-    rows = max(1, CHUNK_BYTES // (d * d * layers.itemsize))
-    # the stack's own memory layout, so each sum runs in np.linalg.norm's order
-    buf = np.empty_like(layers[:rows])
-    norms = np.empty(L)
-    for start in range(0, L, rows):
-        chunk = layers[start:start + rows]
-        block = buf[:len(chunk)]
-        np.square(chunk, block)
-        np.add.reduce(block, axis=(1, 2), out=norms[start:start + len(chunk)])
+    mean of ``np.linalg.norm(weights.layers, axis=(1, 2))``: the reader keeps
+    the stack's memory layout, so each sum runs in np.linalg.norm's order."""
+    norms = np.empty(weights.depth)
+    for at, rows in _path_rows(weights, np.arange(weights.depth)):
+        np.square(rows, rows)
+        np.add.reduce(rows, axis=(1, 2), out=norms[at])
     np.sqrt(norms, norms)
     return float(np.mean(norms))
 

@@ -31,8 +31,7 @@ from .data import (UNIT_NORM_TOL, AssumptionParams, Dataset, initial_loss_cap,
                    initial_row_norm_cap, separation_threshold)
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, ForwardTrace, Weights, jacobian_stack
-from .training import (ETA_CAP_COEFF, RunLog, Schedule, WeightNorms,
-                       largest_sum_feasible_T, weight_norms)
+from .training import RunLog, Schedule, WeightNorms, harmonic_number, weight_norms
 
 REL_TOL_EXACT = 1e-9
 REL_TOL_HESSIAN = 1e-3
@@ -40,6 +39,9 @@ HESSIAN_PROBES = 40  # power-iteration budget of the Hessian certificate
 
 ACTIVATION_GRID_POINTS = 20_001
 ACTIVATION_GRID_RANGE = (-10.0, 10.0)
+
+ETA_CAP_COEFF = 1.0 / 160.0
+LARGEST_T_CAP = 10 ** 18
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,33 @@ def check_assumptions(data: Dataset, w0: Weights, params: AssumptionParams,
     return [make_report(f"assumption_{name}", observed, bound, REL_TOL_EXACT,
                         hypothesis=True, context={"L": params.L})
             for name, observed, bound in clauses]
+
+
+def largest_sum_feasible_T(sched: Schedule, budget: float) -> float:
+    """Largest T with sum_{t<T} eta(t) <= budget, capped at 10^18.
+
+    Constant rates give floor(budget / eta0); inverse decay inverts the
+    harmonic sum, so the answer grows like exp(budget / eta0).
+    """
+    if budget < 0 or sched.eta0 < 0:
+        raise InvalidInputError("budget and eta0 must be nonnegative")
+    if sched.eta0 == 0.0:
+        return math.inf
+    ratio = budget / sched.eta0  # inf for a subnormal eta0
+    if sched.kind == "constant":
+        return float(math.floor(min(ratio, LARGEST_T_CAP)))
+    if ratio < 1.0:
+        return 0.0
+    if harmonic_number(LARGEST_T_CAP) <= ratio:
+        return float(LARGEST_T_CAP)
+    lo, hi = 1, LARGEST_T_CAP
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if harmonic_number(mid) <= ratio:
+            lo = mid
+        else:
+            hi = mid - 1
+    return float(lo)
 
 
 def lr_feasibility(params: AssumptionParams, sched: Schedule,

@@ -205,10 +205,10 @@ def cmd_dataset(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _train_one_depth(cfg: ExperimentConfig, base: Dataset, depth: int,
+def _train_one_depth(cfg: ExperimentConfig, base: Dataset, w0: Weights,
                      out_dir: str) -> RunLog:
     act = activation_by_name(cfg.activation)
-    w0 = _init_weights(cfg, depth)
+    depth = w0.depth
     data = _depth_dataset(cfg, base, w0, depth)
     if cfg.target_mode == "near_init":
         save_dataset(data, os.path.join(out_dir, f"dataset_L{depth}.csv"), cfg.seed, cfg.c0)
@@ -217,19 +217,24 @@ def _train_one_depth(cfg: ExperimentConfig, base: Dataset, depth: int,
                          log_layers=cfg.log_layers, log_stride=cfg.log_stride)
     save_runlog(log, os.path.join(out_dir, f"runlog_L{depth}.csv"))
     save_weights(w_final, os.path.join(out_dir, f"weights_L{depth}.bin"))
-    if cfg.log_layers and log.g_layers is not None:
+    if cfg.log_layers:
         save_layer_gaps(log, os.path.join(out_dir, f"gaps_L{depth}.csv"))
     return log
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str) -> int:
-    # sampled first, so an infeasible separation exits 2 before any file is written
+    # sampled and drawn first, so an infeasible separation or a first stack
+    # beyond memory exits 2 before any file is written
     base = _base_dataset(cfg)
+    w0 = _init_weights(cfg, cfg.depths[0])
     os.makedirs(out_dir, exist_ok=True)
     _write_config(cfg, out_dir)
     save_dataset(base, os.path.join(out_dir, "dataset.csv"), cfg.seed, cfg.c0)
 
-    logs = [_train_one_depth(cfg, base, depth, out_dir) for depth in cfg.depths]
+    logs = [_train_one_depth(cfg, base, w0, out_dir)]
+    del w0  # each later depth holds only its own stacks
+    logs += [_train_one_depth(cfg, base, _init_weights(cfg, depth), out_dir)
+             for depth in cfg.depths[1:]]
     status = EXIT_OK
     for depth, log in zip(cfg.depths, logs):
         if log.failed:

@@ -22,11 +22,11 @@ import numpy as np
 from .errors import InvalidInputError, NumericalOverflowError
 
 # Byte budget of one working buffer: the chunk of scaled layers delta A_k in
-# ``forward_batch`` and each path kernel of ``analysis``, whose memory beyond
-# their callers' arrays then does not grow with depth. Larger chunks save
-# interpreter overhead but not arithmetic. At d=20, N=10 a forward chunk is
-# 40 layers in 128 KB, inside the about 139 KB that a training step at
-# L=1024 leaves over its three blocks (``test_memory_flat_in_steps``).
+# ``forward_batch`` and the path reader of ``analysis``, whose buffers then do
+# not grow with depth. Larger chunks save interpreter overhead but not
+# arithmetic. At d=20, N=10 a forward chunk is 40 layers in 128 KB, inside the
+# about 139 KB that a training step at L=1024 leaves over its three blocks
+# (``test_memory_flat_in_steps``).
 CHUNK_BYTES = 256 * 1024
 
 

@@ -21,9 +21,6 @@ from .data import Dataset, write_csv
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, Weights
 
-ETA_CAP_COEFF = 1.0 / 160.0
-LARGEST_T_CAP = 10 ** 18
-
 RUNLOG_COLUMNS = ["t", "eta", "loss", "fbar", "gbar", "finf", "neighbour_max", "delta",
                   "fail_reason"]
 
@@ -227,33 +224,6 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     return w, RunLog(np.asarray(steps, dtype=np.int64), *np.asarray(columns, dtype=np.float64),
                      g_layers=np.asarray(g_rows) if log_layers else None,
                      fail_reason=fail_reason)
-
-
-def largest_sum_feasible_T(sched: Schedule, budget: float) -> float:
-    """Largest T with sum_{t<T} eta(t) <= budget, capped at 10^18.
-
-    Constant rates give floor(budget / eta0); inverse decay inverts the
-    harmonic sum, so the answer grows like exp(budget / eta0).
-    """
-    if budget < 0 or sched.eta0 < 0:
-        raise InvalidInputError("budget and eta0 must be nonnegative")
-    if sched.eta0 == 0.0:
-        return math.inf
-    ratio = budget / sched.eta0  # inf for a subnormal eta0
-    if sched.kind == "constant":
-        return float(math.floor(min(ratio, LARGEST_T_CAP)))
-    if ratio < 1.0:
-        return 0.0
-    if harmonic_number(LARGEST_T_CAP) <= ratio:
-        return float(LARGEST_T_CAP)
-    lo, hi = 1, LARGEST_T_CAP
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if harmonic_number(mid) <= ratio:
-            lo = mid
-        else:
-            hi = mid - 1
-    return float(lo)
 
 
 def save_runlog(log: RunLog, path) -> None:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from helpers import (exhaustive_oracle, mean_layer_norm_oracle,
                      scaling_limit_distance_oracle, two_variation_oracle)
-from resnetlab.analysis import (CHUNK_BYTES, entry_scatter, fit_power_law,
-                                mean_layer_norm, scaling_limit_distance,
-                                steps_to_epsilon, total_scaling, two_variation)
+from resnetlab.analysis import (CHUNK_BYTES, _path_rows, entry_scatter,
+                                fit_power_law, mean_layer_norm,
+                                scaling_limit_distance, steps_to_epsilon,
+                                total_scaling, two_variation)
 from resnetlab.data import Dataset
 from resnetlab.errors import InvalidInputError
 from resnetlab.network import Weights
@@ -198,6 +199,22 @@ def size(label, d):
     return {"chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}.get(label) or int(label)
 
 
+def reader_rows(d):
+    """The rows in one chunk of the path reader at width d, read off the
+    reader itself."""
+    indices = np.zeros(CHUNK_BYTES // 8 + 1, dtype=np.intp)  # more than any chunk
+    _, rows = next(_path_rows(Weights(np.zeros((1, d, d)), 1.0), indices))
+    return len(rows)
+
+
+def reader_size(label, d):
+    """A path length from a label in the reader's rows per chunk. Chunks
+    overlap by one row, so "rows" fills one chunk, "2rows-1" fills two, and
+    "rows+1" and "2rows" start a two-row chunk on the previous one's last row."""
+    rows = reader_rows(d)
+    return {"rows": rows, "rows+1": rows + 1, "2rows-1": 2 * rows - 1, "2rows": 2 * rows}[label]
+
+
 def random_weights(rng, depth, width, scale=1.0):
     return Weights(rng.standard_normal((depth, width, width)) * scale / math.sqrt(depth),
                    depth ** -0.5)
@@ -235,6 +252,26 @@ class TestChunkedKernels:
         if transposed:  # np.linalg.norm sums each layer in memory order
             w = Weights(w.layers.transpose(0, 2, 1), w.delta)
         assert mean_layer_norm(w) == mean_layer_norm_oracle(w)
+
+    @pytest.mark.parametrize("d", [1, 20])
+    @pytest.mark.parametrize("points", ["rows", "rows+1", "2rows-1", "2rows"])
+    def test_reader_chunk_boundaries(self, d, points):
+        P = reader_size(points, d)
+        w = random_weights(np.random.default_rng(P + d), P, d)
+        assert two_variation(w) == two_variation_oracle(np.sqrt(P) * w.layers)
+        assert mean_layer_norm(w) == mean_layer_norm_oracle(w)
+
+    @pytest.mark.parametrize("d", [6, 20])
+    def test_scaling_limit_distance_union_grid(self, d):
+        # the union grid of depths rows-1 and rows+1 is longer than either
+        # stack and spans several chunks; depth 1 is read at every grid point
+        rows = reader_rows(d)
+        rng = np.random.default_rng(rows + d)
+        for depths in [(1, 1), (1, 5), (3, 5), (rows - 1, rows + 1)]:
+            runs = [(L, random_weights(rng, L, d)) for L in depths]
+            (l1, w1), (l2, w2) = runs
+            assert [((l1, l2), scaling_limit_distance(w1, w2))] == (
+                scaling_limit_distance_oracle(runs)), depths
 
     @pytest.mark.parametrize("kernel", ["two_variation", "scaling_limit_distance",
                                         "mean_layer_norm"])

@@ -239,8 +239,24 @@ class TestConfigDomain:
             raise MemoryError("Unable to allocate 2.84 PiB")
         monkeypatch.setattr(cli, "init_gaussian", unallocatable)
         cfg = write_config(tmp_path, **SMALL)
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == (
-            EXIT_INPUT_ERROR)
+        # the first depth's stack is drawn before any file is written
+        assert run_into_empty_dir(tmp_path, ["train", "--config", cfg]) == (
+            EXIT_INPUT_ERROR, [])
+        assert capsys.readouterr().err == "error: Unable to allocate 2.84 PiB\n"
+
+    def test_memory_error_at_a_later_depth_keeps_earlier_depths(self, tmp_path, capsys,
+                                                                monkeypatch):
+        draw = cli.init_gaussian
+
+        def unallocatable_at_8(net, *args):
+            if net.depth == 8:
+                raise MemoryError("Unable to allocate 2.84 PiB")
+            return draw(net, *args)
+        monkeypatch.setattr(cli, "init_gaussian", unallocatable_at_8)
+        cfg = write_config(tmp_path, **SMALL)
+        assert run_into_empty_dir(tmp_path, ["train", "--config", cfg]) == (
+            EXIT_INPUT_ERROR, ["config.json", "dataset.csv", "dataset.json",
+                               "runlog_L4.csv", "weights_L4.bin"])
         assert capsys.readouterr().err == "error: Unable to allocate 2.84 PiB\n"
 
     def test_infeasible_separation_writes_nothing(self, tmp_path, capsys):

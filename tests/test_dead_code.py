@@ -247,3 +247,14 @@ def test_benchmark_names_resolve():
     defined = {f"{mod}.{node.name}" for mod, tree in modules().items()
                for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert named - defined == set(STALE_BENCHMARK_NAMES)
+
+
+def test_chunk_budget_has_two_readers():
+    """``CHUNK_BYTES`` sizes the forward pass's chunk of scaled layers and the
+    analysis path reader's buffer; every other chunked loop goes through one
+    of the two."""
+    readers = {f"{mod}.{node.name}" for mod, tree in modules().items()
+               for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and any(used in ("CHUNK_BYTES", "network.CHUNK_BYTES")
+                       for used, _ in uses(node))}
+    assert readers == {"network.forward_batch", "analysis._path_rows"}

@@ -7,14 +7,13 @@ import pytest
 from helpers import row_growth_drive, zero_weights
 from resnetlab import autograd, training
 from resnetlab.autograd import grad_objective, objective
-from resnetlab.bounds import lr_feasibility
+from resnetlab.bounds import largest_sum_feasible_T, lr_feasibility
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, sample_sphere_dataset)
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
                                forward_batch, load_weights, save_weights)
-from resnetlab.training import (RunLog, Schedule, harmonic_number,
-                                largest_sum_feasible_T, layer_gaps,
+from resnetlab.training import (RunLog, Schedule, harmonic_number, layer_gaps,
                                 load_runlog, save_layer_gaps, save_runlog,
                                 train, weight_norms)
 
