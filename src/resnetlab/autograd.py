@@ -130,10 +130,15 @@ def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
 
 def grad_objective(data: "Dataset", weights: Weights,
                    activation: Activation = TANH,
-                   delta_trainable: bool = False) -> Grad:
-    """Exact gradient of the objective with respect to every layer (and delta)."""
+                   delta_trainable: bool = False,
+                   blocks: tuple[np.ndarray, np.ndarray] | None = None) -> Grad:
+    """Exact gradient of the objective with respect to every layer (and delta).
+
+    ``blocks`` is passed to ``grad_objective_with_stats``; with it the
+    returned layers are a view of the second block.
+    """
     grads, dgrad, _ = grad_objective_with_stats(data, weights, activation,
-                                                delta_trainable)
+                                                delta_trainable, blocks)
     return Grad(grads, dgrad)
 
 
@@ -261,31 +266,49 @@ def hessian_spectral_estimate(data: "Dataset", weights: Weights,
     an iterate's Rayleigh quotient is reused as the next iterate, so the
     estimate costs 1 + ``iterations`` products, two gradient passes each.
     Non-convergence within ``probes`` iterations is flagged, not raised.
+
+    However many products it takes, the iteration holds the same arrays
+    besides ``weights``: the iterate, its product and one perturbed stack
+    (also the scratch of each Rayleigh quotient), each of the weights' size,
+    and one pair of step blocks (see ``grad_objective_with_stats``) that
+    every gradient pass writes into.
     """
     if probes < 1:
         raise InvalidInputError("probes must be >= 1")
     base = weights.layers
     scale = FD_HESSIAN_STEP * (1.0 + float(np.linalg.norm(base)))
+    perturbed = np.empty_like(base)
+    size = step_block_size(weights.depth, len(data.xs), weights.width)
+    blocks = (np.empty(size), np.empty(size))
 
-    def hvp(direction: np.ndarray) -> np.ndarray:
-        up = Weights(base + scale * direction, weights.delta)
-        down = Weights(base - scale * direction, weights.delta)
-        g_up = grad_objective(data, up, activation)
-        g_down = grad_objective(data, down, activation)
-        return (g_up.layers - g_down.layers) / (2.0 * scale)
+    def hvp(direction: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # (g(base + scale v) - g(base - scale v)) / (2 scale) by the same
+        # operations as on new arrays; each gradient is a view of the blocks
+        up = np.add(base, np.multiply(scale, direction, perturbed), perturbed)
+        np.copyto(out, grad_objective(data, Weights(up, weights.delta), activation,
+                                      blocks=blocks).layers)
+        down = np.subtract(base, np.multiply(scale, direction, perturbed), perturbed)
+        np.subtract(out, grad_objective(data, Weights(down, weights.delta), activation,
+                                        blocks=blocks).layers, out)
+        return np.divide(out, 2.0 * scale, out)
+
+    def rayleigh(v: np.ndarray, w: np.ndarray) -> float:
+        return float(np.sum(np.multiply(v, w, perturbed)))
 
     v = np.ones_like(base)
     v /= np.linalg.norm(v)
-    w = hvp(v)
-    lam = float(np.sum(v * w))
+    # the next iterate is written over the product it comes from, and the
+    # product of it over the iterate before
+    w = hvp(v, np.empty_like(base))
+    lam = rayleigh(v, w)
     for iterations in range(1, probes + 1):
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             lam, converged = 0.0, True
             break
-        v = w / norm_w
-        w = hvp(v)
-        lam_new = float(np.sum(v * w))
+        v, w = np.divide(w, norm_w, w), v
+        w = hvp(v, w)
+        lam_new = rayleigh(v, w)
         converged = abs(lam_new - lam) <= HESSIAN_TOL * max(abs(lam_new), np.finfo(float).tiny)
         lam = lam_new
         if converged:

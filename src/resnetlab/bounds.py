@@ -246,7 +246,9 @@ def certify_forward(trace: ForwardTrace, weights: Weights, norms: WeightNorms,
         REL_TOL_EXACT, applicable=applicable, context=dict(ctx, k=k_hi + 1)))
 
     jac = jacobian_stack(weights, trace.activation.deriv1(trace.preact))
-    col_norms = np.linalg.norm(jac, axis=1)  # (L+1, d): column norms per k
+    # (L+1, d): column norms per k, by np.linalg.norm's own operations with
+    # jac squared in place
+    col_norms = np.sqrt(np.add.reduce(np.square(jac, out=jac), axis=1))
     k_worst, m_worst = np.unravel_index(np.argmax(col_norms), col_norms.shape)
     reports.append(make_report(
         "forward_jacobian_columns", col_norms[k_worst, m_worst],

@@ -22,12 +22,12 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import analysis, bounds
 from .autograd import (finite_diff_grad, grad_objective,
-                       grad_objective_with_stats)
+                       grad_objective_with_stats, step_block_size)
 from .data import (AssumptionParams, Dataset, gaussian_init_std, init_certified,
                    init_gaussian, near_init_targets, sample_sphere_dataset,
                    save_dataset, write_csv)
@@ -36,6 +36,10 @@ from .network import (NetworkConfig, Weights, activation_by_name, forward,
                       load_weights, save_weights)
 from .training import (RunLog, Schedule, load_runlog, save_layer_gaps,
                        save_runlog, train, weight_norms)
+
+if TYPE_CHECKING:  # pragma: no cover
+    # imported where they run, so that a command loads only its own modules
+    from . import bounds
 
 EXIT_OK = 0
 EXIT_BOUND_FAILURE = 1
@@ -249,22 +253,37 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
                          depth: int) -> list[bounds.BoundReport]:
-    """Randomized certification sweep at |A_k|_F <= c_alpha L^-1/2, c_alpha=c0."""
+    """Randomized certification sweep at |A_k|_F <= c_alpha L^-1/2, c_alpha=c0.
+
+    The draws share one pair of step blocks, and each draw's arrays are freed
+    when its rows are built, so the sweep holds a fixed number of
+    weight-sized arrays however many draws it makes. The pair is freed
+    before the Hessian estimate allocates its own.
+    """
+    from . import bounds
+
     act = activation_by_name(cfg.activation)
     rng = np.random.default_rng(_depth_seed(cfg.seed, depth, salt=2))
-    reports: list[bounds.BoundReport] = []
     delta = NetworkConfig(cfg.d, depth, cfg.alpha0).delta
     cap = cfg.c0 * depth ** (-0.5)
-    for draw in range(cfg.certify_draws):
+    size = step_block_size(depth, data.n, cfg.d)
+    blocks = (np.empty(size), np.empty(size))
+
+    def draw_reports(draw: int) -> list[bounds.BoundReport]:
+        # the squares of the norms use the trace block, which is free before
+        # and after the gradient pass
+        scratch = blocks[0][:depth * cfg.d * cfg.d].reshape(depth, cfg.d, cfg.d)
         layers = rng.standard_normal((depth, cfg.d, cfg.d))
-        norms = np.linalg.norm(layers, axis=(1, 2), keepdims=True)
+        # np.linalg.norm(layers, axis=(1, 2), keepdims=True) by its own operations
+        norms = np.sqrt(np.add.reduce(np.square(layers, out=scratch), (1, 2),
+                                      keepdims=True))
         layers *= rng.uniform(0.1, 1.0) * cap / norms
         w = Weights(layers, delta)
         x = rng.standard_normal(cfg.d)
         x /= np.linalg.norm(x)
         trace = forward(x, w, act)
-        grads, _, value = grad_objective_with_stats(data, w, act)
-        norms = weight_norms(w)
+        grads, _, value = grad_objective_with_stats(data, w, act, blocks=blocks)
+        norms = weight_norms(w, scratch)
         batch = [
             *bounds.certify_forward(trace, w, norms, cfg.c0),
             *bounds.certify_loss_bound(w, value, norms, cfg.c0),
@@ -274,7 +293,10 @@ def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
         ]
         for r in batch:
             r.context["draw"] = draw
-        reports.extend(batch)
+        return batch
+
+    reports = [r for draw in range(cfg.certify_draws) for r in draw_reports(draw)]
+    del blocks
     reports.extend(bounds.certify_hessian(
         data, _draw_certified_weights(rng, cfg, depth, delta, cap), cfg.c0, act))
     return reports
@@ -288,6 +310,8 @@ def _draw_certified_weights(rng, cfg: ExperimentConfig, depth: int,
 
 
 def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int:
+    from . import bounds
+
     act = activation_by_name(cfg.activation)
     base = _base_dataset(cfg)
     sched = Schedule(cfg.schedule, cfg.eta0)
@@ -299,10 +323,12 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
         if run_dir is not None:
             log = load_runlog(os.path.join(run_dir, f"runlog_L{depth}.csv"))
         else:
-            _, log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable,
-                           log_stride=cfg.log_stride)
+            # only the log: the final weights are a view of a step block
+            log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable,
+                        log_stride=cfg.log_stride)[1]
         all_reports.extend(bounds.certify_run_envelope(
             data, w0, log, _params(cfg, depth), sched, cfg.T, act))
+        del w0, log  # the draws hold only their own stacks
         if depth == cfg.depths[-1]:
             all_reports.extend(_random_draw_reports(cfg, data, depth))
 
@@ -371,6 +397,8 @@ def _epsilon_grid(mean_loss: np.ndarray) -> np.ndarray:
 
 
 def cmd_analyze(cfg: ExperimentConfig, run_dir: str, out_dir: str) -> int:
+    from . import analysis
+
     # One pass in ascending depth that holds at most two weight stacks: the
     # current one and the previous one, for the limit distance. Files are
     # written after it, so bad input exits 2 before any file exists.

@@ -6,8 +6,8 @@ import pytest
 
 from helpers import complex_objective, row_growth_drive, sigma_prime, zero_weights
 from resnetlab import autograd
-from resnetlab.autograd import (_backward, finite_diff_grad, grad_objective,
-                                grad_objective_with_stats,
+from resnetlab.autograd import (HessianEstimate, _backward, finite_diff_grad,
+                                grad_objective, grad_objective_with_stats,
                                 hessian_spectral_estimate, objective)
 from resnetlab.bounds import loss_upper_bound
 from resnetlab.data import Dataset
@@ -536,7 +536,74 @@ class TestLayerStats:
             assert drive[k - 1] == pytest.approx(acc / data.n, rel=1e-12)
 
 
+def allocating_hessian_estimate(data, weights, activation=TANH, *, probes):
+    """The power iteration with every product on new arrays: the allocating
+    formula whose result the in-place estimate must give bit for bit."""
+    base = weights.layers
+    scale = autograd.FD_HESSIAN_STEP * (1.0 + float(np.linalg.norm(base)))
+
+    def hvp(direction):
+        up = Weights(base + scale * direction, weights.delta)
+        down = Weights(base - scale * direction, weights.delta)
+        g_up = autograd.grad_objective(data, up, activation)
+        g_down = autograd.grad_objective(data, down, activation)
+        return (g_up.layers - g_down.layers) / (2.0 * scale)
+
+    v = np.ones_like(base)
+    v /= np.linalg.norm(v)
+    w = hvp(v)
+    lam = float(np.sum(v * w))
+    for iterations in range(1, probes + 1):
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            lam, converged = 0.0, True
+            break
+        v = w / norm_w
+        w = hvp(v)
+        lam_new = float(np.sum(v * w))
+        converged = (abs(lam_new - lam)
+                     <= autograd.HESSIAN_TOL * max(abs(lam_new), np.finfo(float).tiny))
+        lam = lam_new
+        if converged:
+            break
+    return HessianEstimate(abs(lam), iterations, converged)
+
+
 class TestHessianEstimate:
+    @pytest.mark.parametrize("case", ["converged", "budget_exhausted", "zero_weights",
+                                      "zero_hessian"])
+    def test_equals_allocating_reference(self, case, monkeypatch):
+        rng = np.random.default_rng(12)
+        probes = 40
+        if case == "zero_weights":
+            data = Dataset(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4))
+            w = zero_weights(4, 8)
+        elif case == "zero_hessian":
+            # zero inputs keep every state at zero: every product is zero
+            data = Dataset(np.zeros((2, 3)), unit_rows(rng, 2, 3))
+            w = zero_weights(3, 5)
+        else:
+            data, w = random_instance(rng, 4, 8, 3)
+            if case == "budget_exhausted":
+                probes = 3
+        points = {}
+
+        def recorded(key):
+            def grad(data, weights, *args, **kwargs):
+                points.setdefault(key, []).append(weights.layers.copy())
+                return grad_objective(data, weights, *args, **kwargs)
+            return grad
+        monkeypatch.setattr(autograd, "grad_objective", recorded("in_place"))
+        est = hessian_spectral_estimate(data, w, probes=probes)
+        monkeypatch.setattr(autograd, "grad_objective", recorded("reference"))
+        assert est == allocating_hessian_estimate(data, w, probes=probes)
+        # every gradient pass ran at the same point, so each iterate was equal
+        assert len(points["in_place"]) == len(points["reference"])
+        for a, b in zip(points["in_place"], points["reference"]):
+            assert np.array_equal(a, b)
+        assert est.converged == (case != "budget_exhausted")
+        assert (est.value == 0.0) == (case == "zero_hessian")
+
     def test_quadratic_closed_form(self, monkeypatch):
         # identity activation, L=1, delta=1: Hessian top eigenvalue is |x|^2
         x = np.array([0.6, -0.8])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import neighbour_gradient_residual, sigma_prime, zero_weights
+from resnetlab import bounds
 from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               certify_gradient_upper, certify_hessian,
@@ -266,6 +268,25 @@ class TestCertifyHessian:
         for _ in range(10):
             w = certified_draw(rng, 6, 12)
             assert not meaningful_failures(certify_hessian(data, w, 1.0))
+
+    def test_memory_fixed_in_products(self, monkeypatch):
+        # one stack is L d^2 floats: the estimate's iterate, product and
+        # perturbed stack, plus one pair of step blocks of about a stack each,
+        # however many products it takes; five (four probes) keep the traced
+        # run short
+        monkeypatch.setattr(bounds, "HESSIAN_PROBES", 4)
+        d, n, L = 20, 10, 256
+        rng = np.random.default_rng(12)
+        data = Dataset(unit_rows(rng, n, d), unit_rows(rng, n, d))
+        w = certified_draw(rng, d, L, c_alpha=0.25, frac=0.5)
+        stack = L * d * d * 8
+        tracemalloc.start()
+        try:
+            certify_hessian(data, w, 0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * stack, peak / stack
 
 
 class TestRunEnvelope:

@@ -665,6 +665,26 @@ class TestDrawPasses:
         assert calls["forward_batch_N1"] == 3
         assert calls[f"forward_batch_N{cfg.N}"] == 3
 
+    def test_memory_fixed_in_draws(self, monkeypatch):
+        # one stack is L d^2 floats. The draws share one pair of step blocks,
+        # about a stack each, and free their own arrays as they end; the pair
+        # is freed before the Hessian estimate, whose weights, iterate,
+        # product, perturbed stack and own pair of blocks make the peak. Its
+        # memory does not grow with its products; five (four probes) keep the
+        # traced run short
+        monkeypatch.setattr(bounds, "HESSIAN_PROBES", 4)
+        L = 256
+        cfg = ExperimentConfig(d=20, N=10, depths=[L], certify_draws=3)
+        data = cli._base_dataset(cfg)
+        stack = L * cfg.d * cfg.d * 8
+        tracemalloc.start()
+        try:
+            cli._random_draw_reports(cfg, data, L)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * stack, peak / stack
+
 
 class TestFailedRuns:
     # identity activation with eta0=50 overflows at every depth within T=40
@@ -1083,6 +1103,25 @@ class TestEntryPoints:
         assert err.startswith("error:") and "Traceback" not in err
         if case == "config-not-utf8":
             assert err == f"error: config {cfg} is not UTF-8\n"
+
+    def test_commands_import_only_their_modules(self, tmp_path):
+        # train and gradcheck run no certificate and no analysis, and analyze
+        # runs no certificate; one process runs the three in turn
+        cfg, run = write_config(tmp_path, T=2, gradcheck_instances=1), str(tmp_path / "run")
+        commands = [["train", "--config", cfg, "--out", run],
+                    ["gradcheck", "--config", cfg],
+                    ["analyze", "--config", cfg, "--run-dir", run,
+                     "--out", str(tmp_path / "analysis")]]
+        script = ("import json, sys; from resnetlab.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    code = main(argv)\n"
+                  "    print('loaded', code, *sorted(m for m in sys.modules if m in\n"
+                  "          ('resnetlab.analysis', 'resnetlab.bounds')))\n")
+        result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                                capture_output=True, text=True, env=src_env())
+        assert result.returncode == 0, result.stderr
+        assert [line for line in result.stdout.splitlines() if line.startswith("loaded")] == [
+            "loaded 0", "loaded 0", "loaded 0 resnetlab.analysis"]
 
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
