@@ -14,9 +14,8 @@ package, or one module of it, loads no module that is not asked for.
 import importlib
 
 _EXPORTS = {
-    "analysis": ("ScalingFit", "TotalScaling", "entry_scatter", "fit_power_law",
-                 "scaling_limit_distance", "steps_to_epsilon", "total_scaling",
-                 "two_variation"),
+    "analysis": ("ScalingFit", "entry_scatter", "fit_power_law", "scaling_limit_distance",
+                 "steps_to_epsilon", "total_scaling", "two_variation"),
     "autograd": ("Grad", "HessianEstimate", "finite_diff_grad", "grad_objective",
                  "grad_objective_with_stats", "hessian_spectral_estimate", "objective"),
     "bounds": ("BoundReport", "certify_forward", "certify_gradient_lower",

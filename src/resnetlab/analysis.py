@@ -166,23 +166,12 @@ def mean_layer_norm(weights: Weights) -> float:
     return float(np.mean(norms))
 
 
-@dataclass(frozen=True)
-class TotalScaling:
-    """Depth exponent of the final weights plus the fixed scale exponent."""
-
-    weight_fit: ScalingFit
-    alpha0: float
-
-    @property
-    def total(self) -> float:
-        return self.alpha0 + self.weight_fit.exponent
-
-
-def total_scaling(points: list[tuple[int, float]], alpha0: float) -> TotalScaling:
-    """Fit (L, mean_layer_norm) pairs ~ L**(-beta_T) and return alpha0 + beta_T."""
+def total_scaling(points: list[tuple[int, float]]) -> ScalingFit:
+    """Fit (L, mean_layer_norm) pairs ~ L**(-beta_T), over at least three
+    depths; the total scaling exponent is alpha0 + beta_T."""
     if len(points) < 3:
         raise InvalidInputError("need at least three depths")
-    return TotalScaling(fit_power_law(points), alpha0)
+    return fit_power_law(points)
 
 
 def entry_scatter(weights: Weights, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:

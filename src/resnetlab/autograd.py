@@ -95,20 +95,16 @@ def _step_views(blocks: tuple[np.ndarray, np.ndarray], weights: Weights,
 
 
 def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
-              out: np.ndarray | None = None,
-              sigma_prime: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden-state gradients G_k = M_k^T (yhat - y) for k = 0..L, stored with
-    the trace's layout: shape (L+1, N, d) for a batch, (L+1, d) for one input,
-    in ``out`` when given.
+              g: np.ndarray, sg: np.ndarray) -> None:
+    """Writes the hidden-state gradients G_k = M_k^T (yhat - y), k = 0..L,
+    into ``g``, which has the trace's layout: shape (L+1, N, d) for a batch,
+    (L+1, d) for one input.
 
-    delta sigma'(a_k) is computed into ``sigma_prime`` (preact's shape;
-    allocated when not given), whose layer k-1 then becomes
-    delta sigma'(a_k) * G_k, the factor that the layer-k gradient contracts
-    with h_{k-1}. Returns (G, it).
+    delta sigma'(a_k) is computed into ``sg`` (preact's shape), whose layer
+    k-1 then becomes delta sigma'(a_k) * G_k, the factor that the layer-k
+    gradient contracts with h_{k-1}.
     """
     L = weights.depth
-    g = np.empty_like(trace.hidden) if out is None else out
-    sg = np.empty_like(trace.preact) if sigma_prime is None else sigma_prime
     np.subtract(trace.hidden[L], ys, out=g[L])
     g_next = g[L]
     multiply, add = np.multiply, np.add
@@ -125,7 +121,6 @@ def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
             s.dot(alpha, g_prev)
             add(g_prev, g_next, g_prev)
             g_next = g_prev
-    return g, sg
 
 
 def grad_objective(data: "Dataset", weights: Weights,
@@ -134,8 +129,8 @@ def grad_objective(data: "Dataset", weights: Weights,
                    blocks: tuple[np.ndarray, np.ndarray] | None = None) -> Grad:
     """Exact gradient of the objective with respect to every layer (and delta).
 
-    ``blocks`` is passed to ``grad_objective_with_stats``; with it the
-    returned layers are a view of the second block.
+    ``blocks`` is passed to ``grad_objective_with_stats``; the returned
+    layers are a view of the second block.
     """
     grads, dgrad, _ = grad_objective_with_stats(data, weights, activation,
                                                 delta_trainable, blocks)
@@ -153,35 +148,32 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
     to get the step's loss from the forward pass that produced the gradient.
 
     ``blocks`` is an optional pair of flat float64 arrays of
-    ``step_block_size(L, N, d)`` entries each. The first holds the hidden
-    states and delta sigma', the second the preactivations and G, and then the
-    returned layer gradients, which are a view of its start. Without it every
-    array is allocated. Where delta is a power of two the results equal
-    those of the h-space formulas (delta applied per layer in the forward
-    and the G recursion, delta/n in the gradient) bit for bit.
+    ``step_block_size(L, N, d)`` entries each; without it a pair is allocated
+    for the call. The first holds the hidden states and delta sigma', the
+    second the preactivations and G, and then the returned layer gradients,
+    which are a view of its start. Where delta is a power of two the results
+    equal those of the h-space formulas (delta applied per layer in the
+    forward and the G recursion, delta/n in the gradient) bit for bit.
     """
     if blocks is None:
-        trace = forward_batch(data.xs, weights, activation)
-        sg_out = g_out = grads_out = None
-    else:
-        hidden, preact, sg_out, g_out, grads_out = _step_views(blocks, weights, data)
-        trace = forward_batch(data.xs, weights, activation, hidden, preact)
+        size = step_block_size(weights.depth, len(data.xs), weights.width)
+        blocks = (np.empty(size), np.empty(size))
+    hidden, preact, sg, g, grads = _step_views(blocks, weights, data)
+    trace = forward_batch(data.xs, weights, activation, hidden, preact)
     value = _mean_squared(trace.output, data.ys)
-    g, sg = _backward(trace, weights, data.ys, g_out, sg_out)
+    _backward(trace, weights, data.ys, g, sg)
     n = data.ys.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         dgrad = 0.0
         if delta_trainable:
             # sigma' was taken from preact in _backward, so preact is free to
             # hold sigma(a_k), then G_k * sigma(a_k)
-            s_val = activation.value(trace.preact, out=trace.preact)
+            s_val = activation.value(preact, out=preact)
             dgrad = float(np.sum(np.multiply(g[1:], s_val, out=s_val))) / n
         # grad_k = 1/n * sum_i (delta sigma'(a_k) * G_k)_i h_{k-1,i}^T, all k
-        # at once, from the product _backward returned. G and preact go
-        # before the (L, d, d) stack is allocated or written over them.
-        h_prev = trace.hidden[:-1]
-        del trace, g
-        grads = np.matmul(sg.transpose(0, 2, 1), h_prev, out=grads_out)
+        # at once, from the product _backward left in sg; the stack overlays
+        # preact and G, which are no longer read
+        np.matmul(sg.transpose(0, 2, 1), hidden[:-1], out=grads)
         grads *= 1.0 / n
     return grads, dgrad, value
 

@@ -30,7 +30,7 @@ from .autograd import (finite_diff_grad, grad_objective,
                        grad_objective_with_stats, step_block_size)
 from .data import (AssumptionParams, Dataset, gaussian_init_std, init_certified,
                    init_gaussian, near_init_targets, sample_sphere_dataset,
-                   save_dataset, write_csv)
+                   save_dataset, write_csv, write_json)
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import (NetworkConfig, Weights, activation_by_name, forward,
                       load_weights, save_weights)
@@ -195,12 +195,6 @@ def _depth_dataset(cfg: ExperimentConfig, base: Dataset, w0: Weights,
     return Dataset(base.xs, ys)
 
 
-def _write_config(cfg: ExperimentConfig, out_dir: str) -> None:
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(asdict(cfg), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def cmd_dataset(cfg: ExperimentConfig, out_dir: str) -> int:
     data = _base_dataset(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -232,7 +226,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> int:
     base = _base_dataset(cfg)
     w0 = _init_weights(cfg, cfg.depths[0])
     os.makedirs(out_dir, exist_ok=True)
-    _write_config(cfg, out_dir)
+    write_json(os.path.join(out_dir, "config.json"), asdict(cfg))
     save_dataset(base, os.path.join(out_dir, "dataset.csv"), cfg.seed, cfg.c0)
 
     logs = [_train_one_depth(cfg, base, w0, out_dir)]
@@ -253,7 +247,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
                          depth: int) -> list[bounds.BoundReport]:
-    """Randomized certification sweep at |A_k|_F <= c_alpha L^-1/2, c_alpha=c0.
+    """Randomized certification sweep at |A_k|_F <= c_alpha L^-1/2, c_alpha=c0,
+    and at the delta_L = L^-1/2 that the draw certificates assume, whatever
+    ``alpha0`` is.
 
     The draws share one pair of step blocks, and each draw's arrays are freed
     when its rows are built, so the sweep holds a fixed number of
@@ -264,7 +260,7 @@ def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
 
     act = activation_by_name(cfg.activation)
     rng = np.random.default_rng(_depth_seed(cfg.seed, depth, salt=2))
-    delta = NetworkConfig(cfg.d, depth, cfg.alpha0).delta
+    delta = NetworkConfig(cfg.d, depth).delta
     cap = cfg.c0 * depth ** (-0.5)
     size = step_block_size(depth, data.n, cfg.d)
     blocks = (np.empty(size), np.empty(size))
@@ -431,17 +427,14 @@ def cmd_analyze(cfg: ExperimentConfig, run_dir: str, out_dir: str) -> int:
             if all(v > 0 for v in columns[key]):
                 fits[key] = asdict(analysis.fit_power_law(zip(columns["L"], columns[key])))
     if len(fit_rows) >= 3 and all(v > 0 for v in columns["mean_weight_norm"]):
-        ts = analysis.total_scaling(list(zip(columns["L"], columns["mean_weight_norm"])),
-                                    cfg.alpha0)
-        fits["weight_norm"] = asdict(ts.weight_fit)
-        fits["total_scaling"] = ts.total
+        fit = analysis.total_scaling(list(zip(columns["L"], columns["mean_weight_norm"])))
+        fits["weight_norm"] = asdict(fit)
+        fits["total_scaling"] = cfg.alpha0 + fit.exponent
 
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "steps_to_eps.csv"), ["eps", "t_first"], hits)
     write_csv(os.path.join(out_dir, "fit_inputs.csv"), header, fit_rows)
-    with open(os.path.join(out_dir, "scaling_fits.json"), "w") as fh:
-        json.dump(fits, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "scaling_fits.json"), fits)
     write_csv(os.path.join(out_dir, "two_variation.csv"), ["L", "two_variation_dyadic"],
               two_var)
     if distances:

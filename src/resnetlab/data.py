@@ -197,6 +197,14 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def write_json(path, obj) -> None:
+    """The one JSON file writer of the package: ``obj`` with sorted keys and
+    two-space indents, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def save_dataset(data: Dataset, csv_path, seed: int, c0: float) -> None:
     """CSV of components plus a JSON sidecar with {N, d, seed, separation, c0};
     ``seed`` and ``c0`` are those of the config that drew the data."""
@@ -206,11 +214,8 @@ def save_dataset(data: Dataset, csv_path, seed: int, c0: float) -> None:
         rows += [(i, "x", j, value) for j, value in enumerate(x)]
         rows += [(i, "y", j, value) for j, value in enumerate(y)]
     write_csv(csv_path, ["i", "kind", "component", "value"], rows)
-    meta = {"N": data.n, "d": data.dim, "seed": seed,
-            "separation": data.separation, "c0": c0}
-    with open(_sidecar_path(csv_path), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(_sidecar_path(csv_path), {"N": data.n, "d": data.dim, "seed": seed,
+                                         "separation": data.separation, "c0": c0})
 
 
 def _sidecar_path(csv_path: str) -> str:

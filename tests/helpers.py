@@ -25,7 +25,8 @@ def row_growth_drive(data, weights, activation=TANH):
     """Per layer, the mean over the samples of |h_{k-1}|^2 |G_k|_inf^2: the
     drive term of the paper's one-step growth bound for the row norms."""
     trace = forward_batch(data.xs, weights, activation)
-    g, _ = _backward(trace, weights, data.ys)
+    g = np.empty_like(trace.hidden)
+    _backward(trace, weights, data.ys, g, np.empty_like(trace.preact))
     return np.mean(np.sum(trace.hidden[:-1] ** 2, axis=2)
                    * np.max(np.abs(g[1:]), axis=2) ** 2, axis=1)
 

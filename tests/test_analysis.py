@@ -183,13 +183,13 @@ class TestTotalScaling:
         points = [(L, mean_layer_norm(Weights(np.tile(core * L ** -alpha0, (L, 1, 1)),
                                               L ** -alpha0)))
                   for L in (8, 16, 32, 64)]
-        result = total_scaling(points, alpha0)
-        assert result.weight_fit.exponent == pytest.approx(alpha0, abs=1e-12)
-        assert result.total == pytest.approx(2 * alpha0, abs=1e-12)
+        fit = total_scaling(points)
+        assert fit.exponent == pytest.approx(alpha0, abs=1e-12)
+        assert alpha0 + fit.exponent == pytest.approx(2 * alpha0, abs=1e-12)
 
     def test_requires_three_depths(self):
         with pytest.raises(InvalidInputError):
-            total_scaling([(8, 1.0), (16, 0.5)], 0.5)
+            total_scaling([(8, 1.0), (16, 0.5)])
 
 
 def size(label, d):

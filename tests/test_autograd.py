@@ -205,13 +205,11 @@ class TestInPlaceStep:
         data, w = random_instance(rng, 5, 9, 3)
         ref = reference_grad_objective(data, w)
         trace = forward_batch(data.xs, w)
-        buffer = np.full_like(trace.preact, np.nan)
-        g, sg = _backward(trace, w, data.ys, sigma_prime=buffer)
-        assert sg is buffer
+        g = np.full_like(trace.hidden, np.nan)
+        sg = np.full_like(trace.preact, np.nan)
+        _backward(trace, w, data.ys, g, sg)
         assert np.array_equal(g, ref["g"])
         assert np.array_equal(sg, ref["sigma_g"])
-        g_alloc, sg_alloc = _backward(trace, w, data.ys)
-        assert np.array_equal(g_alloc, g) and np.array_equal(sg_alloc, sg)
 
     def test_sigma_prime_computed_on_demand(self):
         # only the backward pass computes sigma', once per gradient
@@ -232,9 +230,9 @@ class TestInPlaceStep:
         assert calls == [(4, 2, 3)]
 
     def test_memory_is_trace_g_and_gradient_stack(self):
-        # hidden, preact, sigma' and G are the most whole-trace arrays alive at
-        # once; the (L, d, d) gradient stack (two trace-sized arrays at N = d/2)
-        # comes after preact and G are dropped
+        # the pass runs in the pair of step blocks it allocates: hidden and
+        # sigma' in one, preact and G in the other, and the (L, d, d) gradient
+        # stack (two trace-sized arrays at N = d/2) over preact and G
         d, n, L = 20, 10, 1024
         rng = np.random.default_rng(43)
         data, w = random_instance(rng, d, L, n)
@@ -503,7 +501,9 @@ class TestBackwardTrace:
         # column i of the stored G_k is M_k^T (yhat_i - y_i) for sample i
         rng = np.random.default_rng(10)
         data, w = random_instance(rng, 4, 7, 3)
-        g, _ = _backward(forward_batch(data.xs, w), w, data.ys)
+        trace = forward_batch(data.xs, w)
+        g = np.empty_like(trace.hidden)
+        _backward(trace, w, data.ys, g, np.empty_like(trace.preact))
         assert g.shape == (8, 3, 4)
         for i, (x, y) in enumerate(zip(data.xs, data.ys)):
             trace = forward(x, w, TANH)
@@ -517,7 +517,8 @@ class TestBackwardTrace:
         rng = np.random.default_rng(14)
         data, w = random_instance(rng, 3, 4, 2)
         trace = forward_batch(data.xs, w)
-        g, _ = _backward(trace, w, data.ys)
+        g = np.empty_like(trace.hidden)
+        _backward(trace, w, data.ys, g, np.empty_like(trace.preact))
         assert np.array_equal(g[-1], trace.output - data.ys)
 
 

@@ -522,6 +522,21 @@ class TestCertifyCommand:
         envelope = [r for r in rows if r["name"] == "envelope_loss"]
         assert envelope and not envelope[0]["applicable"]
 
+    def test_draws_use_theorem_delta_whatever_alpha0(self, tmp_path, capsys):
+        # at alpha0 = 0 the trained networks have delta = 1, but the draw
+        # certificates assume delta_L = L^-1/2; drawn at delta = 1, a
+        # gradient_upper row failed on a premise no row checks
+        config = {"d": 3, "N": 2, "depths": [4, 8, 16], "T": 3, "alpha0": 0.0,
+                  "certify_draws": 1}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rows = load_reports_jsonl(out / "bounds.jsonl")
+        assert not [r["name"] for r in rows if r["applicable"] and not r["vacuous"]
+                    and not r["hypothesis"] and not r["pass"]]
+        assert "FAIL" not in capsys.readouterr().err
+
     def test_run_dir_mode(self, tmp_path):
         cfg = write_config(tmp_path, depths=[4], T=4)
         run_dir = tmp_path / "run"
@@ -814,6 +829,8 @@ class TestAnalyzeCommand:
                      "--out", str(out)]) == EXIT_OK
         fits = json.loads((out / "scaling_fits.json").read_text())
         assert {"fbar0", "delta_final", "weight_norm", "total_scaling"} <= set(fits)
+        # alpha0 plus the weight-norm exponent
+        assert fits["total_scaling"] == 0.5 + fits["weight_norm"]["exponent"]
         assert (out / "steps_to_eps.csv").exists()
         assert (out / "two_variation.csv").exists()
         assert (out / "limit_distances.csv").exists()

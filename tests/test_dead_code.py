@@ -1,8 +1,9 @@
 """Every public top-level function, class and constant of ``resnetlab`` has a
 caller in ``src/``, every defaulted parameter of a public function is passed
-by some call there and left out by some call in ``src/`` or ``tests/``, and
-every field of a class is read there: code, options and values that only
-tests reach belong with the tests."""
+by some call there and left out by some call in ``src/`` or ``tests/``, every
+defaulted parameter of a private function is left out by some call in
+``src/``, and every field of a class is read there: code, options and values
+that only tests reach belong with the tests."""
 
 import ast
 import dataclasses
@@ -79,11 +80,12 @@ ALLOWED_DEFAULTS = {
 }
 
 
-def optional_parameters(tree):
+def optional_parameters(tree, private=False):
     """(function, parameter, position or None) for each defaulted parameter of
-    a public top-level function; keyword-only parameters have no position."""
+    a public (or, with ``private``, a private) top-level function;
+    keyword-only parameters have no position."""
     for node in tree.body:
-        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") != private:
             continue
         args = node.args
         positional = args.posonlyargs + args.args
@@ -132,6 +134,21 @@ def test_every_default_is_overridden_somewhere():
                        f"(make them constants): {never}")
 
 
+def explicit_calls(trees):
+    """Every call in ``trees`` without ``*args`` or ``**kwargs``, whose
+    passed parameters are known from the source."""
+    return [node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and not any(isinstance(a, ast.Starred) for a in node.args)
+            and all(kw.arg is not None for kw in node.keywords)]
+
+
+def omits(call, param, position):
+    """Whether ``call`` leaves the parameter to its default."""
+    return ((position is None or len(call.args) <= position)
+            and all(kw.arg != param for kw in call.keywords))
+
+
 def test_every_default_is_omitted_somewhere():
     """A default that every call overrides is never used, so the parameter
     should be required. Calls with ``*args`` or ``**kwargs`` are skipped,
@@ -139,18 +156,30 @@ def test_every_default_is_omitted_somewhere():
     trees = modules().values()
     test_trees = [ast.parse(path.read_text(), str(path))
                   for path in sorted(TESTS.glob("*.py"))]
-    calls = [node for tree in (*trees, *test_trees) for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and not any(isinstance(a, ast.Starred) for a in node.args)
-             and all(kw.arg is not None for kw in node.keywords)]
+    calls = explicit_calls([*trees, *test_trees])
     always = [f"{func}.{param}" for tree in trees
               for func, param, position in optional_parameters(tree)
-              if not any(called_name(call) == func
-                         and (position is None or len(call.args) <= position)
-                         and all(kw.arg != param for kw in call.keywords)
+              if not any(called_name(call) == func and omits(call, param, position)
                          for call in calls)]
     assert not always, (f"defaulted parameters that every call in src/ and tests/ "
                         f"passes (make them required): {always}")
+
+
+def test_private_defaults_are_used_in_src():
+    """A private function's default that every call in ``src/`` overrides
+    serves only the tests, so the parameter should be required. Private
+    functions that ``src/`` calls by no name, only passes as values, are
+    skipped."""
+    trees = modules().values()
+    calls = explicit_calls(trees)
+    test_only = []
+    for tree in trees:
+        for func, param, position in optional_parameters(tree, private=True):
+            own = [call for call in calls if called_name(call) == func]
+            if own and not any(omits(call, param, position) for call in own):
+                test_only.append(f"{func}.{param}")
+    assert not test_only, (f"defaulted parameters of private functions that every "
+                           f"call in src/ passes (make them required): {test_only}")
 
 
 def test_default_allowlist_is_current():
@@ -219,6 +248,18 @@ def test_csv_is_written_only_by_data():
                or (isinstance(node, ast.ImportFrom) and node.module == "csv"
                    and any(a.name in ("writer", "DictWriter") for a in node.names))]
     assert not writers, f"csv writers outside data.py: {writers}"
+
+
+def test_json_is_written_only_by_data():
+    """``data.write_json`` is the one owner of the JSON file format;
+    ``json.dumps`` of single lines, as in ``bounds.jsonl``, is not a file."""
+    writers = [f"{mod}:{node.lineno}" for mod, tree in modules().items() if mod != "data"
+               for node in ast.walk(tree)
+               if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "json" and node.attr == "dump")
+               or (isinstance(node, ast.ImportFrom) and node.module == "json"
+                   and any(a.name == "dump" for a in node.names))]
+    assert not writers, f"json.dump outside data.py: {writers}"
 
 
 def test_runlog_fields_are_the_columns():
