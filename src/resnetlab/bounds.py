@@ -15,7 +15,9 @@ The certifiers of one weight draw take the draw's evaluation from the
 caller, so a draw costs one gradient pass however many bounds read it:
 ``value`` is the objective and ``grads`` the (L, d, d) layer gradients, both
 from one ``grad_objective_with_stats`` pass, and ``norms`` is
-``weight_norms(weights)``.
+``weight_norms(weights)``. That caller is ``certify_draws``, which draws each
+random weight stack, evaluates it once and hands the evaluation to every
+certifier of the draw.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import hessian_spectral_estimate, objective
+from .autograd import (grad_objective_with_stats, hessian_spectral_estimate,
+                       objective, step_block_size)
 from .data import (UNIT_NORM_TOL, AssumptionParams, Dataset, initial_loss_cap,
                    initial_row_norm_cap, separation_threshold)
 from .errors import InvalidInputError, NumericalOverflowError
-from .network import TANH, Activation, ForwardTrace, Weights, jacobian_stack
+from .network import (TANH, Activation, ForwardTrace, Weights, forward,
+                      jacobian_stack)
 from .training import RunLog, Schedule, WeightNorms, harmonic_number, weight_norms
 
 REL_TOL_EXACT = 1e-9
@@ -370,6 +374,56 @@ def certify_hessian(data: Dataset, weights: Weights, c_alpha: float,
         REL_TOL_HESSIAN, applicable=applicable,
         context={"c_alpha": c_alpha, "converged": est.converged,
                  "iterations": est.iterations}))
+    return reports
+
+
+def _at_cap(layers: np.ndarray, radius: float, params: AssumptionParams) -> Weights:
+    """``layers`` with every layer scaled to Frobenius norm radius c0 L^-1/2,
+    at the delta_L = L^-1/2 that the draw certificates assume."""
+    delta = params.L ** (-0.5)
+    cap = params.c0 * delta
+    layers *= radius * cap / np.linalg.norm(layers, axis=(1, 2), keepdims=True)
+    return Weights(layers, delta)
+
+
+def certify_draws(data: Dataset, params: AssumptionParams, rng: np.random.Generator,
+                  draws: int, activation: Activation) -> list[BoundReport]:
+    """The draw certificates on ``draws`` random stacks with |A_k|_F = u c0 L^-1/2,
+    u ~ U(0.1, 1), then the Hessian certificate on one more at u = 1/2; every
+    stack has delta_L = L^-1/2, the premise of these certificates.
+
+    Each draw is evaluated once, at a random unit input x: its forward trace,
+    one gradient pass and its weight norms, which all four certifiers read;
+    its rows carry the context ``draw``. The draws share one pair of step
+    blocks, and each draw's arrays are freed when its rows are built, so the
+    sweep holds a fixed number of weight-sized arrays however many draws it
+    makes. The pair is freed before the Hessian estimate allocates its own.
+    """
+    shape = (params.L, params.d, params.d)
+    size = step_block_size(params.L, data.n, params.d)
+    blocks = (np.empty(size), np.empty(size))
+
+    def draw_reports(draw: int) -> list[BoundReport]:
+        w = _at_cap(rng.standard_normal(shape), rng.uniform(0.1, 1.0), params)
+        x = rng.standard_normal(params.d)
+        x /= np.linalg.norm(x)
+        trace = forward(x, w, activation)
+        grads, _, value = grad_objective_with_stats(data, w, activation, blocks=blocks)
+        norms = weight_norms(w)
+        batch = [
+            *certify_forward(trace, w, norms, params.c0),
+            *certify_loss_bound(w, value, norms, params.c0),
+            *certify_gradient_upper(w, value, grads, norms, params.c0),
+            *certify_gradient_lower(data, w, value, grads, norms, params),
+        ]
+        for r in batch:
+            r.context["draw"] = draw
+        return batch
+
+    reports = [r for draw in range(draws) for r in draw_reports(draw)]
+    del blocks
+    reports.extend(certify_hessian(data, _at_cap(rng.standard_normal(shape), 0.5, params),
+                                   params.c0, activation))
     return reports
 
 

@@ -26,16 +26,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autograd import (finite_diff_grad, grad_objective,
-                       grad_objective_with_stats, step_block_size)
+from .autograd import finite_diff_grad, grad_objective
 from .data import (AssumptionParams, Dataset, gaussian_init_std, init_certified,
                    init_gaussian, near_init_targets, sample_sphere_dataset,
                    save_dataset, write_csv, write_json)
 from .errors import InvalidInputError, NumericalOverflowError
-from .network import (NetworkConfig, Weights, activation_by_name, forward,
-                      load_weights, save_weights)
+from .network import (NetworkConfig, Weights, activation_by_name, load_weights,
+                      save_weights)
 from .training import (RunLog, Schedule, load_runlog, save_layer_gaps,
-                       save_runlog, train, weight_norms)
+                       save_runlog, train)
 
 if TYPE_CHECKING:  # pragma: no cover
     # imported where they run, so that a command loads only its own modules
@@ -245,66 +244,6 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> int:
     return status
 
 
-def _random_draw_reports(cfg: ExperimentConfig, data: Dataset,
-                         depth: int) -> list[bounds.BoundReport]:
-    """Randomized certification sweep at |A_k|_F <= c_alpha L^-1/2, c_alpha=c0,
-    and at the delta_L = L^-1/2 that the draw certificates assume, whatever
-    ``alpha0`` is.
-
-    The draws share one pair of step blocks, and each draw's arrays are freed
-    when its rows are built, so the sweep holds a fixed number of
-    weight-sized arrays however many draws it makes. The pair is freed
-    before the Hessian estimate allocates its own.
-    """
-    from . import bounds
-
-    act = activation_by_name(cfg.activation)
-    rng = np.random.default_rng(_depth_seed(cfg.seed, depth, salt=2))
-    delta = NetworkConfig(cfg.d, depth).delta
-    cap = cfg.c0 * depth ** (-0.5)
-    size = step_block_size(depth, data.n, cfg.d)
-    blocks = (np.empty(size), np.empty(size))
-
-    def draw_reports(draw: int) -> list[bounds.BoundReport]:
-        # the squares of the norms use the trace block, which is free before
-        # and after the gradient pass
-        scratch = blocks[0][:depth * cfg.d * cfg.d].reshape(depth, cfg.d, cfg.d)
-        layers = rng.standard_normal((depth, cfg.d, cfg.d))
-        # np.linalg.norm(layers, axis=(1, 2), keepdims=True) by its own operations
-        norms = np.sqrt(np.add.reduce(np.square(layers, out=scratch), (1, 2),
-                                      keepdims=True))
-        layers *= rng.uniform(0.1, 1.0) * cap / norms
-        w = Weights(layers, delta)
-        x = rng.standard_normal(cfg.d)
-        x /= np.linalg.norm(x)
-        trace = forward(x, w, act)
-        grads, _, value = grad_objective_with_stats(data, w, act, blocks=blocks)
-        norms = weight_norms(w, scratch)
-        batch = [
-            *bounds.certify_forward(trace, w, norms, cfg.c0),
-            *bounds.certify_loss_bound(w, value, norms, cfg.c0),
-            *bounds.certify_gradient_upper(w, value, grads, norms, cfg.c0),
-            *bounds.certify_gradient_lower(data, w, value, grads, norms,
-                                           _params(cfg, depth)),
-        ]
-        for r in batch:
-            r.context["draw"] = draw
-        return batch
-
-    reports = [r for draw in range(cfg.certify_draws) for r in draw_reports(draw)]
-    del blocks
-    reports.extend(bounds.certify_hessian(
-        data, _draw_certified_weights(rng, cfg, depth, delta, cap), cfg.c0, act))
-    return reports
-
-
-def _draw_certified_weights(rng, cfg: ExperimentConfig, depth: int,
-                            delta: float, cap: float) -> Weights:
-    layers = rng.standard_normal((depth, cfg.d, cfg.d))
-    layers *= 0.5 * cap / np.linalg.norm(layers, axis=(1, 2), keepdims=True)
-    return Weights(layers, delta)
-
-
 def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int:
     from . import bounds
 
@@ -326,7 +265,9 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
             data, w0, log, _params(cfg, depth), sched, cfg.T, act))
         del w0, log  # the draws hold only their own stacks
         if depth == cfg.depths[-1]:
-            all_reports.extend(_random_draw_reports(cfg, data, depth))
+            rng = np.random.default_rng(_depth_seed(cfg.seed, depth, salt=2))
+            all_reports.extend(bounds.certify_draws(data, _params(cfg, depth), rng,
+                                                    cfg.certify_draws, act))
 
     os.makedirs(out_dir, exist_ok=True)
     bounds.write_reports_jsonl(all_reports, os.path.join(out_dir, "bounds.jsonl"))
@@ -511,9 +452,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_certify(cfg, out_dir, args.run_dir)
         if args.command == "analyze":
             return cmd_analyze(cfg, args.run_dir, out_dir)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg)
-        raise InvalidInputError(f"unknown command {args.command!r}")
+        return cmd_gradcheck(cfg)
     except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

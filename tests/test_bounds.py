@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import neighbour_gradient_residual, sigma_prime, zero_weights
-from resnetlab import bounds
+from resnetlab import autograd, bounds, network
 from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               certify_gradient_upper, certify_hessian,
@@ -417,6 +418,84 @@ class TestRunEnvelope:
             math.exp(-0.5) / 64, rel=1e-12)
         assert envelope_drift(params) == pytest.approx(
             34 * 16 * 0.25 ** 4 * math.exp(1.6), rel=1e-12)
+
+
+def draw_sweep(d, N, L, draws):
+    params = AssumptionParams(0.25, N, d, L)
+    data = sample_sphere_dataset(N, d, 0, params, enforce_separation=False)
+    return bounds.certify_draws(data, params, np.random.default_rng(2), draws, TANH)
+
+
+def sweep_peak_stacks(d, N, L, draws):
+    """Traced peak of one sweep, in (L, d, d) float64 stacks."""
+    tracemalloc.start()
+    try:
+        draw_sweep(d, N, L, draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (L * d * d * 8)
+
+
+class TestDrawPasses:
+    def test_one_gradient_pass_per_draw(self, monkeypatch):
+        # every binding of the three pass functions in the modules on the path
+        d, N, L = 4, 3, 8
+        calls = collections.Counter()
+        in_hessian = False
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                if not in_hessian:
+                    key = name
+                    if name == "forward_batch":
+                        key = f"forward_batch_N{np.shape(args[0])[0]}"
+                    calls[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (bounds, autograd, network):
+            for name in ("grad_objective_with_stats", "objective", "forward_batch"):
+                if hasattr(module, name):
+                    count(module, name)
+        real_hessian = bounds.certify_hessian
+
+        def hessian(*args, **kwargs):
+            # its power iteration is counted by the autograd tests
+            nonlocal in_hessian
+            in_hessian = True
+            try:
+                return real_hessian(*args, **kwargs)
+            finally:
+                in_hessian = False
+        monkeypatch.setattr(bounds, "certify_hessian", hessian)
+
+        reports = draw_sweep(d, N, L, 3)
+        assert {r.context.get("draw") for r in reports} >= {0, 1, 2}
+        assert calls["grad_objective_with_stats"] == 3
+        assert calls["objective"] == 0
+        assert calls["forward_batch_N1"] == 3
+        assert calls[f"forward_batch_N{N}"] == 3
+
+    def test_memory_fixed_in_draws(self, monkeypatch):
+        # one stack is L d^2 floats. The draws share one pair of step blocks,
+        # about a stack each, and free their own arrays as they end; the pair
+        # is freed before the Hessian estimate, whose weights, iterate,
+        # product, perturbed stack and own pair of blocks make the peak. Its
+        # memory does not grow with its products; five (four probes) keep the
+        # traced run short
+        monkeypatch.setattr(bounds, "HESSIAN_PROBES", 4)
+        peak = sweep_peak_stacks(20, 10, 256, 3)
+        assert peak <= 6.5, peak
+
+    def test_memory_fixed_in_draw_phase(self, monkeypatch):
+        # the draws alone: the pair of step blocks, the draw's weights and
+        # the Jacobian stack with its step stack, which set this phase's peak
+        monkeypatch.setattr(bounds, "certify_hessian", lambda *args: [])
+        peak = sweep_peak_stacks(20, 10, 256, 3)
+        assert peak <= 5.5, peak
 
 
 class TestCertifierPurity:

@@ -1,4 +1,3 @@
-import collections
 import csv
 import json
 import math
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (entry_scatter_oracle, mean_layer_norm_oracle,
                      scaling_limit_distance_oracle, two_variation_oracle)
-from resnetlab import autograd, bounds, cli, network
+from resnetlab import bounds, cli
 from resnetlab.bounds import load_reports_jsonl
 from resnetlab.cli import (EXIT_BOUND_FAILURE, EXIT_INPUT_ERROR, EXIT_OK,
                            EXIT_OVERFLOW, ExperimentConfig, load_config, main)
@@ -537,6 +536,27 @@ class TestCertifyCommand:
                     and not r["hypothesis"] and not r["pass"]]
         assert "FAIL" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha0", [0.0, 0.5])
+    def test_draws_meet_weight_scale_premise(self, tmp_path, monkeypatch, alpha0):
+        # every draw is scaled to at most c0 L^-1/2, so the weight-scale
+        # premise holds by construction, whatever alpha0 the runs use
+        swept = []
+        real = bounds.certify_draws
+
+        def spy(*args):
+            swept.extend(real(*args))
+            return swept
+        monkeypatch.setattr(bounds, "certify_draws", spy)
+        cfg = write_config(tmp_path, d=3, N=2, depths=[4, 8], T=3, alpha0=alpha0,
+                           certify_draws=10)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(swept) == 18 * 10 + 3
+        scale = [r for r in swept if r.name == "hyp_weight_scale"]
+        assert len(scale) == 4 * 10 + 1
+        assert all(r.passed and r.observed <= r.bound for r in scale)
+        # the Hessian's stack has every layer at half the cap
+        assert scale[-1].observed == pytest.approx(0.5 * scale[-1].bound, rel=1e-12)
+
     def test_run_dir_mode(self, tmp_path):
         cfg = write_config(tmp_path, depths=[4], T=4)
         run_dir = tmp_path / "run"
@@ -635,70 +655,6 @@ class TestCertifyCommand:
             argv += ["--run-dir", str(run_dir)]
         assert main(argv) == EXIT_OK
         assert calls == [2, 4, 8]
-
-
-class TestDrawPasses:
-    def test_one_gradient_pass_per_draw(self, monkeypatch):
-        # every binding of the three pass functions in the modules on the path
-        cfg = ExperimentConfig(d=4, N=3, depths=[8], certify_draws=3)
-        data = cli._base_dataset(cfg)
-        calls = collections.Counter()
-        in_hessian = False
-
-        def count(module, name):
-            real = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                if not in_hessian:
-                    key = name
-                    if name == "forward_batch":
-                        key = f"forward_batch_N{np.shape(args[0])[0]}"
-                    calls[key] += 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
-
-        for module in (cli, bounds, autograd, network):
-            for name in ("grad_objective_with_stats", "objective", "forward_batch"):
-                if hasattr(module, name):
-                    count(module, name)
-        real_hessian = bounds.certify_hessian
-
-        def hessian(*args, **kwargs):
-            # its power iteration is counted by the autograd tests
-            nonlocal in_hessian
-            in_hessian = True
-            try:
-                return real_hessian(*args, **kwargs)
-            finally:
-                in_hessian = False
-        monkeypatch.setattr(bounds, "certify_hessian", hessian)
-
-        reports = cli._random_draw_reports(cfg, data, 8)
-        assert {r.context.get("draw") for r in reports} >= {0, 1, 2}
-        assert calls["grad_objective_with_stats"] == 3
-        assert calls["objective"] == 0
-        assert calls["forward_batch_N1"] == 3
-        assert calls[f"forward_batch_N{cfg.N}"] == 3
-
-    def test_memory_fixed_in_draws(self, monkeypatch):
-        # one stack is L d^2 floats. The draws share one pair of step blocks,
-        # about a stack each, and free their own arrays as they end; the pair
-        # is freed before the Hessian estimate, whose weights, iterate,
-        # product, perturbed stack and own pair of blocks make the peak. Its
-        # memory does not grow with its products; five (four probes) keep the
-        # traced run short
-        monkeypatch.setattr(bounds, "HESSIAN_PROBES", 4)
-        L = 256
-        cfg = ExperimentConfig(d=20, N=10, depths=[L], certify_draws=3)
-        data = cli._base_dataset(cfg)
-        stack = L * cfg.d * cfg.d * 8
-        tracemalloc.start()
-        try:
-            cli._random_draw_reports(cfg, data, L)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6.5 * stack, peak / stack
 
 
 class TestFailedRuns:

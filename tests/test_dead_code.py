@@ -299,3 +299,19 @@ def test_chunk_budget_has_two_readers():
                and any(used in ("CHUNK_BYTES", "network.CHUNK_BYTES")
                        for used, _ in uses(node))}
     assert readers == {"network.forward_batch", "analysis._path_rows"}
+
+
+def readers_of(name, home):
+    """Modules of src/ that read ``name``, bare or as ``home.name``."""
+    return {mod for mod, tree in modules().items()
+            if any(used in (name, f"{home}.{name}") for used, _ in uses(tree))}
+
+
+def test_certifiers_and_step_blocks_have_their_readers():
+    """The draw and Hessian certificates run only inside ``bounds``, through
+    ``certify_draws``, and step blocks are sized only where a gradient pass
+    runs in them."""
+    for name in ("certify_forward", "certify_loss_bound", "certify_gradient_upper",
+                 "certify_gradient_lower", "certify_hessian"):
+        assert readers_of(name, "bounds") == {"bounds"}, name
+    assert readers_of("step_block_size", "autograd") == {"autograd", "training", "bounds"}
