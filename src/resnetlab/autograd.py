@@ -8,7 +8,11 @@ hidden-state gradients G_k obey
 and the layer-k gradient of the per-sample loss is
 (delta sigma'(a_k) * G_k) h_{k-1}^T. delta sigma' is formed once over the
 whole trace, so neither the recursion nor the gradient contraction multiplies
-by delta layer by layer. Finite differences of the objective
+by delta layer by layer. The recursion reads each G_k once, so with delta
+frozen it keeps two rows of G, not all L+1, and writes delta sigma' over the
+preactivations; the contraction (``Adjoint.layer_grads``) forms any slice of
+layers, so a caller such as training's update need not hold the whole
+(L, d, d) gradient stack. Finite differences of the objective
 serve as the independent check on all of this. The gradient oracle takes
 the unperturbed prefix h_{k-1} from one ``forward_batch`` call, shares it
 among every perturbation of layer k, and runs the perturbed copies through
@@ -20,6 +24,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -38,16 +43,16 @@ HESSIAN_TOL = 1e-6  # relative change of the Rayleigh quotient that stops the it
 
 def objective(data: "Dataset", weights: Weights,
               activation: Activation = TANH,
-              blocks: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+              blocks: tuple[np.ndarray, np.ndarray | None] | None = None) -> float:
     """Mean over the training set of the per-sample loss |yhat - y|^2 / 2.
 
-    With ``blocks`` (see ``grad_objective_with_stats``) the forward trace is
-    written into them instead of new arrays.
+    With ``blocks`` (see ``_step_views``) the forward trace is written into
+    the first block instead of new arrays; the second is not read.
     """
     if blocks is None:
         trace = forward_batch(data.xs, weights, activation)
     else:
-        hidden, preact, _, _, _ = _step_views(blocks, weights, data)
+        hidden, preact, _, _ = _step_views(blocks, weights, data)
         trace = forward_batch(data.xs, weights, activation, hidden, preact)
     return _mean_squared(trace.output, data.ys)
 
@@ -78,35 +83,51 @@ def step_block_size(depth: int, n: int, width: int) -> int:
     return max((2 * depth + 1) * n * width, depth * width * width)
 
 
-def _step_views(blocks: tuple[np.ndarray, np.ndarray], weights: Weights,
-                data: "Dataset"):
-    """hidden (L+1, N, d) and preact (L, N, d) at the start of the two blocks,
-    delta sigma' after hidden and G after preact; the (L, d, d) gradient stack
-    overlays preact and G."""
+def _step_views(blocks: tuple[np.ndarray, np.ndarray | None], weights: Weights,
+                data: "Dataset", delta_trainable: bool = False):
+    """hidden (L+1, N, d), preact (L, N, d), delta sigma' and G of one
+    gradient pass in ``blocks``.
+
+    hidden and then preact start the first block. With delta frozen,
+    delta sigma' is written over preact and G moves through two (N, d) rows
+    of its own, so the pass does not touch the second block, which may be
+    None. A trainable delta needs every G_k and sigma(a_k) after the backward
+    pass: delta sigma' then takes preact's place in the first block, and
+    preact and the (L+1, N, d) G fill the second. Once the pass is done, the
+    second block is free in both cases.
+    """
     L, n, d = weights.depth, len(data.xs), weights.width
     unit = L * n * d
     trace_block, adjoint_block = blocks
     hidden = trace_block[:unit + n * d].reshape(L + 1, n, d)
-    sigma_prime = trace_block[unit + n * d:2 * unit + n * d].reshape(L, n, d)
+    after_hidden = trace_block[unit + n * d:2 * unit + n * d].reshape(L, n, d)
+    if not delta_trainable:
+        return hidden, after_hidden, after_hidden, np.empty((2, n, d))
     preact = adjoint_block[:unit].reshape(L, n, d)
     g = adjoint_block[unit:2 * unit + n * d].reshape(L + 1, n, d)
-    grads = adjoint_block[:L * d * d].reshape(L, d, d)
-    return hidden, preact, sigma_prime, g, grads
+    return hidden, preact, after_hidden, g
 
 
 def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
               g: np.ndarray, sg: np.ndarray) -> None:
-    """Writes the hidden-state gradients G_k = M_k^T (yhat - y), k = 0..L,
-    into ``g``, which has the trace's layout: shape (L+1, N, d) for a batch,
-    (L+1, d) for one input.
+    """Runs the hidden-state gradients G_k = M_k^T (yhat - y), k = L..0,
+    through the rows of ``g``, which have the shape of the trace's rows:
+    (N, d) for a batch, (d,) for one input.
 
-    delta sigma'(a_k) is computed into ``sg`` (preact's shape), whose layer
-    k-1 then becomes delta sigma'(a_k) * G_k, the factor that the layer-k
-    gradient contracts with h_{k-1}.
+    G_L goes into the last row of ``g`` and each G_{k-1} into the row before
+    G_k's, wrapping round to the last: with L+1 rows row k holds G_k, and
+    with two rows they alternate and the pass holds no more of G than it
+    reads.
+
+    delta sigma'(a_k) is computed into ``sg`` (preact's shape, and it may be
+    ``trace.preact`` itself), whose layer k-1 then becomes
+    delta sigma'(a_k) * G_k, the factor that the layer-k gradient contracts
+    with h_{k-1}.
     """
     L = weights.depth
-    np.subtract(trace.hidden[L], ys, out=g[L])
-    g_next = g[L]
+    rows = iter(g[::-1]) if len(g) > 2 else itertools.cycle(g[::-1])
+    g_next = next(rows)
+    np.subtract(trace.hidden[L], ys, out=g_next)
     multiply, add = np.multiply, np.add
     # Non-finite values are caught downstream; silence the transient warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -116,11 +137,38 @@ def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
         # layer k = L..1: s holds delta sigma'(a_k), then delta sigma'(a_k) * G_k,
         # and G_{k-1} is built in place. As in forward_batch, ndarray.dot and
         # positional outputs keep the per-call overhead down.
-        for s, g_prev, alpha in zip(sg[::-1], g[-2::-1], weights.layers[::-1]):
+        for s, g_prev, alpha in zip(sg[::-1], rows, weights.layers[::-1]):
             multiply(s, g_next, s)
             s.dot(alpha, g_prev)
             add(g_prev, g_next, g_prev)
             g_next = g_prev
+
+
+@dataclass(frozen=True)
+class Adjoint:
+    """The factors of a gradient pass's layer gradients,
+
+        grad_k = 1/n sum_i (delta sigma'(a_k) * G_k)_i h_{k-1,i}^T,
+
+    with ``sg`` (L, N, d) holding delta sigma'(a_k) * G_k and ``hidden`` the
+    (L+1, N, d) states. ``layer_grads`` forms any slice of layers, so the
+    (L, d, d) stack need not exist at once.
+    """
+
+    hidden: np.ndarray
+    sg: np.ndarray
+
+    def layer_grads(self, layers: slice, out: np.ndarray) -> np.ndarray:
+        """grad_k for the 0-based layers of ``layers`` (a slice with a start
+        and a stop), written into ``out`` of shape (stop - start, d, d).
+
+        Every matrix is its own matmul, so a slice equals the same layers of
+        the whole stack bit for bit.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(self.sg[layers].transpose(0, 2, 1), self.hidden[layers], out=out)
+            out *= 1.0 / self.hidden.shape[1]
+        return out
 
 
 def grad_objective(data: "Dataset", weights: Weights,
@@ -144,38 +192,49 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
     """Gradient plus the current loss (the "stats" of the name), from one
     forward pass.
 
-    Returns (layer_grads, delta_grad, current_objective). Training uses this
-    to get the step's loss from the forward pass that produced the gradient.
+    Returns (layer_grads, delta_grad, current_objective): the certify draws
+    take a draw's loss from the forward pass that produced its gradient.
 
     ``blocks`` is an optional pair of flat float64 arrays of
-    ``step_block_size(L, N, d)`` entries each; without it a pair is allocated
-    for the call. The first holds the hidden states and delta sigma', the
-    second the preactivations and G, and then the returned layer gradients,
-    which are a view of its start. Where delta is a power of two the results
-    equal those of the h-space formulas (delta applied per layer in the
-    forward and the G recursion, delta/n in the gradient) bit for bit.
+    ``step_block_size(L, N, d)`` entries each (see ``_step_views`` for their
+    layout); without it a pair is allocated for the call. The returned layer
+    gradients are a view of the start of the second block. Where delta is a
+    power of two the results equal those of the h-space formulas (delta
+    applied per layer in the forward and the G recursion, delta/n in the
+    gradient) bit for bit.
     """
     if blocks is None:
         size = step_block_size(weights.depth, len(data.xs), weights.width)
         blocks = (np.empty(size), np.empty(size))
-    hidden, preact, sg, g, grads = _step_views(blocks, weights, data)
+    adjoint, dgrad, value = _gradient_pass(data, weights, activation,
+                                           delta_trainable, blocks)
+    # all layers at once; with a trainable delta the stack overlays preact
+    # and G, which are no longer read
+    L, d = weights.depth, weights.width
+    grads = adjoint.layer_grads(slice(0, L), blocks[1][:L * d * d].reshape(L, d, d))
+    return grads, dgrad, value
+
+
+def _gradient_pass(data: "Dataset", weights: Weights, activation: Activation,
+                   delta_trainable: bool,
+                   blocks: tuple[np.ndarray, np.ndarray | None]) -> tuple[Adjoint, float, float]:
+    """(Adjoint, delta_grad, current_objective) of one forward and backward
+    pass in ``blocks`` (see ``_step_views``), whose second block is read only
+    with a trainable delta: ``train`` forms the layer gradients from the
+    ``Adjoint`` one chunk of layers at a time, ``grad_objective_with_stats``
+    all at once."""
+    hidden, preact, sg, g = _step_views(blocks, weights, data, delta_trainable)
     trace = forward_batch(data.xs, weights, activation, hidden, preact)
     value = _mean_squared(trace.output, data.ys)
     _backward(trace, weights, data.ys, g, sg)
-    n = data.ys.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        dgrad = 0.0
-        if delta_trainable:
+    dgrad = 0.0
+    if delta_trainable:
+        with np.errstate(over="ignore", invalid="ignore"):
             # sigma' was taken from preact in _backward, so preact is free to
             # hold sigma(a_k), then G_k * sigma(a_k)
             s_val = activation.value(preact, out=preact)
-            dgrad = float(np.sum(np.multiply(g[1:], s_val, out=s_val))) / n
-        # grad_k = 1/n * sum_i (delta sigma'(a_k) * G_k)_i h_{k-1,i}^T, all k
-        # at once, from the product _backward left in sg; the stack overlays
-        # preact and G, which are no longer read
-        np.matmul(sg.transpose(0, 2, 1), hidden[:-1], out=grads)
-        grads *= 1.0 / n
-    return grads, dgrad, value
+            dgrad = float(np.sum(np.multiply(g[1:], s_val, out=s_val))) / len(data.ys)
+    return Adjoint(hidden, sg), dgrad, value
 
 
 def finite_diff_grad(data: "Dataset", weights: Weights,

@@ -258,7 +258,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
         if run_dir is not None:
             log = load_runlog(os.path.join(run_dir, f"runlog_L{depth}.csv"))
         else:
-            # only the log: the final weights are a view of a step block
+            # only the log: the final weights are a view of the run's weights block
             log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable,
                         log_stride=cfg.log_stride)[1]
         all_reports.extend(bounds.certify_run_envelope(

@@ -21,13 +21,22 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalOverflowError
 
-# Byte budget of one working buffer: the chunk of scaled layers delta A_k in
-# ``forward_batch`` and the path reader of ``analysis``, whose buffers then do
-# not grow with depth. Larger chunks save interpreter overhead but not
-# arithmetic. At d=20, N=10 a forward chunk is 40 layers in 128 KB, inside the
-# about 139 KB that a training step at L=1024 leaves over its three blocks
+# Byte budget of one working buffer: each chunk of layers that ``layer_span``
+# sizes (the scaled layers delta A_k in ``forward_batch``, the layer gradients
+# of a training update and the squares of the weight norms) and the path
+# reader of ``analysis``, whose buffers then do not grow with depth. Larger
+# chunks save interpreter overhead but not arithmetic. At d=20, N=10 a forward
+# chunk and an update chunk are 40 layers in 128 KB each; a training step at
+# L=1024 peaks at 4.17 trace units (L N d floats) over its two blocks' 4.00
 # (``test_memory_flat_in_steps``).
 CHUNK_BYTES = 256 * 1024
+
+
+def layer_span(depth: int, layer_bytes: int) -> int:
+    """Layers in one chunk of a loop over a stack of ``depth`` layers whose
+    working set is ``layer_bytes`` per layer: as many as fit ``CHUNK_BYTES``,
+    but at least one and at most ``depth``."""
+    return min(depth, max(1, CHUNK_BYTES // layer_bytes))
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,7 @@ def forward_batch(xs: np.ndarray, weights: Weights,
     # u_1..u_L live in the trace until the end; u_0 keeps its own buffer
     u_prev = np.divide(xs, delta)
     # a chunk's working set is its delta A_k and the trace rows it writes
-    span = min(L, max(1, CHUNK_BYTES // ((d * d + 2 * xs.size) * xs.itemsize)))
+    span = layer_span(L, (d * d + 2 * xs.size) * xs.itemsize)
     scaled = np.empty((span, d, d))
     multiply, add, value = np.multiply, np.add, activation.value
     with np.errstate(over="ignore", invalid="ignore"):

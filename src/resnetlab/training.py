@@ -6,6 +6,16 @@ Each run records the loss, the depth-scaled weight norms
 
 the layerwise maxima behind them, and the learning rate. With per-layer
 logging on, it also records each logged state's neighbour gaps g_k.
+
+A run with delta frozen holds two blocks besides w0: a trace block, where
+each gradient pass leaves the hidden states and delta sigma' * G (written
+over the preactivations), and a weights block, which holds the current
+layers. The update forms the layer gradients from the trace block one chunk
+of layers at a time and writes the new layers over the old; the first update
+reads w0 and writes into the weights block, so w0 is never written. A
+trainable delta needs every G_k and sigma(a_k) for its own gradient, so its
+runs hold a third block, the adjoint block, for the preactivations and G,
+which then holds the update's chunk buffer (see ``train``).
 """
 
 from __future__ import annotations
@@ -16,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import grad_objective_with_stats, objective, step_block_size
+from .autograd import Adjoint, _gradient_pass, objective, step_block_size
 from .data import Dataset, write_csv
 from .errors import InvalidInputError, NumericalOverflowError
-from .network import TANH, Activation, Weights
+from .network import TANH, Activation, Weights, layer_span
 
 RUNLOG_COLUMNS = ["t", "eta", "loss", "fbar", "gbar", "finf", "neighbour_max", "delta",
                   "fail_reason"]
@@ -72,27 +82,36 @@ class WeightNorms:
     diff_sq: np.ndarray = field(repr=False, compare=False)
 
 
-def weight_norms(w: Weights, out: np.ndarray | None = None) -> WeightNorms:
-    """The logged norms (inf where the squares overflow); ``out``, if given,
-    is an (L, d, d) scratch array."""
+def weight_norms(w: Weights) -> WeightNorms:
+    """The logged norms (inf where the squares overflow).
+
+    The stack is read one chunk of layers at a time into a buffer, which
+    holds a chunk's squares and then its neighbour differences, so the norms
+    allocate nothing of the stack's size.
+    """
+    L, layers = w.depth, w.layers
+    # a chunk's working set is the layers it reads and the buffer
+    span = layer_span(L, 2 * layers[0].nbytes)
+    buf = np.empty_like(layers, shape=(span,) + layers.shape[1:])
+    layer_sq, diff_sq = np.empty(L), np.empty(L - 1)
     with np.errstate(over="ignore"):
-        squares = np.square(w.layers, out=out)
-        layer_sq = np.sum(squares, axis=(1, 2))
+        for start in range(0, L, span):
+            stop = min(start + span, L)
+            squares = np.square(layers[start:stop], out=buf[:stop - start])
+            np.sum(squares, axis=(1, 2), out=layer_sq[start:stop])
+            # entry k - 1 of diff_sq is |A_{k+1} - A_k|^2; the chunk's last
+            # layer has its neighbour in the next chunk
+            last = min(stop, L - 1)
+            diffs = np.subtract(layers[start + 1:last + 1], layers[start:last],
+                                out=buf[:last - start])
+            np.sum(np.square(diffs, out=diffs), axis=(1, 2), out=diff_sq[start:last])
         fbar = 0.5 * float(np.sum(layer_sq))
         finf = float(np.sqrt(np.max(layer_sq)))
-        if w.depth == 1:
-            return WeightNorms(fbar, 0.0, finf, 0.0, np.empty(0))
-        # the squared neighbour differences reuse the squares' buffer
-        diff_sq = _neighbour_diff_sq(w.layers, squares[1:])
-        gbar = 0.5 * w.depth * float(np.sum(diff_sq))
+        if L == 1:
+            return WeightNorms(fbar, 0.0, finf, 0.0, diff_sq)
+        gbar = 0.5 * L * float(np.sum(diff_sq))
         neighbour_max = float(np.sqrt(np.max(diff_sq)))
     return WeightNorms(fbar, gbar, finf, neighbour_max, diff_sq)
-
-
-def _neighbour_diff_sq(layers: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|A_{k+1} - A_k|_F^2 for k = 1..L-1; the differences go into ``out``."""
-    diffs = np.subtract(layers[1:], layers[:-1], out=out)
-    return np.sum(np.square(diffs, out=diffs), axis=(1, 2))
 
 
 def layer_gaps(w: Weights, norms: WeightNorms) -> np.ndarray:
@@ -132,20 +151,33 @@ class RunLog:
         return int(self.t[-1])
 
 
-def _apply_update(w: Weights, grads: np.ndarray, dgrad: float, eta: float,
-                  delta_trainable: bool) -> Weights:
-    """A_k - eta * grad_k for every layer, written over ``grads``."""
-    grads *= eta
-    new_layers = np.subtract(w.layers, grads, out=grads)
+def _apply_update(w: Weights, adjoint: Adjoint, dgrad: float, eta: float,
+                  delta_trainable: bool, out: np.ndarray, buf: np.ndarray) -> Weights:
+    """A_k - eta * grad_k for every layer, written into ``out``, which may
+    be ``w.layers``; the layer gradients are formed from ``adjoint`` into
+    ``buf`` of (span, d, d), one chunk of span layers at a time.
+
+    A new delta outside (0, inf) fails the update before it writes any
+    layer: the new layers then go into ``buf`` only, to tell whether they
+    failed as well (the layers are named first).
+    """
     new_delta = w.delta - eta * dgrad if delta_trainable else w.delta
-    # Weights checks the layers and delta once; only a failure looks again,
-    # to say which went wrong (the layers first)
+    delta_ok = 0.0 < new_delta < math.inf
+    span = len(buf)
+    for start in range(0, w.depth, span):
+        at = slice(start, min(start + span, w.depth))
+        chunk = adjoint.layer_grads(at, buf[:at.stop - start])
+        chunk *= eta
+        new = np.subtract(w.layers[at], chunk, out=out[at] if delta_ok else chunk)
+        if not delta_ok and not np.all(np.isfinite(new)):
+            raise NumericalOverflowError("non-finite weights after update")
+    if not delta_ok:
+        raise NumericalOverflowError("scale factor left (0, inf) during update")
+    # Weights checks the layers once; with delta in range, a failure is theirs
     try:
-        return Weights(new_layers, new_delta)
+        return Weights(out, new_delta)
     except InvalidInputError:
-        if not np.all(np.isfinite(new_layers)):
-            raise NumericalOverflowError("non-finite weights after update") from None
-        raise NumericalOverflowError("scale factor left (0, inf) during update") from None
+        raise NumericalOverflowError("non-finite weights after update") from None
 
 
 # overflow ends a run through the checks below, so its warnings are silenced
@@ -160,20 +192,35 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     a partial log and the ``failed`` marker set instead of raising; the
     returned weights are then the last finite iterate.
 
-    A run holds three flat blocks of ``step_block_size(L, N, d)`` floats
-    besides w0, which it never writes, and allocates no trace-sized array
-    after its first step: each forward pass adds only its chunk of scaled
-    layers delta A_k, below ``network.CHUNK_BYTES``. The blocks change roles
-    every step:
+    A run with delta frozen holds two blocks besides w0, which it never
+    writes, and allocates no trace-sized array after its first step: each
+    forward pass adds only its chunk of scaled layers delta A_k, the update
+    one chunk buffer of layer gradients and the norm logging one of squares,
+    each within ``network.CHUNK_BYTES``.
 
-    - the trace block holds the hidden states and delta sigma' of the step's
-      gradient pass, then the scratch squares of the norm logging;
-    - the adjoint block holds the preactivations and G, then the gradient
-      stack, over which the update writes the new layers;
-    - the weights block holds the current layers. After an update it is free
-      and becomes the next step's adjoint block.
+    - The trace block, of ``step_block_size(L, N, d)`` floats, holds each
+      gradient pass's hidden states and preactivations, over which the
+      backward pass writes delta sigma' * G; G itself moves through two
+      (N, d) rows. The final loss's forward pass runs in it too.
+    - The weights block, of the layers' shape, holds the current layers.
+      The first update copies w0 into it as it writes w_1, and each later
+      update overwrites it chunk by chunk: the chunk's layer gradients are
+      formed from the trace block (``autograd.Adjoint``) into the buffer,
+      scaled by 1/n and then eta, and subtracted from the chunk's layers.
 
-    The returned ``Weights`` (unless it is w0) is a view of one block.
+    A trainable delta sums G_k * sigma(a_k) over every layer for its own
+    gradient, so its runs also hold an adjoint block of the trace block's
+    size: delta sigma' * G then moves after the hidden states, and the
+    preactivations and every G_k fill the adjoint block. Once the delta
+    gradient is formed from them the adjoint block is free, and the update's
+    chunk buffer is a view of its start.
+
+    An update whose layers overflow has already written part of them over
+    the layers it read. Unless those were w0's, the run then recomputes them
+    by the same steps from w0, bit for bit, so that it returns the last
+    finite iterate. An update that sends delta out of (0, inf) writes no
+    layer, so it needs no recomputation. The returned ``Weights`` (unless it is w0) is a view of the
+    weights block.
     """
     if T < 0:
         raise InvalidInputError("T must be >= 0")
@@ -185,15 +232,24 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     fail_reason = None
 
     w = w0
-    L, d = w0.depth, w0.width
-    size = step_block_size(L, len(data.xs), d)
-    trace_block, adjoint_block, weights_block = (np.empty(size) for _ in range(3))
-    scratch = trace_block[:L * d * d].reshape(L, d, d)
+    L, n, d = w0.depth, len(data.xs), w0.width
+    size = step_block_size(L, n, d)
+    layers = np.empty_like(w0.layers)
+    # a chunk's working set is its gradients and the two trace rows they come
+    # from, as in forward_batch
+    span = layer_span(L, (d * d + 2 * n * d) * layers.itemsize)
+    if delta_trainable:
+        # the adjoint block is free once the pass has formed the delta
+        # gradient, so it holds the update's chunk buffer
+        blocks = (np.empty(size), np.empty(size))
+        buf = blocks[1][:span * d * d].reshape(span, d, d)
+    else:
+        blocks, buf = (np.empty(size), None), np.empty((span, d, d))
 
-    def log_state(t, eta, value, require_finite=True):
-        """Log the current iterate, then raise if its norms are not finite."""
-        norms = weight_norms(w, scratch)
-        rows.append((t, eta, value, norms.fbar, norms.gbar, norms.finf,
+    def log_state(w, t, value, require_finite=True):
+        """Log iterate t, then raise if its norms are not finite."""
+        norms = weight_norms(w)
+        rows.append((t, sched.rate(t), value, norms.fbar, norms.gbar, norms.finf,
                      norms.neighbour_max, w.delta))
         if log_layers:
             g_rows.append(layer_gaps(w, norms))
@@ -201,24 +257,37 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
             raise NumericalOverflowError(
                 f"non-finite weight norms: fbar={norms.fbar!r} gbar={norms.gbar!r}")
 
+    def replay(steps):
+        """w_steps once more from w0, by the same steps and so bit for bit."""
+        w = w0
+        for t in range(steps):
+            adjoint, dgrad, _ = _gradient_pass(data, w, activation, delta_trainable, blocks)
+            w = _apply_update(w, adjoint, dgrad, sched.rate(t), delta_trainable, layers, buf)
+        return w
+
     try:
         for t in range(T):
-            eta = sched.rate(t)
-            grads, dgrad, value = grad_objective_with_stats(
-                data, w, activation, delta_trainable,
-                blocks=(trace_block, adjoint_block))
+            adjoint, dgrad, value = _gradient_pass(data, w, activation, delta_trainable,
+                                                   blocks)
             if t % log_stride == 0:
-                log_state(t, eta, value)
-            w = _apply_update(w, grads, dgrad, eta, delta_trainable)
-            adjoint_block, weights_block = weights_block, adjoint_block
-        final_value = objective(data, w, activation, blocks=(trace_block, adjoint_block))
-        log_state(T, sched.rate(T), final_value)
+                log_state(w, t, value)
+            try:
+                w = _apply_update(w, adjoint, dgrad, sched.rate(t), delta_trainable, layers,
+                                  buf)
+            except NumericalOverflowError:
+                if not np.all(np.isfinite(w.layers)):
+                    # the update wrote its overflowing layers over those of
+                    # w_t, which are not w0's
+                    w = replay(t)
+                raise
+        final_value = objective(data, w, activation, blocks=blocks)
+        log_state(w, T, final_value)
     except NumericalOverflowError as exc:
         fail_reason = str(exc)
         if not rows:
             # failed at t=0, before any update: log w0 with an unknown loss, so
             # the saved run log still carries the failure
-            log_state(0, sched.rate(0), math.nan, require_finite=False)
+            log_state(w0, 0, math.nan, require_finite=False)
 
     steps, *columns = zip(*rows)
     return w, RunLog(np.asarray(steps, dtype=np.int64), *np.asarray(columns, dtype=np.float64),

@@ -211,6 +211,35 @@ class TestInPlaceStep:
         assert np.array_equal(g, ref["g"])
         assert np.array_equal(sg, ref["sigma_g"])
 
+    def test_adjoint_slices_equal_the_stack(self):
+        # with delta frozen the pass needs no second block; its Adjoint's
+        # slices of layers equal the stack's bit for bit, with the same loss
+        rng = np.random.default_rng(46)
+        data, w = random_instance(rng, 5, 11, 3)
+        grads, _, value = grad_objective_with_stats(data, w)
+        block = np.empty(autograd.step_block_size(11, 3, 5))
+        adjoint, dgrad, adjoint_value = autograd._gradient_pass(data, w, TANH, False,
+                                                                (block, None))
+        assert dgrad == 0.0 and adjoint_value == value
+        for start, stop in ((0, 11), (0, 4), (4, 8), (8, 11), (10, 11)):
+            out = np.full((stop - start, 5, 5), np.nan)
+            adjoint.layer_grads(slice(start, stop), out)
+            assert np.array_equal(out, grads[start:stop]), (start, stop)
+
+    @pytest.mark.parametrize("L", [1, 8, 9])
+    def test_backward_in_two_rows_over_preact(self, L):
+        # with two rows G_k lands in row 1 - (L - k) mod 2, so they end on
+        # G_0 and G_1, and delta sigma' * G may overwrite the preactivations
+        rng = np.random.default_rng(44 + L)
+        data, w = random_instance(rng, 5, L, 3)
+        ref = reference_grad_objective(data, w)
+        trace = forward_batch(data.xs, w)
+        g = np.full((2,) + trace.hidden.shape[1:], np.nan)
+        _backward(trace, w, data.ys, g, trace.preact)
+        assert np.array_equal(g[1 - L % 2], ref["g"][0])
+        assert np.array_equal(g[L % 2], ref["g"][1])
+        assert np.array_equal(trace.preact, ref["sigma_g"])
+
     def test_sigma_prime_computed_on_demand(self):
         # only the backward pass computes sigma', once per gradient
         calls = []
@@ -231,8 +260,9 @@ class TestInPlaceStep:
 
     def test_memory_is_trace_g_and_gradient_stack(self):
         # the pass runs in the pair of step blocks it allocates: hidden and
-        # sigma' in one, preact and G in the other, and the (L, d, d) gradient
-        # stack (two trace-sized arrays at N = d/2) over preact and G
+        # preact, over which delta sigma' * G is written, in one, and the
+        # (L, d, d) gradient stack (two trace-sized arrays at N = d/2) in the
+        # other; with delta frozen G moves through two (N, d) rows
         d, n, L = 20, 10, 1024
         rng = np.random.default_rng(43)
         data, w = random_instance(rng, d, L, n)

@@ -506,6 +506,7 @@ class TestCertifierPurity:
         x = unit_rows(rng, 1, 4)[0]
         data = Dataset(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4))
         trace = forward(x, w, TANH)
+        inputs = [data.xs.copy(), data.ys.copy()]
 
         def snapshot():
             return [(r.name, r.observed, r.bound, r.slack, r.passed)
@@ -517,7 +518,7 @@ class TestCertifierPurity:
         second = snapshot()
         assert first == second  # bitwise-identical reports on repeat
         assert np.array_equal(w.layers, baseline)
-        assert np.array_equal(data.xs, data.xs)
+        assert np.array_equal(data.xs, inputs[0]) and np.array_equal(data.ys, inputs[1])
 
 
 def neighbour_residual_paper_bound(trace, weights, k):

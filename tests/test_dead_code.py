@@ -291,14 +291,29 @@ def test_benchmark_names_resolve():
 
 
 def test_chunk_budget_has_two_readers():
-    """``CHUNK_BYTES`` sizes the forward pass's chunk of scaled layers and the
-    analysis path reader's buffer; every other chunked loop goes through one
-    of the two."""
+    """``CHUNK_BYTES`` is read by ``network.layer_span``, which sizes every
+    chunk of layers of the forward pass, the training update and the weight
+    norms, and by the analysis path reader; every other chunked loop goes
+    through one of the two."""
     readers = {f"{mod}.{node.name}" for mod, tree in modules().items()
                for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and any(used in ("CHUNK_BYTES", "network.CHUNK_BYTES")
                        for used, _ in uses(node))}
-    assert readers == {"network.forward_batch", "analysis._path_rows"}
+    assert readers == {"network.layer_span", "analysis._path_rows"}
+    assert readers_of("layer_span", "network") == {"network", "training"}
+
+
+def test_training_forms_no_matrix_product():
+    """``training`` makes no ``.dot(``, ``matmul`` or ``@``: the layer loops
+    stay in ``network`` and ``autograd``, and the layer gradients are formed
+    by ``autograd.Adjoint.layer_grads``, one chunk at a time, which the
+    update only scales and subtracts."""
+    tree = modules()["training"]
+    products = [ast.unparse(node) for node in ast.walk(tree)
+                if (isinstance(node, ast.Call)
+                    and called_name(node) in ("dot", "matmul", "einsum", "tensordot"))
+                or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))]
+    assert products == []
 
 
 def readers_of(name, home):

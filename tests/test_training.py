@@ -12,9 +12,9 @@ from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, sample_sphere_dataset)
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
-                               forward_batch, load_weights, save_weights)
-from resnetlab.training import (RunLog, Schedule, harmonic_number, layer_gaps,
-                                load_runlog, save_layer_gaps, save_runlog,
+                               forward_batch, layer_span, load_weights, save_weights)
+from resnetlab.training import (RunLog, Schedule, WeightNorms, harmonic_number,
+                                layer_gaps, load_runlog, save_layer_gaps, save_runlog,
                                 train, weight_norms)
 
 
@@ -68,6 +68,34 @@ class TestNorms:
         norms = weight_norms(w)
         assert norms.gbar == 0.0 and norms.neighbour_max == 0.0
         assert layer_gaps(w, norms).size == 0
+
+
+    # the norms read the stack in chunks of span layers: a single layer, one
+    # chunk, and one layer past it, whose neighbour difference straddles
+    # the chunks
+    @pytest.mark.parametrize("extra", [(0, 1), (1, 0), (1, 1)])
+    def test_chunked_norms_equal_full_stack_formulas(self, extra):
+        d = 20
+        span = layer_span(10 ** 6, 2 * d * d * 8)
+        L = extra[0] * span + extra[1]
+        w = Weights(np.random.default_rng(19).standard_normal((L, d, d)), 0.5)
+        norms, expected = weight_norms(w), full_stack_norms(w)
+        for name in ("fbar", "gbar", "finf", "neighbour_max"):
+            assert getattr(norms, name) == getattr(expected, name), name
+        assert np.array_equal(norms.diff_sq, expected.diff_sq)
+        assert norms.diff_sq.shape == (L - 1,)
+
+
+def full_stack_norms(w):
+    """The norms by whole-stack formulas: the squares of every layer in one
+    array, then every neighbour difference in another."""
+    layer_sq = np.sum(np.square(w.layers), axis=(1, 2))
+    diff_sq = np.sum(np.square(w.layers[1:] - w.layers[:-1]), axis=(1, 2))
+    fbar, finf = 0.5 * float(np.sum(layer_sq)), float(np.sqrt(np.max(layer_sq)))
+    if w.depth == 1:
+        return WeightNorms(fbar, 0.0, finf, 0.0, diff_sq)
+    return WeightNorms(fbar, 0.5 * w.depth * float(np.sum(diff_sq)), finf,
+                       float(np.sqrt(np.max(diff_sq))), diff_sq)
 
 
 def one_step(w, data, eta, **kwargs):
@@ -176,6 +204,25 @@ class TestTrain:
         assert log.delta[0] == w.delta and log.delta[-1] == final.delta
 
 
+class FixedAdjoint:
+    """Stands in for an ``Adjoint``: its layer gradients are a given stack."""
+
+    def __init__(self, stack):
+        self.stack = stack
+
+    def layer_grads(self, layers, out):
+        np.copyto(out, self.stack[layers])
+        return out
+
+
+def fixed_gradient(grads, dgrad):
+    """A gradient pass for ``training`` whose ``Adjoint`` stand-in forms the
+    layer gradients ``grads``, with ``dgrad`` and the loss 0.5."""
+    def gradient_pass(data, w, activation, delta_trainable, blocks):
+        return FixedAdjoint(grads), dgrad, 0.5
+    return gradient_pass
+
+
 class TestUpdateFailure:
     # (layer gradient entry, delta gradient, delta trainable, fail_reason):
     # a layer overflow, delta pushed below 0 or to nan, and both at once
@@ -188,12 +235,10 @@ class TestUpdateFailure:
     ])
     def test_fail_reason(self, monkeypatch, g, dgrad, trainable, reason):
         data, w0 = small_instance(13, d=3, L=4, n=2)
-
-        def fixed_gradient(data, w, activation, delta_trainable, blocks=None):
-            grads = np.zeros_like(w.layers)
-            grads[2, 1, 0] = g
-            return grads, dgrad, 0.5
-        monkeypatch.setattr(training, "grad_objective_with_stats", fixed_gradient)
+        grads = np.zeros_like(w0.layers)
+        grads[2, 1, 0] = g
+        monkeypatch.setattr(training, "_gradient_pass",
+                            fixed_gradient(grads, dgrad))
         final, log = train(w0, data, Schedule("constant", 10.0), 3,
                            delta_trainable=trainable)
         assert log.failed and log.fail_reason == reason
@@ -206,10 +251,8 @@ class TestUpdateFailure:
     @pytest.mark.parametrize("stride, T", [(1, 3), (5, 1)])
     def test_overflowing_norms_fail_the_run(self, monkeypatch, stride, T):
         data, w0 = small_instance(14, d=3, L=4, n=2)
-
-        def fixed_gradient(data, w, activation, delta_trainable, blocks=None):
-            return np.full_like(w.layers, -1e155), 0.0, 0.5
-        monkeypatch.setattr(training, "grad_objective_with_stats", fixed_gradient)
+        monkeypatch.setattr(training, "_gradient_pass",
+                            fixed_gradient(np.full_like(w0.layers, -1e155), 0.0))
         final, log = train(w0, data, Schedule("constant", 10.0), T, log_stride=stride)
         assert log.failed
         assert log.fail_reason == "non-finite weight norms: fbar=inf gbar=0.0"
@@ -353,12 +396,92 @@ class TestInPlaceUpdate:
             assert w.delta == expected.delta
         assert np.array_equal(w0.layers, copy) and w0.delta == 6 ** -0.5
 
+    # the update's contraction works in chunks of span layers: one short of
+    # a chunk, one chunk, one layer past it, and two chunks and three layers,
+    # logged every step or every third with the layer gaps, with delta frozen
+    # or trainable
+    @pytest.mark.parametrize("extra, stride, log_layers, trainable", [
+        ((1, -1), 1, False, False), ((1, 0), 1, False, False), ((1, 1), 1, False, False),
+        ((2, 3), 1, False, False), ((2, 3), 3, True, False), ((2, 3), 3, True, True),
+    ])
+    def test_bitwise_at_chunk_edges(self, monkeypatch, extra, stride, log_layers, trainable):
+        d, n, T = 20, 2, 7
+        span = layer_span(10 ** 6, (d * d + 2 * n * d) * 8)
+        L = extra[0] * span + extra[1]
+        chunks = []
+        real = autograd.Adjoint.layer_grads
+
+        def recorded(self, layers, out):
+            chunks.append((layers.start, layers.stop))
+            return real(self, layers, out)
+        monkeypatch.setattr(autograd.Adjoint, "layer_grads", recorded)
+        data, w0 = small_instance(17, d=d, L=L, n=n)
+        sched = Schedule("constant", 0.05)
+        final, log = train(w0, data, sched, T, log_layers=log_layers, log_stride=stride,
+                           delta_trainable=trainable)
+        starts = list(range(0, L, span))
+        assert chunks == T * [(a, min(a + span, L)) for a in starts]
+
+        ref_final, ref_cols = reference_train(w0, data, sched, T, delta_trainable=trainable)
+        assert not log.failed and np.array_equal(final.layers, ref_final.layers)
+        assert final.delta == ref_final.delta
+        logged = sorted(set(range(0, T, stride)) | {T})
+        assert list(log.t) == logged
+        for observed, expected in zip((log.t, log.eta, log.loss, log.fbar, log.gbar,
+                                       log.finf, log.neighbour_max, log.delta), ref_cols):
+            assert np.array_equal(observed, expected[logged])
+        if log_layers:
+            gaps = reference_layer_gaps(w0, data, sched, T, TANH, trainable)
+            assert np.array_equal(log.g_layers, gaps[logged])
+
+    # a learning rate of inf at step `updates` sends the layers to inf or
+    # nan; that update has already written over w_updates, which the run
+    # recomputes from w0
+    @pytest.mark.parametrize("trainable, updates", [(False, 2), (True, 3), (False, 0)])
+    def test_failed_update_returns_last_finite_iterate(self, trainable, updates):
+        class Jump(Schedule):
+            def rate(self, t):
+                return math.inf if t == updates else super().rate(t)
+
+        data, w0 = small_instance(18, d=4, L=9, n=3)
+        sched = Jump("constant", 0.05)
+        final, log = train(w0, data, sched, 6, delta_trainable=trainable)
+        assert log.fail_reason == "non-finite weights after update"
+        assert list(log.t) == list(range(updates + 1))
+        expected = reference_iterate(w0, data, Schedule("constant", 0.05), updates,
+                                     TANH, trainable)
+        assert np.array_equal(final.layers, expected.layers)
+        assert final.delta == expected.delta
+        assert (final is w0) == (updates == 0)
+
+    # a delta gradient of 1e300 at step `updates` sends delta below 0; that
+    # update writes no layer, so the run needs no second pass for w_updates
+    @pytest.mark.parametrize("updates", [0, 3])
+    def test_scale_factor_failure_keeps_the_layers(self, monkeypatch, updates):
+        passes = []
+        real = training._gradient_pass
+
+        def counted(*args):
+            adjoint, dgrad, value = real(*args)
+            passes.append(1)
+            return adjoint, (1e300 if len(passes) == updates + 1 else dgrad), value
+        monkeypatch.setattr(training, "_gradient_pass", counted)
+        data, w0 = small_instance(18, d=4, L=9, n=3)
+        sched = Schedule("constant", 0.05)
+        final, log = train(w0, data, sched, 6, delta_trainable=True)
+        assert log.fail_reason == "scale factor left (0, inf) during update"
+        assert len(passes) == updates + 1 and list(log.t) == list(range(updates + 1))
+        expected = reference_iterate(w0, data, sched, updates, TANH, True)
+        assert np.array_equal(final.layers, expected.layers)
+        assert final.delta == expected.delta
+
     def test_inputs_unmodified(self):
         data, w0 = small_instance(12, d=4, L=8, n=3)
         copies = [w0.layers.copy(), data.xs.copy(), data.ys.copy()]
-        train(w0, data, Schedule("constant", 0.1), 4, delta_trainable=True,
-              log_layers=True)
-        train(w0, data, Schedule("constant", 0.1), 1, delta_trainable=True)
+        for trainable in (False, True):
+            train(w0, data, Schedule("constant", 0.1), 4, delta_trainable=trainable,
+                  log_layers=True)
+            train(w0, data, Schedule("constant", 0.1), 1, delta_trainable=trainable)
         for now, before in zip([w0.layers, data.xs, data.ys], copies):
             assert np.array_equal(now, before)
         assert w0.delta == 8 ** -0.5
@@ -367,33 +490,41 @@ class TestInPlaceUpdate:
     # step plus the final state
     @pytest.mark.parametrize("T, stride", [(5, 1), (7, 3)])
     def test_log_layers_computes_each_iterate_once(self, monkeypatch, T, stride):
-        # each logged state's neighbour differences give gbar, neighbour_max
-        # and g_k
+        # each logged state's norms, whose neighbour differences give gbar,
+        # neighbour_max and g_k, are computed once. layer_gaps is handed zero
+        # layers, so gaps that did not come from the norms would be zero.
         calls = []
-        real = training._neighbour_diff_sq
+        real_norms, real_gaps = training.weight_norms, training.layer_gaps
 
-        def counted(*args):
+        def counted(w):
             calls.append(1)
-            return real(*args)
-        monkeypatch.setattr(training, "_neighbour_diff_sq", counted)
+            return real_norms(w)
+
+        def blind(w, norms):
+            return real_gaps(Weights(np.zeros_like(w.layers), w.delta), norms)
+        monkeypatch.setattr(training, "weight_norms", counted)
+        monkeypatch.setattr(training, "layer_gaps", blind)
         data, w0 = small_instance(16, d=4, L=9, n=3)
-        _, log = train(w0, data, Schedule("constant", 0.05), T, log_layers=True,
-                       log_stride=stride)
+        sched = Schedule("constant", 0.05)
+        _, log = train(w0, data, sched, T, log_layers=True, log_stride=stride)
         assert not log.failed and len(log.g_layers) == len(log.t)
         assert len(calls) == len(log.t)
+        gaps = reference_layer_gaps(w0, data, sched, T, TANH, False)
+        assert np.array_equal(log.g_layers, gaps[list(log.t)])
 
     def test_steps_reuse_the_blocks(self, monkeypatch):
-        # from the second update on the layers alternate between two blocks,
-        # and every forward pass writes its hidden states into the same one.
-        # The arrays are kept alive, so a freed address cannot be handed out
-        # again and pass for reuse.
+        # every update writes the layers into the same block, which is not
+        # w0's, and every forward pass writes its hidden states into the
+        # same other one, with delta frozen or trainable. The arrays are kept
+        # alive, so a freed address cannot be handed out again and pass for
+        # reuse.
         data, w0 = small_instance(14, d=5, L=12, n=3)
         kept = []
         real_norms, real_forward = training.weight_norms, autograd.forward_batch
 
-        def norms(w, *args, **kwargs):
+        def norms(w):
             kept.append(("layers", w.layers))
-            return real_norms(w, *args, **kwargs)
+            return real_norms(w)
 
         def forward(*args, **kwargs):
             trace = real_forward(*args, **kwargs)
@@ -402,36 +533,47 @@ class TestInPlaceUpdate:
         monkeypatch.setattr(training, "weight_norms", norms)
         monkeypatch.setattr(autograd, "forward_batch", forward)
         T = 7
-        train(w0, data, Schedule("constant", 0.05), T, delta_trainable=True)
-        layer_ptrs = [a.ctypes.data for role, a in kept if role == "layers"]
-        hidden_ptrs = [a.ctypes.data for role, a in kept if role == "hidden"]
-        assert len(layer_ptrs) == T + 1 and len(hidden_ptrs) == T + 1
-        assert layer_ptrs[0] == w0.layers.ctypes.data
-        first, second = layer_ptrs[1], layer_ptrs[2]
-        assert first != second and w0.layers.ctypes.data not in (first, second)
-        assert layer_ptrs[1:] == [(first, second)[t % 2] for t in range(T)]
-        assert set(hidden_ptrs) == {hidden_ptrs[0]}
+        for trainable in (False, True):
+            kept.clear()
+            train(w0, data, Schedule("constant", 0.05), T, delta_trainable=trainable)
+            layer_ptrs = [a.ctypes.data for role, a in kept if role == "layers"]
+            hidden_ptrs = [a.ctypes.data for role, a in kept if role == "hidden"]
+            assert len(layer_ptrs) == T + 1 and len(hidden_ptrs) == T + 1
+            assert layer_ptrs[0] == w0.layers.ctypes.data
+            assert set(layer_ptrs[1:]) == {layer_ptrs[1]} != {layer_ptrs[0]}
+            assert set(hidden_ptrs) == {hidden_ptrs[0]} != {layer_ptrs[1]}
 
     def test_memory_flat_in_steps(self):
-        # three blocks of (2L+1) N d floats (the layer stack, L d^2, is the
-        # same size here) are about six trace units, allocated once per run
-        d, n, L = 20, 10, 1024
-        data, w0 = small_instance(15, d=d, L=L, n=n)
-        unit = L * n * d * 8
-        sched = Schedule("constant", 0.01)
-        train(w0, data, sched, 1)
-        peaks = []
-        for T in (3, 8):
-            tracemalloc.start()
-            try:
-                train(w0, data, sched, T)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
-        # the longer run differs only by its few more run-log rows
-        assert peaks[1] <= 6.1 * unit, peaks[1] / unit
-        assert abs(peaks[1] - peaks[0]) <= 0.001 * unit, (peaks[0] / unit, peaks[1] / unit)
+        # with delta frozen, a trace block of (2L+1) N d floats and the
+        # weights block of L d^2 (the same size here) are about four trace
+        # units, allocated once per run
+        assert_memory_flat_in_steps(False, 4.5)
+
+    def test_memory_flat_in_steps_trainable_delta(self):
+        # a trainable delta adds the adjoint block, of the trace block's size
+        assert_memory_flat_in_steps(True, 6.1)
+
+
+def assert_memory_flat_in_steps(trainable, bound):
+    """The tracemalloc peak of a training run at L=1024 stays within
+    ``bound`` trace units (L N d floats) and does not grow with T."""
+    d, n, L = 20, 10, 1024
+    data, w0 = small_instance(15, d=d, L=L, n=n)
+    unit = L * n * d * 8
+    sched = Schedule("constant", 0.01)
+    train(w0, data, sched, 1, delta_trainable=trainable)
+    peaks = []
+    for T in (3, 8):
+        tracemalloc.start()
+        try:
+            train(w0, data, sched, T, delta_trainable=trainable)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # the longer run differs only by its few more run-log rows
+    assert peaks[1] <= bound * unit, peaks[1] / unit
+    assert abs(peaks[1] - peaks[0]) <= 0.001 * unit, (peaks[0] / unit, peaks[1] / unit)
 
 
 class TestLrFeasibility:
