@@ -77,10 +77,17 @@ class Grad:
     delta_grad: float = 0.0
 
 
+def trace_block_size(depth: int, n: int, width: int) -> int:
+    """Entries of the first block that a gradient pass with delta frozen
+    reads (see ``_step_views``): the hidden states and the preactivations,
+    (2L+1) N d."""
+    return (2 * depth + 1) * n * width
+
+
 def step_block_size(depth: int, n: int, width: int) -> int:
-    """Entries of one block of ``grad_objective_with_stats``: a pair of
-    trace-sized arrays, (2L+1) N d, or the (L, d, d) stack if that is larger."""
-    return max((2 * depth + 1) * n * width, depth * width * width)
+    """Entries of one block of ``grad_objective_with_stats``: a trace block,
+    or the (L, d, d) stack if that is larger."""
+    return max(trace_block_size(depth, n, width), depth * width * width)
 
 
 def _step_views(blocks: tuple[np.ndarray, np.ndarray | None], weights: Weights,

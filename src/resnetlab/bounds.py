@@ -17,7 +17,10 @@ caller, so a draw costs one gradient pass however many bounds read it:
 from one ``grad_objective_with_stats`` pass, and ``norms`` is
 ``weight_norms(weights)``. That caller is ``certify_draws``, which draws each
 random weight stack, evaluates it once and hands the evaluation to every
-certifier of the draw.
+certifier of the draw. The sweep allocates its arrays of the weights' size
+once (the layer stack, the pair of step blocks and the Jacobian stack), and
+every draw writes into them; the per-layer squares of a stack come from
+``training.layer_squares``, which needs no array of the stack's size.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .data import (UNIT_NORM_TOL, AssumptionParams, Dataset, initial_loss_cap,
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import (TANH, Activation, ForwardTrace, Weights, forward,
                       jacobian_stack)
-from .training import RunLog, Schedule, WeightNorms, harmonic_number, weight_norms
+from .training import (RunLog, Schedule, WeightNorms, harmonic_number, layer_squares,
+                       weight_norms)
 
 REL_TOL_EXACT = 1e-9
 REL_TOL_HESSIAN = 1e-3
@@ -224,14 +228,16 @@ def _hypothesis_forward(weights: Weights, norms: WeightNorms, c_alpha: float,
 
 
 def certify_forward(trace: ForwardTrace, weights: Weights, norms: WeightNorms,
-                    c_alpha: float) -> list[BoundReport]:
+                    c_alpha: float,
+                    jacobians: np.ndarray | None = None) -> list[BoundReport]:
     """Hidden-state sandwich and Jacobian column bounds along one trace:
 
         |x| e^{-2c} <= |h_k| <= |x| e^{1.1c}   and   |M_k e_m| <= e^c.
 
     ``trace`` is ``forward(x, weights, ...)``, so x is ``trace.hidden[0]``; the
     Jacobians M_k come from ``jacobian_stack`` with sigma' computed from the
-    trace's preactivations.
+    trace's preactivations, written into ``jacobians`` (L+1, d, d) when that
+    is given; their squares are then left there.
     """
     reports = _hypothesis_forward(weights, norms, c_alpha, REL_TOL_EXACT)
     applicable = all(r.passed for r in reports)
@@ -249,7 +255,7 @@ def certify_forward(trace: ForwardTrace, weights: Weights, norms: WeightNorms,
         "forward_hidden_upper", h_norms[k_hi], x_norm * math.exp(1.1 * c_alpha),
         REL_TOL_EXACT, applicable=applicable, context=dict(ctx, k=k_hi + 1)))
 
-    jac = jacobian_stack(weights, trace.activation.deriv1(trace.preact))
+    jac = jacobian_stack(weights, trace.activation.deriv1(trace.preact), jacobians)
     # (L+1, d): column norms per k, by np.linalg.norm's own operations with
     # jac squared in place
     col_norms = np.sqrt(np.add.reduce(np.square(jac, out=jac), axis=1))
@@ -286,7 +292,7 @@ def certify_gradient_upper(weights: Weights, value: float, grads: np.ndarray,
     """Per-layer gradient bound |grad_k J|_F^2 <= 2 d e^{4.2c} L^-1 J."""
     reports = _hypothesis_forward(weights, norms, c_alpha, REL_TOL_EXACT)
     applicable = all(r.passed for r in reports)
-    per_layer_sq = np.sum(grads ** 2, axis=(1, 2))
+    per_layer_sq = layer_squares(grads)
     k_worst = int(np.argmax(per_layer_sq))
     bound = gradient_upper_coefficient(weights.width, weights.depth, c_alpha) * value
     reports.append(make_report(
@@ -337,7 +343,7 @@ def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
     ]
     base_ok = all(r.passed for r in reports)
 
-    per_layer_sq = np.sum(grads ** 2, axis=(1, 2))
+    per_layer_sq = layer_squares(grads)
 
     reports.append(make_report(
         "gradient_lower_first_layer", per_layer_sq[0],
@@ -382,7 +388,7 @@ def _at_cap(layers: np.ndarray, radius: float, params: AssumptionParams) -> Weig
     at the delta_L = L^-1/2 that the draw certificates assume."""
     delta = params.L ** (-0.5)
     cap = params.c0 * delta
-    layers *= radius * cap / np.linalg.norm(layers, axis=(1, 2), keepdims=True)
+    layers *= (radius * cap / np.sqrt(layer_squares(layers)))[:, None, None]
     return Weights(layers, delta)
 
 
@@ -394,24 +400,31 @@ def certify_draws(data: Dataset, params: AssumptionParams, rng: np.random.Genera
 
     Each draw is evaluated once, at a random unit input x: its forward trace,
     one gradient pass and its weight norms, which all four certifiers read;
-    its rows carry the context ``draw``. The draws share one pair of step
-    blocks, and each draw's arrays are freed when its rows are built, so the
-    sweep holds a fixed number of weight-sized arrays however many draws it
-    makes. The pair is freed before the Hessian estimate allocates its own.
+    its rows carry the context ``draw``. The arrays of the weights' size are
+    allocated once per sweep, and every draw writes into them: the layer
+    stack, which takes the draw's normals, one pair of step blocks and the
+    (L+1, d, d) Jacobian stack. A draw allocates only arrays of a chunk's or
+    a trace row's size besides, so the sweep holds a fixed number of
+    weight-sized arrays however many draws it makes, and a draw maps no new
+    pages. The blocks and the Jacobian stack are freed before the Hessian
+    estimate allocates its own; its stack takes its normals in the layer
+    stack.
     """
-    shape = (params.L, params.d, params.d)
-    size = step_block_size(params.L, data.n, params.d)
+    L, d = params.L, params.d
+    layers = np.empty((L, d, d))
+    size = step_block_size(L, data.n, d)
     blocks = (np.empty(size), np.empty(size))
+    jacobians = np.empty((L + 1, d, d))
 
     def draw_reports(draw: int) -> list[BoundReport]:
-        w = _at_cap(rng.standard_normal(shape), rng.uniform(0.1, 1.0), params)
-        x = rng.standard_normal(params.d)
+        w = _at_cap(rng.standard_normal(out=layers), rng.uniform(0.1, 1.0), params)
+        x = rng.standard_normal(d)
         x /= np.linalg.norm(x)
         trace = forward(x, w, activation)
         grads, _, value = grad_objective_with_stats(data, w, activation, blocks=blocks)
         norms = weight_norms(w)
         batch = [
-            *certify_forward(trace, w, norms, params.c0),
+            *certify_forward(trace, w, norms, params.c0, jacobians),
             *certify_loss_bound(w, value, norms, params.c0),
             *certify_gradient_upper(w, value, grads, norms, params.c0),
             *certify_gradient_lower(data, w, value, grads, norms, params),
@@ -421,9 +434,9 @@ def certify_draws(data: Dataset, params: AssumptionParams, rng: np.random.Genera
         return batch
 
     reports = [r for draw in range(draws) for r in draw_reports(draw)]
-    del blocks
-    reports.extend(certify_hessian(data, _at_cap(rng.standard_normal(shape), 0.5, params),
-                                   params.c0, activation))
+    del blocks, jacobians
+    hessian_weights = _at_cap(rng.standard_normal(out=layers), 0.5, params)
+    reports.extend(certify_hessian(data, hessian_weights, params.c0, activation))
     return reports
 
 

@@ -22,8 +22,9 @@ import numpy as np
 from .errors import InvalidInputError, NumericalOverflowError
 
 # Byte budget of one working buffer: each chunk of layers that ``layer_span``
-# sizes (the scaled layers delta A_k in ``forward_batch``, the layer gradients
-# of a training update and the squares of the weight norms) and the path
+# sizes (the scaled layers delta A_k in ``forward_batch``, the steps of
+# ``jacobian_stack``, the layer gradients of a training update and the squares
+# of ``training.weight_norms`` and ``training.layer_squares``) and the path
 # reader of ``analysis``, whose buffers then do not grow with depth. Larger
 # chunks save interpreter overhead but not arithmetic. At d=20, N=10 a forward
 # chunk and an update chunk are 40 layers in 128 KB each; a training step at
@@ -262,21 +263,33 @@ def forward(x, weights: Weights, activation: Activation = TANH) -> ForwardTrace:
     return ForwardTrace(batch.hidden[:, 0], batch.preact[:, 0], activation)
 
 
-def jacobian_stack(weights: Weights, sigma_prime: np.ndarray) -> np.ndarray:
-    """M_k for k = 0..L via M_L = I, M_{k-1} = M_k (I + delta diag(s'_k) alpha_k)."""
+def jacobian_stack(weights: Weights, sigma_prime: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """M_k for k = 0..L via M_L = I, M_{k-1} = M_k (I + delta diag(s'_k) alpha_k).
+
+    The steps I + delta diag(s'_k) alpha_k are built one chunk of layers at a
+    time, last chunk first, into one buffer of less than ``CHUNK_BYTES``, so
+    the (L+1, d, d) stack is the only array of the weights' size. It is
+    written into ``out`` (C-contiguous float64) when that is given, and
+    returned.
+    """
     L, d = weights.depth, weights.width
     eye = np.eye(d)
-    # I + delta * (s' * alpha) for every layer, built in place so the step
-    # stack is the only (L, d, d) temporary
-    steps = sigma_prime[:, :, None] * weights.layers
-    steps *= weights.delta
-    steps += eye
-    jac = np.empty((L + 1, d, d))
+    jac = np.empty((L + 1, d, d)) if out is None else out
     jac[L] = eye
     m_next = jac[L]
-    for m_prev, step in zip(jac[-2::-1], steps[::-1]):
-        m_next.dot(step, m_prev)
-        m_next = m_prev
+    # a chunk's working set is its steps and the Jacobians it writes
+    span = layer_span(L, 2 * eye.nbytes)
+    buf = np.empty((span, d, d))
+    for stop in range(L, 0, -span):
+        start = max(stop - span, 0)
+        steps = np.multiply(sigma_prime[start:stop, :, None], weights.layers[start:stop],
+                            out=buf[:stop - start])
+        steps *= weights.delta
+        steps += eye
+        for m_prev, step in zip(jac[start:stop][::-1], steps[::-1]):
+            m_next.dot(step, m_prev)
+            m_next = m_prev
     return jac
 
 

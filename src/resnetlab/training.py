@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Adjoint, _gradient_pass, objective, step_block_size
+from .autograd import (Adjoint, _gradient_pass, objective, step_block_size,
+                       trace_block_size)
 from .data import Dataset, write_csv
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, Weights, layer_span
@@ -80,6 +81,25 @@ class WeightNorms:
     finf: float
     neighbour_max: float
     diff_sq: np.ndarray = field(repr=False, compare=False)
+
+
+def layer_squares(stack: np.ndarray) -> np.ndarray:
+    """|A_k|_F^2 for each layer of an (L, d, d) stack.
+
+    The squares are taken one chunk of layers at a time into a buffer, as in
+    ``weight_norms``, so no array of the stack's size is allocated. Each
+    value equals ``np.sum(stack ** 2, axis=(1, 2))`` bit for bit, and its
+    square root ``np.linalg.norm(stack, axis=(1, 2))``.
+    """
+    L = len(stack)
+    span = layer_span(L, 2 * stack[0].nbytes)
+    buf = np.empty_like(stack, shape=(span,) + stack.shape[1:])
+    out = np.empty(L)
+    for start in range(0, L, span):
+        stop = min(start + span, L)
+        np.sum(np.square(stack[start:stop], out=buf[:stop - start]), axis=(1, 2),
+               out=out[start:stop])
+    return out
 
 
 def weight_norms(w: Weights) -> WeightNorms:
@@ -198,10 +218,10 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     one chunk buffer of layer gradients and the norm logging one of squares,
     each within ``network.CHUNK_BYTES``.
 
-    - The trace block, of ``step_block_size(L, N, d)`` floats, holds each
-      gradient pass's hidden states and preactivations, over which the
-      backward pass writes delta sigma' * G; G itself moves through two
-      (N, d) rows. The final loss's forward pass runs in it too.
+    - The trace block, of ``trace_block_size(L, N, d)`` = (2L+1) N d
+      floats, holds each gradient pass's hidden states and preactivations,
+      over which the backward pass writes delta sigma' * G; G itself moves
+      through two (N, d) rows. The final loss's forward pass runs in it too.
     - The weights block, of the layers' shape, holds the current layers.
       The first update copies w0 into it as it writes w_1, and each later
       update overwrites it chunk by chunk: the chunk's layer gradients are
@@ -209,11 +229,11 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
       scaled by 1/n and then eta, and subtracted from the chunk's layers.
 
     A trainable delta sums G_k * sigma(a_k) over every layer for its own
-    gradient, so its runs also hold an adjoint block of the trace block's
-    size: delta sigma' * G then moves after the hidden states, and the
-    preactivations and every G_k fill the adjoint block. Once the delta
-    gradient is formed from them the adjoint block is free, and the update's
-    chunk buffer is a view of its start.
+    gradient, so its runs also hold an adjoint block, and both blocks are
+    ``step_block_size(L, N, d)`` floats: delta sigma' * G then moves after
+    the hidden states, and the preactivations and every G_k fill the adjoint
+    block. Once the delta gradient is formed from them the adjoint block is
+    free, and the update's chunk buffer is a view of its start.
 
     An update whose layers overflow has already written part of them over
     the layers it read. Unless those were w0's, the run then recomputes them
@@ -233,7 +253,6 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
 
     w = w0
     L, n, d = w0.depth, len(data.xs), w0.width
-    size = step_block_size(L, n, d)
     layers = np.empty_like(w0.layers)
     # a chunk's working set is its gradients and the two trace rows they come
     # from, as in forward_batch
@@ -241,10 +260,11 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     if delta_trainable:
         # the adjoint block is free once the pass has formed the delta
         # gradient, so it holds the update's chunk buffer
+        size = step_block_size(L, n, d)
         blocks = (np.empty(size), np.empty(size))
         buf = blocks[1][:span * d * d].reshape(span, d, d)
     else:
-        blocks, buf = (np.empty(size), None), np.empty((span, d, d))
+        blocks, buf = (np.empty(trace_block_size(L, n, d)), None), np.empty((span, d, d))
 
     def log_state(w, t, value, require_finite=True):
         """Log iterate t, then raise if its norms are not finite."""

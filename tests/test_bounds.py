@@ -420,10 +420,10 @@ class TestRunEnvelope:
             34 * 16 * 0.25 ** 4 * math.exp(1.6), rel=1e-12)
 
 
-def draw_sweep(d, N, L, draws):
+def draw_sweep(d, N, L, draws, rng=None):
     params = AssumptionParams(0.25, N, d, L)
     data = sample_sphere_dataset(N, d, 0, params, enforce_separation=False)
-    return bounds.certify_draws(data, params, np.random.default_rng(2), draws, TANH)
+    return bounds.certify_draws(data, params, rng or np.random.default_rng(2), draws, TANH)
 
 
 def sweep_peak_stacks(d, N, L, draws):
@@ -491,11 +491,50 @@ class TestDrawPasses:
         assert peak <= 6.5, peak
 
     def test_memory_fixed_in_draw_phase(self, monkeypatch):
-        # the draws alone: the pair of step blocks, the draw's weights and
-        # the Jacobian stack with its step stack, which set this phase's peak
+        # the draws alone: the pair of step blocks, the layer stack and the
+        # Jacobian stack, allocated once, plus one draw's chunk buffers
         monkeypatch.setattr(bounds, "certify_hessian", lambda *args: [])
         peak = sweep_peak_stacks(20, 10, 256, 3)
-        assert peak <= 5.5, peak
+        assert peak <= 4.75, peak
+
+    def test_draws_allocate_no_stack(self, monkeypatch):
+        # every draw writes its normals, Jacobians and gradients into the
+        # sweep's arrays, so what a draw allocates and frees is bounded by
+        # chunk buffers and trace rows: the largest, the single-input
+        # forward's chunk of scaled layers and its trace, are 0.29 and 0.10
+        # of a stack here. The first draw's arrays, which may be allocated
+        # once, are not counted
+        monkeypatch.setattr(bounds, "certify_hessian", lambda *args: [])
+        d, L = 20, 256
+        rng = DrawMarks(np.random.default_rng(2))
+        tracemalloc.start()
+        try:
+            draw_sweep(d, 10, L, 6, rng)
+        finally:
+            tracemalloc.stop()
+        # two normal draws per certificate draw: its layers, then its input
+        transients = np.asarray(rng.transients[2:]) / (L * d * d * 8)
+        assert len(transients) == 10
+        assert transients.max() < 0.5, transients
+
+
+class DrawMarks:
+    """A generator that, at each normal draw, records how far the traced
+    memory rose above its level at the previous normal draw."""
+
+    def __init__(self, rng):
+        self.rng, self.start, self.transients = rng, None, []
+
+    def standard_normal(self, *args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        if self.start is not None:
+            self.transients.append(peak - self.start)
+        tracemalloc.reset_peak()
+        self.start = current
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
 
 
 class TestCertifierPurity:

@@ -292,9 +292,9 @@ def test_benchmark_names_resolve():
 
 def test_chunk_budget_has_two_readers():
     """``CHUNK_BYTES`` is read by ``network.layer_span``, which sizes every
-    chunk of layers of the forward pass, the training update and the weight
-    norms, and by the analysis path reader; every other chunked loop goes
-    through one of the two."""
+    chunk of layers of the forward pass, the Jacobian stack, the training
+    update and the per-layer squares, and by the analysis path reader; every
+    other chunked loop goes through one of the two."""
     readers = {f"{mod}.{node.name}" for mod, tree in modules().items()
                for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and any(used in ("CHUNK_BYTES", "network.CHUNK_BYTES")

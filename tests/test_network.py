@@ -9,7 +9,7 @@ from resnetlab.bounds import check_activation
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
 from resnetlab.network import (CHUNK_BYTES, IDENTITY, TANH, Activation,
                                NetworkConfig, Weights, forward, forward_batch,
-                               jacobian_stack, load_weights, save_weights)
+                               jacobian_stack, layer_span, load_weights, save_weights)
 
 
 def random_weights(rng, d, L, scale=None, delta=None):
@@ -320,6 +320,23 @@ class TestJacobians:
         trace = forward(rng.standard_normal(d), w, TANH)
         assert np.array_equal(jacobian_stack(w, sigma_prime(trace)),
                               reference_jacobian_stack(w, sigma_prime(trace)))
+
+    # the steps are built one chunk of span layers at a time, last chunk
+    # first: one chunk short of full, one full, one layer past it, and two
+    # full chunks and one layer
+    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_bitwise_at_chunk_edges(self, chunks, extra):
+        d = 20
+        span = layer_span(10 ** 6, 2 * d * d * 8)
+        L = chunks * span + extra
+        rng = np.random.default_rng(L)
+        w = random_weights(rng, d, L)
+        s = sigma_prime(forward(rng.standard_normal(d), w, TANH))
+        expected = reference_jacobian_stack(w, s)
+        assert np.array_equal(jacobian_stack(w, s), expected)
+        out = np.full((L + 1, d, d), np.nan)
+        assert jacobian_stack(w, s, out) is out
+        assert np.array_equal(out, expected)
 
 
 def reference_jacobian_stack(weights, sigma_prime):

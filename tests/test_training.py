@@ -11,11 +11,11 @@ from resnetlab.bounds import largest_sum_feasible_T, lr_feasibility
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, sample_sphere_dataset)
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
-from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
+from resnetlab.network import (CHUNK_BYTES, IDENTITY, TANH, NetworkConfig, Weights,
                                forward_batch, layer_span, load_weights, save_weights)
 from resnetlab.training import (RunLog, Schedule, WeightNorms, harmonic_number,
-                                layer_gaps, load_runlog, save_layer_gaps, save_runlog,
-                                train, weight_norms)
+                                layer_gaps, layer_squares, load_runlog, save_layer_gaps,
+                                save_runlog, train, weight_norms)
 
 
 def small_instance(seed=0, d=3, L=5, n=3):
@@ -84,6 +84,17 @@ class TestNorms:
             assert getattr(norms, name) == getattr(expected, name), name
         assert np.array_equal(norms.diff_sq, expected.diff_sq)
         assert norms.diff_sq.shape == (L - 1,)
+
+    # the squares read the stack in chunks of the same span: one short of
+    # full, one full, one layer past it, and two full chunks and one layer
+    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_chunked_squares_equal_full_stack_formulas(self, chunks, extra):
+        d = 20
+        L = chunks * layer_span(10 ** 6, 2 * d * d * 8) + extra
+        stack = np.random.default_rng(L).standard_normal((L, d, d))
+        squares = layer_squares(stack)
+        assert np.array_equal(squares, np.sum(stack ** 2, axis=(1, 2)))
+        assert np.array_equal(np.sqrt(squares), np.linalg.norm(stack, axis=(1, 2)))
 
 
 def full_stack_norms(w):
@@ -548,6 +559,23 @@ class TestInPlaceUpdate:
         # weights block of L d^2 (the same size here) are about four trace
         # units, allocated once per run
         assert_memory_flat_in_steps(False, 4.5)
+
+    def test_trace_block_holds_only_the_trace(self):
+        # with delta frozen the trace block is (2L+1) N d floats, less than
+        # the L d^2 of a layer stack when d > 2N: the run holds it, the
+        # weights block and at most two chunk buffers at once
+        d, n, L = 20, 3, 1024
+        data, w0 = small_instance(16, d=d, L=L, n=n)
+        sched = Schedule("constant", 0.01)
+        train(w0, data, sched, 1)
+        tracemalloc.start()
+        try:
+            train(w0, data, sched, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = (L * d * d + (2 * L + 1) * n * d) * 8 + 2 * CHUNK_BYTES
+        assert peak <= bound, (peak, bound)
 
     def test_memory_flat_in_steps_trainable_delta(self):
         # a trainable delta adds the adjoint block, of the trace block's size
