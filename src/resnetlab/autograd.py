@@ -85,8 +85,9 @@ def trace_block_size(depth: int, n: int, width: int) -> int:
 
 
 def step_block_size(depth: int, n: int, width: int) -> int:
-    """Entries of one block of ``grad_objective_with_stats``: a trace block,
-    or the (L, d, d) stack if that is larger."""
+    """Entries of the second block of ``grad_objective_with_stats`` with a
+    trainable delta: the preactivations and G, (2L+1) N d, or the (L, d, d)
+    gradient stack if that is larger."""
     return max(trace_block_size(depth, n, width), depth * width * width)
 
 
@@ -202,17 +203,22 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
     Returns (layer_grads, delta_grad, current_objective): the certify draws
     take a draw's loss from the forward pass that produced its gradient.
 
-    ``blocks`` is an optional pair of flat float64 arrays of
-    ``step_block_size(L, N, d)`` entries each (see ``_step_views`` for their
-    layout); without it a pair is allocated for the call. The returned layer
-    gradients are a view of the start of the second block. Where delta is a
-    power of two the results equal those of the h-space formulas (delta
-    applied per layer in the forward and the G recursion, delta/n in the
-    gradient) bit for bit.
+    ``blocks`` is an optional pair of flat float64 arrays (see
+    ``_step_views`` for their layout): a trace block of
+    ``trace_block_size(L, N, d)`` entries and a second block of
+    ``step_block_size(L, N, d)``; without it a pair is allocated for the
+    call. The returned layer gradients are written, after the pass, into a
+    view of the start of the second block. With delta frozen the pass does
+    not read the second block and the gradients read only the trace block,
+    so the second block needs only L d^2 entries and may be the memory of
+    ``weights.layers`` itself, which the gradients then overwrite. Where
+    delta is a power of two the results equal those of the h-space formulas
+    (delta applied per layer in the forward and the G recursion, delta/n in
+    the gradient) bit for bit.
     """
     if blocks is None:
-        size = step_block_size(weights.depth, len(data.xs), weights.width)
-        blocks = (np.empty(size), np.empty(size))
+        L, n, d = weights.depth, len(data.xs), weights.width
+        blocks = (np.empty(trace_block_size(L, n, d)), np.empty(step_block_size(L, n, d)))
     adjoint, dgrad, value = _gradient_pass(data, weights, activation,
                                            delta_trainable, blocks)
     # all layers at once; with a trainable delta the stack overlays preact
@@ -328,36 +334,39 @@ def hessian_spectral_estimate(data: "Dataset", weights: Weights,
     However many products it takes, the iteration holds the same arrays
     besides ``weights``: the iterate, its product and one perturbed stack
     (also the scratch of each Rayleigh quotient), each of the weights' size,
-    and one pair of step blocks (see ``grad_objective_with_stats``) that
-    every gradient pass writes into.
+    and one trace block (see ``grad_objective_with_stats``) that every
+    gradient pass runs in. Each gradient goes into an array the iteration
+    already holds: the "up" gradient into the product, the "down" gradient
+    over the perturbed stack that its pass has just read.
     """
     if probes < 1:
         raise InvalidInputError("probes must be >= 1")
     base = weights.layers
     scale = FD_HESSIAN_STEP * (1.0 + float(np.linalg.norm(base)))
-    perturbed = np.empty_like(base)
-    size = step_block_size(weights.depth, len(data.xs), weights.width)
-    blocks = (np.empty(size), np.empty(size))
+    # C-ordered, so that a flat view of each stack can take a gradient
+    perturbed = np.empty(base.shape)
+    trace_block = np.empty(trace_block_size(weights.depth, len(data.xs), weights.width))
 
     def hvp(direction: np.ndarray, out: np.ndarray) -> np.ndarray:
         # (g(base + scale v) - g(base - scale v)) / (2 scale) by the same
-        # operations as on new arrays; each gradient is a view of the blocks
+        # operations as on new arrays
         up = np.add(base, np.multiply(scale, direction, perturbed), perturbed)
-        np.copyto(out, grad_objective(data, Weights(up, weights.delta), activation,
-                                      blocks=blocks).layers)
+        grad_objective(data, Weights(up, weights.delta), activation,
+                       blocks=(trace_block, out.reshape(-1)))
         down = np.subtract(base, np.multiply(scale, direction, perturbed), perturbed)
-        np.subtract(out, grad_objective(data, Weights(down, weights.delta), activation,
-                                        blocks=blocks).layers, out)
+        g_down = grad_objective(data, Weights(down, weights.delta), activation,
+                                blocks=(trace_block, perturbed.reshape(-1))).layers
+        np.subtract(out, g_down, out)
         return np.divide(out, 2.0 * scale, out)
 
     def rayleigh(v: np.ndarray, w: np.ndarray) -> float:
         return float(np.sum(np.multiply(v, w, perturbed)))
 
-    v = np.ones_like(base)
+    v = np.ones(base.shape)
     v /= np.linalg.norm(v)
     # the next iterate is written over the product it comes from, and the
     # product of it over the iterate before
-    w = hvp(v, np.empty_like(base))
+    w = hvp(v, np.empty(base.shape))
     lam = rayleigh(v, w)
     for iterations in range(1, probes + 1):
         norm_w = float(np.linalg.norm(w))

@@ -14,13 +14,16 @@ from them whether its conclusions apply.
 The certifiers of one weight draw take the draw's evaluation from the
 caller, so a draw costs one gradient pass however many bounds read it:
 ``value`` is the objective and ``grads`` the (L, d, d) layer gradients, both
-from one ``grad_objective_with_stats`` pass, and ``norms`` is
-``weight_norms(weights)``. That caller is ``certify_draws``, which draws each
-random weight stack, evaluates it once and hands the evaluation to every
-certifier of the draw. The sweep allocates its arrays of the weights' size
-once (the layer stack, the pair of step blocks and the Jacobian stack), and
-every draw writes into them; the per-layer squares of a stack come from
-``training.layer_squares``, which needs no array of the stack's size.
+from one ``grad_objective_with_stats`` pass, or the gradients' per-layer
+squares, and ``norms`` is ``weight_norms(weights)``. That caller is
+``certify_draws``, which draws each random weight stack, evaluates it once
+and hands the evaluation to every certifier of the draw. The sweep holds
+three arrays of the weights' size, allocated once, and every draw writes
+into them: the layer stack, the trace block of the gradient pass and the
+Jacobian stack, which holds each draw's gradients until their per-layer
+squares are taken. Those squares come from ``training.layer_squares``, which
+needs no array of the stack's size, once per draw for both gradient
+certifiers.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import (grad_objective_with_stats, hessian_spectral_estimate,
-                       objective, step_block_size)
+                       objective, trace_block_size)
 from .data import (UNIT_NORM_TOL, AssumptionParams, Dataset, initial_loss_cap,
                    initial_row_norm_cap, separation_threshold)
 from .errors import InvalidInputError, NumericalOverflowError
@@ -287,12 +290,22 @@ def gradient_upper_coefficient(d: int, L: int, c_alpha: float) -> float:
     return 2.0 * d * math.exp(4.2 * c_alpha) / L
 
 
+def _gradient_squares(grads: np.ndarray) -> np.ndarray:
+    """|grad_k J|_F^2 per layer: ``grads`` itself when it holds them already
+    (an (L,) array), else ``layer_squares`` of the (L, d, d) stack."""
+    return grads if grads.ndim == 1 else layer_squares(grads)
+
+
 def certify_gradient_upper(weights: Weights, value: float, grads: np.ndarray,
                            norms: WeightNorms, c_alpha: float) -> list[BoundReport]:
-    """Per-layer gradient bound |grad_k J|_F^2 <= 2 d e^{4.2c} L^-1 J."""
+    """Per-layer gradient bound |grad_k J|_F^2 <= 2 d e^{4.2c} L^-1 J.
+
+    ``grads`` is the (L, d, d) layer gradient stack or its per-layer squares
+    (see ``_gradient_squares``).
+    """
     reports = _hypothesis_forward(weights, norms, c_alpha, REL_TOL_EXACT)
     applicable = all(r.passed for r in reports)
-    per_layer_sq = layer_squares(grads)
+    per_layer_sq = _gradient_squares(grads)
     k_worst = int(np.argmax(per_layer_sq))
     bound = gradient_upper_coefficient(weights.width, weights.depth, c_alpha) * value
     reports.append(make_report(
@@ -328,7 +341,8 @@ def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
     First layer: |grad_1 J|_F^2 >= (4N)^-1 e^{-2c0} L^-1 J under the weight
     scale, depth and data-separation hypotheses. Full vector: adds the
     neighbouring-layer gap hypothesis; its coefficient can be nonpositive at
-    small depth, in which case the report is marked vacuous.
+    small depth, in which case the report is marked vacuous. ``grads`` is the
+    (L, d, d) layer gradient stack or its per-layer squares.
     """
     c0, L = params.c0, weights.depth
     reports = [
@@ -343,7 +357,7 @@ def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
     ]
     base_ok = all(r.passed for r in reports)
 
-    per_layer_sq = layer_squares(grads)
+    per_layer_sq = _gradient_squares(grads)
 
     reports.append(make_report(
         "gradient_lower_first_layer", per_layer_sq[0],
@@ -399,22 +413,26 @@ def certify_draws(data: Dataset, params: AssumptionParams, rng: np.random.Genera
     stack has delta_L = L^-1/2, the premise of these certificates.
 
     Each draw is evaluated once, at a random unit input x: its forward trace,
-    one gradient pass and its weight norms, which all four certifiers read;
-    its rows carry the context ``draw``. The arrays of the weights' size are
-    allocated once per sweep, and every draw writes into them: the layer
-    stack, which takes the draw's normals, one pair of step blocks and the
-    (L+1, d, d) Jacobian stack. A draw allocates only arrays of a chunk's or
-    a trace row's size besides, so the sweep holds a fixed number of
-    weight-sized arrays however many draws it makes, and a draw maps no new
-    pages. The blocks and the Jacobian stack are freed before the Hessian
-    estimate allocates its own; its stack takes its normals in the layer
-    stack.
+    one gradient pass, the per-layer squares of its gradients and its weight
+    norms, which all four certifiers read; its rows carry the context
+    ``draw``. The sweep holds three arrays of the weights' size, allocated
+    once, which every draw writes into: the layer stack, which takes the
+    draw's normals, the trace block of the gradient pass and the (L+1, d, d)
+    Jacobian stack. The gradient pass writes the draw's (L, d, d) gradients
+    into the Jacobian stack, whose squares are taken before
+    ``certify_forward`` fills it with the Jacobians. A draw allocates only
+    arrays of a chunk's or a trace row's size besides, so the sweep holds a
+    fixed number of weight-sized arrays however many draws it makes, and a
+    draw maps no new pages. The trace block and the Jacobian stack are freed
+    before the Hessian estimate allocates its own arrays; its stack takes its
+    normals in the layer stack.
     """
     L, d = params.L, params.d
     layers = np.empty((L, d, d))
-    size = step_block_size(L, data.n, d)
-    blocks = (np.empty(size), np.empty(size))
     jacobians = np.empty((L + 1, d, d))
+    # with delta frozen the pass reads only the trace block, and its
+    # gradients fill the first L matrices of the Jacobian stack
+    blocks = (np.empty(trace_block_size(L, data.n, d)), jacobians.reshape(-1))
 
     def draw_reports(draw: int) -> list[BoundReport]:
         w = _at_cap(rng.standard_normal(out=layers), rng.uniform(0.1, 1.0), params)
@@ -422,12 +440,13 @@ def certify_draws(data: Dataset, params: AssumptionParams, rng: np.random.Genera
         x /= np.linalg.norm(x)
         trace = forward(x, w, activation)
         grads, _, value = grad_objective_with_stats(data, w, activation, blocks=blocks)
+        grad_sq = layer_squares(grads)
         norms = weight_norms(w)
         batch = [
             *certify_forward(trace, w, norms, params.c0, jacobians),
             *certify_loss_bound(w, value, norms, params.c0),
-            *certify_gradient_upper(w, value, grads, norms, params.c0),
-            *certify_gradient_lower(data, w, value, grads, norms, params),
+            *certify_gradient_upper(w, value, grad_sq, norms, params.c0),
+            *certify_gradient_lower(data, w, value, grad_sq, norms, params),
         ]
         for r in batch:
             r.context["draw"] = draw

@@ -352,6 +352,7 @@ def cmd_analyze(cfg: ExperimentConfig, run_dir: str, out_dir: str) -> int:
         if low is not None:
             distances.append((low[0], depth, analysis.scaling_limit_distance(low[1], weights)))
         low = depth, weights
+    del low, weights  # the fits and the writes read no weight stack
 
     # Steps-to-epsilon on the mean loss curve across depths, whose runs all
     # logged the steps log.t.

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import (Adjoint, _gradient_pass, objective, step_block_size,
-                       trace_block_size)
+from .autograd import Adjoint, _gradient_pass, objective, trace_block_size
 from .data import Dataset, write_csv
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, Weights, layer_span
@@ -229,11 +228,12 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
       scaled by 1/n and then eta, and subtracted from the chunk's layers.
 
     A trainable delta sums G_k * sigma(a_k) over every layer for its own
-    gradient, so its runs also hold an adjoint block, and both blocks are
-    ``step_block_size(L, N, d)`` floats: delta sigma' * G then moves after
-    the hidden states, and the preactivations and every G_k fill the adjoint
-    block. Once the delta gradient is formed from them the adjoint block is
-    free, and the update's chunk buffer is a view of its start.
+    gradient, so its runs also hold an adjoint block: delta sigma' * G then
+    moves after the hidden states in the trace block, and the preactivations
+    and every G_k fill the adjoint block, (2L+1) N d floats again. Once the
+    delta gradient is formed from them the adjoint block is free, and the
+    update's chunk buffer is a view of its start, so the adjoint block is
+    the larger of a trace block and that buffer.
 
     An update whose layers overflow has already written part of them over
     the layers it read. Unless those were w0's, the run then recomputes them
@@ -257,14 +257,14 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     # a chunk's working set is its gradients and the two trace rows they come
     # from, as in forward_batch
     span = layer_span(L, (d * d + 2 * n * d) * layers.itemsize)
+    trace_size = trace_block_size(L, n, d)
     if delta_trainable:
         # the adjoint block is free once the pass has formed the delta
         # gradient, so it holds the update's chunk buffer
-        size = step_block_size(L, n, d)
-        blocks = (np.empty(size), np.empty(size))
+        blocks = (np.empty(trace_size), np.empty(max(trace_size, span * d * d)))
         buf = blocks[1][:span * d * d].reshape(span, d, d)
     else:
-        blocks, buf = (np.empty(trace_block_size(L, n, d)), None), np.empty((span, d, d))
+        blocks, buf = (np.empty(trace_size), None), np.empty((span, d, d))
 
     def log_state(w, t, value, require_finite=True):
         """Log iterate t, then raise if its norms are not finite."""

@@ -259,10 +259,10 @@ class TestInPlaceStep:
         assert calls == [(4, 2, 3)]
 
     def test_memory_is_trace_g_and_gradient_stack(self):
-        # the pass runs in the pair of step blocks it allocates: hidden and
-        # preact, over which delta sigma' * G is written, in one, and the
-        # (L, d, d) gradient stack (two trace-sized arrays at N = d/2) in the
-        # other; with delta frozen G moves through two (N, d) rows
+        # the pass runs in the pair of blocks it allocates: hidden and
+        # preact, over which delta sigma' * G is written, in the trace block,
+        # and the (L, d, d) gradient stack (two trace-sized arrays at N = d/2)
+        # in the other; with delta frozen G moves through two (N, d) rows
         d, n, L = 20, 10, 1024
         rng = np.random.default_rng(43)
         data, w = random_instance(rng, d, L, n)
@@ -567,18 +567,30 @@ class TestLayerStats:
             assert drive[k - 1] == pytest.approx(acc / data.n, rel=1e-12)
 
 
-def allocating_hessian_estimate(data, weights, activation=TANH, *, probes):
+def library_layer_grads(data, weights, activation):
+    """``autograd.grad_objective``'s layer gradients, looked up at each call
+    so that a test may wrap it."""
+    return autograd.grad_objective(data, weights, activation).layers
+
+
+def reference_layer_grads(data, weights, activation):
+    return reference_grad_objective(data, weights, activation)["grads"]
+
+
+def allocating_hessian_estimate(data, weights, activation=TANH, *, probes,
+                                gradient=library_layer_grads):
     """The power iteration with every product on new arrays: the allocating
-    formula whose result the in-place estimate must give bit for bit."""
+    formula whose result the in-place estimate must give bit for bit.
+    ``gradient(data, weights, activation)`` gives the layer gradients of a
+    point."""
     base = weights.layers
     scale = autograd.FD_HESSIAN_STEP * (1.0 + float(np.linalg.norm(base)))
 
     def hvp(direction):
         up = Weights(base + scale * direction, weights.delta)
         down = Weights(base - scale * direction, weights.delta)
-        g_up = autograd.grad_objective(data, up, activation)
-        g_down = autograd.grad_objective(data, down, activation)
-        return (g_up.layers - g_down.layers) / (2.0 * scale)
+        g_up, g_down = gradient(data, up, activation), gradient(data, down, activation)
+        return (g_up - g_down) / (2.0 * scale)
 
     v = np.ones_like(base)
     v /= np.linalg.norm(v)
@@ -634,6 +646,20 @@ class TestHessianEstimate:
             assert np.array_equal(a, b)
         assert est.converged == (case != "budget_exhausted")
         assert (est.value == 0.0) == (case == "zero_hessian")
+
+    @pytest.mark.parametrize("d, L, n", [(6, 16, 2), (3, 9, 4)])
+    def test_equals_reference_on_fresh_arrays(self, d, L, n):
+        # every gradient of the reference comes from the allocating formulas
+        # on new arrays, none from a pass in blocks. At d > 2N the trace
+        # block is smaller than a stack, at d < 2N larger; the "down"
+        # gradient overwrites the perturbed stack but never the weights
+        rng = np.random.default_rng(60 + d)
+        data, w = random_instance(rng, d, L, n)
+        before = w.layers.copy()
+        est = hessian_spectral_estimate(data, w, probes=40)
+        assert est == allocating_hessian_estimate(data, w, probes=40,
+                                                  gradient=reference_layer_grads)
+        assert np.array_equal(w.layers, before)
 
     def test_quadratic_closed_form(self, monkeypatch):
         # identity activation, L=1, delta=1: Hessian top eigenvalue is |x|^2

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (entry_scatter_oracle, mean_layer_norm_oracle,
                      scaling_limit_distance_oracle, two_variation_oracle)
-from resnetlab import bounds, cli
+from resnetlab import analysis, bounds, cli
 from resnetlab.bounds import load_reports_jsonl
 from resnetlab.cli import (EXIT_BOUND_FAILURE, EXIT_INPUT_ERROR, EXIT_OK,
                            EXIT_OVERFLOW, ExperimentConfig, load_config, main)
@@ -998,6 +998,33 @@ class TestAnalyzeCommand:
                 tracemalloc.stop()
         stack = 290 * 20 * 20 * 8
         assert peaks[0] - peaks[1] < stack, (peaks, stack)
+
+    def test_fits_run_without_a_stack(self, tmp_path, monkeypatch):
+        # by the first power-law fit the depth loop has released its stacks:
+        # the traced memory is less than one deepest stack above its level
+        # when the loop began
+        cfg, run_dir = self.run_training(tmp_path, d=20, N=4, T=0, depths=[280, 290])
+        config = load_config(cfg, {})
+        levels = {}
+        real_runs, real_fit = cli._completed_runs, analysis.fit_power_law
+
+        def runs(run_dir):
+            levels.setdefault("loop", tracemalloc.get_traced_memory()[0])
+            return real_runs(run_dir)
+
+        def fit(points):
+            levels.setdefault("fit", tracemalloc.get_traced_memory()[0])
+            return real_fit(points)
+
+        monkeypatch.setattr(cli, "_completed_runs", runs)
+        monkeypatch.setattr(analysis, "fit_power_law", fit)
+        tracemalloc.start()
+        try:
+            assert cli.cmd_analyze(config, str(run_dir), str(tmp_path / "analysis")) == EXIT_OK
+        finally:
+            tracemalloc.stop()
+        stack = 290 * 20 * 20 * 8
+        assert levels["fit"] - levels["loop"] < stack, (levels, stack)
 
     @pytest.mark.parametrize("layout", ["non-nested", "failed-middle"])
     def test_files_equal_per_layer_oracles(self, tmp_path, layout):

@@ -347,8 +347,8 @@ def reference_layer_gaps(w0, data, sched, T, activation, delta_trainable):
 
 
 class TestInPlaceUpdate:
-    # a step block holds (2L+1) N d floats, or L d^2 if that is more: N > d/2
-    # sizes it by the trace, N < d/2 by the layer stack
+    # a trace block holds (2L+1) N d floats: more than the L d^2 of a layer
+    # stack when N > d/2, less when N < d/2
     @pytest.mark.parametrize("L, activation, trainable, sched, d, n, log_layers", [
         pytest.param(1, TANH, False, Schedule("constant", 0.1), 4, 3, False,
                      id="1-activation0-False-sched0"),
@@ -575,6 +575,26 @@ class TestInPlaceUpdate:
         finally:
             tracemalloc.stop()
         bound = (L * d * d + (2 * L + 1) * n * d) * 8 + 2 * CHUNK_BYTES
+        assert peak <= bound, (peak, bound)
+
+    def test_trainable_delta_blocks_hold_only_what_they_read(self):
+        # a trainable delta adds the adjoint block, which holds the
+        # preactivations and G, (2L+1) N d floats like the trace block, and
+        # then the update's chunk buffer of span d^2; neither block is a
+        # layer stack when d > 2N
+        d, n, L = 20, 3, 1024
+        data, w0 = small_instance(16, d=d, L=L, n=n)
+        sched = Schedule("constant", 0.01)
+        train(w0, data, sched, 1, delta_trainable=True)
+        tracemalloc.start()
+        try:
+            train(w0, data, sched, 4, delta_trainable=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        trace = (2 * L + 1) * n * d
+        span = layer_span(L, (d * d + 2 * n * d) * 8)
+        bound = (L * d * d + trace + max(trace, span * d * d)) * 8 + 2 * CHUNK_BYTES
         assert peak <= bound, (peak, bound)
 
     def test_memory_flat_in_steps_trainable_delta(self):
