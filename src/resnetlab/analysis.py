@@ -8,7 +8,8 @@ computes the sup distance between the paths of two depths. Each path kernel
 takes one depth or one pair of depths, states the points it reads as an
 array of layer indices and reads them through one chunked reader,
 ``_path_rows``, which owns the ``CHUNK_BYTES`` buffer and the one-row overlap
-between chunks; no kernel runs a chunk loop of its own.
+between chunks; no kernel runs a chunk loop of its own. The mean layer norm
+reads no path: it takes the per-layer squares from ``network.layer_squares``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .network import CHUNK_BYTES, Weights
+from .network import CHUNK_BYTES, Weights, layer_squares
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,10 @@ def steps_to_epsilon(t: np.ndarray, loss: np.ndarray,
     return out
 
 
-def _path_rows(weights: Weights, k: np.ndarray, scale: float | None = None):
+def _path_rows(weights: Weights, k: np.ndarray, scale: float):
     """Yield ``(at, rows)`` for the layer indices ``k``, clipped to [0, L - 1]:
-    ``rows`` holds ``scale * A_k`` (the unscaled A_k without a ``scale``) for
-    the slice ``at`` of ``k``, one chunk at a time.
+    ``rows`` holds ``scale * A_k`` for the slice ``at`` of ``k``, one chunk at
+    a time.
 
     Each chunk after the first begins with the last row of the one before, so
     every pair of consecutive indices lies in one chunk. The chunks are views
@@ -83,8 +84,7 @@ def _path_rows(weights: Weights, k: np.ndarray, scale: float | None = None):
         # mode="clip" clips k, and unlike "raise" it writes into chunk
         # without a buffered copy
         np.take(layers, k[at], axis=0, out=chunk, mode="clip")
-        if scale is not None:
-            np.multiply(chunk, scale, chunk)
+        np.multiply(chunk, scale, chunk)
         yield at, chunk
 
 
@@ -156,14 +156,9 @@ def scaling_limit_distance(w_low: Weights, w_high: Weights) -> float:
 
 def mean_layer_norm(weights: Weights) -> float:
     """Mean over the layers of the Frobenius norm, equal bit for bit to the
-    mean of ``np.linalg.norm(weights.layers, axis=(1, 2))``: the reader keeps
-    the stack's memory layout, so each sum runs in np.linalg.norm's order."""
-    norms = np.empty(weights.depth)
-    for at, rows in _path_rows(weights, np.arange(weights.depth)):
-        np.square(rows, rows)
-        np.add.reduce(rows, axis=(1, 2), out=norms[at])
-    np.sqrt(norms, norms)
-    return float(np.mean(norms))
+    mean of ``np.linalg.norm(weights.layers, axis=(1, 2))`` (see
+    ``network.layer_squares``)."""
+    return float(np.mean(np.sqrt(layer_squares(weights.layers))))
 
 
 def total_scaling(points: list[tuple[int, float]]) -> ScalingFit:

@@ -8,18 +8,22 @@ hidden-state gradients G_k obey
 and the layer-k gradient of the per-sample loss is
 (delta sigma'(a_k) * G_k) h_{k-1}^T. delta sigma' is formed once over the
 whole trace, so neither the recursion nor the gradient contraction multiplies
-by delta layer by layer. The recursion reads each G_k once, so with delta
-frozen it keeps two rows of G, not all L+1, and writes delta sigma' over the
-preactivations; the contraction (``Adjoint.layer_grads``) forms any slice of
-layers, so a caller such as training's update need not hold the whole
-(L, d, d) gradient stack. Finite differences of the objective
-serve as the independent check on all of this. The gradient oracle takes
-the unperturbed prefix h_{k-1} from one ``forward_batch`` call, shares it
-among every perturbation of layer k, and runs the perturbed copies through
-the later layers by the h-space recursion itself, all 2 d^2 N rows at once
-in place, so its memory does not grow with depth. It thereby checks the
-scaled-state loops of ``forward_batch`` and ``_backward`` in other
-arithmetic.
+by delta layer by layer. The recursion reads each G_k once, so it keeps two
+rows of G, not all L+1. Every gradient pass runs in one flat trace block of
+hidden states and preactivations. With delta frozen, delta sigma' is written
+over the preactivations; a trainable delta needs sum G_k * sigma(a_k), whose
+terms the recursion writes over the preactivations while G_k is still in its
+row, so delta sigma' takes L N d more entries of the block. The contraction
+(``Adjoint.layer_grads``) forms any slice of layers, so a caller such as
+training's update need not hold the whole (L, d, d) gradient stack.
+
+Finite differences of the objective serve as the independent check on all of
+this. The gradient oracle takes the unperturbed prefix h_{k-1} from one
+``forward_batch`` call, shares it among every perturbation of layer k, and
+runs the perturbed copies through the later layers by the h-space recursion
+itself, all 2 d^2 N rows at once in place, so its memory does not grow with
+depth. It thereby checks the scaled-state loops of ``forward_batch`` and
+``_backward`` in other arithmetic.
 """
 
 from __future__ import annotations
@@ -43,18 +47,18 @@ HESSIAN_TOL = 1e-6  # relative change of the Rayleigh quotient that stops the it
 
 def objective(data: "Dataset", weights: Weights,
               activation: Activation = TANH,
-              blocks: tuple[np.ndarray, np.ndarray | None] | None = None) -> float:
+              trace: np.ndarray | None = None) -> float:
     """Mean over the training set of the per-sample loss |yhat - y|^2 / 2.
 
-    With ``blocks`` (see ``_step_views``) the forward trace is written into
-    the first block instead of new arrays; the second is not read.
+    With a ``trace`` block (see ``_trace_views``) the forward trace is
+    written into it instead of new arrays.
     """
-    if blocks is None:
-        trace = forward_batch(data.xs, weights, activation)
+    if trace is None:
+        run = forward_batch(data.xs, weights, activation)
     else:
-        hidden, preact, _, _ = _step_views(blocks, weights, data)
-        trace = forward_batch(data.xs, weights, activation, hidden, preact)
-    return _mean_squared(trace.output, data.ys)
+        hidden, preact, _ = _trace_views(trace, weights, len(data.xs), False)
+        run = forward_batch(data.xs, weights, activation, hidden, preact)
+    return _mean_squared(run.output, data.ys)
 
 
 def _mean_squared(outputs: np.ndarray, ys: np.ndarray) -> float:
@@ -77,47 +81,32 @@ class Grad:
     delta_grad: float = 0.0
 
 
-def trace_block_size(depth: int, n: int, width: int) -> int:
-    """Entries of the first block that a gradient pass with delta frozen
-    reads (see ``_step_views``): the hidden states and the preactivations,
-    (2L+1) N d."""
-    return (2 * depth + 1) * n * width
+def trace_block_size(depth: int, n: int, width: int, delta_trainable: bool = False) -> int:
+    """Entries of the trace block of one gradient pass (see ``_trace_views``):
+    the hidden states and the preactivations, (2L+1) N d, plus L N d for
+    delta sigma' * G with a trainable delta."""
+    return (2 * depth + 1 + (depth if delta_trainable else 0)) * n * width
 
 
-def step_block_size(depth: int, n: int, width: int) -> int:
-    """Entries of the second block of ``grad_objective_with_stats`` with a
-    trainable delta: the preactivations and G, (2L+1) N d, or the (L, d, d)
-    gradient stack if that is larger."""
-    return max(trace_block_size(depth, n, width), depth * width * width)
+def _trace_views(trace: np.ndarray, weights: Weights, n: int, delta_trainable: bool):
+    """hidden (L+1, N, d), preact (L, N, d) and delta sigma' (L, N, d) of one
+    gradient pass, in that order from the start of the flat ``trace`` block.
 
-
-def _step_views(blocks: tuple[np.ndarray, np.ndarray | None], weights: Weights,
-                data: "Dataset", delta_trainable: bool = False):
-    """hidden (L+1, N, d), preact (L, N, d), delta sigma' and G of one
-    gradient pass in ``blocks``.
-
-    hidden and then preact start the first block. With delta frozen,
-    delta sigma' is written over preact and G moves through two (N, d) rows
-    of its own, so the pass does not touch the second block, which may be
-    None. A trainable delta needs every G_k and sigma(a_k) after the backward
-    pass: delta sigma' then takes preact's place in the first block, and
-    preact and the (L+1, N, d) G fill the second. Once the pass is done, the
-    second block is free in both cases.
+    With delta frozen, delta sigma' is written over preact, which it then
+    is. A trainable delta reads sigma(a_k) after sigma' is taken, so
+    delta sigma' has its own L N d entries after preact.
     """
-    L, n, d = weights.depth, len(data.xs), weights.width
+    L, d = weights.depth, weights.width
     unit = L * n * d
-    trace_block, adjoint_block = blocks
-    hidden = trace_block[:unit + n * d].reshape(L + 1, n, d)
-    after_hidden = trace_block[unit + n * d:2 * unit + n * d].reshape(L, n, d)
+    hidden = trace[:unit + n * d].reshape(L + 1, n, d)
+    preact = trace[unit + n * d:2 * unit + n * d].reshape(L, n, d)
     if not delta_trainable:
-        return hidden, after_hidden, after_hidden, np.empty((2, n, d))
-    preact = adjoint_block[:unit].reshape(L, n, d)
-    g = adjoint_block[unit:2 * unit + n * d].reshape(L + 1, n, d)
-    return hidden, preact, after_hidden, g
+        return hidden, preact, preact
+    return hidden, preact, trace[2 * unit + n * d:3 * unit + n * d].reshape(L, n, d)
 
 
 def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
-              g: np.ndarray, sg: np.ndarray) -> None:
+              g: np.ndarray, sg: np.ndarray, delta_terms: bool) -> None:
     """Runs the hidden-state gradients G_k = M_k^T (yhat - y), k = L..0,
     through the rows of ``g``, which have the shape of the trace's rows:
     (N, d) for a batch, (d,) for one input.
@@ -130,10 +119,12 @@ def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
     delta sigma'(a_k) is computed into ``sg`` (preact's shape, and it may be
     ``trace.preact`` itself), whose layer k-1 then becomes
     delta sigma'(a_k) * G_k, the factor that the layer-k gradient contracts
-    with h_{k-1}.
+    with h_{k-1}. With ``delta_terms`` (and ``sg`` apart from the
+    preactivations), layer k-1 of ``trace.preact`` becomes
+    G_k * sigma(a_k), the terms of the delta gradient.
     """
     L = weights.depth
-    rows = iter(g[::-1]) if len(g) > 2 else itertools.cycle(g[::-1])
+    rows = itertools.cycle(g[::-1])
     g_next = next(rows)
     np.subtract(trace.hidden[L], ys, out=g_next)
     multiply, add = np.multiply, np.add
@@ -142,10 +133,16 @@ def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
         # delta sigma'(a_k) for every layer at once, so the loop has no
         # scalar multiply
         multiply(trace.activation.deriv1(trace.preact, sg), weights.delta, sg)
+        terms = itertools.repeat(None)
+        if delta_terms:
+            # sigma(a_k) for every layer at once, once sigma' is taken
+            terms = trace.activation.value(trace.preact, trace.preact)[::-1]
         # layer k = L..1: s holds delta sigma'(a_k), then delta sigma'(a_k) * G_k,
         # and G_{k-1} is built in place. As in forward_batch, ndarray.dot and
         # positional outputs keep the per-call overhead down.
-        for s, g_prev, alpha in zip(sg[::-1], rows, weights.layers[::-1]):
+        for s, t, g_prev, alpha in zip(sg[::-1], terms, rows, weights.layers[::-1]):
+            if delta_terms:
+                multiply(t, g_next, t)
             multiply(s, g_next, s)
             s.dot(alpha, g_prev)
             add(g_prev, g_next, g_prev)
@@ -182,71 +179,65 @@ class Adjoint:
 def grad_objective(data: "Dataset", weights: Weights,
                    activation: Activation = TANH,
                    delta_trainable: bool = False,
-                   blocks: tuple[np.ndarray, np.ndarray] | None = None) -> Grad:
+                   trace: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> Grad:
     """Exact gradient of the objective with respect to every layer (and delta).
 
-    ``blocks`` is passed to ``grad_objective_with_stats``; the returned
-    layers are a view of the second block.
+    ``trace`` and ``out`` are passed to ``grad_objective_with_stats``.
     """
     grads, dgrad, _ = grad_objective_with_stats(data, weights, activation,
-                                                delta_trainable, blocks)
+                                                delta_trainable, trace, out)
     return Grad(grads, dgrad)
 
 
 def grad_objective_with_stats(data: "Dataset", weights: Weights,
                               activation: Activation = TANH,
                               delta_trainable: bool = False,
-                              blocks: tuple[np.ndarray, np.ndarray] | None = None):
+                              trace: np.ndarray | None = None,
+                              out: np.ndarray | None = None):
     """Gradient plus the current loss (the "stats" of the name), from one
     forward pass.
 
     Returns (layer_grads, delta_grad, current_objective): the certify draws
     take a draw's loss from the forward pass that produced its gradient.
 
-    ``blocks`` is an optional pair of flat float64 arrays (see
-    ``_step_views`` for their layout): a trace block of
-    ``trace_block_size(L, N, d)`` entries and a second block of
-    ``step_block_size(L, N, d)``; without it a pair is allocated for the
-    call. The returned layer gradients are written, after the pass, into a
-    view of the start of the second block. With delta frozen the pass does
-    not read the second block and the gradients read only the trace block,
-    so the second block needs only L d^2 entries and may be the memory of
-    ``weights.layers`` itself, which the gradients then overwrite. Where
-    delta is a power of two the results equal those of the h-space formulas
-    (delta applied per layer in the forward and the G recursion, delta/n in
-    the gradient) bit for bit.
+    The pass runs in ``trace``, a flat float64 block of
+    ``trace_block_size(L, N, d, delta_trainable)`` entries (see
+    ``_trace_views``), and the layer gradients are written into ``out``, an
+    (L, d, d) array; either is allocated for the call when not given. The
+    gradients read only the trace block, so ``out`` may be the memory of
+    ``weights.layers`` itself, which they then overwrite. Where delta is a
+    power of two the results equal those of the h-space formulas (delta
+    applied per layer in the forward and the G recursion, delta/n in the
+    gradient) bit for bit.
     """
-    if blocks is None:
-        L, n, d = weights.depth, len(data.xs), weights.width
-        blocks = (np.empty(trace_block_size(L, n, d)), np.empty(step_block_size(L, n, d)))
+    L, n, d = weights.depth, len(data.xs), weights.width
+    if trace is None:
+        trace = np.empty(trace_block_size(L, n, d, delta_trainable))
+    if out is None:
+        out = np.empty((L, d, d))
     adjoint, dgrad, value = _gradient_pass(data, weights, activation,
-                                           delta_trainable, blocks)
-    # all layers at once; with a trainable delta the stack overlays preact
-    # and G, which are no longer read
-    L, d = weights.depth, weights.width
-    grads = adjoint.layer_grads(slice(0, L), blocks[1][:L * d * d].reshape(L, d, d))
-    return grads, dgrad, value
+                                           delta_trainable, trace)
+    return adjoint.layer_grads(slice(0, L), out), dgrad, value
 
 
 def _gradient_pass(data: "Dataset", weights: Weights, activation: Activation,
                    delta_trainable: bool,
-                   blocks: tuple[np.ndarray, np.ndarray | None]) -> tuple[Adjoint, float, float]:
+                   trace: np.ndarray) -> tuple[Adjoint, float, float]:
     """(Adjoint, delta_grad, current_objective) of one forward and backward
-    pass in ``blocks`` (see ``_step_views``), whose second block is read only
-    with a trainable delta: ``train`` forms the layer gradients from the
-    ``Adjoint`` one chunk of layers at a time, ``grad_objective_with_stats``
-    all at once."""
-    hidden, preact, sg, g = _step_views(blocks, weights, data, delta_trainable)
-    trace = forward_batch(data.xs, weights, activation, hidden, preact)
-    value = _mean_squared(trace.output, data.ys)
-    _backward(trace, weights, data.ys, g, sg)
+    pass in the ``trace`` block (see ``_trace_views``): ``train`` forms the
+    layer gradients from the ``Adjoint`` one chunk of layers at a time,
+    ``grad_objective_with_stats`` all at once."""
+    n = len(data.xs)
+    hidden, preact, sg = _trace_views(trace, weights, n, delta_trainable)
+    run = forward_batch(data.xs, weights, activation, hidden, preact)
+    value = _mean_squared(run.output, data.ys)
+    _backward(run, weights, data.ys, np.empty((2, n, weights.width)), sg, delta_trainable)
     dgrad = 0.0
     if delta_trainable:
+        # _backward left G_k * sigma(a_k) in preact
         with np.errstate(over="ignore", invalid="ignore"):
-            # sigma' was taken from preact in _backward, so preact is free to
-            # hold sigma(a_k), then G_k * sigma(a_k)
-            s_val = activation.value(preact, out=preact)
-            dgrad = float(np.sum(np.multiply(g[1:], s_val, out=s_val))) / len(data.ys)
+            dgrad = float(np.sum(preact)) / len(data.ys)
     return Adjoint(hidden, sg), dgrad, value
 
 
@@ -343,19 +334,17 @@ def hessian_spectral_estimate(data: "Dataset", weights: Weights,
         raise InvalidInputError("probes must be >= 1")
     base = weights.layers
     scale = FD_HESSIAN_STEP * (1.0 + float(np.linalg.norm(base)))
-    # C-ordered, so that a flat view of each stack can take a gradient
     perturbed = np.empty(base.shape)
-    trace_block = np.empty(trace_block_size(weights.depth, len(data.xs), weights.width))
+    trace = np.empty(trace_block_size(weights.depth, len(data.xs), weights.width))
 
     def hvp(direction: np.ndarray, out: np.ndarray) -> np.ndarray:
         # (g(base + scale v) - g(base - scale v)) / (2 scale) by the same
         # operations as on new arrays
         up = np.add(base, np.multiply(scale, direction, perturbed), perturbed)
-        grad_objective(data, Weights(up, weights.delta), activation,
-                       blocks=(trace_block, out.reshape(-1)))
+        grad_objective(data, Weights(up, weights.delta), activation, trace=trace, out=out)
         down = np.subtract(base, np.multiply(scale, direction, perturbed), perturbed)
         g_down = grad_objective(data, Weights(down, weights.delta), activation,
-                                blocks=(trace_block, perturbed.reshape(-1))).layers
+                                trace=trace, out=perturbed).layers
         np.subtract(out, g_down, out)
         return np.divide(out, 2.0 * scale, out)
 

@@ -21,7 +21,7 @@ and hands the evaluation to every certifier of the draw. The sweep holds
 three arrays of the weights' size, allocated once, and every draw writes
 into them: the layer stack, the trace block of the gradient pass and the
 Jacobian stack, which holds each draw's gradients until their per-layer
-squares are taken. Those squares come from ``training.layer_squares``, which
+squares are taken. Those squares come from ``network.layer_squares``, which
 needs no array of the stack's size, once per draw for both gradient
 certifiers.
 """
@@ -40,9 +40,8 @@ from .data import (UNIT_NORM_TOL, AssumptionParams, Dataset, initial_loss_cap,
                    initial_row_norm_cap, separation_threshold)
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import (TANH, Activation, ForwardTrace, Weights, forward,
-                      jacobian_stack)
-from .training import (RunLog, Schedule, WeightNorms, harmonic_number, layer_squares,
-                       weight_norms)
+                      jacobian_stack, layer_squares)
+from .training import RunLog, Schedule, WeightNorms, harmonic_number, weight_norms
 
 REL_TOL_EXACT = 1e-9
 REL_TOL_HESSIAN = 1e-3
@@ -430,16 +429,16 @@ def certify_draws(data: Dataset, params: AssumptionParams, rng: np.random.Genera
     L, d = params.L, params.d
     layers = np.empty((L, d, d))
     jacobians = np.empty((L + 1, d, d))
-    # with delta frozen the pass reads only the trace block, and its
-    # gradients fill the first L matrices of the Jacobian stack
-    blocks = (np.empty(trace_block_size(L, data.n, d)), jacobians.reshape(-1))
+    trace_block = np.empty(trace_block_size(L, data.n, d))
 
     def draw_reports(draw: int) -> list[BoundReport]:
         w = _at_cap(rng.standard_normal(out=layers), rng.uniform(0.1, 1.0), params)
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x)
         trace = forward(x, w, activation)
-        grads, _, value = grad_objective_with_stats(data, w, activation, blocks=blocks)
+        # the gradients fill the first L matrices of the Jacobian stack
+        grads, _, value = grad_objective_with_stats(data, w, activation, trace=trace_block,
+                                                    out=jacobians[:L])
         grad_sq = layer_squares(grads)
         norms = weight_norms(w)
         batch = [
@@ -453,7 +452,7 @@ def certify_draws(data: Dataset, params: AssumptionParams, rng: np.random.Genera
         return batch
 
     reports = [r for draw in range(draws) for r in draw_reports(draw)]
-    del blocks, jacobians
+    del trace_block, jacobians
     hessian_weights = _at_cap(rng.standard_normal(out=layers), 0.5, params)
     reports.extend(certify_hessian(data, hessian_weights, params.c0, activation))
     return reports

@@ -24,7 +24,7 @@ from .errors import InvalidInputError, NumericalOverflowError
 # Byte budget of one working buffer: each chunk of layers that ``layer_span``
 # sizes (the scaled layers delta A_k in ``forward_batch``, the steps of
 # ``jacobian_stack``, the layer gradients of a training update and the squares
-# of ``training.weight_norms`` and ``training.layer_squares``) and the path
+# of ``training.weight_norms`` and ``layer_squares``) and the path
 # reader of ``analysis``, whose buffers then do not grow with depth. Larger
 # chunks save interpreter overhead but not arithmetic. At d=20, N=10 a forward
 # chunk and an update chunk are 40 layers in 128 KB each; a training step at
@@ -38,6 +38,25 @@ def layer_span(depth: int, layer_bytes: int) -> int:
     working set is ``layer_bytes`` per layer: as many as fit ``CHUNK_BYTES``,
     but at least one and at most ``depth``."""
     return min(depth, max(1, CHUNK_BYTES // layer_bytes))
+
+
+def layer_squares(stack: np.ndarray) -> np.ndarray:
+    """|A_k|_F^2 for each layer of an (L, d, d) stack.
+
+    The squares are taken one chunk of layers at a time into a buffer, as in
+    ``training.weight_norms``, so no array of the stack's size is allocated. Each
+    value equals ``np.sum(stack ** 2, axis=(1, 2))`` bit for bit, and its
+    square root ``np.linalg.norm(stack, axis=(1, 2))``.
+    """
+    L = len(stack)
+    span = layer_span(L, 2 * stack[0].nbytes)
+    buf = np.empty_like(stack, shape=(span,) + stack.shape[1:])
+    out = np.empty(L)
+    for start in range(0, L, span):
+        stop = min(start + span, L)
+        np.sum(np.square(stack[start:stop], out=buf[:stop - start]), axis=(1, 2),
+               out=out[start:stop])
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,12 @@ Each run records the loss, the depth-scaled weight norms
 the layerwise maxima behind them, and the learning rate. With per-layer
 logging on, it also records each logged state's neighbour gaps g_k.
 
-A run with delta frozen holds two blocks besides w0: a trace block, where
-each gradient pass leaves the hidden states and delta sigma' * G (written
-over the preactivations), and a weights block, which holds the current
-layers. The update forms the layer gradients from the trace block one chunk
-of layers at a time and writes the new layers over the old; the first update
-reads w0 and writes into the weights block, so w0 is never written. A
-trainable delta needs every G_k and sigma(a_k) for its own gradient, so its
-runs hold a third block, the adjoint block, for the preactivations and G,
-which then holds the update's chunk buffer (see ``train``).
+A run holds two blocks besides w0: a trace block, where each gradient pass
+leaves the hidden states and delta sigma' * G, and a weights block, which
+holds the current layers. The update forms the layer gradients from the
+trace block one chunk of layers at a time and writes the new layers over the
+old; the first update reads w0 and writes into the weights block, so w0 is
+never written.
 """
 
 from __future__ import annotations
@@ -80,25 +77,6 @@ class WeightNorms:
     finf: float
     neighbour_max: float
     diff_sq: np.ndarray = field(repr=False, compare=False)
-
-
-def layer_squares(stack: np.ndarray) -> np.ndarray:
-    """|A_k|_F^2 for each layer of an (L, d, d) stack.
-
-    The squares are taken one chunk of layers at a time into a buffer, as in
-    ``weight_norms``, so no array of the stack's size is allocated. Each
-    value equals ``np.sum(stack ** 2, axis=(1, 2))`` bit for bit, and its
-    square root ``np.linalg.norm(stack, axis=(1, 2))``.
-    """
-    L = len(stack)
-    span = layer_span(L, 2 * stack[0].nbytes)
-    buf = np.empty_like(stack, shape=(span,) + stack.shape[1:])
-    out = np.empty(L)
-    for start in range(0, L, span):
-        stop = min(start + span, L)
-        np.sum(np.square(stack[start:stop], out=buf[:stop - start]), axis=(1, 2),
-               out=out[start:stop])
-    return out
 
 
 def weight_norms(w: Weights) -> WeightNorms:
@@ -211,29 +189,22 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     a partial log and the ``failed`` marker set instead of raising; the
     returned weights are then the last finite iterate.
 
-    A run with delta frozen holds two blocks besides w0, which it never
-    writes, and allocates no trace-sized array after its first step: each
-    forward pass adds only its chunk of scaled layers delta A_k, the update
-    one chunk buffer of layer gradients and the norm logging one of squares,
-    each within ``network.CHUNK_BYTES``.
+    A run holds two blocks besides w0, which it never writes, and allocates
+    no trace-sized array after its first step: each forward pass adds only
+    its chunk of scaled layers delta A_k, the update one chunk buffer of
+    layer gradients and the norm logging one of squares, each within
+    ``network.CHUNK_BYTES``.
 
-    - The trace block, of ``trace_block_size(L, N, d)`` = (2L+1) N d
-      floats, holds each gradient pass's hidden states and preactivations,
-      over which the backward pass writes delta sigma' * G; G itself moves
-      through two (N, d) rows. The final loss's forward pass runs in it too.
+    - The trace block, of ``trace_block_size(L, N, d, delta_trainable)``
+      floats, holds each gradient pass's hidden states, preactivations and
+      delta sigma' * G (written over the preactivations with delta frozen);
+      G itself moves through two (N, d) rows. The final loss's forward pass
+      runs in it too.
     - The weights block, of the layers' shape, holds the current layers.
       The first update copies w0 into it as it writes w_1, and each later
       update overwrites it chunk by chunk: the chunk's layer gradients are
       formed from the trace block (``autograd.Adjoint``) into the buffer,
       scaled by 1/n and then eta, and subtracted from the chunk's layers.
-
-    A trainable delta sums G_k * sigma(a_k) over every layer for its own
-    gradient, so its runs also hold an adjoint block: delta sigma' * G then
-    moves after the hidden states in the trace block, and the preactivations
-    and every G_k fill the adjoint block, (2L+1) N d floats again. Once the
-    delta gradient is formed from them the adjoint block is free, and the
-    update's chunk buffer is a view of its start, so the adjoint block is
-    the larger of a trace block and that buffer.
 
     An update whose layers overflow has already written part of them over
     the layers it read. Unless those were w0's, the run then recomputes them
@@ -257,14 +228,8 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     # a chunk's working set is its gradients and the two trace rows they come
     # from, as in forward_batch
     span = layer_span(L, (d * d + 2 * n * d) * layers.itemsize)
-    trace_size = trace_block_size(L, n, d)
-    if delta_trainable:
-        # the adjoint block is free once the pass has formed the delta
-        # gradient, so it holds the update's chunk buffer
-        blocks = (np.empty(trace_size), np.empty(max(trace_size, span * d * d)))
-        buf = blocks[1][:span * d * d].reshape(span, d, d)
-    else:
-        blocks, buf = (np.empty(trace_size), None), np.empty((span, d, d))
+    trace = np.empty(trace_block_size(L, n, d, delta_trainable))
+    buf = np.empty((span, d, d))
 
     def log_state(w, t, value, require_finite=True):
         """Log iterate t, then raise if its norms are not finite."""
@@ -281,14 +246,13 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
         """w_steps once more from w0, by the same steps and so bit for bit."""
         w = w0
         for t in range(steps):
-            adjoint, dgrad, _ = _gradient_pass(data, w, activation, delta_trainable, blocks)
+            adjoint, dgrad, _ = _gradient_pass(data, w, activation, delta_trainable, trace)
             w = _apply_update(w, adjoint, dgrad, sched.rate(t), delta_trainable, layers, buf)
         return w
 
     try:
         for t in range(T):
-            adjoint, dgrad, value = _gradient_pass(data, w, activation, delta_trainable,
-                                                   blocks)
+            adjoint, dgrad, value = _gradient_pass(data, w, activation, delta_trainable, trace)
             if t % log_stride == 0:
                 log_state(w, t, value)
             try:
@@ -300,7 +264,7 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
                     # w_t, which are not w0's
                     w = replay(t)
                 raise
-        final_value = objective(data, w, activation, blocks=blocks)
+        final_value = objective(data, w, activation, trace=trace)
         log_state(w, T, final_value)
     except NumericalOverflowError as exc:
         fail_reason = str(exc)

@@ -26,7 +26,7 @@ def row_growth_drive(data, weights, activation=TANH):
     drive term of the paper's one-step growth bound for the row norms."""
     trace = forward_batch(data.xs, weights, activation)
     g = np.empty_like(trace.hidden)
-    _backward(trace, weights, data.ys, g, np.empty_like(trace.preact))
+    _backward(trace, weights, data.ys, g, np.empty_like(trace.preact), False)
     return np.mean(np.sum(trace.hidden[:-1] ** 2, axis=2)
                    * np.max(np.abs(g[1:]), axis=2) ** 2, axis=1)
 

@@ -203,7 +203,7 @@ def reader_rows(d):
     """The rows in one chunk of the path reader at width d, read off the
     reader itself."""
     indices = np.zeros(CHUNK_BYTES // 8 + 1, dtype=np.intp)  # more than any chunk
-    _, rows = next(_path_rows(Weights(np.zeros((1, d, d)), 1.0), indices))
+    _, rows = next(_path_rows(Weights(np.zeros((1, d, d)), 1.0), indices, 1.0))
     return len(rows)
 
 

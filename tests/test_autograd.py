@@ -207,19 +207,32 @@ class TestInPlaceStep:
         trace = forward_batch(data.xs, w)
         g = np.full_like(trace.hidden, np.nan)
         sg = np.full_like(trace.preact, np.nan)
-        _backward(trace, w, data.ys, g, sg)
+        _backward(trace, w, data.ys, g, sg, False)
         assert np.array_equal(g, ref["g"])
         assert np.array_equal(sg, ref["sigma_g"])
 
+    @pytest.mark.parametrize("L", [1, 8, 9])
+    def test_backward_writes_delta_terms_over_preact(self, L):
+        # with delta_terms and delta sigma' kept apart, the preactivations
+        # become G_k * sigma(a_k), the terms of the delta gradient
+        rng = np.random.default_rng(47 + L)
+        data, w = random_instance(rng, 5, L, 3)
+        ref = reference_grad_objective(data, w, TANH, True)
+        trace = forward_batch(data.xs, w)
+        g = np.full((2,) + trace.hidden.shape[1:], np.nan)
+        sg = np.full_like(trace.preact, np.nan)
+        _backward(trace, w, data.ys, g, sg, True)
+        assert np.array_equal(trace.preact, ref["g"][1:] * TANH.value(ref["preact"]))
+        assert np.array_equal(sg, ref["sigma_g"])
+
     def test_adjoint_slices_equal_the_stack(self):
-        # with delta frozen the pass needs no second block; its Adjoint's
-        # slices of layers equal the stack's bit for bit, with the same loss
+        # the Adjoint of a pass in a trace block gives slices of layers
+        # equal to the stack's bit for bit, with the same loss
         rng = np.random.default_rng(46)
         data, w = random_instance(rng, 5, 11, 3)
         grads, _, value = grad_objective_with_stats(data, w)
-        block = np.empty(autograd.step_block_size(11, 3, 5))
-        adjoint, dgrad, adjoint_value = autograd._gradient_pass(data, w, TANH, False,
-                                                                (block, None))
+        block = np.empty(autograd.trace_block_size(11, 3, 5))
+        adjoint, dgrad, adjoint_value = autograd._gradient_pass(data, w, TANH, False, block)
         assert dgrad == 0.0 and adjoint_value == value
         for start, stop in ((0, 11), (0, 4), (4, 8), (8, 11), (10, 11)):
             out = np.full((stop - start, 5, 5), np.nan)
@@ -235,7 +248,7 @@ class TestInPlaceStep:
         ref = reference_grad_objective(data, w)
         trace = forward_batch(data.xs, w)
         g = np.full((2,) + trace.hidden.shape[1:], np.nan)
-        _backward(trace, w, data.ys, g, trace.preact)
+        _backward(trace, w, data.ys, g, trace.preact, False)
         assert np.array_equal(g[1 - L % 2], ref["g"][0])
         assert np.array_equal(g[L % 2], ref["g"][1])
         assert np.array_equal(trace.preact, ref["sigma_g"])
@@ -533,7 +546,7 @@ class TestBackwardTrace:
         data, w = random_instance(rng, 4, 7, 3)
         trace = forward_batch(data.xs, w)
         g = np.empty_like(trace.hidden)
-        _backward(trace, w, data.ys, g, np.empty_like(trace.preact))
+        _backward(trace, w, data.ys, g, np.empty_like(trace.preact), False)
         assert g.shape == (8, 3, 4)
         for i, (x, y) in enumerate(zip(data.xs, data.ys)):
             trace = forward(x, w, TANH)
@@ -548,7 +561,7 @@ class TestBackwardTrace:
         data, w = random_instance(rng, 3, 4, 2)
         trace = forward_batch(data.xs, w)
         g = np.empty_like(trace.hidden)
-        _backward(trace, w, data.ys, g, np.empty_like(trace.preact))
+        _backward(trace, w, data.ys, g, np.empty_like(trace.preact), False)
         assert np.array_equal(g[-1], trace.output - data.ys)
 
 

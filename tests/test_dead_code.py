@@ -324,11 +324,10 @@ def readers_of(name, home):
 
 def test_certifiers_and_step_blocks_have_their_readers():
     """The draw and Hessian certificates run only inside ``bounds``, through
-    ``certify_draws``. The second step block of a trainable-delta pass is
-    sized only where ``grad_objective_with_stats`` allocates its own pair:
-    ``train``, the draw sweep and the Hessian estimate size their blocks
-    from ``trace_block_size`` and the arrays they already hold."""
+    ``certify_draws``. Every gradient pass runs in one trace block, which
+    ``train``, the draw sweep and ``autograd`` itself size by
+    ``trace_block_size``."""
     for name in ("certify_forward", "certify_loss_bound", "certify_gradient_upper",
                  "certify_gradient_lower", "certify_hessian"):
         assert readers_of(name, "bounds") == {"bounds"}, name
-    assert readers_of("step_block_size", "autograd") == {"autograd"}
+    assert readers_of("trace_block_size", "autograd") == {"autograd", "training", "bounds"}

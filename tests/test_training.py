@@ -12,10 +12,11 @@ from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, sample_sphere_dataset)
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
 from resnetlab.network import (CHUNK_BYTES, IDENTITY, TANH, NetworkConfig, Weights,
-                               forward_batch, layer_span, load_weights, save_weights)
+                               forward_batch, layer_span, layer_squares, load_weights,
+                               save_weights)
 from resnetlab.training import (RunLog, Schedule, WeightNorms, harmonic_number,
-                                layer_gaps, layer_squares, load_runlog, save_layer_gaps,
-                                save_runlog, train, weight_norms)
+                                layer_gaps, load_runlog, save_layer_gaps, save_runlog,
+                                train, weight_norms)
 
 
 def small_instance(seed=0, d=3, L=5, n=3):
@@ -277,7 +278,7 @@ class TestUpdateFailure:
         sched = Schedule("constant", 0.05)
         expected, _ = train(w0, data, sched, 3)
 
-        def overflowing_objective(data, w, activation, blocks=None):
+        def overflowing_objective(data, w, activation, trace=None):
             raise NumericalOverflowError("final objective overflowed")
         monkeypatch.setattr(training, "objective", overflowing_objective)
         final, log = train(w0, data, sched, 3)
@@ -578,10 +579,10 @@ class TestInPlaceUpdate:
         assert peak <= bound, (peak, bound)
 
     def test_trainable_delta_blocks_hold_only_what_they_read(self):
-        # a trainable delta adds the adjoint block, which holds the
-        # preactivations and G, (2L+1) N d floats like the trace block, and
-        # then the update's chunk buffer of span d^2; neither block is a
-        # layer stack when d > 2N
+        # a trainable delta adds L N d floats to the trace block, for
+        # delta sigma' * G beside the preactivations; the update's chunk
+        # buffer stays within CHUNK_BYTES, so nothing is a layer stack but
+        # the weights block
         d, n, L = 20, 3, 1024
         data, w0 = small_instance(16, d=d, L=L, n=n)
         sched = Schedule("constant", 0.01)
@@ -592,14 +593,12 @@ class TestInPlaceUpdate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        trace = (2 * L + 1) * n * d
-        span = layer_span(L, (d * d + 2 * n * d) * 8)
-        bound = (L * d * d + trace + max(trace, span * d * d)) * 8 + 2 * CHUNK_BYTES
+        bound = (L * d * d + (3 * L + 1) * n * d) * 8 + 2 * CHUNK_BYTES
         assert peak <= bound, (peak, bound)
 
     def test_memory_flat_in_steps_trainable_delta(self):
-        # a trainable delta adds the adjoint block, of the trace block's size
-        assert_memory_flat_in_steps(True, 6.1)
+        # a trainable delta adds L N d floats to the trace block
+        assert_memory_flat_in_steps(True, 5.5)
 
 
 def assert_memory_flat_in_steps(trainable, bound):
