@@ -7,9 +7,10 @@ steps-to-epsilon convergence, estimates 2-variation of a rescaled path and
 computes the sup distance between the paths of two depths. Each path kernel
 takes one depth or one pair of depths, states the points it reads as an
 array of layer indices and reads them through one chunked reader,
-``_path_rows``, which owns the ``CHUNK_BYTES`` buffer and the one-row overlap
-between chunks; no kernel runs a chunk loop of its own. The mean layer norm
-reads no path: it takes the per-layer squares from ``network.layer_squares``.
+``_path_rows``, which owns the chunk buffer, sized by ``network.layer_span``,
+and the one-row overlap between chunks; no kernel runs a chunk loop of its
+own. The mean layer norm reads no path: it takes the per-layer squares from
+``network.layer_squares``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .network import CHUNK_BYTES, Weights, layer_squares
+from .network import Weights, layer_span, layer_squares
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,13 @@ def _path_rows(weights: Weights, k: np.ndarray, scale: float):
     Each chunk after the first begins with the last row of the one before, so
     every pair of consecutive indices lies in one chunk. The chunks are views
     of one buffer in the stack's memory layout, refilled from the stack for
-    each chunk, so the caller may overwrite them. The buffer takes at most
-    half of ``CHUNK_BYTES`` (but at least two rows), so that the two readers
-    ``scaling_limit_distance`` zips together fit it.
+    each chunk, so the caller may overwrite them. The buffer holds the rows
+    that ``network.layer_span`` allots to a working set of two rows per
+    index (but at least two rows), so that the two readers
+    ``scaling_limit_distance`` zips together fit one chunk budget.
     """
     layers = weights.layers
-    rows = max(2, CHUNK_BYTES // (2 * layers[0].nbytes))
+    rows = max(2, layer_span(len(k), 2 * layers[0].nbytes))
     # sized from k, not from the stack: a union grid is longer than either stack
     buf = np.empty_like(layers, shape=(min(rows, len(k)), *layers.shape[1:]))
     for start in range(0, max(len(k) - 1, 1), rows - 1):

@@ -13,17 +13,16 @@ from them whether its conclusions apply.
 
 The certifiers of one weight draw take the draw's evaluation from the
 caller, so a draw costs one gradient pass however many bounds read it:
-``value`` is the objective and ``grads`` the (L, d, d) layer gradients, both
-from one ``grad_objective_with_stats`` pass, or the gradients' per-layer
-squares, and ``norms`` is ``weight_norms(weights)``. That caller is
-``certify_draws``, which draws each random weight stack, evaluates it once
-and hands the evaluation to every certifier of the draw. The sweep holds
-three arrays of the weights' size, allocated once, and every draw writes
-into them: the layer stack, the trace block of the gradient pass and the
-Jacobian stack, which holds each draw's gradients until their per-layer
-squares are taken. Those squares come from ``network.layer_squares``, which
-needs no array of the stack's size, once per draw for both gradient
-certifiers.
+``value`` is the objective and ``grad_sq`` the per-layer squares
+|grad_k J|_F^2 of the layer gradients, both from one
+``grad_objective_with_stats`` pass, and ``norms`` is
+``weight_norms(weights)``. That caller is ``certify_draws``, which draws
+each random weight stack, evaluates it once and hands the evaluation to
+every certifier of the draw. The sweep holds three arrays of the weights'
+size, allocated once, and every draw writes into them: the layer stack, the
+trace block of the gradient pass and the Jacobian stack, which holds each
+draw's gradients until ``network.layer_squares`` takes their squares, once
+per draw for both gradient certifiers.
 """
 
 from __future__ import annotations
@@ -289,26 +288,18 @@ def gradient_upper_coefficient(d: int, L: int, c_alpha: float) -> float:
     return 2.0 * d * math.exp(4.2 * c_alpha) / L
 
 
-def _gradient_squares(grads: np.ndarray) -> np.ndarray:
-    """|grad_k J|_F^2 per layer: ``grads`` itself when it holds them already
-    (an (L,) array), else ``layer_squares`` of the (L, d, d) stack."""
-    return grads if grads.ndim == 1 else layer_squares(grads)
-
-
-def certify_gradient_upper(weights: Weights, value: float, grads: np.ndarray,
+def certify_gradient_upper(weights: Weights, value: float, grad_sq: np.ndarray,
                            norms: WeightNorms, c_alpha: float) -> list[BoundReport]:
     """Per-layer gradient bound |grad_k J|_F^2 <= 2 d e^{4.2c} L^-1 J.
 
-    ``grads`` is the (L, d, d) layer gradient stack or its per-layer squares
-    (see ``_gradient_squares``).
+    ``grad_sq`` holds the (L,) per-layer squares |grad_k J|_F^2.
     """
     reports = _hypothesis_forward(weights, norms, c_alpha, REL_TOL_EXACT)
     applicable = all(r.passed for r in reports)
-    per_layer_sq = _gradient_squares(grads)
-    k_worst = int(np.argmax(per_layer_sq))
+    k_worst = int(np.argmax(grad_sq))
     bound = gradient_upper_coefficient(weights.width, weights.depth, c_alpha) * value
     reports.append(make_report(
-        "gradient_upper", per_layer_sq[k_worst], bound, REL_TOL_EXACT,
+        "gradient_upper", grad_sq[k_worst], bound, REL_TOL_EXACT,
         applicable=applicable,
         context={"c_alpha": c_alpha, "k": k_worst + 1, "objective": value}))
     return reports
@@ -333,15 +324,15 @@ def neighbour_gap_cap(params: AssumptionParams) -> float:
 
 
 def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
-                           grads: np.ndarray, norms: WeightNorms,
+                           grad_sq: np.ndarray, norms: WeightNorms,
                            params: AssumptionParams) -> list[BoundReport]:
     """Suboptimality lower bounds on the gradient norm.
 
     First layer: |grad_1 J|_F^2 >= (4N)^-1 e^{-2c0} L^-1 J under the weight
     scale, depth and data-separation hypotheses. Full vector: adds the
     neighbouring-layer gap hypothesis; its coefficient can be nonpositive at
-    small depth, in which case the report is marked vacuous. ``grads`` is the
-    (L, d, d) layer gradient stack or its per-layer squares.
+    small depth, in which case the report is marked vacuous. ``grad_sq``
+    holds the (L,) per-layer squares |grad_k J|_F^2.
     """
     c0, L = params.c0, weights.depth
     reports = [
@@ -355,11 +346,8 @@ def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
                     separation_threshold(params.N, c0), REL_TOL_EXACT, hypothesis=True),
     ]
     base_ok = all(r.passed for r in reports)
-
-    per_layer_sq = _gradient_squares(grads)
-
     reports.append(make_report(
-        "gradient_lower_first_layer", per_layer_sq[0],
+        "gradient_lower_first_layer", grad_sq[0],
         first_layer_lower_coefficient(params) * value, REL_TOL_EXACT,
         direction="lower", applicable=base_ok,
         context={"c0": c0, "objective": value}))
@@ -369,7 +357,7 @@ def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
     reports.append(gap_report)
     coeff = full_lower_coefficient(params)
     reports.append(make_report(
-        "gradient_lower_full", float(np.sum(per_layer_sq)), coeff * value,
+        "gradient_lower_full", float(np.sum(grad_sq)), coeff * value,
         REL_TOL_EXACT, direction="lower", vacuous=coeff <= 0.0,
         applicable=base_ok and gap_report.passed,
         context={"c0": c0, "objective": value, "coefficient": coeff,

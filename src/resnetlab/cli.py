@@ -256,7 +256,12 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
         w0 = _init_weights(cfg, depth)
         data = _depth_dataset(cfg, base, w0, depth)
         if run_dir is not None:
-            log = load_runlog(os.path.join(run_dir, f"runlog_L{depth}.csv"))
+            path = os.path.join(run_dir, f"runlog_L{depth}.csv")
+            log = load_runlog(path)
+            if log.steps > cfg.T:
+                # the learning-rate premises check the config's T steps only
+                raise InvalidInputError(f"run log {path} goes to step {log.steps}, "
+                                        f"past the config's T={cfg.T}")
         else:
             # only the log: the final weights are a view of the run's weights block
             log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable,

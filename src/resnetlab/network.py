@@ -21,14 +21,15 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalOverflowError
 
-# Byte budget of one working buffer: each chunk of layers that ``layer_span``
-# sizes (the scaled layers delta A_k in ``forward_batch``, the steps of
-# ``jacobian_stack``, the layer gradients of a training update and the squares
-# of ``training.weight_norms`` and ``layer_squares``) and the path
-# reader of ``analysis``, whose buffers then do not grow with depth. Larger
-# chunks save interpreter overhead but not arithmetic. At d=20, N=10 a forward
-# chunk and an update chunk are 40 layers in 128 KB each; a training step at
-# L=1024 peaks at 4.17 trace units (L N d floats) over its two blocks' 4.00
+# Byte budget of one working buffer, read only by ``layer_span``, which sizes
+# every chunk of layers: the scaled layers delta A_k in ``forward_batch``, the
+# steps of ``jacobian_stack``, the squares of ``layer_squares``, the layer
+# gradients of a training update, the neighbour differences of
+# ``training.weight_norms`` and the rows of the path reader of ``analysis``,
+# whose buffers then do not grow with depth. Larger chunks save interpreter
+# overhead but not arithmetic. At d=20, N=10 a forward chunk and an update
+# chunk are 40 layers in 128 KB each; a training step at L=1024 peaks at 4.17
+# trace units (L N d floats) over its two blocks' 4.00
 # (``test_memory_flat_in_steps``).
 CHUNK_BYTES = 256 * 1024
 
@@ -43,10 +44,12 @@ def layer_span(depth: int, layer_bytes: int) -> int:
 def layer_squares(stack: np.ndarray) -> np.ndarray:
     """|A_k|_F^2 for each layer of an (L, d, d) stack.
 
-    The squares are taken one chunk of layers at a time into a buffer, as in
-    ``training.weight_norms``, so no array of the stack's size is allocated. Each
-    value equals ``np.sum(stack ** 2, axis=(1, 2))`` bit for bit, and its
-    square root ``np.linalg.norm(stack, axis=(1, 2))``.
+    The squares are taken one chunk of layers at a time into a buffer, so no
+    array of the stack's size is allocated. Each value equals
+    ``np.sum(stack ** 2, axis=(1, 2))`` bit for bit, and its square root
+    ``np.linalg.norm(stack, axis=(1, 2))``. ``training.weight_norms``,
+    ``bounds.certify_draws`` (for the weights and the gradients) and
+    ``analysis.mean_layer_norm`` take their per-layer squares from here.
     """
     L = len(stack)
     span = layer_span(L, 2 * stack[0].nbytes)

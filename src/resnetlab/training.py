@@ -26,7 +26,7 @@ import numpy as np
 from .autograd import Adjoint, _gradient_pass, objective, trace_block_size
 from .data import Dataset, write_csv
 from .errors import InvalidInputError, NumericalOverflowError
-from .network import TANH, Activation, Weights, layer_span
+from .network import TANH, Activation, Weights, layer_span, layer_squares
 
 RUNLOG_COLUMNS = ["t", "eta", "loss", "fbar", "gbar", "finf", "neighbour_max", "delta",
                   "fail_reason"]
@@ -82,32 +82,30 @@ class WeightNorms:
 def weight_norms(w: Weights) -> WeightNorms:
     """The logged norms (inf where the squares overflow).
 
-    The stack is read one chunk of layers at a time into a buffer, which
-    holds a chunk's squares and then its neighbour differences, so the norms
-    allocate nothing of the stack's size.
+    The per-layer squares come from ``network.layer_squares``; the neighbour
+    differences are then taken one chunk of layers at a time into a buffer,
+    allocated once the squares' buffer is freed, so the norms allocate
+    nothing of the stack's size.
     """
     L, layers = w.depth, w.layers
-    # a chunk's working set is the layers it reads and the buffer
-    span = layer_span(L, 2 * layers[0].nbytes)
-    buf = np.empty_like(layers, shape=(span,) + layers.shape[1:])
-    layer_sq, diff_sq = np.empty(L), np.empty(L - 1)
     with np.errstate(over="ignore"):
-        for start in range(0, L, span):
-            stop = min(start + span, L)
-            squares = np.square(layers[start:stop], out=buf[:stop - start])
-            np.sum(squares, axis=(1, 2), out=layer_sq[start:stop])
-            # entry k - 1 of diff_sq is |A_{k+1} - A_k|^2; the chunk's last
-            # layer has its neighbour in the next chunk
-            last = min(stop, L - 1)
-            diffs = np.subtract(layers[start + 1:last + 1], layers[start:last],
-                                out=buf[:last - start])
-            np.sum(np.square(diffs, out=diffs), axis=(1, 2), out=diff_sq[start:last])
+        layer_sq = layer_squares(layers)
         fbar = 0.5 * float(np.sum(layer_sq))
         finf = float(np.sqrt(np.max(layer_sq)))
-        if L == 1:
-            return WeightNorms(fbar, 0.0, finf, 0.0, diff_sq)
+        # entry k - 1 of diff_sq is |A_{k+1} - A_k|^2; a chunk's working set
+        # is the layers it reads and the buffer. Last chunk first, where the
+        # squares ended, so the layers still in the cache are read first
+        span = layer_span(L, 2 * layers[0].nbytes)
+        buf = np.empty_like(layers, shape=(span,) + layers.shape[1:])
+        diff_sq = np.empty(L - 1)
+        for stop in range(L - 1, 0, -span):
+            start = max(stop - span, 0)
+            diffs = np.subtract(layers[start + 1:stop + 1], layers[start:stop],
+                                out=buf[:stop - start])
+            np.sum(np.square(diffs, out=diffs), axis=(1, 2), out=diff_sq[start:stop])
+        # a single layer has no neighbours: both sums are then 0
         gbar = 0.5 * L * float(np.sum(diff_sq))
-        neighbour_max = float(np.sqrt(np.max(diff_sq)))
+        neighbour_max = float(np.sqrt(np.max(diff_sq, initial=0.0)))
     return WeightNorms(fbar, gbar, finf, neighbour_max, diff_sq)
 
 
@@ -192,8 +190,8 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     A run holds two blocks besides w0, which it never writes, and allocates
     no trace-sized array after its first step: each forward pass adds only
     its chunk of scaled layers delta A_k, the update one chunk buffer of
-    layer gradients and the norm logging one of squares, each within
-    ``network.CHUNK_BYTES``.
+    layer gradients and the norm logging one chunk buffer at a time, each
+    within ``network.CHUNK_BYTES``.
 
     - The trace block, of ``trace_block_size(L, N, d, delta_trainable)``
       floats, holds each gradient pass's hidden states, preactivations and

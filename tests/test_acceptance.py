@@ -22,6 +22,7 @@ from resnetlab.bounds import (certify_forward, certify_gradient_upper,
                               certify_loss_bound, certify_run_envelope,
                               meaningful_failures)
 from resnetlab.cli import main
+from resnetlab.network import layer_squares
 from resnetlab.training import weight_norms
 
 
@@ -111,7 +112,7 @@ def test_criterion_2_forward_backward_certification():
         reports = [
             *certify_forward(trace, w, norms, c_alpha),
             *certify_loss_bound(w, value, norms, c_alpha),
-            *certify_gradient_upper(w, value, grads, norms, c_alpha),
+            *certify_gradient_upper(w, value, layer_squares(grads), norms, c_alpha),
         ]
         reports_seen += len(reports)
         failures += len(meaningful_failures(reports))

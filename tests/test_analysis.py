@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from helpers import (exhaustive_oracle, mean_layer_norm_oracle,
                      scaling_limit_distance_oracle, two_variation_oracle)
-from resnetlab.analysis import (CHUNK_BYTES, _path_rows, entry_scatter,
+from resnetlab.analysis import (_path_rows, entry_scatter,
                                 fit_power_law, mean_layer_norm,
                                 scaling_limit_distance, steps_to_epsilon,
                                 total_scaling, two_variation)
 from resnetlab.data import Dataset
 from resnetlab.errors import InvalidInputError
-from resnetlab.network import Weights
+from resnetlab.network import CHUNK_BYTES, Weights
 from resnetlab.training import Schedule, train
 
 

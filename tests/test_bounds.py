@@ -20,7 +20,7 @@ from resnetlab.bounds import (certify_forward, certify_gradient_lower,
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, sample_sphere_dataset)
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
-                               forward, forward_batch, jacobian_stack)
+                               forward, forward_batch, jacobian_stack, layer_squares)
 from resnetlab.training import (Schedule, load_runlog, save_runlog, train,
                                 weight_norms)
 
@@ -39,8 +39,9 @@ def certified_draw(rng, d, L, c_alpha=1.0, frac=None):
 
 
 def evaluation(data, w):
-    """A draw's (objective, layer gradients, weight norms), each computed on its own."""
-    return objective(data, w), grad_objective(data, w).layers, weight_norms(w)
+    """A draw's (objective, per-layer gradient squares, weight norms), each
+    computed on its own."""
+    return objective(data, w), layer_squares(grad_objective(data, w).layers), weight_norms(w)
 
 
 def by_name(reports, name):

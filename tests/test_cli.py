@@ -566,6 +566,26 @@ class TestCertifyCommand:
                      "--run-dir", str(run_dir)]) == EXIT_OK
         assert (out / "bounds.jsonl").exists()
 
+    def test_run_past_the_config_horizon_exits_2(self, tmp_path, capsys):
+        # a run of T=50 certified under T=5 would pass learning-rate premises
+        # that checked only 5 of its 50 steps
+        admissible = dict(d=4, N=2, depths=[128], c0=0.25, init_mode="certified",
+                          target_mode="near_init", epsilon_init=1e-6,
+                          enforce_separation=True, eta0=1e-5, certify_draws=2, seed=3)
+        trained = write_config(tmp_path, name="trained.json", T=50, **admissible)
+        short = write_config(tmp_path, name="short.json", T=5, **admissible)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", trained, "--out", str(run_dir)]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", short, "--out", str(out),
+                     "--run-dir", str(run_dir)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert str(run_dir / "runlog_L128.csv") in err and "T=5" in err
+        assert not out.exists()
+        assert main(["certify", "--config", trained, "--out", str(out),
+                     "--run-dir", str(run_dir)]) == EXIT_OK
+
     # a strided log, a strided log of a decaying rate with trainable delta,
     # per-layer logging and near-init targets, and a run no longer than its
     # stride (logged at t = 0 and t = T only)

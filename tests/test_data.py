@@ -14,7 +14,7 @@ from resnetlab.data import (AssumptionParams, Dataset, gaussian_init_std,
                             near_init_targets, sample_sphere_dataset,
                             save_dataset, separation_of, separation_threshold)
 from resnetlab.errors import InvalidInputError, NumericalOverflowError
-from resnetlab.network import NetworkConfig, Weights, forward_batch
+from resnetlab.network import NetworkConfig, Weights, forward_batch, layer_squares
 from resnetlab.training import weight_norms
 
 
@@ -69,7 +69,7 @@ class TestSeparation:
         assert not rows["assumption_iii_separation"].passed
         grads, _, value = grad_objective_with_stats(data, w)
         rows = {r.name: r for r in certify_gradient_lower(
-            data, w, value, grads, weight_norms(w), params)}
+            data, w, value, layer_squares(grads), weight_norms(w), params)}
         assert not rows["hyp_separation"].passed
 
     def test_determinism(self):

@@ -291,16 +291,19 @@ def test_benchmark_names_resolve():
 
 
 def test_chunk_budget_has_two_readers():
-    """``CHUNK_BYTES`` is read by ``network.layer_span``, which sizes every
-    chunk of layers of the forward pass, the Jacobian stack, the training
-    update and the per-layer squares, and by the analysis path reader; every
-    other chunked loop goes through one of the two."""
+    """``CHUNK_BYTES`` is read only by ``network.layer_span``, which sizes
+    every chunk of layers: of the forward pass, the Jacobian stack, the
+    per-layer squares, the training update, the neighbour differences of the
+    norm logging and the analysis path reader. The per-layer squares of a
+    stack are taken only by ``network.layer_squares``, which the norm
+    logging, the certify draws and the mean layer norm read."""
     readers = {f"{mod}.{node.name}" for mod, tree in modules().items()
                for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and any(used in ("CHUNK_BYTES", "network.CHUNK_BYTES")
                        for used, _ in uses(node))}
-    assert readers == {"network.layer_span", "analysis._path_rows"}
-    assert readers_of("layer_span", "network") == {"network", "training"}
+    assert readers == {"network.layer_span"}
+    assert readers_of("layer_span", "network") == {"network", "training", "analysis"}
+    assert readers_of("layer_squares", "network") == {"training", "bounds", "analysis"}
 
 
 def test_training_forms_no_matrix_product():
