@@ -9,7 +9,8 @@ proofs (activation admissibility, the initial-state clauses and the
 learning-rate caps) are hypothesis rows of the same record, and ``make_report``
 is the one place that decides whether a row passes. ``certify_run_envelope``
 states the loss-envelope theorem whole: it builds its premise rows and decides
-from them whether its conclusions apply.
+from them whether its conclusions apply, at every step of the run log, whose
+cumulative rates are the running sums of its logged rates.
 
 The certifiers of one weight draw take the draw's evaluation from the
 caller, so a draw costs one gradient pass however many bounds read it:
@@ -223,7 +224,7 @@ def _hypothesis_forward(weights: Weights, norms: WeightNorms, c_alpha: float,
     return [
         make_report("hyp_depth_vs_c", L, 5.0 * c_alpha, rel_tol, direction="lower",
                     hypothesis=True, context={"c_alpha": c_alpha, "L": L}),
-        make_report("hyp_weight_scale", norms.finf, c_alpha * L ** (-0.5), rel_tol,
+        make_report("hyp_weight_scale", norms.finf, weight_scale_cap(c_alpha, L), rel_tol,
                     hypothesis=True, context={"c_alpha": c_alpha, "L": L}),
     ]
 
@@ -319,6 +320,11 @@ def vacuous_depth_threshold(params: AssumptionParams) -> float:
     return 272.0 * params.N * params.d * params.c0 ** 4 * math.exp(8.4 * params.c0)
 
 
+def weight_scale_cap(c: float, L: int) -> float:
+    """The cap c L^-1/2 on every layer's Frobenius norm."""
+    return c * L ** (-0.5)
+
+
 def neighbour_gap_cap(params: AssumptionParams) -> float:
     return 2.0 ** (-3.5) * params.N ** (-0.5) * math.exp(-4.2 * params.c0) / params.L
 
@@ -338,7 +344,7 @@ def certify_gradient_lower(data: Dataset, weights: Weights, value: float,
     reports = [
         make_report("hyp_depth_vs_c", L, max(5.0 * c0, 4.0 * c0 ** 2), REL_TOL_EXACT,
                     direction="lower", hypothesis=True, context={"c0": c0}),
-        make_report("hyp_weight_scale", norms.finf, c0 * L ** (-0.5), REL_TOL_EXACT,
+        make_report("hyp_weight_scale", norms.finf, weight_scale_cap(c0, L), REL_TOL_EXACT,
                     hypothesis=True),
         make_report("hyp_unit_data", _unit_deviation(data), UNIT_NORM_TOL,
                     REL_TOL_EXACT, hypothesis=True),
@@ -387,10 +393,9 @@ def certify_hessian(data: Dataset, weights: Weights, c_alpha: float,
 def _at_cap(layers: np.ndarray, radius: float, params: AssumptionParams) -> Weights:
     """``layers`` with every layer scaled to Frobenius norm radius c0 L^-1/2,
     at the delta_L = L^-1/2 that the draw certificates assume."""
-    delta = params.L ** (-0.5)
-    cap = params.c0 * delta
+    cap = weight_scale_cap(params.c0, params.L)
     layers *= (radius * cap / np.sqrt(layer_squares(layers)))[:, None, None]
-    return Weights(layers, delta)
+    return Weights(layers, params.L ** (-0.5))
 
 
 def certify_draws(data: Dataset, params: AssumptionParams, rng: np.random.Generator,
@@ -476,8 +481,9 @@ def certify_run_envelope(data: Dataset, w0: Weights, log: RunLog,
 
     Premises: the admissibility clauses (``check_assumptions``), the two
     learning-rate caps over T steps (``lr_feasibility``), the two depth
-    conditions and a completed run. Conclusions, at each logged step t with
-    cumulative rate S_t = sum_{s<t} eta(s):
+    conditions and a completed run. Conclusions, at each step t of the log
+    with cumulative rate S_t = sum_{s<t} eta(s), the running sum of the
+    logged rates (the run's own additions, in its order):
 
         J(t) <= exp(-(1/32) N^-1 e^{-2c0} S_t) J_0
                 + 34 d c0^4 e^{6.4c0} S_t L^-1 J_0,
@@ -486,10 +492,6 @@ def certify_run_envelope(data: Dataset, w0: Weights, log: RunLog,
     max_k |A_{k+1}-A_k|_F <= 2^{-7/2} N^-1/2 e^{-4.2c0} L^-1. Each
     conclusion reports its worst logged step and is applicable only when
     every premise row passes.
-
-    S_t sums the logged rates when every step was logged (the run's own
-    additions, in its order), and is the schedule's ``sum_rates(t)``
-    otherwise.
     """
     reports = [
         *check_assumptions(data, w0, params, activation),
@@ -515,16 +517,13 @@ def certify_run_envelope(data: Dataset, w0: Weights, log: RunLog,
     # a huge rate overflows S_t and the envelope to inf, and J0 = 0 times an
     # infinite S_t is nan; the rows report these values as they are
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.array_equal(log.t, np.arange(len(log.t))):
-            rate_sums = np.concatenate([[0.0], np.cumsum(log.eta[:-1])])
-        else:
-            rate_sums = np.asarray([sched.sum_rates(int(t)) for t in log.t])
+        rate_sums = np.concatenate([[0.0], np.cumsum(log.eta[:-1])])
         envelope = (np.exp(-envelope_rate(params) * rate_sums) * j0
                     + envelope_drift(params) * rate_sums / params.L * j0)
         reports.append(worst("envelope_loss", log.loss, envelope))
         reports.append(worst("induction_loss_doubling", log.loss, 2.0 * j0))
         reports.append(worst("induction_weight_scale", log.finf,
-                             params.c0 * params.L ** (-0.5)))
+                             weight_scale_cap(params.c0, params.L)))
         reports.append(worst("induction_neighbour_gap", log.neighbour_max,
                              neighbour_gap_cap(params)))
     return reports

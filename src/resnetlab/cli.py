@@ -92,7 +92,6 @@ class ExperimentConfig:
     init_mode: str = "gaussian"
     init_scale: float = 1.0
     log_layers: bool = False
-    log_stride: int = 1
     certify_draws: int = 100
     gradcheck_instances: int = 25
     scatter_entry: list[int] = field(default_factory=lambda: [0, 1])
@@ -118,8 +117,6 @@ class ExperimentConfig:
             raise InvalidInputError("threads must be 1: training runs sequentially")
         if self.gradcheck_instances < 1:
             raise InvalidInputError("gradcheck_instances must be >= 1")
-        if self.log_stride < 1:
-            raise InvalidInputError("log_stride must be >= 1")
         if self.target_mode not in ("sphere", "near_init"):
             raise InvalidInputError(f"unknown target_mode {self.target_mode!r}")
         if self.init_mode not in ("gaussian", "certified"):
@@ -211,7 +208,7 @@ def _train_one_depth(cfg: ExperimentConfig, base: Dataset, w0: Weights,
         save_dataset(data, os.path.join(out_dir, f"dataset_L{depth}.csv"), cfg.seed, cfg.c0)
     sched = Schedule(cfg.schedule, cfg.eta0)
     w_final, log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable,
-                         log_layers=cfg.log_layers, log_stride=cfg.log_stride)
+                         log_layers=cfg.log_layers)
     save_runlog(log, os.path.join(out_dir, f"runlog_L{depth}.csv"))
     save_weights(w_final, os.path.join(out_dir, f"weights_L{depth}.bin"))
     if cfg.log_layers:
@@ -258,14 +255,14 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
         if run_dir is not None:
             path = os.path.join(run_dir, f"runlog_L{depth}.csv")
             log = load_runlog(path)
-            if log.steps > cfg.T:
-                # the learning-rate premises check the config's T steps only
-                raise InvalidInputError(f"run log {path} goes to step {log.steps}, "
-                                        f"past the config's T={cfg.T}")
+            # the learning-rate premises check the config's T steps, which a
+            # completed run makes all of and a failed one no more than
+            if log.steps > cfg.T or (not log.failed and log.steps != cfg.T):
+                raise InvalidInputError(f"run log {path} ends at step {log.steps}, "
+                                        f"not at the config's T={cfg.T}")
         else:
             # only the log: the final weights are a view of the run's weights block
-            log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable,
-                        log_stride=cfg.log_stride)[1]
+            log = train(w0, data, sched, cfg.T, act, cfg.delta_trainable)[1]
         all_reports.extend(bounds.certify_run_envelope(
             data, w0, log, _params(cfg, depth), sched, cfg.T, act))
         del w0, log  # the draws hold only their own stacks

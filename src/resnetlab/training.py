@@ -1,11 +1,14 @@
 """Full-batch gradient descent with per-step norm logging.
 
-Each run records the loss, the depth-scaled weight norms
+Each run records, at every step t = 0, 1, ..., T, the loss, the
+depth-scaled weight norms
 
     fbar = 1/2 sum_k |A_k|_F^2,    gbar = L/2 sum_k |A_{k+1} - A_k|_F^2,
 
 the layerwise maxima behind them, and the learning rate. With per-layer
-logging on, it also records each logged state's neighbour gaps g_k.
+logging on, it also records each state's neighbour gaps g_k. This module
+alone decides which steps a run log holds: ``train`` writes them and
+``load_runlog`` accepts no other.
 
 A run holds two blocks besides w0: a trace block, where each gradient pass
 leaves the hidden states and delta sigma' * G, and a weights block, which
@@ -117,11 +120,12 @@ def layer_gaps(w: Weights, norms: WeightNorms) -> np.ndarray:
 
 @dataclass
 class RunLog:
-    """Time series of one gradient-descent run (row 0 is the initial state).
+    """Time series of one gradient-descent run (row t is the state after t
+    updates).
 
     The fields but ``g_layers`` are ``RUNLOG_COLUMNS`` in order, so a log is
     built from its columns by position. ``g_layers`` (with per-layer logging)
-    holds the g_k row of each logged step; ``fail_reason`` is set when the
+    holds the g_k row of each step; ``fail_reason`` is set when the
     run overflowed.
     """
 
@@ -180,12 +184,12 @@ def _apply_update(w: Weights, adjoint: Adjoint, dgrad: float, eta: float,
 def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
           activation: Activation = TANH,
           delta_trainable: bool = False,
-          log_layers: bool = False,
-          log_stride: int = 1) -> tuple[Weights, RunLog]:
-    """Run T sequential updates, logging every ``log_stride`` steps plus the
-    initial and final state. Overflow (also of the logged norms) aborts with
-    a partial log and the ``failed`` marker set instead of raising; the
-    returned weights are then the last finite iterate.
+          log_layers: bool = False) -> tuple[Weights, RunLog]:
+    """Run T sequential updates, logging every state w_0, ..., w_T, so the
+    log's steps are t = 0, 1, ..., T. Overflow (also of the logged norms)
+    aborts with a partial log, t = 0, 1, ... up to the failed step, and the
+    ``failed`` marker set instead of raising; the returned weights are then
+    the last finite iterate.
 
     A run holds two blocks besides w0, which it never writes, and allocates
     no trace-sized array after its first step: each forward pass adds only
@@ -213,8 +217,6 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     """
     if T < 0:
         raise InvalidInputError("T must be >= 0")
-    if log_stride < 1:
-        raise InvalidInputError("log_stride must be >= 1")
 
     rows: list[tuple] = []
     g_rows: list[np.ndarray] = []
@@ -251,8 +253,7 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     try:
         for t in range(T):
             adjoint, dgrad, value = _gradient_pass(data, w, activation, delta_trainable, trace)
-            if t % log_stride == 0:
-                log_state(w, t, value)
+            log_state(w, t, value)
             try:
                 w = _apply_update(w, adjoint, dgrad, sched.rate(t), delta_trainable, layers,
                                   buf)
@@ -288,7 +289,8 @@ def save_runlog(log: RunLog, path) -> None:
 
 
 def load_runlog(path) -> RunLog:
-    """The run log at ``path``; every number must be finite, except in the
+    """The run log at ``path``; its steps must be t = 0, 1, 2, ..., as
+    ``train`` logs them, and every number must be finite, except in the
     last row of a failed run."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -312,8 +314,8 @@ def load_runlog(path) -> RunLog:
         arr = np.asarray([[float(v) for v in row[1:-1]] for row in rows])
     except (ValueError, OverflowError):
         raise InvalidInputError(f"unparseable number in run log {path}") from None
-    if t[0] != 0 or np.any(t[1:] <= t[:-1]):
-        raise InvalidInputError(f"run log steps must start at 0 and strictly increase in {path}")
+    if not np.array_equal(t, np.arange(len(t))):
+        raise InvalidInputError(f"run log steps must be 0, 1, 2, ... in {path}")
     fail_reason = rows[-1][-1] or None
     if not np.all(np.isfinite(arr[:-1] if fail_reason else arr)):
         raise InvalidInputError(f"non-finite number in run log {path} outside the last "

@@ -150,3 +150,10 @@ def entry_scatter_oracle(runs, m, n):
         for k in range(1, w.depth + 1):
             rows.append((depth, k / w.depth, float(scale * w.layers[k - 1, m, n])))
     return rows
+
+
+def keep_log_rows(path, steps):
+    """Rewrites the run log at ``path`` with its header and only the rows of
+    ``steps``, as a run that logged just those steps wrote it."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([lines[0]] + [lines[1 + t] for t in steps]))

@@ -1,11 +1,12 @@
 import collections
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import neighbour_gradient_residual, sigma_prime, zero_weights
+from helpers import keep_log_rows, neighbour_gradient_residual, sigma_prime, zero_weights
 from resnetlab import autograd, bounds, network
 from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import (certify_forward, certify_gradient_lower,
@@ -19,6 +20,7 @@ from resnetlab.bounds import (certify_forward, certify_gradient_lower,
                               load_reports_jsonl)
 from resnetlab.data import (AssumptionParams, Dataset, init_certified,
                             near_init_targets, sample_sphere_dataset)
+from resnetlab.errors import InvalidInputError
 from resnetlab.network import (IDENTITY, TANH, NetworkConfig, Weights,
                                forward, forward_batch, jacobian_stack, layer_squares)
 from resnetlab.training import (Schedule, load_runlog, save_runlog, train,
@@ -292,7 +294,7 @@ class TestCertifyHessian:
 
 
 class TestRunEnvelope:
-    def build_certified_run(self, L=64, T=300, seed=31, eta0=None, log_stride=1):
+    def build_certified_run(self, L=64, T=300, seed=31, eta0=None):
         params = AssumptionParams(0.25, 2, 16, L)
         data0 = sample_sphere_dataset(2, 16, seed=seed, params=params)
         w0 = init_certified(NetworkConfig(16, L), params, seed=seed + 1)
@@ -300,7 +302,7 @@ class TestRunEnvelope:
         if eta0 is None:
             eta0 = 0.9 * (1.0 / 160.0) / params.N / params.d * math.exp(-10.5 * params.c0)
         sched = Schedule("constant", eta0)
-        _, log = train(w0, data, sched, T, log_stride=log_stride)
+        _, log = train(w0, data, sched, T)
         return data, w0, log, params, sched, T, TANH
 
     def test_certified_run_all_pass(self):
@@ -371,40 +373,30 @@ class TestRunEnvelope:
         assert env.bound == (math.exp(-envelope_rate(params) * s10) * j0
                              + envelope_drift(params) * s10 / params.L * j0)
 
-    def test_strided_rates_come_from_the_schedule(self):
-        data, w0, log, params, sched, T, act = self.build_certified_run(
-            T=40, eta0=0.07, log_stride=5)
-        log.loss[2] = 1e3
-        assert log.t[2] == 10
-        env = by_name(certify_run_envelope(data, w0, log, params, sched, T, act),
-                      "envelope_loss")
-        s10 = sched.sum_rates(10)
-        j0 = log.loss[0]
-        assert env.context["t"] == 10
-        assert env.bound == (math.exp(-envelope_rate(params) * s10) * j0
-                             + envelope_drift(params) * s10 / params.L * j0)
+    def assert_gapped_log_refused(self, tmp_path, T, steps):
+        # a saved run of T steps keeps only the rows of ``steps``, as a run
+        # logged every fifth step wrote it: no rate sum is formed from it
+        log = self.build_certified_run(T=T, eta0=0.07)[2]
+        path = tmp_path / "runlog.csv"
+        save_runlog(log, path)
+        keep_log_rows(path, steps)
+        message = re.escape(f"run log steps must be 0, 1, 2, ... in {path}")
+        with pytest.raises(InvalidInputError, match=message):
+            load_runlog(path)
+
+    def test_strided_rates_come_from_the_schedule(self, tmp_path):
+        self.assert_gapped_log_refused(tmp_path, 40, range(0, 41, 5))
 
     @pytest.mark.parametrize("T", [2, 5])
-    def test_run_no_longer_than_its_stride_uses_the_schedule(self, T):
-        # logged at t = 0 and t = T only: S_T is sum_rates(T), not eta(0)
-        data, w0, log, params, sched, T, act = self.build_certified_run(
-            T=T, eta0=0.07, log_stride=5)
-        log.loss[-1] = 1e3
-        assert log.t.tolist() == [0, T]
-        env = by_name(certify_run_envelope(data, w0, log, params, sched, T, act),
-                      "envelope_loss")
-        s_t = sched.sum_rates(T)
-        j0 = log.loss[0]
-        assert env.context["t"] == T
-        assert env.bound == (math.exp(-envelope_rate(params) * s_t) * j0
-                             + envelope_drift(params) * s_t / params.L * j0)
+    def test_run_no_longer_than_its_stride_uses_the_schedule(self, tmp_path, T):
+        # logged at t = 0 and t = T only
+        self.assert_gapped_log_refused(tmp_path, T, [0, T])
 
     def test_strided_run_certifies_as_its_saved_log(self, tmp_path):
-        # constant rate 0.07, logged every 5 steps, with the loss at t = 10
-        # doctored so that the worst envelope point lies inside the run
-        data, w0, log, params, sched, T, act = self.build_certified_run(
-            T=40, eta0=0.07, log_stride=5)
-        log.loss[2] = 1e3
+        # constant rate 0.07, with the loss at t = 10 doctored so that the
+        # worst envelope point lies inside the run
+        data, w0, log, params, sched, T, act = self.build_certified_run(T=40, eta0=0.07)
+        log.loss[10] = 1e3
         path = tmp_path / "runlog.csv"
         save_runlog(log, path)
         in_memory = certify_run_envelope(data, w0, log, params, sched, T, act)

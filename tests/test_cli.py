@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (entry_scatter_oracle, mean_layer_norm_oracle,
+from helpers import (entry_scatter_oracle, keep_log_rows, mean_layer_norm_oracle,
                      scaling_limit_distance_oracle, two_variation_oracle)
 from resnetlab import analysis, bounds, cli
 from resnetlab.bounds import load_reports_jsonl
@@ -193,7 +193,9 @@ class TestConfigDomain:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("override, message", [
-        pytest.param({"log_stride": 0}, "log_stride must be >= 1", id="log_stride"),
+        # the key of the every-few-steps logging that train no longer offers
+        pytest.param({"log_stride": 1}, "unknown config keys: ['log_stride']",
+                     id="log_stride"),
         pytest.param({"activation": "relu"}, "unknown activation 'relu'", id="activation"),
         pytest.param({"schedule": "cosine"}, "unknown schedule kind 'cosine'", id="schedule"),
         pytest.param({"eta0": -0.1}, "eta0 must be finite and >= 0", id="eta0"),
@@ -321,7 +323,7 @@ def train_configs(draw):
         "init_mode": st.sampled_from(["gaussian", "certified"]),
         "target_mode": st.sampled_from(["sphere", "near_init"]),
         "enforce_separation": st.booleans(), "delta_trainable": st.booleans(),
-        "log_layers": st.booleans(), "log_stride": st.integers(1, 3),
+        "log_layers": st.booleans(),
     }))
     edge_keys = draw(st.sets(st.sampled_from(sorted(IN_DOMAIN)), max_size=2))
     for key, values in IN_DOMAIN.items():
@@ -566,14 +568,16 @@ class TestCertifyCommand:
                      "--run-dir", str(run_dir)]) == EXIT_OK
         assert (out / "bounds.jsonl").exists()
 
+    # a certified init with near-init targets and a small rate, at depth 128
+    ADMISSIBLE = dict(d=4, N=2, depths=[128], c0=0.25, init_mode="certified",
+                      target_mode="near_init", epsilon_init=1e-6,
+                      enforce_separation=True, eta0=1e-5, certify_draws=2, seed=3)
+
     def test_run_past_the_config_horizon_exits_2(self, tmp_path, capsys):
         # a run of T=50 certified under T=5 would pass learning-rate premises
         # that checked only 5 of its 50 steps
-        admissible = dict(d=4, N=2, depths=[128], c0=0.25, init_mode="certified",
-                          target_mode="near_init", epsilon_init=1e-6,
-                          enforce_separation=True, eta0=1e-5, certify_draws=2, seed=3)
-        trained = write_config(tmp_path, name="trained.json", T=50, **admissible)
-        short = write_config(tmp_path, name="short.json", T=5, **admissible)
+        trained = write_config(tmp_path, name="trained.json", T=50, **self.ADMISSIBLE)
+        short = write_config(tmp_path, name="short.json", T=5, **self.ADMISSIBLE)
         run_dir = tmp_path / "run"
         assert main(["train", "--config", trained, "--out", str(run_dir)]) == EXIT_OK
         capsys.readouterr()
@@ -586,14 +590,28 @@ class TestCertifyCommand:
         assert main(["certify", "--config", trained, "--out", str(out),
                      "--run-dir", str(run_dir)]) == EXIT_OK
 
-    # a strided log, a strided log of a decaying rate with trainable delta,
-    # per-layer logging and near-init targets, and a run no longer than its
-    # stride (logged at t = 0 and t = T only)
+    def test_completed_run_short_of_the_config_horizon_exits_2(self, tmp_path, capsys):
+        # a completed run of T=5 certified under T=50 would pass the envelope
+        # on 5 of the 50 steps that the learning-rate premises check
+        trained = write_config(tmp_path, name="trained.json", T=5, **self.ADMISSIBLE)
+        long = write_config(tmp_path, name="long.json", T=50, **self.ADMISSIBLE)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", trained, "--out", str(run_dir)]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", long, "--out", str(out),
+                     "--run-dir", str(run_dir)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert str(run_dir / "runlog_L128.csv") in err and "T=50" in err
+        assert not out.exists()
+
+    # a plain run, a decaying rate with trainable delta, per-layer logging and
+    # near-init targets, and a short run
     @pytest.mark.parametrize("overrides", [
-        {"log_stride": 3},
+        {},
         {"schedule": "inverse_decay", "delta_trainable": True, "log_layers": True,
-         "target_mode": "near_init", "log_stride": 4},
-        {"T": 3, "log_stride": 5},
+         "target_mode": "near_init"},
+        {"T": 3},
     ], ids=["stride", "mixed", "short"])
     def test_fresh_certify_equals_certify_of_the_trained_run(self, tmp_path, capsys,
                                                              overrides):
@@ -609,30 +627,23 @@ class TestCertifyCommand:
         assert results[0] == results[1]
 
     def test_run_no_longer_than_its_stride_certifies_as_logged_every_step(
-            self, tmp_path):
-        # T = 2 logged at stride 5 (t = 0, 2) and at stride 1 (t = 0, 1, 2),
-        # the loss at t = 2 doctored in both: S_2 = 2 eta0 either way, so the
-        # envelope rows agree
-        rows = []
-        for stride in (5, 1):
-            cfg = write_config(tmp_path, name=f"config{stride}.json", depths=[4],
-                               T=2, eta0=0.07, log_stride=stride)
-            run_dir = tmp_path / f"run{stride}"
-            assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
-            log_path = run_dir / "runlog_L4.csv"
-            lines = log_path.read_text().splitlines()
-            parts = lines[-1].split(",")
-            parts[2] = "1000.0"
-            lines[-1] = ",".join(parts)
-            log_path.write_text("\n".join(lines) + "\n")
-            out = tmp_path / f"cert{stride}"
-            main(["certify", "--config", cfg, "--out", str(out),
-                  "--run-dir", str(run_dir)])
-            envelope, = [r for r in load_reports_jsonl(out / "bounds.jsonl")
-                         if r["name"] == "envelope_loss"]
-            rows.append(envelope)
-        assert rows[0]["context"]["t"] == 2
-        assert rows[0] == rows[1]
+            self, tmp_path, capsys):
+        # a run of T = 2 certifies from its log of t = 0, 1, 2; the log of
+        # t = 0, 2 that a run logged every fifth step wrote exits 2
+        cfg = write_config(tmp_path, depths=[4], T=2, eta0=0.07)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+
+        def certify(out):
+            return main(["certify", "--config", cfg, "--out", str(tmp_path / out),
+                         "--run-dir", str(run_dir)])
+        assert certify("cert") == EXIT_OK
+        path = run_dir / "runlog_L4.csv"
+        keep_log_rows(path, [0, 2])
+        capsys.readouterr()
+        assert certify("gapped") == EXIT_INPUT_ERROR
+        assert f"run log steps must be 0, 1, 2, ... in {path}" in capsys.readouterr().err
+        assert not (tmp_path / "gapped").exists()
 
     def test_doctored_run_fails_with_exit_1(self, tmp_path):
         # corrupt a recorded loss beyond the envelope: certify must say so
@@ -963,22 +974,26 @@ class TestAnalyzeCommand:
             assert f"non-finite number in run log {path} outside the last row" in err
             assert "Traceback" not in err
 
-    # the t cell of the second logged row (t=2 at stride 2) edited to -7, and
-    # of the first row (t=0) edited to 5
-    @pytest.mark.parametrize("line, token", [(2, "-7"), (1, "5")])
+    # the t cell of the second row (t=1) edited to -7, of the first row (t=0)
+    # edited to 5, and the rows of a run logged every second step (t = 0, 2, 4)
+    @pytest.mark.parametrize("line, token", [(2, "-7"), (1, "5"),
+                                             pytest.param(None, None, id="gapped")])
     def test_step_column_out_of_order_exits_2(self, tmp_path, capsys, line, token):
-        cfg, run_dir = self.run_training(tmp_path, **dict(SMALL, log_stride=2))
+        cfg, run_dir = self.run_training(tmp_path, **dict(SMALL, T=4))
         path = run_dir / "runlog_L8.csv"
-        lines = path.read_text().split("\n")
-        lines[line] = ",".join([token] + lines[line].split(",")[1:])
-        path.write_text("\n".join(lines))
+        if line is None:
+            keep_log_rows(path, [0, 2, 4])
+        else:
+            lines = path.read_text().split("\n")
+            lines[line] = ",".join([token] + lines[line].split(",")[1:])
+            path.write_text("\n".join(lines))
         for command in ("certify", "analyze"):
             (tmp_path / command).mkdir()
             code, files = run_into_empty_dir(
                 tmp_path / command, [command, "--config", cfg, "--run-dir", str(run_dir)])
             assert (code, files) == (EXIT_INPUT_ERROR, [])
             err = capsys.readouterr().err
-            assert f"run log steps must start at 0 and strictly increase in {path}" in err
+            assert f"run log steps must be 0, 1, 2, ... in {path}" in err
 
     # a Latin-1 byte in the header, an empty file, and a cell beyond the csv
     # module's field size limit (131072 characters)

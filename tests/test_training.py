@@ -1,10 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import row_growth_drive, zero_weights
+from helpers import keep_log_rows, row_growth_drive, zero_weights
 from resnetlab import autograd, training
 from resnetlab.autograd import grad_objective, objective
 from resnetlab.bounds import largest_sum_feasible_T, lr_feasibility
@@ -170,11 +171,19 @@ class TestTrain:
         assert np.array_equal(final.layers, w.layers - 0.02 * grad_objective(data, w).layers)
         assert np.array_equal(log.t, [0, 1]) and np.array_equal(log.eta, [0.02, 0.02])
 
-    def test_stride_logging_keeps_final_row(self):
+    def test_stride_logging_keeps_final_row(self, tmp_path):
+        # every step is logged, the final one too; a log of every third step
+        # plus the final one (t = 0, 3, 6, 7) is refused
         data, w = small_instance()
-        _, log = train(w, data, Schedule("constant", 0.01), 7, log_stride=3)
-        assert list(log.t) == [0, 3, 6, 7]
-        assert np.array_equal(log.eta, [0.01] * 4)
+        _, log = train(w, data, Schedule("constant", 0.01), 7)
+        assert list(log.t) == list(range(8))
+        assert np.array_equal(log.eta, [0.01] * 8)
+        path = tmp_path / "runlog.csv"
+        save_runlog(log, path)
+        keep_log_rows(path, [0, 3, 6, 7])
+        message = re.escape(f"run log steps must be 0, 1, 2, ... in {path}")
+        with pytest.raises(InvalidInputError, match=message):
+            load_runlog(path)
 
     def test_row_norm_growth_bound_each_step(self):
         # the paper's one-step bound: sqrt(L/2) |row_m(A_k)| grows by at most
@@ -259,13 +268,13 @@ class TestUpdateFailure:
 
 
     # one update to entries of 1e156: finite weights whose squares overflow,
-    # caught on the next logged row (stride 1) or the final one (stride 5)
-    @pytest.mark.parametrize("stride, T", [(1, 3), (5, 1)])
-    def test_overflowing_norms_fail_the_run(self, monkeypatch, stride, T):
+    # caught on the next row (T = 3) or the final one (T = 1)
+    @pytest.mark.parametrize("T", [pytest.param(3, id="1-3"), pytest.param(1, id="5-1")])
+    def test_overflowing_norms_fail_the_run(self, monkeypatch, T):
         data, w0 = small_instance(14, d=3, L=4, n=2)
         monkeypatch.setattr(training, "_gradient_pass",
                             fixed_gradient(np.full_like(w0.layers, -1e155), 0.0))
-        final, log = train(w0, data, Schedule("constant", 10.0), T, log_stride=stride)
+        final, log = train(w0, data, Schedule("constant", 10.0), T)
         assert log.failed
         assert log.fail_reason == "non-finite weight norms: fbar=inf gbar=0.0"
         assert list(log.t) == [0, 1]
@@ -410,13 +419,16 @@ class TestInPlaceUpdate:
 
     # the update's contraction works in chunks of span layers: one short of
     # a chunk, one chunk, one layer past it, and two chunks and three layers,
-    # logged every step or every third with the layer gaps, with delta frozen
-    # or trainable
-    @pytest.mark.parametrize("extra, stride, log_layers, trainable", [
-        ((1, -1), 1, False, False), ((1, 0), 1, False, False), ((1, 1), 1, False, False),
-        ((2, 3), 1, False, False), ((2, 3), 3, True, False), ((2, 3), 3, True, True),
+    # with or without the layer gaps, with delta frozen or trainable
+    @pytest.mark.parametrize("extra, log_layers, trainable", [
+        pytest.param((1, -1), False, False, id="extra0-1-False-False"),
+        pytest.param((1, 0), False, False, id="extra1-1-False-False"),
+        pytest.param((1, 1), False, False, id="extra2-1-False-False"),
+        pytest.param((2, 3), False, False, id="extra3-1-False-False"),
+        pytest.param((2, 3), True, False, id="extra4-3-True-False"),
+        pytest.param((2, 3), True, True, id="extra5-3-True-True"),
     ])
-    def test_bitwise_at_chunk_edges(self, monkeypatch, extra, stride, log_layers, trainable):
+    def test_bitwise_at_chunk_edges(self, monkeypatch, extra, log_layers, trainable):
         d, n, T = 20, 2, 7
         span = layer_span(10 ** 6, (d * d + 2 * n * d) * 8)
         L = extra[0] * span + extra[1]
@@ -429,7 +441,7 @@ class TestInPlaceUpdate:
         monkeypatch.setattr(autograd.Adjoint, "layer_grads", recorded)
         data, w0 = small_instance(17, d=d, L=L, n=n)
         sched = Schedule("constant", 0.05)
-        final, log = train(w0, data, sched, T, log_layers=log_layers, log_stride=stride,
+        final, log = train(w0, data, sched, T, log_layers=log_layers,
                            delta_trainable=trainable)
         starts = list(range(0, L, span))
         assert chunks == T * [(a, min(a + span, L)) for a in starts]
@@ -437,14 +449,13 @@ class TestInPlaceUpdate:
         ref_final, ref_cols = reference_train(w0, data, sched, T, delta_trainable=trainable)
         assert not log.failed and np.array_equal(final.layers, ref_final.layers)
         assert final.delta == ref_final.delta
-        logged = sorted(set(range(0, T, stride)) | {T})
-        assert list(log.t) == logged
+        assert list(log.t) == list(range(T + 1))
         for observed, expected in zip((log.t, log.eta, log.loss, log.fbar, log.gbar,
                                        log.finf, log.neighbour_max, log.delta), ref_cols):
-            assert np.array_equal(observed, expected[logged])
+            assert np.array_equal(observed, expected)
         if log_layers:
             gaps = reference_layer_gaps(w0, data, sched, T, TANH, trainable)
-            assert np.array_equal(log.g_layers, gaps[logged])
+            assert np.array_equal(log.g_layers, gaps)
 
     # a learning rate of inf at step `updates` sends the layers to inf or
     # nan; that update has already written over w_updates, which the run
@@ -498,11 +509,9 @@ class TestInPlaceUpdate:
             assert np.array_equal(now, before)
         assert w0.delta == 8 ** -0.5
 
-    # (T, log_stride): the logged states are every step, or every third
-    # step plus the final state
-    @pytest.mark.parametrize("T, stride", [(5, 1), (7, 3)])
-    def test_log_layers_computes_each_iterate_once(self, monkeypatch, T, stride):
-        # each logged state's norms, whose neighbour differences give gbar,
+    @pytest.mark.parametrize("T", [pytest.param(5, id="5-1"), pytest.param(7, id="7-3")])
+    def test_log_layers_computes_each_iterate_once(self, monkeypatch, T):
+        # each state's norms, whose neighbour differences give gbar,
         # neighbour_max and g_k, are computed once. layer_gaps is handed zero
         # layers, so gaps that did not come from the norms would be zero.
         calls = []
@@ -518,11 +527,11 @@ class TestInPlaceUpdate:
         monkeypatch.setattr(training, "layer_gaps", blind)
         data, w0 = small_instance(16, d=4, L=9, n=3)
         sched = Schedule("constant", 0.05)
-        _, log = train(w0, data, sched, T, log_layers=True, log_stride=stride)
-        assert not log.failed and len(log.g_layers) == len(log.t)
-        assert len(calls) == len(log.t)
+        _, log = train(w0, data, sched, T, log_layers=True)
+        assert not log.failed and len(log.g_layers) == len(log.t) == T + 1
+        assert len(calls) == T + 1
         gaps = reference_layer_gaps(w0, data, sched, T, TANH, False)
-        assert np.array_equal(log.g_layers, gaps[list(log.t)])
+        assert np.array_equal(log.g_layers, gaps)
 
     def test_steps_reuse_the_blocks(self, monkeypatch):
         # every update writes the layers into the same block, which is not
