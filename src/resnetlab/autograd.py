@@ -13,7 +13,9 @@ rows of G, not all L+1. Every gradient pass runs in one flat trace block of
 hidden states and preactivations. With delta frozen, delta sigma' is written
 over the preactivations; a trainable delta needs sum G_k * sigma(a_k), whose
 terms the recursion writes over the preactivations while G_k is still in its
-row, so delta sigma' takes L N d more entries of the block. The contraction
+row, so delta sigma' takes L N d more entries of the block. ``_gradient_pass``
+alone lays the block out; training runs every iterate through it, w_T too,
+and ``objective`` is the forward pass alone, into new arrays. The contraction
 (``Adjoint.layer_grads``) forms any slice of layers, so a caller such as
 training's update need not hold the whole (L, d, d) gradient stack.
 
@@ -45,20 +47,10 @@ FD_HESSIAN_STEP = 1e-4
 HESSIAN_TOL = 1e-6  # relative change of the Rayleigh quotient that stops the iteration
 
 
-def objective(data: "Dataset", weights: Weights,
-              activation: Activation = TANH,
-              trace: np.ndarray | None = None) -> float:
-    """Mean over the training set of the per-sample loss |yhat - y|^2 / 2.
-
-    With a ``trace`` block (see ``_trace_views``) the forward trace is
-    written into it instead of new arrays.
-    """
-    if trace is None:
-        run = forward_batch(data.xs, weights, activation)
-    else:
-        hidden, preact, _ = _trace_views(trace, weights, len(data.xs), False)
-        run = forward_batch(data.xs, weights, activation, hidden, preact)
-    return _mean_squared(run.output, data.ys)
+def objective(data: "Dataset", weights: Weights, activation: Activation = TANH) -> float:
+    """Mean over the training set of the per-sample loss |yhat - y|^2 / 2,
+    from one forward pass into new arrays."""
+    return _mean_squared(forward_batch(data.xs, weights, activation).output, data.ys)
 
 
 def _mean_squared(outputs: np.ndarray, ys: np.ndarray) -> float:
@@ -82,27 +74,10 @@ class Grad:
 
 
 def trace_block_size(depth: int, n: int, width: int, delta_trainable: bool = False) -> int:
-    """Entries of the trace block of one gradient pass (see ``_trace_views``):
+    """Entries of the trace block of one gradient pass (see ``_gradient_pass``):
     the hidden states and the preactivations, (2L+1) N d, plus L N d for
     delta sigma' * G with a trainable delta."""
     return (2 * depth + 1 + (depth if delta_trainable else 0)) * n * width
-
-
-def _trace_views(trace: np.ndarray, weights: Weights, n: int, delta_trainable: bool):
-    """hidden (L+1, N, d), preact (L, N, d) and delta sigma' (L, N, d) of one
-    gradient pass, in that order from the start of the flat ``trace`` block.
-
-    With delta frozen, delta sigma' is written over preact, which it then
-    is. A trainable delta reads sigma(a_k) after sigma' is taken, so
-    delta sigma' has its own L N d entries after preact.
-    """
-    L, d = weights.depth, weights.width
-    unit = L * n * d
-    hidden = trace[:unit + n * d].reshape(L + 1, n, d)
-    preact = trace[unit + n * d:2 * unit + n * d].reshape(L, n, d)
-    if not delta_trainable:
-        return hidden, preact, preact
-    return hidden, preact, trace[2 * unit + n * d:3 * unit + n * d].reshape(L, n, d)
 
 
 def _backward(trace: ForwardTrace, weights: Weights, ys: np.ndarray,
@@ -203,7 +178,7 @@ def grad_objective_with_stats(data: "Dataset", weights: Weights,
 
     The pass runs in ``trace``, a flat float64 block of
     ``trace_block_size(L, N, d, delta_trainable)`` entries (see
-    ``_trace_views``), and the layer gradients are written into ``out``, an
+    ``_gradient_pass``), and the layer gradients are written into ``out``, an
     (L, d, d) array; either is allocated for the call when not given. The
     gradients read only the trace block, so ``out`` may be the memory of
     ``weights.layers`` itself, which they then overwrite. Where delta is a
@@ -225,14 +200,26 @@ def _gradient_pass(data: "Dataset", weights: Weights, activation: Activation,
                    delta_trainable: bool,
                    trace: np.ndarray) -> tuple[Adjoint, float, float]:
     """(Adjoint, delta_grad, current_objective) of one forward and backward
-    pass in the ``trace`` block (see ``_trace_views``): ``train`` forms the
-    layer gradients from the ``Adjoint`` one chunk of layers at a time,
-    ``grad_objective_with_stats`` all at once."""
-    n = len(data.xs)
-    hidden, preact, sg = _trace_views(trace, weights, n, delta_trainable)
+    pass in the flat ``trace`` block of ``trace_block_size`` entries:
+    ``train`` forms the layer gradients from the ``Adjoint`` one chunk of
+    layers at a time, ``grad_objective_with_stats`` all at once.
+
+    The block holds hidden (L+1, N, d), preact (L, N, d) and delta sigma'
+    (L, N, d), in that order from its start. With delta frozen, delta sigma'
+    is written over preact, which it then is. A trainable delta reads
+    sigma(a_k) after sigma' is taken, so delta sigma' has its own L N d
+    entries after preact.
+    """
+    L, n, d = weights.depth, len(data.xs), weights.width
+    unit = L * n * d
+    hidden = trace[:unit + n * d].reshape(L + 1, n, d)
+    preact = trace[unit + n * d:2 * unit + n * d].reshape(L, n, d)
+    sg = preact
+    if delta_trainable:
+        sg = trace[2 * unit + n * d:3 * unit + n * d].reshape(L, n, d)
     run = forward_batch(data.xs, weights, activation, hidden, preact)
     value = _mean_squared(run.output, data.ys)
-    _backward(run, weights, data.ys, np.empty((2, n, weights.width)), sg, delta_trainable)
+    _backward(run, weights, data.ys, np.empty((2, n, d)), sg, delta_trainable)
     dgrad = 0.0
     if delta_trainable:
         # _backward left G_k * sigma(a_k) in preact

@@ -287,18 +287,25 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str, run_dir: str | None) -> int
 
 def _completed_runs(run_dir: str):
     """Yields (depth, run log, final weights) for each completed run under
-    ``run_dir`` in ascending depth, all of one width and one logged step
-    column; failed runs are named on stderr and skipped. Each stack is read
-    only when the next run is asked for."""
-    runs = []
-    for path in glob.glob(os.path.join(run_dir, "runlog_L*.csv")):
-        match = re.search(r"runlog_L(\d+)\.csv$", path)
-        if match is not None:
-            runs.append((int(match.group(1)), path))
+    ``run_dir`` in ascending depth, one run log per depth, all of one width
+    and one logged step column; failed runs are named on stderr and skipped.
+    Each stack is read only when the next run is asked for."""
+    runs = {}
+    # matched inside run_dir, whose own name may hold glob characters
+    for name in sorted(glob.glob("runlog_L*.csv", root_dir=run_dir)):
+        match = re.fullmatch(r"runlog_L(\d+)\.csv", name)
+        if match is None:
+            continue
+        path = os.path.join(run_dir, name)
+        depth = int(match.group(1))
+        if depth in runs:
+            raise InvalidInputError(
+                f"run logs {runs[depth]} and {path} both hold depth {depth}")
+        runs[depth] = path
     if not runs:
         raise InvalidInputError(f"no run logs found under {run_dir}")
     first = None  # (depth, width, steps) of the first completed run
-    for depth, path in sorted(runs):
+    for depth, path in sorted(runs.items()):
         log = load_runlog(path)
         if log.failed:
             print(f"depth {depth}: skipped, run failed after step {log.steps}: "

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Adjoint, _gradient_pass, objective, trace_block_size
+from .autograd import Adjoint, _gradient_pass, trace_block_size
 from .data import Dataset, write_csv
 from .errors import InvalidInputError, NumericalOverflowError
 from .network import TANH, Activation, Weights, layer_span, layer_squares
@@ -200,8 +200,8 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     - The trace block, of ``trace_block_size(L, N, d, delta_trainable)``
       floats, holds each gradient pass's hidden states, preactivations and
       delta sigma' * G (written over the preactivations with delta frozen);
-      G itself moves through two (N, d) rows. The final loss's forward pass
-      runs in it too.
+      G itself moves through two (N, d) rows. Every iterate's pass, w_T's
+      too, runs in it.
     - The weights block, of the layers' shape, holds the current layers.
       The first update copies w0 into it as it writes w_1, and each later
       update overwrites it chunk by chunk: the chunk's layer gradients are
@@ -212,8 +212,8 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
     the layers it read. Unless those were w0's, the run then recomputes them
     by the same steps from w0, bit for bit, so that it returns the last
     finite iterate. An update that sends delta out of (0, inf) writes no
-    layer, so it needs no recomputation. The returned ``Weights`` (unless it is w0) is a view of the
-    weights block.
+    layer, so it needs no recomputation. The returned ``Weights`` (unless it
+    is w0) is a view of the weights block.
     """
     if T < 0:
         raise InvalidInputError("T must be >= 0")
@@ -251,9 +251,11 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
         return w
 
     try:
-        for t in range(T):
+        for t in range(T + 1):
             adjoint, dgrad, value = _gradient_pass(data, w, activation, delta_trainable, trace)
             log_state(w, t, value)
+            if t == T:
+                break
             try:
                 w = _apply_update(w, adjoint, dgrad, sched.rate(t), delta_trainable, layers,
                                   buf)
@@ -263,8 +265,6 @@ def train(w0: Weights, data: Dataset, sched: Schedule, T: int,
                     # w_t, which are not w0's
                     w = replay(t)
                 raise
-        final_value = objective(data, w, activation, trace=trace)
-        log_state(w, T, final_value)
     except NumericalOverflowError as exc:
         fail_reason = str(exc)
         if not rows:

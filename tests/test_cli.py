@@ -852,6 +852,29 @@ class TestAnalyzeCommand:
                      str(tmp_path / "nope"), "--out",
                      str(tmp_path / "o")]) == EXIT_INPUT_ERROR
 
+    def test_run_dir_with_glob_characters(self, tmp_path):
+        # train writes into "run[1]" and analyze reads it back, as certify does
+        cfg = write_config(tmp_path, **SMALL)
+        run_dir = str(tmp_path / "run[1]")
+        assert main(["train", "--config", cfg, "--out", run_dir]) == EXIT_OK
+        for command in ("analyze", "certify"):
+            assert main([command, "--config", cfg, "--run-dir", run_dir,
+                         "--out", str(tmp_path / command)]) == EXIT_OK
+        fit_inputs = (tmp_path / "analyze" / "fit_inputs.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in fit_inputs[1:]] == ["4", "8"]
+
+    def test_one_depth_named_twice_exits_2_writing_nothing(self, tmp_path, capsys):
+        # runlog_L08.csv parses to depth 8, as runlog_L8.csv does
+        cfg, run_dir = self.run_training(tmp_path, **SMALL)
+        (run_dir / "runlog_L08.csv").write_bytes((run_dir / "runlog_L8.csv").read_bytes())
+        code, files = run_into_empty_dir(
+            tmp_path, ["analyze", "--config", cfg, "--run-dir", str(run_dir)])
+        assert (code, files) == (EXIT_INPUT_ERROR, [])
+        err = capsys.readouterr().err
+        assert (f"run logs {run_dir / 'runlog_L08.csv'} and {run_dir / 'runlog_L8.csv'} "
+                "both hold depth 8") in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name, line, sep, token", [
         ("weights_L8.bin", 0, " ", "6.5"),   # a non-integer width in the header
         ("runlog_L4.csv", 2, ",", "zz"),     # the t cell of the t=1 row

@@ -355,3 +355,14 @@ def test_certifiers_and_step_blocks_have_their_readers():
                  "certify_gradient_lower", "certify_hessian"):
         assert readers_of(name, "bounds") == {"bounds"}, name
     assert readers_of("trace_block_size", "autograd") == {"autograd", "training", "bounds"}
+
+
+def test_gradient_pass_alone_lays_out_the_trace_block():
+    """``autograd._gradient_pass`` is the one function that lays out and
+    reads a trace block: ``train`` runs every iterate through it, w_T too,
+    so ``objective`` takes no block and ``training`` does not read it."""
+    defined = {node.name for tree in modules().values() for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert "_trace_views" not in defined
+    assert readers_of("objective", "autograd") == {"autograd", "bounds"}
+    assert readers_of("_gradient_pass", "autograd") == {"autograd", "training"}

@@ -185,6 +185,29 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match=message):
             load_runlog(path)
 
+    def test_every_iterate_goes_through_the_gradient_pass(self, monkeypatch):
+        # T updates, T + 1 gradient passes, w_T's too, and no forward pass
+        # outside them; each logged loss is its pass's
+        passes, forwards = [], []
+        real_pass, real_forward = training._gradient_pass, autograd.forward_batch
+
+        def counted_pass(*args):
+            adjoint, dgrad, value = real_pass(*args)
+            passes.append(value)
+            return adjoint, dgrad, value
+
+        def counted_forward(*args, **kwargs):
+            forwards.append(1)
+            return real_forward(*args, **kwargs)
+        monkeypatch.setattr(training, "_gradient_pass", counted_pass)
+        monkeypatch.setattr(autograd, "forward_batch", counted_forward)
+        data, w = small_instance(9)
+        T = 4
+        _, log = train(w, data, Schedule("constant", 0.05), T)
+        assert not log.failed and list(log.t) == list(range(T + 1))
+        assert len(passes) == len(forwards) == T + 1
+        assert list(log.loss) == passes
+
     def test_row_norm_growth_bound_each_step(self):
         # the paper's one-step bound: sqrt(L/2) |row_m(A_k)| grows by at most
         # eta sqrt(L) delta / sqrt(2) * sqrt(drive_k) on every step
@@ -282,14 +305,20 @@ class TestUpdateFailure:
         assert np.all(np.isfinite(final.layers))
 
     def test_final_objective_overflow_keeps_w_T(self, monkeypatch):
-        # the T updates succeed; only the loss of the final state overflows
+        # the T updates succeed; only the pass of the final state, the 4th,
+        # overflows
         data, w0 = small_instance(15, d=3, L=4, n=2)
         sched = Schedule("constant", 0.05)
         expected, _ = train(w0, data, sched, 3)
+        passes = []
+        real = training._gradient_pass
 
-        def overflowing_objective(data, w, activation, trace=None):
-            raise NumericalOverflowError("final objective overflowed")
-        monkeypatch.setattr(training, "objective", overflowing_objective)
+        def overflowing_last(*args):
+            passes.append(1)
+            if len(passes) == 4:
+                raise NumericalOverflowError("final objective overflowed")
+            return real(*args)
+        monkeypatch.setattr(training, "_gradient_pass", overflowing_last)
         final, log = train(w0, data, sched, 3)
         assert log.failed and log.fail_reason == "final objective overflowed"
         assert list(log.t) == [0, 1, 2]
